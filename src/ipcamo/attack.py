@@ -13,9 +13,9 @@ import numpy as np
 
 from .aig import AigGraph
 from .camouflage import CamouflagedNetlist
-from .cnf import CnfFormula, sat_solve
+from .cnf import CnfFormula, SatResult, sat_solve
 from .covert import CovertConfig, CovertGateKind, config_key_bits
-from .gatelevel import Circuit, Gate, from_aig, miter, prune, simplify
+from .gatelevel import Circuit, Gate, from_aig, miter, prune, simplify, substitute
 
 # -- Tseitin ------------------------------------------------------------------
 
@@ -250,8 +250,16 @@ class DipTrace:
     key: list[int] | None
     iterations: int
     dips: list[dict] = field(default_factory=list)
+    # solver statistics summed over every SAT call of the attack
     conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
     elapsed: float = 0.0
+
+    def add_solve(self, res: SatResult) -> None:
+        self.conflicts += res.conflicts
+        self.decisions += res.decisions
+        self.propagations += res.propagations
 
 
 def make_oracle(kn: KeyedNetlist):
@@ -268,7 +276,13 @@ def dip_attack(
     max_iters: int = 10_000,
 ) -> DipTrace:
     """Classic oracle-guided attack: find distinguishing inputs until the
-    two-key miter is UNSAT, then read a consistent key off the constraints."""
+    two-key miter is UNSAT, then read a consistent key off the constraints.
+
+    The miter compares one output, so netlists with several outputs are
+    rejected rather than attacked on their first output alone."""
+    if len(kn.circuit.outputs) != 1:
+        raise ValueError(f"dip_attack needs a single-output netlist, "
+                         f"got {len(kn.circuit.outputs)} outputs")
     t0 = time.monotonic()
     xs = kn.payload_inputs
     out_net = kn.circuit.outputs[0]
@@ -303,7 +317,7 @@ def dip_attack(
                 trace.elapsed = time.monotonic() - t0
                 return trace
         res = sat_solve(cnf, time_budget=remaining)
-        trace.conflicts += res.conflicts
+        trace.add_solve(res)
         if res.status == "BUDGET":
             trace.elapsed = time.monotonic() - t0
             return trace
@@ -335,7 +349,7 @@ def dip_attack(
             trace.elapsed = time.monotonic() - t0
             return trace
     res = sat_solve(final, time_budget=remaining)
-    trace.conflicts += res.conflicts
+    trace.add_solve(res)
     trace.elapsed = time.monotonic() - t0
     if res.status != "SAT":
         return trace
@@ -347,13 +361,6 @@ def dip_attack(
 def key_is_correct(kn: KeyedNetlist, key: list[int]) -> bool:
     """Does the recovered key realize the oracle function (not necessarily
     bit-identical to the designer's key, thanks to the 11/10 alias)?"""
-    keyed = _bind_key(kn, key)
-    truth = _bind_key(kn, kn.correct_key)
+    keyed = substitute(kn.circuit, dict(zip(kn.key_inputs, key)))
+    truth = substitute(kn.circuit, dict(zip(kn.key_inputs, kn.correct_key)))
     return equivalence_check(keyed, truth)
-
-
-def _bind_key(kn: KeyedNetlist, key: list[int]) -> Circuit:
-    gates = dict(kn.circuit.gates)
-    for n, k in zip(kn.key_inputs, key):
-        gates[n] = Gate("const1" if k else "const0")
-    return simplify(Circuit(gates=gates, outputs=list(kn.circuit.outputs)))

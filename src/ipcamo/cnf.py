@@ -1,8 +1,15 @@
 """CNF container, DIMACS export, and a deterministic CDCL SAT solver.
 
 Two-watched-literal propagation, first-UIP clause learning, VSIDS-style
-activities with phase saving and Luby restarts. Small and dependency-free;
-ties in branching break toward the lowest variable index so runs repeat
+activities with phase saving and Luby restarts. Small and dependency-free.
+
+Branching takes the unassigned variable of highest activity from an indexed
+binary max-heap (MiniSat's order heap, Een & Sorensson 2003): a position
+array locates each variable, so a bump sifts it up in place and the heap
+never holds a variable twice. Assigned variables stay in the heap until a
+decision pops them; backtracking re-inserts what it unassigns. The order is
+total: equal activities break toward the lowest variable index, so the
+heap picks exactly what a scan over all variables would, and runs repeat
 bit-for-bit.
 """
 from __future__ import annotations
@@ -109,9 +116,13 @@ def sat_solve(
         watches.setdefault(cl[1], []).append(ci)
         return True
 
+    def done(status: str, model: dict[int, bool] | None = None) -> SatResult:
+        return SatResult(status, model, stats.conflicts, stats.decisions,
+                         stats.propagations)
+
     for ci in range(len(clauses)):
         if not attach(ci):
-            return SatResult("UNSAT", conflicts=stats.conflicts)
+            return done("UNSAT")
 
     def propagate() -> int | None:
         nonlocal qhead
@@ -150,6 +161,49 @@ def sat_solve(
             watches[false_lit] = keep
         return None
 
+    # heap[0] is the next decision; "u before v" means activity[u] >
+    # activity[v], or equal activities and u < v. pos[v] == -1: not in heap.
+    heap = list(range(1, n + 1))     # all activities 0: index order is a heap
+    pos = list(range(-1, n))
+
+    def sift_up(i: int) -> None:
+        v = heap[i]
+        act = activity[v]
+        while i:
+            up = (i - 1) >> 1
+            u = heap[up]
+            au = activity[u]
+            if au > act or (au == act and u < v):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = up
+        heap[i] = v
+        pos[v] = i
+
+    def sift_down(i: int) -> None:
+        v = heap[i]
+        act = activity[v]
+        size = len(heap)
+        while True:
+            child = 2 * i + 1
+            if child >= size:
+                break
+            c = heap[child]
+            ac = activity[c]
+            if child + 1 < size:
+                r = heap[child + 1]
+                ar = activity[r]
+                if ar > ac or (ar == ac and r < c):
+                    child, c, ac = child + 1, r, ar
+            if act > ac or (act == ac and v < c):
+                break
+            heap[i] = c
+            pos[c] = i
+            i = child
+        heap[i] = v
+        pos[v] = i
+
     def bump(v: int) -> None:
         nonlocal var_inc
         activity[v] += var_inc
@@ -157,10 +211,16 @@ def sat_solve(
             for u in range(1, n + 1):
                 activity[u] *= 1e-100
             var_inc *= 1e-100
+            # underflow can turn a strict order into a tie: rebuild the heap
+            for i in range(len(heap) // 2 - 1, -1, -1):
+                sift_down(i)
+        elif pos[v] >= 0:
+            sift_up(pos[v])
+
+    seen = [False] * (n + 1)    # analyze() leaves it all False again
 
     def analyze(confl: int) -> tuple[list[int], int]:
         learnt = [0]
-        seen = [False] * (n + 1)
         counter = 0
         p = None
         idx = len(trail) - 1
@@ -187,6 +247,8 @@ def sat_solve(
             if counter == 0:
                 break
             ci = reason[abs(p)]
+        for q in learnt[1:]:
+            seen[abs(q)] = False
         learnt[0] = -p
         back = 0
         if len(learnt) > 1:
@@ -204,39 +266,40 @@ def sat_solve(
             saved[v] = lit > 0
             value[v] = 0
             reason[v] = None
+            if pos[v] < 0:
+                pos[v] = len(heap)
+                heap.append(v)
+                sift_up(pos[v])
         del lim[lvl:]
         qhead = len(trail)
 
     def decide() -> int | None:
-        best, best_act = None, -1.0
-        for v in range(1, n + 1):
-            if value[v] == 0 and activity[v] > best_act:
-                best, best_act = v, activity[v]
-        if best is None:
-            return None
-        return best if saved[best] else -best
+        while heap:
+            v = heap[0]
+            pos[v] = -1
+            last = heap.pop()
+            if heap:
+                heap[0] = last
+                sift_down(0)
+            if value[v] == 0:
+                return v if saved[v] else -v
+        return None
 
     restarts = 0
     conflicts_until_restart = 64 * _luby(1)
     confl = propagate()
     if confl is not None:
-        return SatResult("UNSAT", conflicts=stats.conflicts)
+        return done("UNSAT")
     while True:
         if deadline is not None and time.monotonic() > deadline:
-            return SatResult("BUDGET", conflicts=stats.conflicts,
-                             decisions=stats.decisions,
-                             propagations=stats.propagations)
+            return done("BUDGET")
         confl = propagate()
         if confl is not None:
             stats.conflicts += 1
             if conflict_budget is not None and stats.conflicts > conflict_budget:
-                return SatResult("BUDGET", conflicts=stats.conflicts,
-                                 decisions=stats.decisions,
-                                 propagations=stats.propagations)
+                return done("BUDGET")
             if not lim:
-                return SatResult("UNSAT", conflicts=stats.conflicts,
-                                 decisions=stats.decisions,
-                                 propagations=stats.propagations)
+                return done("UNSAT")
             learnt, back = analyze(confl)
             cancel_until(back)
             ci = len(clauses)
@@ -254,10 +317,7 @@ def sat_solve(
             continue
         lit = decide()
         if lit is None:
-            model = {v: value[v] > 0 for v in range(1, n + 1)}
-            return SatResult("SAT", model=model, conflicts=stats.conflicts,
-                             decisions=stats.decisions,
-                             propagations=stats.propagations)
+            return done("SAT", {v: value[v] > 0 for v in range(1, n + 1)})
         stats.decisions += 1
         lim.append(len(trail))
         enqueue(lit, None)

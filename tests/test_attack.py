@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from ipcamo.aig import random_tree
-from ipcamo.attack import (dip_attack, equivalence_check, key_is_correct,
-                           keyize_netlist, make_ll_baseline, make_oracle,
-                           tseitin_encode)
+from ipcamo import attack
+from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
+                           key_is_correct, keyize_netlist, make_ll_baseline,
+                           make_oracle, tseitin_encode)
 from ipcamo.cnf import CnfFormula, sat_solve
 from ipcamo.evaluation import random_covert_insertion
 from ipcamo.gatelevel import Circuit, from_aig
@@ -176,6 +177,34 @@ def test_dip_attack_budget_path():
 
     trace2 = dip_attack(kn, make_oracle(kn), max_iters=0)
     assert trace2.status == "budget"
+
+
+def test_dip_trace_sums_every_solve(monkeypatch):
+    results = []
+
+    def recording_solve(*args, **kwargs):
+        results.append(sat_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(attack, "sat_solve", recording_solve)
+    kn = make_ll_baseline(random_tree(np.random.default_rng(7), 5), 6, seed=2)
+    trace = dip_attack(kn, make_oracle(kn))
+    assert trace.status == "solved"
+    assert len(results) == trace.iterations + 2  # DIPs, the UNSAT miter, the key
+    for name in ("conflicts", "decisions", "propagations"):
+        assert getattr(trace, name) == sum(getattr(r, name) for r in results)
+    assert trace.decisions > 0 and trace.propagations > 0
+
+
+def test_dip_attack_rejects_multiple_outputs():
+    c = Circuit()
+    a, b, k = c.add("a", "input"), c.add("b", "input"), c.add("k", "input")
+    c.add("y0", "xor", a, k)
+    c.add("y1", "and", a, b)
+    c.outputs = ["y0", "y1"]
+    kn = KeyedNetlist(c, ["k"], [0])
+    with pytest.raises(ValueError, match="single-output"):
+        dip_attack(kn, make_oracle(kn))
 
 
 def test_key_alias_counts_as_correct():

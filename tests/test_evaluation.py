@@ -86,13 +86,14 @@ def test_random_insertion_counts_and_modes():
 def test_random_insertion_resolves_to_original():
     """Resolving every covert cell to its true behavior recovers f exactly."""
     from ipcamo.attack import key_is_correct, keyize_netlist
-    from ipcamo.attack import _bind_key
     from ipcamo.attack import equivalence_check
+    from ipcamo.gatelevel import substitute
     rng = np.random.default_rng(31)
     f = random_tree(rng, 5)
     nl = random_covert_insertion(f, "fraction", 0.3, rng)
     kn = keyize_netlist(nl)
-    assert equivalence_check(_bind_key(kn, kn.correct_key), f)
+    assert equivalence_check(
+        substitute(kn.circuit, dict(zip(kn.key_inputs, kn.correct_key))), f)
 
 
 def test_gnn_export_roundtrip(tmp_path):

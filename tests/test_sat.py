@@ -1,9 +1,12 @@
-"""CDCL solver checked against brute-force enumeration on random formulas."""
+"""CDCL solver checked against brute-force enumeration on random formulas,
+with its search pinned on fixed instances."""
 import itertools
 
 import numpy as np
 import pytest
 
+from ipcamo.aig import random_tree
+from ipcamo.attack import dip_attack, make_ll_baseline, make_oracle
 from ipcamo.cnf import CnfFormula, SatResult, _luby, sat_solve
 
 
@@ -31,6 +34,18 @@ def random_cnf(rng, n_vars, n_clauses, width=3) -> CnfFormula:
     return cnf
 
 
+def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
+    cnf = CnfFormula()
+    p = {(i, j): cnf.new_var() for i in range(pigeons) for j in range(holes)}
+    for i in range(pigeons):
+        cnf.add_clause([p[(i, j)] for j in range(holes)])
+    for j in range(holes):
+        for i1 in range(pigeons):
+            for i2 in range(i1 + 1, pigeons):
+                cnf.add_clause([-p[(i1, j)], -p[(i2, j)]])
+    return cnf
+
+
 def test_trivial_cases():
     cnf = CnfFormula()
     x = cnf.new_var()
@@ -38,6 +53,16 @@ def test_trivial_cases():
     cnf.add_clause([x])
     cnf.add_clause([-x])
     assert sat_solve(cnf).status == "UNSAT"
+
+
+def test_top_level_unsat_reports_its_propagations():
+    # the first propagation pass already conflicts, before any decision
+    cnf = CnfFormula()
+    x, y = cnf.new_vars(2)
+    for cl in ([x], [-x, y], [-x, -y]):
+        cnf.add_clause(cl)
+    res = sat_solve(cnf)
+    assert (res.status, res.decisions, res.propagations) == ("UNSAT", 0, 1)
 
 
 def test_unit_propagation_chain():
@@ -94,15 +119,7 @@ def test_deterministic_reruns():
 
 
 def test_conflict_budget_trips():
-    # pigeonhole PHP(4,3): 4 pigeons, 3 holes; UNSAT and needs real search
-    cnf = CnfFormula()
-    p = {(i, j): cnf.new_var() for i in range(4) for j in range(3)}
-    for i in range(4):
-        cnf.add_clause([p[(i, j)] for j in range(3)])
-    for j in range(3):
-        for i1 in range(4):
-            for i2 in range(i1 + 1, 4):
-                cnf.add_clause([-p[(i1, j)], -p[(i2, j)]])
+    cnf = pigeonhole(4, 3)  # UNSAT and needs real search
     assert sat_solve(cnf).status == "UNSAT"
     res = sat_solve(cnf, conflict_budget=1)
     assert res.status == "BUDGET" and res.model is None
@@ -128,3 +145,64 @@ def test_dimacs_and_validation():
     c2 = cnf.copy()
     c2.add_clause([b])
     assert len(cnf.clauses) == 1  # copies are independent
+
+
+def test_ties_branch_on_lowest_index_first():
+    # no clauses: every decision is a tie at activity 0 and saved phase False
+    cnf = CnfFormula()
+    cnf.new_vars(12)
+    res = sat_solve(cnf)
+    assert res.status == "SAT" and res.decisions == 12
+    assert not any(res.model.values())
+    # (x1 | x2), (x3 | x4), ...: deciding x1 = False forces x2 = True, and so
+    # on; a highest-index-first order would give the mirror-image model
+    cnf = CnfFormula()
+    vs = cnf.new_vars(12)
+    for a, b in zip(vs[::2], vs[1::2]):
+        cnf.add_clause([a, b])
+    res = sat_solve(cnf)
+    assert res.decisions == 6
+    assert [res.model[v] for v in vs] == [False, True] * 6
+
+
+def random_3sat(seed: int, n_vars: int = 60, ratio: float = 4.26) -> CnfFormula:
+    rng = np.random.default_rng(seed)
+    cnf = CnfFormula()
+    cnf.new_vars(n_vars)
+    for _ in range(round(ratio * n_vars)):
+        vs = rng.choice(n_vars, size=3, replace=False) + 1
+        cnf.add_clause([int(v) if rng.integers(2) else -int(v) for v in vs])
+    return cnf
+
+
+# (status, conflicts, decisions, propagations) of the linear-scan branching
+# the solver started from. Any change to the branching order, the learning
+# scheme or the restarts moves these; an equivalent faster search does not.
+GOLDEN_SEARCH = {
+    "php(5,4)": ("UNSAT", 28, 38, 297),
+    "3sat-0": ("UNSAT", 87, 99, 1380),
+    "3sat-1": ("UNSAT", 99, 116, 1479),
+    "3sat-2": ("UNSAT", 106, 124, 1753),
+    "3sat-3": ("SAT", 50, 77, 876),
+    "3sat-4": ("UNSAT", 122, 137, 2028),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
+def test_search_is_pinned(name):
+    cnf = pigeonhole(5, 4) if name == "php(5,4)" else random_3sat(int(name[-1]))
+    res = sat_solve(cnf)
+    assert (res.status, res.conflicts, res.decisions, res.propagations) == \
+        GOLDEN_SEARCH[name]
+    if res.status == "SAT":
+        assert model_satisfies(cnf, res.model)
+
+
+def test_dip_attack_search_is_pinned():
+    kn = make_ll_baseline(random_tree(np.random.default_rng(7), 5), 6, seed=2)
+    trace = dip_attack(kn, make_oracle(kn))
+    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 3, 19)
+    assert trace.key == [0, 0, 0, 1, 1, 0]
+    assert trace.dips == [{"pi5": 0, "pi3": 0, "pi4": 0, "pi2": 0},
+                          {"pi5": 0, "pi3": 0, "pi4": 1, "pi2": 0},
+                          {"pi5": 0, "pi3": 0, "pi4": 1, "pi2": 1}]
