@@ -493,29 +493,51 @@ def pad_to_match(g: AigGraph, reference: AigGraph) -> AigGraph:
 # -- Simulation ---------------------------------------------------------------
 
 
-def simulate(g: AigGraph, assignment: dict[str, int]) -> dict[str, int]:
-    """Evaluate all POs under a per-PI-name assignment of bits."""
+def pattern_words(k: int) -> tuple[list[int], int]:
+    """Words that enumerate all 2^k patterns of k inputs in one pass.
+
+    Bit i of words[j] is bit j of the pattern index i; `full` has all 2^k
+    bits set. words[j] repeats 2^j zeros then 2^j ones, so it is that
+    2^(j+1)-bit block times the repunit (2^(2^k) - 1) / (2^(2^(j+1)) - 1).
+    """
+    full = (1 << (1 << k)) - 1
+    words = []
+    for j in range(k):
+        run = 1 << j
+        words.append(full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    return words, full
+
+
+def _simulate_words(g: AigGraph, words: dict[str, int], full: int) -> dict[str, int]:
+    """PO name -> word, with each PI bound to the word of its name; bit i of
+    every word is a value under input pattern i."""
     preds = g.pred_table()
     val = [0] * g.n
     out = {}
     for i, t in enumerate(g.types):
         if t is NodeType.PI:
             name = g.names[i]
-            if name not in assignment:
+            if name not in words:
                 raise KeyError(f"missing assignment for PI {name!r}")
-            val[i] = int(bool(assignment[name]))
+            val[i] = words[name]
         elif t is NodeType.AND:
-            v = 1
+            v = full
             for s, inv in preds[i]:
-                v &= val[s] ^ int(inv)
+                v &= (val[s] ^ full) if inv else val[s]
             val[i] = v  # in-degree 0 (dummy AND) evaluates to 1 and feeds nothing
         else:
             if not preds[i]:
                 raise ValueError(f"PO node {i} is undriven")
             (s, inv), = preds[i]
-            val[i] = val[s] ^ int(inv)
+            val[i] = (val[s] ^ full) if inv else val[s]
             out[g.names[i]] = val[i]
     return out
+
+
+def simulate(g: AigGraph, assignment: dict[str, int]) -> dict[str, int]:
+    """Evaluate all POs under a per-PI-name assignment of bits."""
+    bits = {n: int(bool(assignment[n])) for n in g.pi_names if n in assignment}
+    return _simulate_words(g, bits, 1)
 
 
 def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:
@@ -527,15 +549,15 @@ def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:
     pis = pi_order if pi_order is not None else g.pi_names
     if len(pis) > 20:
         raise ValueError(f"too many PIs for truth table: {len(pis)}")
+    rows = 1 << len(pis)
+    words, full = pattern_words(len(pis))
+    # row idx is MSB-first: the first PI is the top bit of idx
+    out = _simulate_words(g, dict(zip(pis, reversed(words))), full)
     pos = g.po_names
-    table = np.zeros((len(pos), 2 ** len(pis)), dtype=np.uint8)
-    for idx in range(2 ** len(pis)):
-        assign = {
-            name: (idx >> (len(pis) - 1 - k)) & 1 for k, name in enumerate(pis)
-        }
-        res = simulate(g, assign)
-        for r, name in enumerate(pos):
-            table[r, idx] = res[name]
+    table = np.zeros((len(pos), rows), dtype=np.uint8)
+    for r, name in enumerate(pos):
+        packed = np.frombuffer(out[name].to_bytes((rows + 7) // 8, "little"), np.uint8)
+        table[r] = np.unpackbits(packed, bitorder="little")[:rows]
     return table[0] if len(pos) == 1 else table
 
 

@@ -11,18 +11,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aig import AigGraph
+from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, sat_solve
 from .covert import CovertConfig, CovertGateKind, config_key_bits
-from .gatelevel import Circuit, Gate, from_aig, miter, prune, simplify, substitute
+from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, prune,
+                        simplify, substitute)
 
 # -- Tseitin ------------------------------------------------------------------
 
 
 def tseitin_encode(
     cnf: CnfFormula,
-    c: Circuit,
+    c: Circuit | CompiledCircuit,
     inputs: dict[str, int],
     true_lit: int,
 ) -> dict[str, int]:
@@ -30,48 +31,49 @@ def tseitin_encode(
 
     inputs may bind input nets to any literal, including +-true_lit for
     constants. One auxiliary variable per internal net; an AND costs three
-    clauses.
+    clauses. Callers that encode one circuit many times pass it compiled,
+    so its topological order is computed once.
     """
-    lit: dict[str, int] = {}
-    for net in c.topo_order():
-        g = c.gates[net]
-        if g.op == "input":
+    cc = c if isinstance(c, CompiledCircuit) else CompiledCircuit(c)
+    lit = [0] * len(cc.nets)
+    for i, (net, op, fanin) in enumerate(zip(cc.nets, cc.ops, cc.fanin)):
+        if op == "input":
             if net not in inputs:
                 raise KeyError(f"no literal bound for input {net!r}")
-            lit[net] = inputs[net]
+            lit[i] = inputs[net]
             continue
-        if g.op == "const1":
-            lit[net] = true_lit
+        if op == "const1":
+            lit[i] = true_lit
             continue
-        if g.op == "const0":
-            lit[net] = -true_lit
+        if op == "const0":
+            lit[i] = -true_lit
             continue
-        ins = [lit[s] for s in g.ins]
-        if g.op == "buf":
-            lit[net] = ins[0]
+        ins = [lit[s] for s in fanin]
+        if op == "buf":
+            lit[i] = ins[0]
             continue
-        if g.op == "not":
-            lit[net] = -ins[0]
+        if op == "not":
+            lit[i] = -ins[0]
             continue
         o = cnf.new_var()
-        if g.op in ("and", "nand"):
-            w = o if g.op == "and" else -o
-            for i in ins:
-                cnf.add_clause([-w, i])
-            cnf.add_clause([w] + [-i for i in ins])
-        elif g.op == "or":
-            for i in ins:
-                cnf.add_clause([o, -i])
+        if op in ("and", "nand"):
+            w = o if op == "and" else -o
+            for x in ins:
+                cnf.add_clause([-w, x])
+            cnf.add_clause([w] + [-x for x in ins])
+        elif op == "or":
+            for x in ins:
+                cnf.add_clause([o, -x])
             cnf.add_clause([-o] + ins)
-        elif g.op in ("xor", "xnor"):
+        elif op in ("xor", "xnor"):
             a, b = ins
-            w = o if g.op == "xor" else -o
+            w = o if op == "xor" else -o
             cnf.add_clause([-w, a, b])
             cnf.add_clause([-w, -a, -b])
             cnf.add_clause([w, -a, b])
             cnf.add_clause([w, a, -b])
-        lit[net] = o
-    return lit
+        lit[i] = o
+    return dict(zip(cc.nets, lit))
 
 
 # -- Equivalence --------------------------------------------------------------
@@ -86,21 +88,19 @@ def equivalence_check(a, b, time_budget: float | None = None) -> bool:
 
     Both circuits are simplified and pruned first, so inputs with no path to
     an output never enter the comparison and structurally identical designs
-    collapse without search.
+    collapse without search. Up to 16 support inputs, each side's truth
+    table comes from one bit-parallel pass over all 2^k patterns.
     """
-    c1 = prune(simplify(_as_circuit(a)))
-    c2 = prune(simplify(_as_circuit(b)))
+    c1 = simplify(_as_circuit(a))
+    c2 = simplify(_as_circuit(b))
     if len(c1.outputs) != len(c2.outputs):
         return False
     support = sorted(set(c1.inputs) | set(c2.inputs))
     if len(support) <= 16:
-        for idx in range(2 ** len(support)):
-            assign = {n: (idx >> k) & 1 for k, n in enumerate(support)}
-            v1 = [*c1.evaluate(assign).values()]
-            v2 = [*c2.evaluate(assign).values()]
-            if v1 != v2:
-                return False
-        return True
+        words, full = pattern_words(len(support))
+        bound = dict(zip(support, words))
+        return (CompiledCircuit(c1).run(bound, full)
+                == CompiledCircuit(c2).run(bound, full))
     m = simplify(miter(c1, c2))
     g = m.gates[m.outputs[0]]
     if g.op == "const0":
@@ -264,8 +264,11 @@ class DipTrace:
 
 def make_oracle(kn: KeyedNetlist):
     """Black-box oracle: the netlist evaluated under its correct key."""
+    sim = CompiledCircuit(kn.circuit)
+    key = dict(zip(kn.key_inputs, kn.correct_key))
+
     def oracle(assignment: dict[str, int]) -> dict[str, int]:
-        return kn.evaluate(kn.correct_key, assignment)
+        return sim.evaluate({**assignment, **key})
     return oracle
 
 
@@ -286,6 +289,7 @@ def dip_attack(
     t0 = time.monotonic()
     xs = kn.payload_inputs
     out_net = kn.circuit.outputs[0]
+    sim = CompiledCircuit(kn.circuit)  # one topological order for every copy
 
     cnf = CnfFormula()
     t = cnf.new_var()
@@ -293,8 +297,8 @@ def dip_attack(
     x_vars = {n: cnf.new_var() for n in xs}
     ka = {n: cnf.new_var() for n in kn.key_inputs}
     kb = {n: cnf.new_var() for n in kn.key_inputs}
-    oa = tseitin_encode(cnf, kn.circuit, {**x_vars, **ka}, t)[out_net]
-    ob = tseitin_encode(cnf, kn.circuit, {**x_vars, **kb}, t)[out_net]
+    oa = tseitin_encode(cnf, sim, {**x_vars, **ka}, t)[out_net]
+    ob = tseitin_encode(cnf, sim, {**x_vars, **kb}, t)[out_net]
     cnf.add_clause([oa, ob])
     cnf.add_clause([-oa, -ob])
 
@@ -304,7 +308,7 @@ def dip_attack(
                         obs) -> None:
         for dip, y in obs:
             binding = {n: tl if dip[n] else -tl for n in xs}
-            o = tseitin_encode(target, kn.circuit, {**binding, **keys}, tl)[out_net]
+            o = tseitin_encode(target, sim, {**binding, **keys}, tl)[out_net]
             target.add_clause([o if y else -o])
 
     trace = DipTrace("budget", None, 0)

@@ -1,4 +1,5 @@
-"""Small gate-level netlist IR: named nets, evaluation, const-prop, strashing."""
+"""Small gate-level netlist IR: named nets, bit-parallel simulation, const-prop,
+strashing."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -76,17 +77,7 @@ class Circuit:
 
     def evaluate(self, assignment: dict[str, int]) -> dict[str, int]:
         """Output values under a complete primary-input assignment."""
-        val: dict[str, int] = {}
-        for net in self.topo_order():
-            g = self.gates[net]
-            if g.op == "input":
-                if net not in assignment:
-                    raise KeyError(f"missing assignment for input {net!r}")
-                val[net] = int(bool(assignment[net]))
-                continue
-            ins = [val[s] for s in g.ins]
-            val[net] = _EVAL[g.op](ins)
-        return {o: val[o] for o in self.outputs}
+        return CompiledCircuit(self).evaluate(assignment)
 
     def renamed(self, mapping: dict[str, str]) -> "Circuit":
         """Copy with nets renamed; unmapped nets keep their name."""
@@ -96,17 +87,63 @@ class Circuit:
         return Circuit(gates=gates, outputs=[f(o) for o in self.outputs])
 
 
-_EVAL = {
-    "const0": lambda ins: 0,
-    "const1": lambda ins: 1,
-    "buf": lambda ins: ins[0],
-    "not": lambda ins: 1 - ins[0],
-    "and": lambda ins: int(all(ins)),
-    "or": lambda ins: int(any(ins)),
-    "nand": lambda ins: 1 - int(all(ins)),
-    "xor": lambda ins: ins[0] ^ ins[1],
-    "xnor": lambda ins: 1 - (ins[0] ^ ins[1]),
-}
+class CompiledCircuit:
+    """A circuit flattened once for repeated simulation and encoding.
+
+    Nets are held in topological order with their op and the positions of
+    their fan-in nets, so a pass is one loop over lists. `run` is
+    bit-parallel, as in FRAIG-style equivalence checking (Mishchenko et
+    al., 2005): every net is a Python int whose bit i is its value under
+    input pattern i, so one pass evaluates every pattern the words hold.
+    """
+
+    def __init__(self, c: Circuit):
+        self.nets = c.topo_order()
+        pos = {net: i for i, net in enumerate(self.nets)}
+        gates = [c.gates[net] for net in self.nets]
+        self.ops = [g.op for g in gates]
+        self.fanin = [tuple(pos[s] for s in g.ins) for g in gates]
+        self.inputs = [n for n, op in zip(self.nets, self.ops) if op == "input"]
+        self.outputs = list(c.outputs)
+        self._out_pos = [pos[o] for o in c.outputs]
+
+    def run(self, words: dict[str, int], full: int) -> list[int]:
+        """Output words in output order; `words` binds every input net and
+        `full` is the word with every pattern's bit set."""
+        val = [0] * len(self.nets)
+        for i, (op, ins) in enumerate(zip(self.ops, self.fanin)):
+            if op == "and" or op == "nand":
+                v = full
+                for s in ins:
+                    v &= val[s]
+                val[i] = v if op == "and" else v ^ full
+            elif op == "not":
+                val[i] = val[ins[0]] ^ full
+            elif op == "or":
+                v = 0
+                for s in ins:
+                    v |= val[s]
+                val[i] = v
+            elif op == "input":
+                val[i] = words[self.nets[i]]
+            elif op == "buf":
+                val[i] = val[ins[0]]
+            elif op == "xor":
+                val[i] = val[ins[0]] ^ val[ins[1]]
+            elif op == "xnor":
+                val[i] = val[ins[0]] ^ val[ins[1]] ^ full
+            else:
+                val[i] = full if op == "const1" else 0
+        return [val[p] for p in self._out_pos]
+
+    def evaluate(self, assignment: dict[str, int]) -> dict[str, int]:
+        """Output values under one complete primary-input assignment."""
+        bits = {}
+        for net in self.inputs:
+            if net not in assignment:
+                raise KeyError(f"missing assignment for input {net!r}")
+            bits[net] = int(bool(assignment[net]))
+        return dict(zip(self.outputs, self.run(bits, 1)))
 
 
 def circuit_to_obj(c: Circuit) -> dict:

@@ -43,6 +43,25 @@ def test_simulate_and_truth_table():
     assert truth_table(g).tolist() == [0, 0, 1, 0]
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 10))
+def test_truth_table_rows_match_simulate(seed, n_ands):
+    g = random_tree(np.random.default_rng(seed), n_ands, n_pi_pool=8)
+    pis = g.pi_names
+    table = truth_table(g)
+    for idx in range(2 ** len(pis)):
+        assign = {n: (idx >> (len(pis) - 1 - k)) & 1 for k, n in enumerate(pis)}
+        assert table[idx] == simulate(g, assign)[g.po_names[0]]
+
+
+def test_dummy_and_evaluates_to_one():
+    # PI 0 unused; AND 1 has no fan-in; PO 2 reads it
+    g = AigGraph([NodeType.PI, NodeType.AND, NodeType.PO], [(1, 2, False)],
+                 ["a", None, "y"])
+    assert simulate(g, {"a": 0}) == {"y": 1}
+    assert truth_table(g).tolist() == [1, 1]
+
+
 def test_simulate_missing_pi():
     with pytest.raises(KeyError):
         simulate(simple_graph(), {"a": 1})

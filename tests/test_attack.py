@@ -81,6 +81,49 @@ def test_equivalence_check_wide_support_uses_sat():
     assert not equivalence_check(c1, c2)
 
 
+def _parity(k, flip=None):
+    """Parity of k inputs; flip="ones" ("zeros") also XORs in the minterm
+    that is 1 only on the all-ones (all-zeros) pattern."""
+    c = Circuit()
+    names = [c.add(f"i{j:02d}", "input") for j in range(k)]
+    acc = names[0]
+    for j, n in enumerate(names[1:]):
+        acc = c.add(f"x{j}", "xor", acc, n)
+    if flip == "ones":
+        acc = c.add("f", "xor", acc, c.add("p", "and", *names))
+    elif flip == "zeros":
+        lows = [c.add(f"n{j}", "not", n) for j, n in enumerate(names)]
+        acc = c.add("f", "xor", acc, c.add("p", "and", *lows))
+    c.add("y", "buf", acc)
+    c.outputs = ["y"]
+    return c
+
+
+def _no_sat(*args, **kwargs):
+    raise AssertionError("small-support check reached the SAT solver")
+
+
+@pytest.mark.parametrize("flip", ["ones", "zeros"])
+def test_equivalence_check_word_edges_at_support_16(flip, monkeypatch):
+    # the all-ones pattern is the word's top bit, the all-zeros pattern bit 0
+    monkeypatch.setattr(attack, "sat_solve", _no_sat)
+    assert not equivalence_check(_parity(16, flip), _parity(16))
+    assert not equivalence_check(_parity(16), _parity(16, flip))
+    assert equivalence_check(_parity(16, flip), _parity(16, flip))
+
+
+def test_equivalence_check_support_17_takes_sat_path(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sat_solve(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "sat_solve", counted)
+    assert not equivalence_check(_parity(17, "ones"), _parity(17))
+    assert calls == [1]
+
+
 def test_keyize_key_count_law():
     f = random_tree(np.random.default_rng(1), 5)
     nl = random_covert_insertion(f, "fraction", 0.5, np.random.default_rng(2))

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipcamo.aig import random_tree, simulate
-from ipcamo.gatelevel import (Circuit, Gate, circuit_from_obj, circuit_to_obj,
-                              from_aig, miter, prune, simplify, substitute)
+from ipcamo.aig import pattern_words, random_tree, simulate
+from ipcamo.gatelevel import (Circuit, CompiledCircuit, Gate, circuit_from_obj,
+                              circuit_to_obj, from_aig, miter, prune, simplify,
+                              substitute)
 
 
 def xor_circuit():
@@ -123,3 +124,61 @@ def test_from_aig_matches_simulation(seed, n_ands):
         assert c.evaluate(assign) == simulate(g, assign)
         s = simplify(c)
         assert s.evaluate(assign) == simulate(g, assign)
+
+
+# one pattern at a time, in insertion order: the reference for the word pass
+_ONE_PATTERN = {
+    "const0": lambda ins: 0,
+    "const1": lambda ins: 1,
+    "buf": lambda ins: ins[0],
+    "not": lambda ins: 1 - ins[0],
+    "and": lambda ins: int(all(ins)),
+    "or": lambda ins: int(any(ins)),
+    "nand": lambda ins: 1 - int(all(ins)),
+    "xor": lambda ins: ins[0] ^ ins[1],
+    "xnor": lambda ins: 1 - (ins[0] ^ ins[1]),
+}
+_ARITY = {"const0": 0, "const1": 0, "buf": 1, "not": 1, "xor": 2, "xnor": 2}
+
+
+@st.composite
+def circuits_with_every_op(draw):
+    """Random netlist, built in topological order, using each op at least once."""
+    c = Circuit()
+    nets = [c.add(f"i{j}", "input") for j in range(draw(st.integers(1, 6)))]
+    extra = draw(st.lists(st.sampled_from(sorted(_ONE_PATTERN)), max_size=12))
+    for j, op in enumerate(draw(st.permutations(sorted(_ONE_PATTERN) + extra))):
+        arity = _ARITY.get(op)
+        if arity is None:  # n-ary and / or / nand
+            arity = draw(st.integers(1, 4))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=arity, max_size=arity))
+        nets.append(c.add(f"g{j}", op, *ins))
+    c.outputs = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=4))
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits_with_every_op())
+def test_word_pass_matches_per_pattern_evaluation(c):
+    inputs = c.inputs
+    words, full = pattern_words(len(inputs))
+    got = CompiledCircuit(c).run(dict(zip(inputs, words)), full)
+    for idx in range(1 << len(inputs)):
+        assign = {n: (idx >> j) & 1 for j, n in enumerate(inputs)}
+        val = {}
+        for net, g in c.gates.items():
+            val[net] = assign[net] if g.op == "input" else \
+                _ONE_PATTERN[g.op]([val[s] for s in g.ins])
+        want = [val[o] for o in c.outputs]
+        assert [(w >> idx) & 1 for w in got] == want
+        assert c.evaluate(assign) == dict(zip(c.outputs, want))
+
+
+def test_evaluate_errors_and_input_normalisation():
+    c = xor_circuit()
+    with pytest.raises(KeyError, match="missing assignment for input 'b'"):
+        c.evaluate({"a": 1})
+    assert c.evaluate({"a": 2, "b": 0}) == {"y": 1}   # int(bool(2)) == 1
+    c.gates["y"] = Gate("xor", ("a", "nowhere"))
+    with pytest.raises(ValueError, match="undriven"):
+        c.evaluate({"a": 1, "b": 0})
