@@ -1,24 +1,40 @@
-"""Exact graph edit distance between AIGs, with a wall-clock timeout."""
+"""Exact graph edit distance between AIGs, with a wall-clock timeout.
+
+The search is A* (Hart, Nilsson & Raphael, 1968) over partial node mappings,
+as in exact GED search (Abu-Aisheh et al., ICPRAM 2015). A state at depth d
+maps g1's nodes 0..d-1, each to an unused g2 node or to deletion, and its
+cost g counts every edit those choices fix: node substitutions and deletions,
+and every edge between mapped nodes matched, flipped, deleted or inserted.
+Completing a mapping inserts every unused g2 node and every g2 edge that
+touches one.
+
+A state's f is g plus a bound on the edits still to come, the sum of
+- a label term: the larger of the two remaining node counts, minus the
+  nodes each label can pair off between g1's unmapped nodes and g2's unused
+  ones (each unpaired node needs a substitution, deletion or insertion);
+- an edge term: the difference between the number of g1 edges touching an
+  unmapped node and of g2 edges touching an unused node (each edge edit
+  pairs at most one edge of each side).
+Neither term ever overestimates, and at depth n1 their sum is exactly the
+cost of completing the mapping, so a complete state's f is its total cost.
+The bound is kept incrementally: g1's per-depth label counts and open-edge
+counts are precomputed, each child's terms are derived from its parent's,
+the edit cost of one mapping step is O(degree), and used g2 nodes are an int
+bitmask.
+
+Ties on f go to the larger g (the deeper partial mapping), then to the
+earlier push. Because the bound is admissible, the first complete state
+popped has the least cost; the edit distance is that unique minimum, so the
+result does not depend on the order the search takes, only its time does.
+"""
 from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
 
-from .aig import AigGraph
+from .aig import AigGraph, NodeType
 
 EPS = -1  # deletion marker
-
-
-def _edge_map(g: AigGraph) -> dict[tuple[int, int], bool]:
-    return {(s, d): inv for s, d, inv in g.edges}
-
-
-def _label_lower_bound(l1: Counter, l2: Counter) -> int:
-    # min substitutions + |count difference| insert/deletes, labels only
-    n1, n2 = sum(l1.values()), sum(l2.values())
-    common = sum((l1 & l2).values())
-    return max(n1, n2) - common
 
 
 def graph_edit_distance(
@@ -31,69 +47,102 @@ def graph_edit_distance(
     """
     deadline = time.monotonic() + timeout
     n1, n2 = g1.n, g2.n
-    e1, e2 = _edge_map(g1), _edge_map(g2)
     lab1 = [t.value for t in g1.types]
     lab2 = [t.value for t in g2.types]
+    n_lab = len(NodeType)
 
-    def expand_cost(i: int, j: int, mapping: tuple[int, ...]) -> int:
-        # cost of mapping g1 node i -> g2 node j (or EPS), given prior mapping
-        cost = 0
-        if j == EPS:
-            cost += 1
-            for k, jk in enumerate(mapping):
-                if (k, i) in e1 or (i, k) in e1:
-                    cost += 1
-            return cost
-        if lab1[i] != lab2[j]:
-            cost += 1
-        for k, jk in enumerate(mapping):
-            for a, b in (((k, i), (jk, j)), ((i, k), (j, jk))):
-                in1, in2 = a in e1, (jk != EPS) and b in e2
-                if in1 and in2:
-                    cost += int(e1[a] != e2[b])
-                elif in1 != in2:
-                    cost += 1
-        return cost
+    # g1, per depth d: label counts of nodes d.., and edges touching them
+    suffix1 = [[0] * n_lab for _ in range(n1 + 1)]
+    for d in range(n1 - 1, -1, -1):
+        suffix1[d][:] = suffix1[d + 1]
+        suffix1[d][lab1[d]] += 1
+    open1 = [0] * (n1 + 1)
+    # each g1 node's edges to lower-indexed nodes: (k, edge is k -> i, inv)
+    back1: list[list[tuple[int, bool, bool]]] = [[] for _ in range(n1)]
+    for (a, b), inv in {(s, d): inv for s, d, inv in g1.edges}.items():
+        open1[max(a, b)] += 1
+        if a < b:
+            back1[b].append((a, True, inv))
+        else:
+            back1[a].append((b, False, inv))
+    for d in range(n1 - 1, -1, -1):
+        open1[d] += open1[d + 1]
 
-    def remainder_bound(depth: int, used: frozenset) -> int:
-        r1 = Counter(lab1[depth:])
-        r2 = Counter(lab2[j] for j in range(n2) if j not in used)
-        node_lb = _label_lower_bound(r1, r2)
-        # admissible edge term: edges touching a still-unmapped node must pair up
-        r1e = sum(1 for (a, b) in e1 if a >= depth or b >= depth)
-        r2e = sum(1 for (a, b) in e2 if a not in used or b not in used)
-        return node_lb + abs(r1e - r2e)
+    # g2: inversion flag by successor and by predecessor, and a neighbour
+    # bitmask per node (edges go from lower to higher index, so the bits of
+    # nbr2[j] inside a node set count j's edges into that set)
+    succ2: list[dict[int, bool]] = [{} for _ in range(n2)]
+    pred2: list[dict[int, bool]] = [{} for _ in range(n2)]
+    nbr2 = [0] * n2
+    for s, d, inv in g2.edges:
+        succ2[s][d] = pred2[d][s] = inv
+        nbr2[s] |= 1 << d
+        nbr2[d] |= 1 << s
+    n_edges2 = sum(len(s) for s in succ2)
+    count2 = [0] * n_lab
+    for lab in lab2:
+        count2[lab] += 1
 
-    def finish_cost(mapping: tuple[int, ...], used: frozenset) -> int:
-        # insert every unused g2 node and every g2 edge not already matched
-        cost = n2 - len(used)
-        inv_map = {j: i for i, j in enumerate(mapping) if j != EPS}
-        for (a, b) in e2:
-            if a not in inv_map or b not in inv_map:
-                cost += 1
-        return cost
+    def node_bound(depth: int, free2: list[int], n_free: int) -> int:
+        # every remaining node is edited, except one pair per shared label
+        return max(n1 - depth, n_free) - sum(map(min, suffix1[depth], free2))
 
-    start_lb = _label_lower_bound(Counter(lab1), Counter(lab2))
-    heap: list[tuple[int, int, int, tuple[int, ...], frozenset]] = []
+    heap: list[tuple[int, int, int, tuple[int, ...], int]] = []
     counter = 0
-    heapq.heappush(heap, (start_lb, 0, counter, (), frozenset()))
-    while heap:
+    heapq.heappush(heap, (node_bound(0, count2, n2) + abs(open1[0] - n_edges2),
+                          0, counter, (), 0))
+    while True:
         if time.monotonic() > deadline:
             return None
-        f, cost, _, mapping, used = heapq.heappop(heap)
+        f, g, _, mapping, used = heapq.heappop(heap)
         depth = len(mapping)
         if depth == n1:
-            return cost + finish_cost(mapping, used)
-        i = depth
-        candidates = [j for j in range(n2) if j not in used] + [EPS]
-        for j in candidates:
-            c = cost + expand_cost(i, j, mapping)
-            new_used = used | {j} if j != EPS else used
-            new_mapping = mapping + (j,)
-            if len(new_mapping) == n1:
-                lb = c + finish_cost(new_mapping, new_used)
+            return f
+        # this state's unused g2 labels and g2 edges touching an unused node
+        free2 = count2[:]
+        inside = 0
+        for j in mapping:
+            if j != EPS:
+                free2[lab2[j]] -= 1
+                inside += (nbr2[j] & used).bit_count()
+        open2 = n_edges2 - inside // 2
+        n_free = n2 - used.bit_count()
+        i, d1 = depth, depth + 1
+        gap = open1[d1]
+        # label term of a child that maps i to a g2 node of each label
+        term = [0] * n_lab
+        for lab in range(n_lab):
+            if free2[lab]:
+                free2[lab] -= 1
+                term[lab] = node_bound(d1, free2, n_free - 1)
+                free2[lab] += 1
+        # g1 edges from i to mapped nodes: those whose partner was deleted
+        # cost 1 whatever i maps to; the rest may match a g2 edge
+        base = g
+        live = []
+        for k, into_i, inv in back1[i]:
+            jk = mapping[k]
+            if jk == EPS:
+                base += 1
             else:
-                lb = c + remainder_bound(depth + 1, new_used)
+                live.append(((succ2 if into_i else pred2)[jk], inv))
+        li = lab1[i]
+        for j in range(n2):
+            if used >> j & 1:
+                continue
+            # j's g2 edges into the used set: each is inserted unless matched
+            near = (nbr2[j] & used).bit_count()
+            c = base + (li != lab2[j]) + near
+            for flags, inv in live:
+                e = flags.get(j)
+                if e is None:
+                    c += 1
+                else:
+                    c += (e != inv) - 1
+            lb = c + term[lab2[j]] + abs(gap - open2 + near)
             counter += 1
-            heapq.heappush(heap, (lb, c, counter, new_mapping, new_used))
-    return 0  # both graphs empty
+            heapq.heappush(heap, (lb, c, counter, mapping + (j,), used | 1 << j))
+        c = g + 1 + len(back1[i])
+        lb = c + node_bound(d1, free2, n_free) + abs(gap - open2)
+        counter += 1
+        heapq.heappush(heap, (lb, c, counter, mapping + (EPS,), used))
