@@ -27,19 +27,15 @@ LEGAL_CONFIGS: dict[CovertGateKind, frozenset[CovertConfig]] = {
 }
 
 _APPEARANCE = {
-    CovertGateKind.FI: ("not", 1),
-    CovertGateKind.FB: ("buf", 2),   # reads as back-to-back inverters
-    CovertGateKind.UT_A: ("nand", 1),
-    CovertGateKind.UT_B: ("nand", 1),
+    CovertGateKind.FI: "not",
+    CovertGateKind.FB: "buf",   # reads as back-to-back inverters
+    CovertGateKind.UT_A: "nand",
+    CovertGateKind.UT_B: "nand",
 }
 
 
 def apparent_op(kind: CovertGateKind) -> str:
-    return _APPEARANCE[kind][0]
-
-
-def apparent_cells(kind: CovertGateKind) -> int:
-    return _APPEARANCE[kind][1]
+    return _APPEARANCE[kind]
 
 
 @dataclass

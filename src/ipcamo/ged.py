@@ -87,14 +87,15 @@ def graph_edit_distance(
         # every remaining node is edited, except one pair per shared label
         return max(n1 - depth, n_free) - sum(map(min, suffix1[depth], free2))
 
-    heap: list[tuple[int, int, int, tuple[int, ...], int]] = []
+    # entries (f, -g, push counter, mapping, used g2 nodes as a bitmask)
+    f0 = node_bound(0, count2, n2) + abs(open1[0] - n_edges2)
+    heap: list[tuple[int, int, int, tuple[int, ...], int]] = [(f0, 0, 0, (), 0)]
     counter = 0
-    heapq.heappush(heap, (node_bound(0, count2, n2) + abs(open1[0] - n_edges2),
-                          0, counter, (), 0))
     while True:
         if time.monotonic() > deadline:
             return None
-        f, g, _, mapping, used = heapq.heappop(heap)
+        f, neg_g, _, mapping, used = heapq.heappop(heap)
+        g = -neg_g
         depth = len(mapping)
         if depth == n1:
             return f
@@ -141,8 +142,8 @@ def graph_edit_distance(
                     c += (e != inv) - 1
             lb = c + term[lab2[j]] + abs(gap - open2 + near)
             counter += 1
-            heapq.heappush(heap, (lb, c, counter, mapping + (j,), used | 1 << j))
+            heapq.heappush(heap, (lb, -c, counter, mapping + (j,), used | 1 << j))
         c = g + 1 + len(back1[i])
         lb = c + node_bound(d1, free2, n_free) + abs(gap - open2)
         counter += 1
-        heapq.heappush(heap, (lb, c, counter, mapping + (EPS,), used))
+        heapq.heappush(heap, (lb, -c, counter, mapping + (EPS,), used))

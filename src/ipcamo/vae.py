@@ -22,7 +22,6 @@ class Hyperparams:
     delta: float = 0.1
     lr: float = 1e-4
     epochs: int = 100
-    batch: int = 1
     patience: int = 10
     latent_dim: int = 512
     hidden_dim: int | None = None  # defaults to latent_dim

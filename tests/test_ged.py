@@ -63,12 +63,53 @@ def test_node_type_change_costs_one():
 
 def test_against_brute_force_oracle():
     rng = np.random.default_rng(11)
+    empty = AigGraph(types=[], edges=[])
+    sizes = set()
     for trial in range(12):
         g1 = random_tree(rng, 1, n_pi_pool=3)
         g2 = random_tree(rng, int(rng.integers(1, 3)), n_pi_pool=3)
-        expect = brute_force_ged(g1, g2)
-        got = graph_edit_distance(g1, g2, timeout=30.0)
-        assert got == expect, f"trial {trial}: {got} != {expect}"
+        for a, b in ((g1, g2), (g2, g1), (empty, g1), (g2, empty)):
+            expect = brute_force_ged(a, b)
+            got = graph_edit_distance(a, b, timeout=30.0)
+            assert got == expect, f"trial {trial}, {a.n} -> {b.n}: {got} != {expect}"
+            sizes.add((a.n > b.n) - (a.n < b.n))
+    assert sizes == {-1, 0, 1}
+    assert graph_edit_distance(empty, empty) == brute_force_ged(empty, empty) == 0
+
+
+# GED of every pair (i, j), i < j, of the 22 toy test trees (data seed 42):
+# row i lists j = i+1..21. Recorded with the original exhaustive-bound search.
+TOY_TEST_GED = [
+    [6, 9, 7, 9, 8, 6, 7, 3, 6, 7, 10, 10, 9, 5, 5, 8, 3, 3, 6, 8, 5],
+    [5, 1, 5, 11, 1, 11, 6, 9, 10, 6, 6, 5, 1, 7, 10, 7, 6, 0, 10, 6],
+    [5, 0, 13, 5, 13, 10, 13, 13, 2, 2, 0, 6, 9, 13, 10, 10, 5, 13, 10],
+    [5, 12, 2, 12, 7, 10, 11, 5, 5, 5, 2, 8, 11, 6, 7, 1, 11, 7],
+    [13, 5, 13, 10, 13, 13, 2, 2, 0, 6, 9, 13, 10, 10, 5, 13, 10],
+    [10, 2, 8, 7, 6, 15, 15, 13, 10, 8, 3, 7, 7, 11, 3, 6],
+    [10, 7, 10, 10, 7, 7, 5, 2, 6, 10, 7, 7, 1, 9, 7],
+    [8, 6, 4, 15, 15, 13, 10, 6, 3, 8, 8, 11, 1, 6],
+    [9, 6, 9, 9, 10, 7, 5, 9, 6, 4, 6, 7, 4],
+    [6, 15, 15, 13, 10, 8, 7, 7, 9, 9, 6, 8],
+    [14, 14, 13, 11, 5, 3, 7, 8, 10, 3, 7],
+    [0, 2, 6, 11, 14, 10, 10, 6, 15, 10],
+    [2, 6, 11, 14, 10, 10, 6, 15, 10],
+    [6, 9, 13, 10, 10, 5, 13, 10],
+    [6, 11, 7, 7, 1, 10, 5],
+    [8, 6, 7, 7, 5, 2],
+    [7, 5, 10, 4, 8],
+    [2, 7, 9, 6],
+    [6, 9, 5],
+    [10, 6],
+    [7],
+]
+
+
+def test_toy_test_set_distances_are_pinned(toy_data):
+    _, test_set = toy_data
+    got = [[graph_edit_distance(test_set[i], test_set[j], timeout=120.0)
+            for j in range(i + 1, len(test_set))]
+           for i in range(len(test_set) - 1)]
+    assert got == TOY_TEST_GED
 
 
 def test_symmetry():
