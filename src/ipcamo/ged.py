@@ -15,7 +15,8 @@ A state's f is g plus a bound on the edits still to come, the sum of
 - an edge term: the difference between the number of g1 edges touching an
   unmapped node and of g2 edges touching an unused node (each edge edit
   pairs at most one edge of each side).
-Neither term ever overestimates, and at depth n1 their sum is exactly the
+Node and edge edits are disjoint and neither term overestimates its kind,
+so the bound is admissible; at depth n1 the two terms sum to exactly the
 cost of completing the mapping, so a complete state's f is its total cost.
 The bound is kept incrementally: g1's per-depth label counts and open-edge
 counts are precomputed, each child's terms are derived from its parent's,
@@ -63,7 +64,7 @@ def graph_edit_distance(
         open1[max(a, b)] += 1
         if a < b:
             back1[b].append((a, True, inv))
-        else:
+        elif b < a:
             back1[a].append((b, False, inv))
     for d in range(n1 - 1, -1, -1):
         open1[d] += open1[d + 1]

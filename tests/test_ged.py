@@ -78,7 +78,8 @@ def test_against_brute_force_oracle():
 
 
 # GED of every pair (i, j), i < j, of the 22 toy test trees (data seed 42):
-# row i lists j = i+1..21. Recorded with the original exhaustive-bound search.
+# row i lists j = i+1..21. Recorded with the search that recomputed its
+# bound from scratch for every state; any exact search returns the same.
 TOY_TEST_GED = [
     [6, 9, 7, 9, 8, 6, 7, 3, 6, 7, 10, 10, 9, 5, 5, 8, 3, 3, 6, 8, 5],
     [5, 1, 5, 11, 1, 11, 6, 9, 10, 6, 6, 5, 1, 7, 10, 7, 6, 0, 10, 6],
