@@ -11,8 +11,8 @@ from .attack import (DipTrace, KeyedNetlist, dip_attack, equivalence_check,
 from .camouflage import (CamouflagedNetlist, area_overhead, camouflage_pipeline,
                          edge_state, fix_lookup, interpolate, threshold_filter)
 from .cnf import CnfFormula, SatResult, sat_solve
-from .covert import (CovertConfig, CovertGateKind, CovertInstance, KeyedElement,
-                     apparent_function, gate_function, keyed_function)
+from .covert import (CovertConfig, CovertGateKind, CovertInstance,
+                     apparent_function, gate_function)
 from .evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
                          ged_lsd_study, latent_distance, load_gnn_dataset,
                          pearson_r, random_covert_insertion)

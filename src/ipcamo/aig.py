@@ -508,36 +508,10 @@ def pattern_words(k: int) -> tuple[list[int], int]:
     return words, full
 
 
-def _simulate_words(g: AigGraph, words: dict[str, int], full: int) -> dict[str, int]:
-    """PO name -> word, with each PI bound to the word of its name; bit i of
-    every word is a value under input pattern i."""
-    preds = g.pred_table()
-    val = [0] * g.n
-    out = {}
-    for i, t in enumerate(g.types):
-        if t is NodeType.PI:
-            name = g.names[i]
-            if name not in words:
-                raise KeyError(f"missing assignment for PI {name!r}")
-            val[i] = words[name]
-        elif t is NodeType.AND:
-            v = full
-            for s, inv in preds[i]:
-                v &= (val[s] ^ full) if inv else val[s]
-            val[i] = v  # in-degree 0 (dummy AND) evaluates to 1 and feeds nothing
-        else:
-            if not preds[i]:
-                raise ValueError(f"PO node {i} is undriven")
-            (s, inv), = preds[i]
-            val[i] = (val[s] ^ full) if inv else val[s]
-            out[g.names[i]] = val[i]
-    return out
-
-
 def simulate(g: AigGraph, assignment: dict[str, int]) -> dict[str, int]:
     """Evaluate all POs under a per-PI-name assignment of bits."""
-    bits = {n: int(bool(assignment[n])) for n in g.pi_names if n in assignment}
-    return _simulate_words(g, bits, 1)
+    from .gatelevel import CompiledCircuit, from_aig  # gatelevel imports aig
+    return CompiledCircuit(from_aig(g)).evaluate(assignment)
 
 
 def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:
@@ -546,19 +520,19 @@ def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:
     Returns a 1-D array of length 2^|PI| for single-PO graphs, else one row
     per PO in PO order.
     """
+    from .gatelevel import CompiledCircuit, from_aig  # gatelevel imports aig
     pis = pi_order if pi_order is not None else g.pi_names
     if len(pis) > 20:
         raise ValueError(f"too many PIs for truth table: {len(pis)}")
     rows = 1 << len(pis)
     words, full = pattern_words(len(pis))
     # row idx is MSB-first: the first PI is the top bit of idx
-    out = _simulate_words(g, dict(zip(pis, reversed(words))), full)
-    pos = g.po_names
-    table = np.zeros((len(pos), rows), dtype=np.uint8)
-    for r, name in enumerate(pos):
-        packed = np.frombuffer(out[name].to_bytes((rows + 7) // 8, "little"), np.uint8)
+    out = CompiledCircuit(from_aig(g)).run(dict(zip(pis, reversed(words))), full)
+    table = np.zeros((len(out), rows), dtype=np.uint8)
+    for r, word in enumerate(out):
+        packed = np.frombuffer(word.to_bytes((rows + 7) // 8, "little"), np.uint8)
         table[r] = np.unpackbits(packed, bitorder="little")[:rows]
-    return table[0] if len(pos) == 1 else table
+    return table[0] if len(out) == 1 else table
 
 
 # -- Random tree generation (toy datasets, demos, tests) ----------------------

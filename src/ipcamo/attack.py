@@ -14,7 +14,7 @@ import numpy as np
 from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, sat_solve
-from .covert import CovertConfig, CovertGateKind, config_key_bits
+from .covert import CovertGateKind, CovertInstance, config_key_bits
 from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, prune,
                         simplify, substitute)
 
@@ -128,7 +128,6 @@ class KeyedNetlist:
     circuit: Circuit
     key_inputs: list[str]
     correct_key: list[int]
-    elements: list[dict] = field(default_factory=list)
 
     @property
     def n_key_bits(self) -> int:
@@ -167,17 +166,12 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
         if p.kind is CovertGateKind.FB:  # second cell of the inverter pair
             consumed.add(src.gates[p.out].ins[0])
 
-    candidates: list[tuple[str, dict]] = []
+    candidates: list[tuple[str, CovertInstance | None]] = []
     for net in sorted(src.gates):
-        g = src.gates[net]
         if net in by_out:
-            p = by_out[net]
-            candidates.append((net, {
-                "kind": p.kind.value, "covert": True, "config": p.config.value,
-                "real_in": p.real_in, "dummy_in": p.dummy_in,
-            }))
-        elif g.op in ("not", "buf", "nand") and net not in consumed:
-            candidates.append((net, {"kind": g.op, "covert": False}))
+            candidates.append((net, by_out[net]))
+        elif src.gates[net].op in ("not", "buf", "nand") and net not in consumed:
+            candidates.append((net, None))
 
     cand_nets = {n for n, _ in candidates}
     c = Circuit()
@@ -187,23 +181,16 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     c.outputs = list(src.outputs)
     key_inputs: list[str] = []
     correct: list[int] = []
-    elements: list[dict] = []
-    for i, (net, info) in enumerate(candidates):
+    for i, (net, p) in enumerate(candidates):
         k1 = c.add(f"key{2 * i}", "input")
         k0 = c.add(f"key{2 * i + 1}", "input")
         key_inputs += [k1, k0]
-        if info["covert"]:
-            cfg = CovertConfig(info["config"])
-            b1, b0 = config_key_bits(cfg)
-            kind = CovertGateKind(info["kind"])
-            if kind is CovertGateKind.UT_A:
-                normal = info["real_in"]  # true pass-through is a buffer
-            elif kind is CovertGateKind.UT_B:
-                normal = c.add(f"{net}__norm", "not", info["real_in"])
-            elif kind is CovertGateKind.FI:  # no pass mode; key 00 reads the mask
-                normal = c.add(f"{net}__norm", "not", info["real_in"])
-            else:  # FB
-                normal = info["real_in"]
+        if p is not None:
+            b1, b0 = config_key_bits(p.config)
+            if p.kind in (CovertGateKind.UT_A, CovertGateKind.FB):
+                normal = p.real_in  # UT-A passes through; FB reads as a buffer
+            else:  # UT-B passes inverted; FI has no pass mode, key 00 reads the mask
+                normal = c.add(f"{net}__norm", "not", p.real_in)
         else:
             b1 = b0 = 0
             g = src.gates[net]
@@ -215,8 +202,7 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
                 normal = c.add(f"{net}__norm", "nand", *g.ins)
         correct += [b1, b0]
         _keyed_cell(c, net, normal, k1, k0)
-        elements.append({"out": net, **info})
-    return KeyedNetlist(prune(c), key_inputs, correct, elements)
+    return KeyedNetlist(prune(c), key_inputs, correct)
 
 
 def make_ll_baseline(f: AigGraph, n_key_bits: int, seed: int = 0) -> KeyedNetlist:

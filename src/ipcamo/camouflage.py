@@ -96,14 +96,6 @@ def fix_lookup(g_state: str, target_state: str, phase: str) -> str | None:
     raise ValueError(f"unknown phase {phase!r}")
 
 
-FIX_TABLE = {
-    (phase, g, t): fix_lookup(g, t, phase)
-    for phase in ("functional", "appearance")
-    for g in STATES
-    for t in STATES
-}
-
-
 # -- Position space -----------------------------------------------------------
 
 

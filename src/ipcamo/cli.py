@@ -76,9 +76,13 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: list[str],
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
-def _load_graph(path: str) -> aig.AigGraph:
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _load_graph(path: str) -> aig.AigGraph:
+    data = _read(path)
     if path.endswith(".aag"):
         return aig.parse_aiger(data)
     return aig.AigGraph.from_json(data.decode())
@@ -105,7 +109,7 @@ def cmd_dataset(cfg: dict) -> int:
         if not files:
             raise ConfigError(f"no .aag files under {cfg['benchmark_dir']}")
         for path in files:
-            g = aig.parse_aiger(open(path, "rb").read())
+            g = aig.parse_aiger(_read(path))
             for po in g.po_names:
                 tree = aig.extract_cone_tree(g, po, max_nodes=max_nodes)
                 if tree is not None:
@@ -231,7 +235,7 @@ def cmd_verify(cfg: dict) -> int:
     budget = float(cfg.get("budget", 60.0))
     rows, failures = [], 0
     for path in paths:
-        nl = CamouflagedNetlist.from_json(open(path).read())
+        nl = CamouflagedNetlist.from_json(_read(path).decode())
         ok = equivalence_check(nl.functional_view, f, time_budget=budget)
         failures += not ok
         rows.append({"netlist": os.path.basename(path),
@@ -260,7 +264,7 @@ def cmd_attack(cfg: dict) -> int:
         w.writerow(["netlist", "p", "th", "key_bits", "result",
                     "iterations", "conflicts"])
         for path in paths:
-            nl = CamouflagedNetlist.from_json(open(path).read())
+            nl = CamouflagedNetlist.from_json(_read(path).decode())
             kn = keyize_netlist(nl)
             trace = dip_attack(kn, make_oracle(kn), time_budget=budget)
             result = trace.status if trace.status != "budget" else "budget-exceeded"
@@ -290,7 +294,7 @@ def cmd_eval(cfg: dict) -> int:
         fh.write(report.summary_json())
     artifacts = [pairs, bins, summary]
     if "netlists" in cfg:
-        nls = [CamouflagedNetlist.from_json(open(p).read())
+        nls = [CamouflagedNetlist.from_json(_read(p).decode())
                for p in sorted(glob.glob(os.path.join(cfg["netlists"],
                                                       "netlist_*.json")))]
         for nl in nls:

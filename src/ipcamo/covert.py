@@ -1,4 +1,4 @@
-"""Covert gate primitives: actual vs. apparent behavior and the keyed model."""
+"""Covert gate primitives: actual vs. apparent behavior, key encoding."""
 from __future__ import annotations
 
 import enum
@@ -80,17 +80,12 @@ def apparent_function(kind: CovertGateKind, x: int, dummy: int = 1) -> int:
     return 1 - (x & int(bool(dummy)))
 
 
-# -- Key-programmable abstraction ---------------------------------------------
+# -- Key encoding -------------------------------------------------------------
 #
 # Every inverter, buffer pair and (N)AND-looking cell is a candidate covert
-# site, so the attacker models each with 2 key bits selecting its behavior.
-
-KEY_DECODE: dict[tuple[int, int], CovertConfig] = {
-    (0, 0): CovertConfig.NORMAL,
-    (0, 1): CovertConfig.CONST0,
-    (1, 0): CovertConfig.CONST1,
-    (1, 1): CovertConfig.CONST1,  # deliberate alias; both codes are "tie high"
-}
+# site, so the attacker models each with 2 key bits selecting its behavior
+# (attack.keyize_netlist): 00 keeps the cell function, 01 ties it low, and
+# 10 and its alias 11 tie it high.
 
 
 def config_key_bits(config: CovertConfig) -> tuple[int, int]:
@@ -100,43 +95,3 @@ def config_key_bits(config: CovertConfig) -> tuple[int, int]:
         CovertConfig.CONST0: (0, 1),
         CovertConfig.CONST1: (1, 0),
     }[config]
-
-
-@dataclass
-class KeyedElement:
-    """A candidate cell in the attacker's keyed re-encoding of the netlist."""
-
-    name: str
-    apparent: str              # "not" | "buf" | "nand"
-    out: str
-    real_in: str | None
-    dummy_in: str | None = None
-    covert: CovertInstance | None = None
-
-    def correct_key(self) -> tuple[int, int]:
-        if self.covert is None:
-            return (0, 0)
-        return config_key_bits(self.covert.config)
-
-    def normal_function(self, x: int, dummy: int = 1) -> int:
-        """Behavior under key 00: true covert pass-through for UT sites,
-        the apparent cell function everywhere else."""
-        if self.covert is not None and self.covert.kind in (
-            CovertGateKind.UT_A, CovertGateKind.UT_B
-        ):
-            return gate_function(self.covert.kind, CovertConfig.NORMAL, x)
-        x = int(bool(x))
-        if self.apparent == "not":
-            return 1 - x
-        if self.apparent == "buf":
-            return x
-        return 1 - (x & int(bool(dummy)))
-
-
-def keyed_function(elem: KeyedElement, key: tuple[int, int], x: int, dummy: int = 1) -> int:
-    config = KEY_DECODE[(int(key[0]), int(key[1]))]
-    if config is CovertConfig.CONST0:
-        return 0
-    if config is CovertConfig.CONST1:
-        return 1
-    return elem.normal_function(x, dummy)

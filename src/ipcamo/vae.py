@@ -206,28 +206,25 @@ def decode(z: np.ndarray, node_count: int, p: VaeParams) -> TensorTriple:
 # -- Loss ---------------------------------------------------------------------
 
 
-def kl_closed_form(mu: np.ndarray, sigma: np.ndarray) -> float:
-    var = sigma ** 2
-    return float(0.5 * np.sum(var + mu ** 2 - np.log(var) - 1.0))
-
-
 def loss(x: TensorTriple, x_hat: TensorTriple, code: LatentCode,
          h: Hyperparams) -> tuple[float, dict[str, float]]:
-    """Weighted MSE over the three tensors plus the closed-form KL term."""
-    if x.n != x_hat.n:
-        raise ValueError(f"node count mismatch: {x.n} vs {x_hat.n}")
-    n = x.n
-    l_type = float(np.sum((x.type_mat - x_hat.type_mat) ** 2)) / (n * 3)
-    l_conn = float(np.sum((x.conn_mat - x_hat.conn_mat) ** 2)) / (n * n)
-    l_inv = float(np.sum((x.inv_mat - x_hat.inv_mat) ** 2)) / (n * n)
-    l_kl = kl_closed_form(code.mu, code.sigma)
-    total = h.alpha * l_type + h.beta * l_conn + h.gamma * l_inv + h.delta * l_kl
-    return total, {"type": l_type, "conn": l_conn, "inv": l_inv, "kl": l_kl}
+    """Evaluation-mode loss_tensors() of a plain triple and latent code."""
+    n = x_hat.n
+    decoded = DecodedSoft(
+        n,
+        [Tensor(x_hat.type_mat[i : i + 1]) for i in range(n)],
+        [Tensor(x_hat.conn_mat[i, :i].reshape(-1, 1)) for i in range(1, n)],
+        [Tensor(x_hat.inv_mat[i, :i].reshape(-1, 1)) for i in range(1, n)],
+    )
+    with no_grad():
+        total, comps = loss_tensors(x, decoded, Tensor(code.mu.reshape(1, -1)),
+                                    Tensor(2.0 * np.log(code.sigma).reshape(1, -1)), h)
+    return float(total.data), comps
 
 
 def loss_tensors(x: TensorTriple, decoded: DecodedSoft, mu: Tensor,
                  logvar: Tensor, h: Hyperparams) -> tuple[Tensor, dict[str, float]]:
-    """Tape-recorded version of loss() for training; numerically identical."""
+    """Weighted MSE over the three tensors plus the closed-form KL term."""
     if x.n != decoded.n:
         raise ValueError(f"node count mismatch: {x.n} vs {decoded.n}")
     n = x.n

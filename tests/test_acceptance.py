@@ -77,7 +77,8 @@ def test_ac02_loss_zero_point():
     total, comps = vae.loss(x, x, code, hp)
     assert total < 1e-12
     assert all(abs(v) < 1e-12 for v in comps.values())
-    assert vae.kl_closed_form(np.array([1.0]), np.array([1.0])) == 0.5
+    unit = vae.LatentCode(mu=np.ones(1), sigma=np.ones(1), z=np.ones(1))
+    assert vae.loss(x, x, unit, hp)[1]["kl"] == 0.5
 
 
 def test_ac03_fix_table_conformance():

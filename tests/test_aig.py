@@ -55,11 +55,14 @@ def test_truth_table_rows_match_simulate(seed, n_ands):
 
 
 def test_dummy_and_evaluates_to_one():
-    # PI 0 unused; AND 1 has no fan-in; PO 2 reads it
+    # PI 0 unused; AND 1 has no fan-in; PO 2 reads it: not canonical, so
+    # the simulator refuses it instead of evaluating the empty AND
     g = AigGraph([NodeType.PI, NodeType.AND, NodeType.PO], [(1, 2, False)],
                  ["a", None, "y"])
-    assert simulate(g, {"a": 0}) == {"y": 1}
-    assert truth_table(g).tolist() == [1, 1]
+    with pytest.raises(ValueError, match="not canonical"):
+        simulate(g, {"a": 0})
+    with pytest.raises(ValueError, match="not canonical"):
+        truth_table(g)
 
 
 def test_simulate_missing_pi():
@@ -166,8 +169,9 @@ def test_pad_to_match():
     assert padded.type_counts()[NodeType.PO] == 1
     assert sum(padded.dummy) == padded.n - small.n
     # padding is function-preserving: dummies are isolated
-    assign = {n: 1 for n in padded.pi_names}
-    assert simulate(padded, assign) == simulate(small, {n: 1 for n in small.pi_names})
+    assert padded.edges == small.edges
+    dummies = {i for i, d in enumerate(padded.dummy) if d}
+    assert not any(s in dummies or d in dummies for s, d, _ in padded.edges)
 
 
 def test_pad_rejects_po_mismatch():

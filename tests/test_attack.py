@@ -9,7 +9,10 @@ from ipcamo import attack
 from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
                            key_is_correct, keyize_netlist, make_ll_baseline,
                            make_oracle, tseitin_encode)
+from ipcamo.camouflage import CamouflagedNetlist
 from ipcamo.cnf import CnfFormula, sat_solve
+from ipcamo.covert import (LEGAL_CONFIGS, CovertGateKind, CovertInstance,
+                           apparent_op, config_key_bits)
 from ipcamo.evaluation import random_covert_insertion
 from ipcamo.gatelevel import Circuit, from_aig
 
@@ -138,6 +141,53 @@ def test_keyize_key_count_law():
                   if g.op in ("not", "buf", "nand") and n not in consumed)
     assert kn.n_key_bits == 2 * (len(nl.placements) + genuine)
     assert len(kn.correct_key) == kn.n_key_bits
+
+
+def _one_cell_netlist(op, placement=None):
+    """Appearance view y = op(x[, d]); an FB cell is drawn as two inverters."""
+    c = Circuit()
+    c.add("x", "input")
+    c.add("d", "input")
+    if placement is not None and placement.kind is CovertGateKind.FB:
+        c.add("y", "not", c.add("ya", "not", "x"))
+    elif op == "nand":
+        c.add("y", "nand", "x", "d")
+    else:
+        c.add("y", op, "x")
+    c.outputs = ["y"]
+    # keyize_netlist reads only the appearance view and the placements
+    return CamouflagedNetlist(None, c, [placement] if placement else [], [])
+
+
+_KEY00 = {  # the true cell function each candidate keeps under key 00
+    CovertGateKind.UT_A: lambda x, d: x,
+    CovertGateKind.UT_B: lambda x, d: 1 - x,
+    CovertGateKind.FI: lambda x, d: 1 - x,
+    CovertGateKind.FB: lambda x, d: x,
+    "not": lambda x, d: 1 - x,
+    "buf": lambda x, d: x,
+    "nand": lambda x, d: 1 - (x & d),
+}
+
+
+def test_keyize_candidate_semantics():
+    cases = [(op, None) for op in ("not", "buf", "nand")]
+    for kind, configs in LEGAL_CONFIGS.items():
+        for cfg in sorted(configs, key=lambda c: c.value):
+            dummy = "d" if apparent_op(kind) == "nand" else None
+            cases.append((kind, CovertInstance(kind, cfg, out="y", real_in="x",
+                                               dummy_in=dummy)))
+    for kind, placement in cases:
+        op = kind if placement is None else apparent_op(kind)
+        kn = keyize_netlist(_one_cell_netlist(op, placement))
+        assert kn.n_key_bits == 2
+        want_key = (0, 0) if placement is None else config_key_bits(placement.config)
+        assert tuple(kn.correct_key) == want_key, (kind, placement)
+        for x, d in itertools.product((0, 1), repeat=2):
+            for key, want in (((0, 0), _KEY00[kind](x, d)), ((0, 1), 0),
+                              ((1, 0), 1), ((1, 1), 1)):
+                got = kn.evaluate(list(key), {"x": x, "d": d})["y"]
+                assert got == want, (kind, placement, key, x, d)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from ipcamo.aig import NodeType, TensorTriple, random_tree, to_tensors
-from ipcamo.camouflage import (CamouflagedNetlist, FIX_TABLE, PositionSpace,
+from ipcamo.camouflage import (CamouflagedNetlist, PositionSpace,
                                _pair_states, _positions, appearance_mimic,
                                area_overhead, camouflage_pipeline, edge_state,
                                fix_lookup, functional_preserve, interpolate,
@@ -92,7 +92,6 @@ EXPECTED_APPEARANCE = {
 def test_fix_table_frozen(phase, expected):
     for (g, t), action in expected.items():
         assert fix_lookup(g, t, phase) == action, (phase, g, t)
-        assert FIX_TABLE[(phase, g, t)] == action
 
 
 def test_fix_lookup_rejects_garbage():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipcamo.aig import pattern_words, random_tree, simulate
+from ipcamo.aig import NodeType, pattern_words, random_tree
 from ipcamo.gatelevel import (Circuit, CompiledCircuit, Gate, circuit_from_obj,
                               circuit_to_obj, from_aig, miter, prune, simplify,
                               substitute)
@@ -112,6 +112,21 @@ def test_json_obj_roundtrip():
     assert again.outputs == c.outputs
 
 
+def _eval_aig(g, assign):
+    """One pattern straight off the AIG nodes: the reference for from_aig."""
+    preds = g.pred_table()
+    val, out = [0] * g.n, {}
+    for i, t in enumerate(g.types):
+        if t is NodeType.PI:
+            val[i] = assign[g.names[i]]
+            continue
+        bits = [val[s] ^ inv for s, inv in preds[i]]
+        val[i] = int(all(bits))
+        if t is NodeType.PO:
+            out[g.names[i]] = val[i]
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 8))
 def test_from_aig_matches_simulation(seed, n_ands):
@@ -121,9 +136,9 @@ def test_from_aig_matches_simulation(seed, n_ands):
     rng = np.random.default_rng(seed + 1)
     for _ in range(6):
         assign = {n: int(rng.integers(2)) for n in pis}
-        assert c.evaluate(assign) == simulate(g, assign)
+        assert c.evaluate(assign) == _eval_aig(g, assign)
         s = simplify(c)
-        assert s.evaluate(assign) == simulate(g, assign)
+        assert s.evaluate(assign) == _eval_aig(g, assign)
 
 
 # one pattern at a time, in insertion order: the reference for the word pass

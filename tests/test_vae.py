@@ -27,7 +27,9 @@ def test_loss_zero_point():
 
 def test_kl_unit_case():
     # d=1, mu=1, sigma=1 -> KL = 0.5 exactly
-    assert vae.kl_closed_form(np.array([1.0]), np.array([1.0])) == 0.5
+    x = to_tensors(random_tree(np.random.default_rng(0), 3))
+    code = LatentCode(mu=np.ones(1), sigma=np.ones(1), z=np.ones(1))
+    assert loss(x, x, code, SMALL_HP)[1]["kl"] == 0.5
 
 
 def test_loss_weights_and_normalization():
