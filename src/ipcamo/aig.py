@@ -124,6 +124,11 @@ class AigGraph:
                 out.append(f"AND node {i} has in-degree {indeg[i]}")
             elif t is NodeType.PO and indeg[i] != 1:
                 out.append(f"PO node {i} has in-degree {indeg[i]}")
+        seen = set(self.pi_names)
+        for i in self.po_indices:
+            if self.names[i] in seen:
+                out.append(f"PO node {i} reuses the name {self.names[i]!r}")
+            seen.add(self.names[i])
         return out
 
     @property

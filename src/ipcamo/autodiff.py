@@ -1,4 +1,4 @@
-"""Minimal dense-tensor reverse-mode autodiff with GRU, MLP and Adam.
+"""Minimal dense-tensor reverse-mode autodiff with GRU, MLP, pair head and Adam.
 
 Float64 throughout; single-threaded tape; gradients are validated against
 central finite differences in the test suite.
@@ -6,7 +6,7 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,17 +234,6 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(parts), bwd)
 
 
-def repeat_rows(x: Tensor, n: int) -> Tensor:
-    """Tile a (1, d) row into an (n, d) matrix."""
-    out_data = np.repeat(x.data, n, axis=0)
-
-    def bwd(g, a=x):
-        if a.requires_grad:
-            a._accum(g.sum(axis=0, keepdims=True))
-
-    return Tensor._make(out_data, (x,), bwd)
-
-
 def take_row(x: Tensor, i: int) -> Tensor:
     """Select row i of a matrix as a (1, d) tensor."""
     out_data = x.data[i : i + 1]
@@ -295,11 +284,42 @@ def init_gru(rng: np.random.Generator, hidden: int, cond: int) -> GruParams:
 
 
 def gru_step(p: GruParams, m: Tensor, t: Tensor, h_prev: Tensor) -> Tensor:
-    """One gated update: z/r gates from (m, t), candidate from (r*h_prev, t)."""
-    z = sigmoid(m @ p.w_z + t @ p.u_z + p.b_z)
-    r = sigmoid(m @ p.w_r + t @ p.u_r + p.b_r)
-    h_tilde = tanh((r * h_prev) @ p.w_h + t @ p.u_h + p.b_h)
-    return (1.0 - z) * h_prev + z * h_tilde
+    """One gated update: z/r gates from (m, t), candidate from (r*h_prev, t).
+
+    One tape node with a hand-written backward; m, t and h_prev have one row
+    per sequence, and m may be h_prev itself.
+    """
+    md, td, hd = m.data, t.data, h_prev.data
+    if not md.shape[0] == td.shape[0] == hd.shape[0]:
+        raise ValueError(f"row mismatch: m {md.shape}, t {td.shape}, h_prev {hd.shape}")
+    z = 1.0 / (1.0 + np.exp(-(md @ p.w_z.data + td @ p.u_z.data + p.b_z.data)))
+    r = 1.0 / (1.0 + np.exp(-(md @ p.w_r.data + td @ p.u_r.data + p.b_r.data)))
+    rh = r * hd
+    h_tilde = np.tanh(rh @ p.w_h.data + td @ p.u_h.data + p.b_h.data)
+    out_data = (1.0 - z) * hd + z * h_tilde
+
+    def bwd(g):
+        # gradients of the three gate pre-activations
+        d_h = g * z * (1.0 - h_tilde * h_tilde)
+        d_rh = d_h @ p.w_h.data.T
+        d_r = d_rh * hd * r * (1.0 - r)
+        d_z = g * (h_tilde - hd) * z * (1.0 - z)
+        for x, d, w, u, b in ((md, d_z, p.w_z, p.u_z, p.b_z), (md, d_r, p.w_r, p.u_r, p.b_r),
+                              (rh, d_h, p.w_h, p.u_h, p.b_h)):
+            if w.requires_grad:
+                w._accum(x.T @ d)
+            if u.requires_grad:
+                u._accum(td.T @ d)
+            if b.requires_grad:
+                b._accum(d.sum(axis=0))
+        if m.requires_grad:
+            m._accum(d_z @ p.w_z.data.T + d_r @ p.w_r.data.T)
+        if t.requires_grad:
+            t._accum(d_z @ p.u_z.data.T + d_r @ p.u_r.data.T + d_h @ p.u_h.data.T)
+        if h_prev.requires_grad:
+            h_prev._accum(g * (1.0 - z) + d_rh * r)
+
+    return Tensor._make(out_data, (m, t, h_prev, *vars(p).values()), bwd)
 
 
 @dataclass
@@ -344,6 +364,57 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     return h
 
 
+def pair_head(h: Tensor, p: MlpParams) -> Tensor:
+    """sigmoid(tanh([h_i, h_j] W0 + b0) W1 + b1) for every row pair j < i of h.
+
+    Returns a (n(n-1)/2, k) tensor in np.tril_indices(n, -1) order; one tape
+    node. Row i is scored from the projections h @ W0[:H] and h @ W0[H:], so
+    no (pairs x width) array is built, in the forward or the backward.
+    """
+    (w0, b0, act0), (w1, b1, act1) = p.layers
+    if (act0, act1) != ("tanh", "sigmoid"):
+        raise ValueError(f"pair head needs tanh then sigmoid, got {act0}, {act1}")
+    hd = h.data
+    n, width = hd.shape
+    if w0.shape[0] != 2 * width:
+        raise ValueError(f"dimension mismatch: pairs of {hd.shape} @ {w0.shape}")
+    left = hd @ w0.data[:width]
+    right = hd @ w0.data[width:]
+
+    def hidden(i: int) -> np.ndarray:
+        return np.tanh(left[i] + right[:i] + b0.data)
+
+    pre = np.empty((n * (n - 1) // 2, w1.shape[1]))
+    for i in range(1, n):
+        pre[i * (i - 1) // 2 : i * (i + 1) // 2] = hidden(i) @ w1.data
+    out_data = 1.0 / (1.0 + np.exp(-(pre + b1.data)))
+
+    def bwd(g):
+        d_pre = g * out_data * (1.0 - out_data)
+        d_left = np.zeros_like(left)
+        d_right = np.zeros_like(right)
+        d_w1 = np.zeros(w1.shape)
+        for i in range(1, n):
+            a = hidden(i)
+            d_out = d_pre[i * (i - 1) // 2 : i * (i + 1) // 2]
+            d_w1 += a.T @ d_out
+            d_a = (d_out @ w1.data.T) * (1.0 - a * a)
+            d_left[i] = d_a.sum(axis=0)
+            d_right[:i] += d_a
+        if w1.requires_grad:
+            w1._accum(d_w1)
+        if b1.requires_grad:
+            b1._accum(d_pre.sum(axis=0))
+        if b0.requires_grad:
+            b0._accum(d_left.sum(axis=0))
+        if w0.requires_grad:
+            w0._accum(np.vstack([hd.T @ d_left, hd.T @ d_right]))
+        if h.requires_grad:
+            h._accum(d_left @ w0.data[:width].T + d_right @ w0.data[width:].T)
+
+    return Tensor._make(out_data, (h, w0, b0, w1, b1), bwd)
+
+
 def _init_tensor(rng: np.random.Generator, shape: tuple[int, int]) -> Tensor:
     bound = 1.0 / np.sqrt(shape[0])
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
@@ -359,30 +430,42 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # moments of every parameter, concatenated in params order
+    v: np.ndarray | None = None
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor],
               grads: dict[str, np.ndarray]) -> None:
-    """Bias-corrected Adam update, in place on params; deterministic."""
-    state.step += 1
-    t = state.step
+    """Bias-corrected Adam update, in place on params; deterministic.
+
+    Every parameter needs a gradient of its own shape; all are checked before
+    anything changes. The update runs once over the concatenated vector.
+    """
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
-            continue
+            raise ValueError(f"missing gradient for {name}")
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1 ** t)
-        v_hat = v / (1 - state.beta2 ** t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    g = np.concatenate([grads[name].ravel() for name in params])
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+    elif state.m.shape != g.shape:
+        raise ValueError(f"parameter size {g.size} differs from the state's {state.m.size}")
+    state.step += 1
+    t = state.step
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1 - state.beta1) * g
+    v *= state.beta2
+    v += (1 - state.beta2) * g * g
+    m_hat = m / (1 - state.beta1 ** t)
+    v_hat = v / (1 - state.beta2 ** t)
+    update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    ofs = 0
+    for p in params.values():
+        p.data -= update[ofs : ofs + p.data.size].reshape(p.data.shape)
+        ofs += p.data.size
 
 
 # -- Checkpoint I/O -----------------------------------------------------------

@@ -166,13 +166,22 @@ def from_aig(g: AigGraph, prefix: str = "") -> Circuit:
     c = Circuit()
     preds = g.pred_table()
     net_of: dict[int, str] = {}
+    # PI and PO nets carry their AIG names; an AND or inverter net whose
+    # default name is one of those, or already used, takes the first free
+    # `<name>_<k>`, so graphs without such a clash keep the default names.
+    reserved = {prefix + g.names[i] for i, t in enumerate(g.types) if t is not NodeType.AND}
+
+    def free(net: str) -> str:
+        k, name = 0, net
+        while name in reserved or name in c.gates:
+            k += 1
+            name = f"{net}_{k}"
+        return name
 
     def lit(src: int, inv: bool, dst_net: str, k: int) -> str:
         if not inv:
             return net_of[src]
-        nn = f"{dst_net}__n{k}"
-        c.add(nn, "not", net_of[src])
-        return nn
+        return c.add(free(f"{dst_net}__n{k}"), "not", net_of[src])
 
     for i, t in enumerate(g.types):
         if t is NodeType.PI:
@@ -181,7 +190,7 @@ def from_aig(g: AigGraph, prefix: str = "") -> Circuit:
                 c.add(name, "input")
             net_of[i] = name
         elif t is NodeType.AND:
-            net = f"{prefix}n{i}"
+            net = free(f"{prefix}n{i}")
             ins = [lit(s, inv, net, k) for k, (s, inv) in enumerate(preds[i])]
             c.add(net, "and", *ins)
             net_of[i] = net

@@ -149,50 +149,49 @@ def sample_latent(code: LatentCode, mode: str, rng: np.random.Generator | None =
 # -- Decoder ------------------------------------------------------------------
 
 
+def _lower(mat: np.ndarray) -> np.ndarray:
+    """Strictly lower-triangle entries of a square matrix as a column, in
+    np.tril_indices(n, -1) order."""
+    return mat[np.tril_indices(mat.shape[0], -1)].reshape(-1, 1)
+
+
 @dataclass
 class DecodedSoft:
-    """Per-node decoder outputs kept as tape tensors for the loss."""
+    """Decoder outputs kept as tape tensors for the loss."""
 
     n: int
-    type_rows: list[Tensor]          # each (1, 3)
-    conn_cols: list[Tensor]          # index i-1 holds (i, 1) scores vs nodes < i
-    inv_cols: list[Tensor]
+    types: Tensor                    # (n, 3) type distributions
+    conn: Tensor                     # (n(n-1)/2, 1) scores of pairs j < i, tril order
+    inv: Tensor
 
     def to_triple(self) -> TensorTriple:
         n = self.n
-        type_mat = np.vstack([r.data for r in self.type_rows])
+        low = np.tril_indices(n, -1)
         conn = np.zeros((n, n))
         inv = np.zeros((n, n))
-        for i in range(1, n):
-            conn[i, :i] = self.conn_cols[i - 1].data.ravel()
-            inv[i, :i] = self.inv_cols[i - 1].data.ravel()
-        return TensorTriple(type_mat, conn, inv)
+        conn[low] = self.conn.data.ravel()
+        inv[low] = self.inv.data.ravel()
+        return TensorTriple(self.types.data.copy(), conn, inv)
 
 
 def decode_tensors(z: Tensor, node_count: int, p: VaeParams) -> DecodedSoft:
+    """Type MLP and GRU node by node; then every edge head over all state pairs."""
     if node_count < 2:
         raise ValueError("decoder needs at least 2 nodes")
     if z.data.ndim != 2 or z.data.shape[0] != 1:
         raise ValueError(f"latent must be a (1, d) row, got shape {z.data.shape}")
     h = ad.tanh(z @ p.dec_init_w + p.dec_init_b)
     rows: list[Tensor] = []
-    type_rows: list[Tensor] = []
-    conn_cols: list[Tensor] = []
-    inv_cols: list[Tensor] = []
+    type_rows = [Tensor(_ONE_HOT[NodeType.PI])]  # first node is forced PI
     for i in range(node_count):
-        if i == 0:
-            t_row = Tensor(_ONE_HOT[NodeType.PI])  # first node is forced PI
-        else:
-            t_row = mlp_forward(p.mlp_add, h)
-        type_rows.append(t_row)
         if i > 0:
-            prev = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
-            pair = ad.concat([ad.repeat_rows(h, i), prev], axis=1)
-            conn_cols.append(mlp_forward(p.mlp_conn, pair))
-            inv_cols.append(mlp_forward(p.mlp_inv, pair))
+            type_rows.append(mlp_forward(p.mlp_add, h))
         rows.append(h)
-        h = gru_step(p.dec, h, t_row, h)
-    return DecodedSoft(node_count, type_rows, conn_cols, inv_cols)
+        if i + 1 < node_count:
+            h = gru_step(p.dec, h, type_rows[i], h)
+    states = ad.concat(rows, axis=0)
+    return DecodedSoft(node_count, ad.concat(type_rows, axis=0),
+                       ad.pair_head(states, p.mlp_conn), ad.pair_head(states, p.mlp_inv))
 
 
 def decode(z: np.ndarray, node_count: int, p: VaeParams) -> TensorTriple:
@@ -209,17 +208,17 @@ def decode(z: np.ndarray, node_count: int, p: VaeParams) -> TensorTriple:
 def loss(x: TensorTriple, x_hat: TensorTriple, code: LatentCode,
          h: Hyperparams) -> tuple[float, dict[str, float]]:
     """Evaluation-mode loss_tensors() of a plain triple and latent code."""
-    n = x_hat.n
-    decoded = DecodedSoft(
-        n,
-        [Tensor(x_hat.type_mat[i : i + 1]) for i in range(n)],
-        [Tensor(x_hat.conn_mat[i, :i].reshape(-1, 1)) for i in range(1, n)],
-        [Tensor(x_hat.inv_mat[i, :i].reshape(-1, 1)) for i in range(1, n)],
-    )
+    decoded = DecodedSoft(x_hat.n, Tensor(x_hat.type_mat), Tensor(_lower(x_hat.conn_mat)),
+                          Tensor(_lower(x_hat.inv_mat)))
     with no_grad():
         total, comps = loss_tensors(x, decoded, Tensor(code.mu.reshape(1, -1)),
                                     Tensor(2.0 * np.log(code.sigma).reshape(1, -1)), h)
     return float(total.data), comps
+
+
+def _squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
+    d = pred - Tensor(target)
+    return (d * d).sum()
 
 
 def loss_tensors(x: TensorTriple, decoded: DecodedSoft, mu: Tensor,
@@ -228,22 +227,9 @@ def loss_tensors(x: TensorTriple, decoded: DecodedSoft, mu: Tensor,
     if x.n != decoded.n:
         raise ValueError(f"node count mismatch: {x.n} vs {decoded.n}")
     n = x.n
-    type_sq = None
-    for i, row in enumerate(decoded.type_rows):
-        d = row - Tensor(x.type_mat[i : i + 1])
-        s = (d * d).sum()
-        type_sq = s if type_sq is None else type_sq + s
-    l_type = type_sq * (1.0 / (n * 3))
-
-    conn_sq = Tensor(0.0)
-    inv_sq = Tensor(0.0)
-    for i in range(1, n):
-        dc = decoded.conn_cols[i - 1] - Tensor(x.conn_mat[i, :i].reshape(-1, 1))
-        conn_sq = conn_sq + (dc * dc).sum()
-        dv = decoded.inv_cols[i - 1] - Tensor(x.inv_mat[i, :i].reshape(-1, 1))
-        inv_sq = inv_sq + (dv * dv).sum()
-    l_conn = conn_sq * (1.0 / (n * n))
-    l_inv = inv_sq * (1.0 / (n * n))
+    l_type = _squared_error(decoded.types, x.type_mat) * (1.0 / (n * 3))
+    l_conn = _squared_error(decoded.conn, _lower(x.conn_mat)) * (1.0 / (n * n))
+    l_inv = _squared_error(decoded.inv, _lower(x.inv_mat)) * (1.0 / (n * n))
 
     var = ad.exp(logvar)
     l_kl = (var + mu * mu - logvar - 1.0).sum() * 0.5
@@ -281,7 +267,8 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
     params = init_vae(h, rng)
     named = params.named()
     opt = AdamState(lr=h.lr)
-    targets = {id(g): to_tensors(g) for g in dataset}
+    train_examples = [(g, to_tensors(g)) for g in train_set]
+    val_examples = [(g, to_tensors(g)) for g in val_set]
 
     history: list[dict] = []
     best_val = np.inf
@@ -291,21 +278,21 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
         idx = rng.permutation(len(train_set))
         train_losses, comp_sums = [], {"type": 0.0, "conn": 0.0, "inv": 0.0, "kl": 0.0}
         for k in idx:
-            g = train_set[k]
+            g, target = train_examples[k]
             mu, logvar = encode_tensors(g, params)
             eps = rng.standard_normal(mu.shape)
             z = mu + ad.exp(logvar * 0.5) * Tensor(eps)
             decoded = decode_tensors(z, g.n, params)
-            total, comps = loss_tensors(targets[id(g)], decoded, mu, logvar, h)
+            total, comps = loss_tensors(target, decoded, mu, logvar, h)
             total.backward()
-            grads = {name: t.grad for name, t in named.items() if t.grad is not None}
-            adam_step(opt, named, grads)
+            adam_step(opt, named, {name: t.grad for name, t in named.items()})
             for t in named.values():
                 t.grad = None
             train_losses.append(float(total.data))
             for c in comp_sums:
                 comp_sums[c] += comps[c]
-        val_loss = evaluate_loss(val_set, params, h) if val_set else float(np.mean(train_losses))
+        val_loss = (evaluate_loss(val_examples, params, h) if val_examples
+                    else float(np.mean(train_losses)))
         row = {
             "epoch": epoch,
             "train_loss": float(np.mean(train_losses)),
@@ -325,16 +312,17 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
     return params, history
 
 
-def evaluate_loss(graphs: list[AigGraph], params: VaeParams, h: Hyperparams) -> float:
-    """Mean evaluation-mode loss (z = mu, no sampling)."""
-    if not graphs:
+def evaluate_loss(examples: list[tuple[AigGraph, TensorTriple]], params: VaeParams,
+                  h: Hyperparams) -> float:
+    """Mean evaluation-mode loss (z = mu, no sampling) over (graph, to_tensors(graph))."""
+    if not examples:
         raise ValueError("no graphs to evaluate")
     vals = []
     with no_grad():
-        for g in graphs:
+        for g, target in examples:
             mu, logvar = encode_tensors(g, params)
             decoded = decode_tensors(mu, g.n, params)
-            total, _ = loss_tensors(to_tensors(g), decoded, mu, logvar, h)
+            total, _ = loss_tensors(target, decoded, mu, logvar, h)
             vals.append(float(total.data))
     return float(np.mean(vals))
 

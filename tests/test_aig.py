@@ -65,6 +65,26 @@ def test_dummy_and_evaluates_to_one():
         truth_table(g)
 
 
+def test_pi_named_like_an_and_net():
+    # PI "n2" and AND node 2 would share the net name n2
+    g = AigGraph([NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
+                 [(0, 2, False), (1, 2, True), (2, 3, False)], ["a", "n2", None, "y"])
+    assert g.is_canonical
+    assert simulate(g, {"a": 1, "n2": 0}) == {"y": 1}
+    assert simulate(g, {"a": 1, "n2": 1}) == {"y": 0}
+    assert truth_table(g).tolist() == [0, 0, 1, 0]
+
+
+def test_po_name_clash_is_an_issue():
+    g = AigGraph([NodeType.PI, NodeType.PO, NodeType.PO],
+                 [(0, 1, False), (0, 2, True)], ["a", "a", "y"])
+    assert g.issues() == ["PO node 1 reuses the name 'a'"]
+    g.names[1:] = ["y", "y"]
+    assert g.issues() == ["PO node 2 reuses the name 'y'"]
+    with pytest.raises(ValueError, match="not canonical"):
+        simulate(g, {"a": 1})
+
+
 def test_simulate_missing_pi():
     with pytest.raises(KeyError):
         simulate(simple_graph(), {"a": 1})

@@ -60,7 +60,6 @@ def test_softmax_rows():
 
 def test_concat_repeat_take():
     check(lambda a, b: (ad.concat([a, b], axis=0) ** 2.0).sum(), (2, 3), (4, 3))
-    check(lambda a: (ad.repeat_rows(a, 5) ** 2.0).sum(), (1, 3))
     check(lambda a: (ad.take_row(a, 2) ** 2.0).sum(), (4, 3))
 
 
@@ -79,6 +78,40 @@ def test_gru_step_gradients():
         fd = fd_grad(lambda: float(run().data), w.data)
         np.testing.assert_allclose(w.grad, fd, rtol=1e-5, atol=1e-7,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("rows, same_m, t_grad", [
+    (1, False, False),   # message m is not the previous state
+    (1, True, True),     # t on the tape, as the decoder's type row is
+    (3, False, True),    # several sequences at once
+])
+def test_fused_gru_step_matches_finite_differences(rows, same_m, t_grad):
+    rng = np.random.default_rng(rows)
+    p = init_gru(rng, 5, 3)
+    for b in (p.b_z, p.b_r, p.b_h):  # nonzero biases exercise the bias gradients
+        b.data[...] = rng.standard_normal(b.shape)
+    h = Tensor(rng.standard_normal((rows, 5)), requires_grad=True)
+    m = h if same_m else Tensor(rng.standard_normal((rows, 5)), requires_grad=True)
+    t = Tensor(rng.standard_normal((rows, 3)), requires_grad=t_grad)
+    weights = rng.standard_normal((rows, 5))
+
+    def run():
+        return (gru_step(p, m, t, h) * Tensor(weights)).sum()
+
+    run().backward()
+    inputs = {"h": h, "m": m, **({"t": t} if t_grad else {})}
+    for name, w in {**p.named("g"), **inputs}.items():
+        fd = fd_grad(lambda: float(run().data), w.data)
+        np.testing.assert_allclose(w.grad, fd, rtol=1e-6, atol=1e-8, err_msg=name)
+    if not t_grad:
+        assert t.grad is None
+
+
+def test_gru_step_rejects_row_mismatch():
+    p = init_gru(np.random.default_rng(0), 4, 2)
+    h = Tensor(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="row mismatch"):
+        gru_step(p, h, Tensor(np.zeros((1, 2))), h)
 
 
 def test_gru_zero_params_halves_state():
@@ -100,6 +133,44 @@ def test_mlp_forward_and_shape_error():
         mlp_forward(p, Tensor(np.zeros((1, 4))))
 
 
+def _pair_head_by_rows(h: Tensor, p) -> Tensor:
+    """The edge head as a plain MLP over explicit [h_i, h_j] rows."""
+    n = h.shape[0]
+    pairs = [ad.concat([ad.take_row(h, i), ad.take_row(h, j)], axis=1)
+             for i in range(1, n) for j in range(i)]
+    return mlp_forward(p, ad.concat(pairs, axis=0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pair_head_matches_finite_differences(n):
+    rng = np.random.default_rng(n)
+    p = init_mlp(rng, [8, 5, 1], ["tanh", "sigmoid"])
+    for _, b, _ in p.layers:
+        b.data[...] = rng.standard_normal(b.shape)
+    h = Tensor(rng.standard_normal((n, 4)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((n * (n - 1) // 2, 1)))
+    out = ad.pair_head(h, p)
+    assert out.shape == (n * (n - 1) // 2, 1)
+    np.testing.assert_allclose(out.data, _pair_head_by_rows(h, p).data, rtol=1e-12)
+
+    def run():
+        return (ad.pair_head(h, p) * weights).sum()
+
+    run().backward()
+    for name, w in {**p.named("head"), "h": h}.items():
+        fd = fd_grad(lambda: float(run().data), w.data)
+        np.testing.assert_allclose(w.grad, fd, rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+def test_pair_head_rejects_other_layers():
+    rng = np.random.default_rng(0)
+    h = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="tanh then sigmoid"):
+        ad.pair_head(h, init_mlp(rng, [8, 5, 1], ["tanh", "identity"]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ad.pair_head(h, init_mlp(rng, [6, 5, 1], ["tanh", "sigmoid"]))
+
+
 def test_no_grad_skips_tape():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     with no_grad():
@@ -110,13 +181,43 @@ def test_no_grad_skips_tape():
 
 
 def test_adam_step_known_update():
-    p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+    p = {"w": Tensor(np.array([1.0]), requires_grad=True),
+         "u": Tensor(np.array([[3.0, -1.0]]), requires_grad=True)}
     st = AdamState(lr=0.1)
-    adam_step(st, p, {"w": np.array([2.0])})
+    adam_step(st, p, {"w": np.array([2.0]), "u": np.array([[-0.5, 0.0]])})
     # first step: m_hat = g, v_hat = g^2 -> update = lr * sign(g) (eps aside)
     np.testing.assert_allclose(p["w"].data, 1.0 - 0.1 * (2.0 / (2.0 + 1e-8)))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        adam_step(st, p, {"w": np.zeros((2,))})
+    np.testing.assert_allclose(p["u"].data, [[3.0 + 0.1 * (0.5 / (0.5 + 1e-8)), -1.0]])
+    before = {k: t.data.copy() for k, t in p.items()}
+    moments = (st.m.copy(), st.v.copy())
+    for bad in ({"w": np.array([1.0]), "u": np.zeros((2,))},   # shape of a later parameter
+                {"w": np.array([1.0])}):                       # a gradient missing
+        with pytest.raises(ValueError, match="shape mismatch|missing gradient"):
+            adam_step(st, p, bad)
+        assert st.step == 1
+        for k, t in p.items():
+            assert (t.data == before[k]).all(), k
+        assert (st.m == moments[0]).all() and (st.v == moments[1]).all()
+
+
+def test_adam_step_matches_per_parameter_update():
+    """The flat update is the elementwise per-parameter Adam, bit for bit."""
+    rng = np.random.default_rng(9)
+    shapes = {"a": (3, 2), "b": (4,), "c": (1, 5)}
+    p = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: t.data.copy() for k, t in p.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    st = AdamState(lr=0.01)
+    for step in range(1, 4):
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        adam_step(st, p, grads)
+        for k, g in grads.items():
+            m[k] = m[k] * 0.9 + (1 - 0.9) * g
+            v[k] = v[k] * 0.999 + (1 - 0.999) * g * g
+            ref[k] -= 0.01 * (m[k] / (1 - 0.9 ** step)) / (
+                np.sqrt(v[k] / (1 - 0.999 ** step)) + 1e-8)
+            assert (p[k].data == ref[k]).all(), (step, k)
 
 
 def test_params_json_bit_exact():

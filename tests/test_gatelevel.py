@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipcamo.aig import NodeType, pattern_words, random_tree
+from ipcamo.aig import AigGraph, NodeType, pattern_words, random_tree
 from ipcamo.gatelevel import (Circuit, CompiledCircuit, Gate, circuit_from_obj,
                               circuit_to_obj, from_aig, miter, prune, simplify,
                               substitute)
@@ -139,6 +139,22 @@ def test_from_aig_matches_simulation(seed, n_ands):
         assert c.evaluate(assign) == _eval_aig(g, assign)
         s = simplify(c)
         assert s.evaluate(assign) == _eval_aig(g, assign)
+
+
+def test_from_aig_renames_only_clashing_nets():
+    # AND 3 (default n3) clashes with PI n3; the inverter n4__n1 with PI n4__n1
+    g = AigGraph([NodeType.PI, NodeType.PI, NodeType.PI, NodeType.AND, NodeType.AND,
+                  NodeType.PO],
+                 [(0, 3, False), (1, 3, False), (2, 4, True), (3, 4, True), (4, 5, False)],
+                 ["a", "n3", "n4__n1", None, None, "y"])
+    c = from_aig(g)
+    assert list(c.gates) == ["a", "n3", "n4__n1", "n3_1", "n4__n0", "n4__n1_1", "n4", "y"]
+    assert c.gates["n3_1"] == Gate("and", ("a", "n3"))
+    assert c.gates["n4"] == Gate("and", ("n4__n0", "n4__n1_1"))
+    # without a clash every AND net keeps its default name
+    plain = random_tree(np.random.default_rng(0), 4)
+    nets = from_aig(plain).gates
+    assert all(f"n{i}" in nets for i in plain.and_indices)
 
 
 # one pattern at a time, in insertion order: the reference for the word pass

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from conftest import TOY_HP
 from ipcamo.aig import AigGraph, NodeType, TensorTriple, random_tree, to_tensors
 from ipcamo import vae
+from ipcamo.autodiff import Tensor, exp
 from ipcamo.vae import (Hyperparams, LatentCode, decode, encode, init_vae,
                         load_vae, loss, sample_latent, save_vae, train)
 
@@ -145,3 +147,86 @@ def test_reconstruct_deterministic(toy_checkpoint, toy_data):
     r2 = vae.reconstruct(g, params, th=0.5)
     assert r1.structurally_equal(r2)
     assert r1.n == g.n
+
+
+# Loss of each of the first 5 toy training graphs, and per parameter the norm
+# and a fixed random projection of the gradient summed over them, at
+# init_vae(TOY_HP, seed 0) with z = mu + sigma * eps. Recorded with a tape of
+# one node per elementary op, so the fused GRU step and edge heads answer to it.
+GOLDEN_LOSSES = [0.11267469425930893, 0.13702971724251467, 0.14329374766863986,
+                 0.13297582470216968, 0.15105226183493273]
+GOLDEN_GRADS = {
+    'dec.b_h': (0.055364010237840294, 0.0035556734124543334),
+    'dec.b_r': (0.0010314469306978383, 0.00014797731481562163),
+    'dec.b_z': (0.001971737133083782, -0.002523809418271754),
+    'dec.u_h': (0.03262415176309823, 0.007360944646706629),
+    'dec.u_r': (0.0006149156759277539, 0.0007135515852199281),
+    'dec.u_z': (0.0015375467690937094, -0.0020879569234521322),
+    'dec.w_h': (0.026228592039536727, -0.012133155526010771),
+    'dec.w_r': (0.0013348497644861928, -0.0009612865863898837),
+    'dec.w_z': (0.002525106084229691, -0.0018119448880120972),
+    'dec_init.b': (0.013039940907224686, 0.0004751889864114873),
+    'dec_init.w': (0.023588363692235194, -0.0018145189971038166),
+    'enc.b_h': (0.019410452011079233, 0.0005272993334965916),
+    'enc.b_r': (0.0025530755918460233, 0.0027744555274501924),
+    'enc.b_z': (0.008971842331764556, -0.0050741026710733935),
+    'enc.u_h': (0.051943513635985594, 0.0261483639776027),
+    'enc.u_r': (0.0019003180974676277, -0.00029075622011400914),
+    'enc.u_z': (0.008872721502026426, -0.0008296488361580548),
+    'enc.w_h': (0.04492372063484185, -0.0017144575228044932),
+    'enc.w_r': (0.001731658343628125, -0.00044736546239446),
+    'enc.w_z': (0.009186543042049597, 0.006505278621680027),
+    'mlp_add.b0': (0.04103532810315076, 0.01487427955567553),
+    'mlp_add.b1': (0.06909632245703066, -0.018617401196831133),
+    'mlp_add.w0': (0.041153139244808144, 0.013353265157807196),
+    'mlp_add.w1': (0.04481630426184243, -0.02047427296571154),
+    'mlp_conn.b0': (0.04981689269826259, 0.021740042617656982),
+    'mlp_conn.b1': (0.09629745110547631, 0.027062991971477948),
+    'mlp_conn.w0': (0.0671945082120996, -0.07763549308818433),
+    'mlp_conn.w1': (0.05648442430632388, 0.05949593801229183),
+    'mlp_inv.b0': (0.0700607436139392, -0.01350393409481208),
+    'mlp_inv.b1': (0.1469672584047851, -0.0624050743999232),
+    'mlp_inv.w0': (0.09178829724614178, -0.03637651129883409),
+    'mlp_inv.w1': (0.08498099885635707, -0.006545583112532873),
+    'mlp_logvar.b0': (0.05156636728412943, -0.04187159477768375),
+    'mlp_logvar.b1': (0.06854594186881172, -0.025412948202977136),
+    'mlp_logvar.w0': (0.05002297114984888, 0.03490728600343857),
+    'mlp_logvar.w1': (0.03746895089485783, 0.022107161579832595),
+    'mlp_mu.b0': (0.09859635731441259, -0.05691777529766002),
+    'mlp_mu.b1': (0.12795081509919698, 0.10260116928977744),
+    'mlp_mu.w0': (0.08617256088484526, 0.07689140808491196),
+    'mlp_mu.w1': (0.0543984376193183, -0.005401049009238495),
+    'pi_embed': (0.019093866876509838, -0.0049700946954580605),
+}
+
+
+def test_golden_loss_and_gradients(toy_data):
+    params = init_vae(TOY_HP, np.random.default_rng(0))
+    eps_rng = np.random.default_rng(1)
+    losses = []
+    for g in toy_data[0][:5]:
+        mu, logvar = vae.encode_tensors(g, params)
+        z = mu + exp(logvar * 0.5) * Tensor(eps_rng.standard_normal(mu.shape))
+        decoded = vae.decode_tensors(z, g.n, params)
+        total, _ = vae.loss_tensors(to_tensors(g), decoded, mu, logvar, TOY_HP)
+        total.backward()  # gradients accumulate over the five graphs
+        losses.append(float(total.data))
+    np.testing.assert_allclose(losses, GOLDEN_LOSSES, rtol=1e-12)
+    w_rng = np.random.default_rng(2)
+    named = params.named()
+    assert sorted(named) == sorted(GOLDEN_GRADS)
+    for name in sorted(named):
+        grad = named[name].grad
+        norm = float(np.sqrt((grad ** 2).sum()))
+        proj = float((grad * w_rng.uniform(-1, 1, grad.shape)).sum())
+        ref_norm, ref_proj = GOLDEN_GRADS[name]
+        assert norm == pytest.approx(ref_norm, rel=1e-12), name
+        # the projection cancels, so its tolerance is relative to the norm
+        assert proj == pytest.approx(ref_proj, rel=1e-12, abs=1e-12 * ref_norm), name
+
+
+def test_toy_checkpoint_final_losses(toy_checkpoint):
+    _, history = toy_checkpoint
+    assert len(history) == TOY_HP.epochs
+    assert history[-1]["train_loss"] == pytest.approx(0.06031372669597111, rel=1e-9)
+    assert history[-1]["val_loss"] == pytest.approx(0.07064097893174263, rel=1e-9)
