@@ -15,8 +15,8 @@ from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, sat_solve
 from .covert import CovertGateKind, CovertInstance, config_key_bits
-from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, prune,
-                        simplify, substitute)
+from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, simplify,
+                        substitute)
 
 # -- Tseitin ------------------------------------------------------------------
 
@@ -134,6 +134,11 @@ class KeyedNetlist:
         return len(self.key_inputs)
 
     @property
+    def live_key_inputs(self) -> list[str]:
+        """Key inputs that are nets of the circuit; the others drive nothing."""
+        return [n for n in self.key_inputs if n in self.circuit.gates]
+
+    @property
     def payload_inputs(self) -> list[str]:
         keys = set(self.key_inputs)
         return [n for n in self.circuit.inputs if n not in keys]
@@ -156,7 +161,10 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
 
     Every covert placement and every genuine inverter/buffer/NAND cell is a
     candidate with 2 key bits: 00 keeps the true cell function, 01 ties the
-    output low, 10 (and its alias 11) ties it high.
+    output low, 10 (and its alias 11) ties it high. Keys are numbered and
+    `correct_key` is set over all candidates, but only cells in the output
+    cone are built: a candidate that cannot reach an output keeps its key
+    inputs in `key_inputs` and has no cell in the circuit.
     """
     src = nl.appearance_view
     by_out = {p.out: p for p in nl.placements}
@@ -173,26 +181,40 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
         elif src.gates[net].op in ("not", "buf", "nand") and net not in consumed:
             candidates.append((net, None))
 
-    cand_nets = {n for n, _ in candidates}
+    # output cone over the nets each keyed cell reads: a placement reads
+    # only its real input (not a UT decoy tap or an FB middle inverter)
+    cand = dict(candidates)
+    live: set[str] = set()
+    stack = list(src.outputs)
+    while stack:
+        net = stack.pop()
+        if net in live:
+            continue
+        live.add(net)
+        p = cand.get(net)
+        stack.extend((p.real_in,) if p is not None else src.gates[net].ins)
+
     c = Circuit()
     for net, g in src.gates.items():
-        if net not in cand_nets:
+        if net in live and net not in cand:
             c.gates[net] = g
     c.outputs = list(src.outputs)
     key_inputs: list[str] = []
     correct: list[int] = []
     for i, (net, p) in enumerate(candidates):
-        k1 = c.add(f"key{2 * i}", "input")
-        k0 = c.add(f"key{2 * i + 1}", "input")
+        k1, k0 = f"key{2 * i}", f"key{2 * i + 1}"
         key_inputs += [k1, k0]
+        correct += config_key_bits(p.config) if p is not None else (0, 0)
+        if net not in live:
+            continue
+        c.add(k1, "input")
+        c.add(k0, "input")
         if p is not None:
-            b1, b0 = config_key_bits(p.config)
             if p.kind in (CovertGateKind.UT_A, CovertGateKind.FB):
                 normal = p.real_in  # UT-A passes through; FB reads as a buffer
             else:  # UT-B passes inverted; FI has no pass mode, key 00 reads the mask
                 normal = c.add(f"{net}__norm", "not", p.real_in)
         else:
-            b1 = b0 = 0
             g = src.gates[net]
             if g.op == "not":
                 normal = c.add(f"{net}__norm", "not", g.ins[0])
@@ -200,9 +222,8 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
                 normal = g.ins[0]
             else:
                 normal = c.add(f"{net}__norm", "nand", *g.ins)
-        correct += [b1, b0]
         _keyed_cell(c, net, normal, k1, k0)
-    return KeyedNetlist(prune(c), key_inputs, correct)
+    return KeyedNetlist(c, key_inputs, correct)
 
 
 def make_ll_baseline(f: AigGraph, n_key_bits: int, seed: int = 0) -> KeyedNetlist:
@@ -281,8 +302,9 @@ def dip_attack(
     t = cnf.new_var()
     cnf.add_clause([t])
     x_vars = {n: cnf.new_var() for n in xs}
-    ka = {n: cnf.new_var() for n in kn.key_inputs}
-    kb = {n: cnf.new_var() for n in kn.key_inputs}
+    live_keys = kn.live_key_inputs
+    ka = {n: cnf.new_var() for n in live_keys}
+    kb = {n: cnf.new_var() for n in live_keys}
     oa = tseitin_encode(cnf, sim, {**x_vars, **ka}, t)[out_net]
     ob = tseitin_encode(cnf, sim, {**x_vars, **kb}, t)[out_net]
     cnf.add_clause([oa, ob])
@@ -330,7 +352,7 @@ def dip_attack(
     final = CnfFormula()
     tf = final.new_var()
     final.add_clause([tf])
-    kf = {n: final.new_var() for n in kn.key_inputs}
+    kf = {n: final.new_var() for n in live_keys}
     add_constraints(final, kf, tf, observations)
     remaining = None
     if time_budget is not None:
@@ -344,13 +366,19 @@ def dip_attack(
     if res.status != "SAT":
         return trace
     trace.status = "solved"
-    trace.key = [int(res.model[kf[n]]) for n in kn.key_inputs]
+    # a key the circuit does not read is unconstrained; the solver would
+    # decide it to its initial saved phase, 0
+    trace.key = [int(res.model[kf[n]]) if n in kf else 0 for n in kn.key_inputs]
     return trace
 
 
 def key_is_correct(kn: KeyedNetlist, key: list[int]) -> bool:
     """Does the recovered key realize the oracle function (not necessarily
     bit-identical to the designer's key, thanks to the 11/10 alias)?"""
-    keyed = substitute(kn.circuit, dict(zip(kn.key_inputs, key)))
-    truth = substitute(kn.circuit, dict(zip(kn.key_inputs, kn.correct_key)))
-    return equivalence_check(keyed, truth)
+    live = set(kn.live_key_inputs)  # substitute binds only nets of the circuit
+
+    def bind(bits: list[int]) -> dict[str, int]:
+        return {n: b for n, b in zip(kn.key_inputs, bits) if n in live}
+
+    return equivalence_check(substitute(kn.circuit, bind(key)),
+                             substitute(kn.circuit, bind(kn.correct_key)))

@@ -133,8 +133,10 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros(self.shape)
-        self.grad += g
+            # a copy: one backward closure can hand the same array to several parents
+            self.grad = g.copy() if g.shape == self.shape else np.zeros(self.shape) + g
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.shape != ():

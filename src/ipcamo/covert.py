@@ -88,10 +88,13 @@ def apparent_function(kind: CovertGateKind, x: int, dummy: int = 1) -> int:
 # 10 and its alias 11 tie it high.
 
 
+_KEY_BITS = {
+    CovertConfig.NORMAL: (0, 0),
+    CovertConfig.CONST0: (0, 1),
+    CovertConfig.CONST1: (1, 0),
+}
+
+
 def config_key_bits(config: CovertConfig) -> tuple[int, int]:
     """Canonical key encoding of a configuration (the non-alias codes)."""
-    return {
-        CovertConfig.NORMAL: (0, 0),
-        CovertConfig.CONST0: (0, 1),
-        CovertConfig.CONST1: (1, 0),
-    }[config]
+    return _KEY_BITS[config]

@@ -1,4 +1,5 @@
 """Tseitin encoding, equivalence checking, keyization and the DIP attack."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,12 +10,12 @@ from ipcamo import attack
 from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
                            key_is_correct, keyize_netlist, make_ll_baseline,
                            make_oracle, tseitin_encode)
-from ipcamo.camouflage import CamouflagedNetlist
+from ipcamo.camouflage import CamouflagedNetlist, camouflage_pipeline
 from ipcamo.cnf import CnfFormula, sat_solve
 from ipcamo.covert import (LEGAL_CONFIGS, CovertGateKind, CovertInstance,
                            apparent_op, config_key_bits)
 from ipcamo.evaluation import random_covert_insertion
-from ipcamo.gatelevel import Circuit, from_aig
+from ipcamo.gatelevel import Circuit, from_aig, prune
 
 
 def _random_circuit(seed, n_ands=4):
@@ -127,10 +128,8 @@ def test_equivalence_check_support_17_takes_sat_path(monkeypatch):
     assert calls == [1]
 
 
-def test_keyize_key_count_law():
-    f = random_tree(np.random.default_rng(1), 5)
-    nl = random_covert_insertion(f, "fraction", 0.5, np.random.default_rng(2))
-    kn = keyize_netlist(nl)
+def _n_candidates(nl):
+    """Covert placements plus genuine inverter/buffer/NAND cells."""
     src = nl.appearance_view
     consumed = set()
     for p in nl.placements:
@@ -139,8 +138,104 @@ def test_keyize_key_count_law():
             consumed.add(src.gates[p.out].ins[0])
     genuine = sum(1 for n, g in src.gates.items()
                   if g.op in ("not", "buf", "nand") and n not in consumed)
-    assert kn.n_key_bits == 2 * (len(nl.placements) + genuine)
+    return len(nl.placements) + genuine
+
+
+def test_keyize_key_count_law():
+    f = random_tree(np.random.default_rng(1), 5)
+    nl = random_covert_insertion(f, "fraction", 0.5, np.random.default_rng(2))
+    kn = keyize_netlist(nl)
+    assert kn.n_key_bits == 2 * _n_candidates(nl)
     assert len(kn.correct_key) == kn.n_key_bits
+
+
+def _keyize_cases(params):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        f, a = random_tree(rng, 6, n_pi_pool=6), random_tree(rng, 6, n_pi_pool=6)
+        for p, th in ((0.5, 0.05), (0.0, 0.5)):
+            yield camouflage_pipeline(f, a, params, p=p, th=th, seed=seed)
+        yield random_covert_insertion(f, "fraction", 0.5, rng)
+        yield random_covert_insertion(f, "match_area", 3.0, rng)
+
+
+def test_keyize_builds_only_the_output_cone(toy_checkpoint):
+    params, _ = toy_checkpoint
+    for nl in _keyize_cases(params):
+        kn = keyize_netlist(nl)
+        assert list(prune(kn.circuit).gates.items()) == list(kn.circuit.gates.items())
+        assert len(kn.key_inputs) == 2 * _n_candidates(nl)
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_keyize_golden_desk_netlist(toy_checkpoint):
+    """ac08's netlist: desk pair 0 at p 0.5, Th 0.05, pipeline seed 0."""
+    params, _ = toy_checkpoint
+    rng = np.random.default_rng(100)
+    f, a = random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10)
+    kn = keyize_netlist(camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0))
+    gates = (f"{n} {g.op} {' '.join(g.ins)}" for n, g in kn.circuit.gates.items())
+    assert len(kn.circuit.gates) == 17_099
+    assert kn.circuit.outputs == ["po0"]
+    assert kn.n_key_bits == 23_868
+    assert _sha256(gates) == (
+        "edf8b029bba1526766520f7b35759e3f6a09b8acd63140f28fbb36e7d136ac70")
+    assert _sha256(kn.key_inputs) == (
+        "05cf219ef64ece8fd60b24931d4b0f247c575b20eefd8ad1ed14da26f136cc4a")
+    assert _sha256(map(str, kn.correct_key)) == (
+        "368fed1a8615350c0f6ed35986d896a22573b8a51fb4bed825f274353be94e89")
+
+
+def _read_keys(kn):
+    return [n for n in kn.key_inputs if n in kn.circuit.inputs]
+
+
+def _small_dead_key_netlist(params):
+    """A Th 0.05 pipeline netlist whose keyed circuit reads 42 of its 54 keys."""
+    rng = np.random.default_rng(7)
+    f, a = random_tree(rng, 4, n_pi_pool=6), random_tree(rng, 4, n_pi_pool=6)
+    kn = keyize_netlist(camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0))
+    assert (kn.n_key_bits, len(_read_keys(kn))) == (54, 42)
+    return kn
+
+
+_SMALL_DIP_KEY = "000000000000000000000000000000000000000000101010100000"
+
+
+def test_key_is_correct_ignores_dead_keys(toy_checkpoint):
+    kn = _small_dead_key_netlist(toy_checkpoint[0])
+    assert key_is_correct(kn, kn.correct_key)
+    assert key_is_correct(kn, [int(b) for b in _SMALL_DIP_KEY])
+    dead = [i for i, n in enumerate(kn.key_inputs) if n not in kn.circuit.inputs]
+    flipped = list(kn.correct_key)
+    for i in dead:
+        flipped[i] ^= 1
+    assert key_is_correct(kn, flipped)
+
+
+def test_dip_attack_with_dead_keys_is_pinned(toy_checkpoint):
+    kn = _small_dead_key_netlist(toy_checkpoint[0])
+    trace = dip_attack(kn, make_oracle(kn))
+    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 11, 1325)
+    assert "".join(map(str, trace.key)) == _SMALL_DIP_KEY
+
+
+def test_dip_attack_gives_dead_keys_no_variables(toy_checkpoint, monkeypatch):
+    kn = _small_dead_key_netlist(toy_checkpoint[0])
+    n_vars = []
+
+    def recording_solve(cnf, *args, **kwargs):
+        n_vars.append(cnf.n_vars)
+        return sat_solve(cnf, *args, **kwargs)
+
+    monkeypatch.setattr(attack, "sat_solve", recording_solve)
+    dip_attack(kn, make_oracle(kn), max_iters=1)
+    assert kn.live_key_inputs == _read_keys(kn)
+    dead = kn.n_key_bits - len(kn.live_key_inputs)
+    assert n_vars[0] == 207 - 2 * dead  # 207 with two variables per dead key
 
 
 def _one_cell_netlist(op, placement=None):
