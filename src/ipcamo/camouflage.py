@@ -7,6 +7,7 @@ ANDs, then the output.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from .covert import CovertConfig, CovertGateKind, CovertInstance
 from .gatelevel import Circuit, circuit_from_obj, circuit_to_obj, from_aig
 from .vae import VaeParams, decode, encode
 
-CAMO_JSON_FORMAT = "ipcamo-camo-v1"
+CAMO_JSON_FORMAT = "ipcamo-camo-v2"
 
 # -- Latent-space operations --------------------------------------------------
 
@@ -72,6 +73,7 @@ def _no_conn(s: str) -> bool:
     return s in ("00", "01")
 
 
+@functools.cache
 def fix_lookup(g_state: str, target_state: str, phase: str) -> str | None:
     """Fix action for one node pair; None means the cell is not applicable."""
     if g_state not in STATES or target_state not in STATES:
@@ -153,14 +155,31 @@ def _pair_states(g: AigGraph, space: PositionSpace) -> dict[tuple[int, int], str
     return states
 
 
+def live_slots(pairs, space: PositionSpace) -> set[int]:
+    """Non-PI slots with a path to the PO over the given wired pairs."""
+    preds: dict[int, list[int]] = {}
+    for u, v in pairs:
+        preds.setdefault(v, []).append(u)
+    live: set[int] = set()
+    stack = [space.po]
+    while stack:
+        v = stack.pop()
+        if v not in live:
+            live.add(v)
+            stack.extend(u for u in preds.get(v, ()) if u >= space.n_pi)
+    return live
+
+
 # -- Fix phases ---------------------------------------------------------------
 #
 # A realization record tracks, per pair, how the visible wiring is built and
 # whether a real signal rides on it ("functional") or it is quietly tied off.
+# Every wired pair is realized, but only actions on pairs into live slots are
+# logged: the rest of the wiring is never built.
 
 
 def functional_preserve(
-    g_states: dict, f_states: dict, space: PositionSpace
+    g_states: dict, f_states: dict, live: set[int]
 ) -> tuple[dict, dict, list[dict]]:
     """Phase 1: make the generated wiring compute F. Returns (realization,
     post-fix apparent states, fix log)."""
@@ -171,8 +190,9 @@ def functional_preserve(
         sg = g_states.get(pair, "00")
         sf = f_states.get(pair, "00")
         action = fix_lookup(sg, sf, "functional")
-        log.append({"phase": "functional", "pair": list(pair),
-                    "g_state": sg, "f_state": sf, "action": action})
+        if action is not None and pair[1] in live:
+            log.append({"phase": "functional", "pair": list(pair),
+                        "g_state": sg, "f_state": sf, "action": action})
         if action == "connect":
             realization[pair] = {"kind": "wire", "functional": True}
             gf_states[pair] = "10"
@@ -194,7 +214,7 @@ def functional_preserve(
 
 
 def appearance_mimic(
-    gf_states: dict, a_states: dict, realization: dict, space: PositionSpace
+    gf_states: dict, a_states: dict, realization: dict, live: set[int]
 ) -> list[dict]:
     """Phase 2: reshape the visible wiring toward A without touching function."""
     log = []
@@ -202,18 +222,23 @@ def appearance_mimic(
         sg = gf_states.get(pair, "00")
         sa = a_states.get(pair, "00")
         action = fix_lookup(sg, sa, "appearance")
-        entry = {"phase": "appearance", "pair": list(pair),
-                 "g_state": sg, "a_state": sa, "action": action}
+        if action is None:
+            continue
+        skipped = False
         if action in ("fb", "fi"):
             realization[pair] = {"kind": action, "functional": False}
-        elif action in ("ut_a", "ut_b"):
+        else:
             prev = realization[pair]  # sg is connected, so a record exists
-            if prev["kind"] in ("ut_a", "ut_b"):
-                entry["skipped"] = "pair already realized as a camouflaged NAND"
-            else:
+            skipped = prev["kind"] in ("ut_a", "ut_b")
+            if not skipped:
                 realization[pair] = {"kind": action,
                                      "functional": prev["functional"]}
-        log.append(entry)
+        if pair[1] in live:
+            entry = {"phase": "appearance", "pair": list(pair),
+                     "g_state": sg, "a_state": sa, "action": action}
+            if skipped:
+                entry["skipped"] = "pair already realized as a camouflaged NAND"
+            log.append(entry)
     return log
 
 
@@ -249,14 +274,17 @@ def _slot_names(space: PositionSpace, fp: AigGraph) -> tuple[list[str], list[boo
 def _build_views(
     space: PositionSpace,
     realization: dict,
+    live: set[int],
     names: list[str],
     dummy: list[bool],
     rng: np.random.Generator,
 ) -> tuple[AigGraph, Circuit, list[CovertInstance]]:
+    """Functional view (pruned to the PO cone) and appearance view with its
+    covert placements; only live slots get cells, so nothing floats."""
     incoming: dict[int, list] = {v: [] for v in range(space.n)}
     func_edges = []
     for (u, v), r in sorted(realization.items()):
-        if space.type_of(v) is NodeType.PI:
+        if v < space.n_pi:
             continue  # input slots ignore incoming wiring; nothing to realize
         incoming[v].append((u, r))
         if r["functional"]:
@@ -298,12 +326,21 @@ def _build_views(
         return out
 
     for v in range(space.n_pi, space.n):
+        if v not in live:
+            # dead slots still draw, so built cells keep the decoys of a full build
+            uts = sum(r["kind"] in ("ut_a", "ut_b") for _, r in incoming[v])
+            for _ in range(uts if incoming[v] else 1):
+                rng.integers(len(pi_nets))
+            continue
         ins = [realize_edge(u, v, r, k) for k, (u, r) in enumerate(incoming[v])]
-        if not ins:  # floating slot still needs a visible cell body
+        if not ins:  # an unwired slot still needs a visible cell body
             ins = [pi_nets[int(rng.integers(len(pi_nets)))]]
         net = c.add(names[v], "and", *ins)
         if v == space.po:
             c.outputs.append(net)
+    # inputs that only dead slots read drop out
+    read = {s for g in c.gates.values() for s in g.ins}
+    c.gates = {n: g for n, g in c.gates.items() if g.op != "input" or n in read}
 
     types = [space.type_of(i) for i in range(space.n)]
     full = AigGraph(types=types, edges=sorted(func_edges),
@@ -387,6 +424,16 @@ def area_overhead(nl: CamouflagedNetlist) -> float:
 # -- End-to-end pipeline ------------------------------------------------------
 
 
+def checkpoint_sha256(params: VaeParams) -> str:
+    """Fingerprint of the weights: each parameter's name and shape, then its
+    values as little-endian float64, in name order."""
+    h = hashlib.sha256()
+    for name, t in sorted(params.named().items()):
+        h.update(json.dumps([name, list(t.data.shape)]).encode())
+        h.update(np.asarray(t.data, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def camouflage_pipeline(
     f: AigGraph,
     a: AigGraph,
@@ -416,21 +463,19 @@ def camouflage_pipeline(
     a_states = _pair_states(ap, space)
     g_states = _pair_states(g_hat, space)
 
-    realization, gf_states, log1 = functional_preserve(g_states, f_states, space)
-    log2 = appearance_mimic(gf_states, a_states, realization, space)
+    live = live_slots(set(g_states) | set(f_states) | set(a_states), space)
+    realization, gf_states, log1 = functional_preserve(g_states, f_states, live)
+    log2 = appearance_mimic(gf_states, a_states, realization, live)
 
     names, dummy = _slot_names(space, fp)
     rng = np.random.default_rng(seed)
     functional_view, appearance_view, placements = _build_views(
-        space, realization, names, dummy, rng)
+        space, realization, live, names, dummy, rng)
 
-    from .autodiff import params_to_json
-
-    checkpoint_sha = hashlib.sha256(params_to_json(params.named()).encode()).hexdigest()
     meta = {
         "p": p, "th": th, "seed": seed,
         "latent_dim": params.latent,
-        "checkpoint_sha256": checkpoint_sha,
+        "checkpoint_sha256": checkpoint_sha256(params),
         "f_nodes": f.n, "a_nodes": a.n, "padded_nodes": fp.n,
         "g_hat_nodes": g_hat.n,
         "baseline_cells": from_aig(f).cell_count(),

@@ -267,10 +267,14 @@ def cmd_attack(cfg: dict) -> int:
             nl = CamouflagedNetlist.from_json(_read(path).decode())
             kn = keyize_netlist(nl)
             trace = dip_attack(kn, make_oracle(kn), time_budget=budget)
-            result = trace.status if trace.status != "budget" else "budget-exceeded"
+            solved = trace.status == "solved"
+            # how far a run gets before its deadline depends on the machine,
+            # so a budget row leaves its progress counts empty
             w.writerow([os.path.basename(path), nl.metadata.get("p"),
-                        nl.metadata.get("th"), kn.n_key_bits, result,
-                        trace.iterations, trace.conflicts])
+                        nl.metadata.get("th"), kn.n_key_bits,
+                        "solved" if solved else "budget-exceeded",
+                        trace.iterations if solved else "",
+                        trace.conflicts if solved else ""])
     _write_manifest(out, "attack", cfg, [report])
     return EXIT_OK
 

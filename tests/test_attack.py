@@ -12,8 +12,8 @@ from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
                            make_oracle, tseitin_encode)
 from ipcamo.camouflage import CamouflagedNetlist, camouflage_pipeline
 from ipcamo.cnf import CnfFormula, sat_solve
-from ipcamo.covert import (LEGAL_CONFIGS, CovertGateKind, CovertInstance,
-                           apparent_op, config_key_bits)
+from ipcamo.covert import (LEGAL_CONFIGS, CovertConfig, CovertGateKind,
+                           CovertInstance, apparent_op, config_key_bits)
 from ipcamo.evaluation import random_covert_insertion
 from ipcamo.gatelevel import Circuit, from_aig, prune
 
@@ -160,11 +160,16 @@ def _keyize_cases(params):
 
 
 def test_keyize_builds_only_the_output_cone(toy_checkpoint):
+    """Neither the netlists nor their keyed models hold floating logic."""
     params, _ = toy_checkpoint
     for nl in _keyize_cases(params):
+        view = nl.appearance_view
+        assert list(prune(view).gates.items()) == list(view.gates.items())
+        assert all(e["action"] is not None for e in nl.fix_log)
         kn = keyize_netlist(nl)
         assert list(prune(kn.circuit).gates.items()) == list(kn.circuit.gates.items())
         assert len(kn.key_inputs) == 2 * _n_candidates(nl)
+        assert kn.live_key_inputs == kn.key_inputs
 
 
 def _sha256(lines):
@@ -180,51 +185,65 @@ def test_keyize_golden_desk_netlist(toy_checkpoint):
     gates = (f"{n} {g.op} {' '.join(g.ins)}" for n, g in kn.circuit.gates.items())
     assert len(kn.circuit.gates) == 17_099
     assert kn.circuit.outputs == ["po0"]
-    assert kn.n_key_bits == 23_868
+    assert kn.n_key_bits == 5_708
     assert _sha256(gates) == (
-        "edf8b029bba1526766520f7b35759e3f6a09b8acd63140f28fbb36e7d136ac70")
+        "2747f2b5f0c67e7a2314383873b6adaa92770d52bc4664e2ebcc59759d90e43b")
     assert _sha256(kn.key_inputs) == (
-        "05cf219ef64ece8fd60b24931d4b0f247c575b20eefd8ad1ed14da26f136cc4a")
+        "3d9c567b19b59ebc9ea6f59bfee466909369f4e328bba8d8c1620e3333d814c1")
     assert _sha256(map(str, kn.correct_key)) == (
-        "368fed1a8615350c0f6ed35986d896a22573b8a51fb4bed825f274353be94e89")
+        "e27f160b648423593ca46525339f7e72c28b00a2b31824a0e476398780fe34b6")
 
 
-def _read_keys(kn):
-    return [n for n in kn.key_inputs if n in kn.circuit.inputs]
-
-
-def _small_dead_key_netlist(params):
-    """A Th 0.05 pipeline netlist whose keyed circuit reads 42 of its 54 keys."""
+def _small_camo_netlist(params):
+    """A Th 0.05 pipeline netlist with 21 key candidates."""
     rng = np.random.default_rng(7)
     f, a = random_tree(rng, 4, n_pi_pool=6), random_tree(rng, 4, n_pi_pool=6)
     kn = keyize_netlist(camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0))
-    assert (kn.n_key_bits, len(_read_keys(kn))) == (54, 42)
+    assert kn.n_key_bits == 42
     return kn
 
 
-_SMALL_DIP_KEY = "000000000000000000000000000000000000000000101010100000"
-
-
-def test_key_is_correct_ignores_dead_keys(toy_checkpoint):
-    kn = _small_dead_key_netlist(toy_checkpoint[0])
-    assert key_is_correct(kn, kn.correct_key)
-    assert key_is_correct(kn, [int(b) for b in _SMALL_DIP_KEY])
-    dead = [i for i, n in enumerate(kn.key_inputs) if n not in kn.circuit.inputs]
-    flipped = list(kn.correct_key)
-    for i in dead:
-        flipped[i] ^= 1
-    assert key_is_correct(kn, flipped)
-
-
-def test_dip_attack_with_dead_keys_is_pinned(toy_checkpoint):
-    kn = _small_dead_key_netlist(toy_checkpoint[0])
+def test_dip_attack_on_small_camo_netlist_is_pinned(toy_checkpoint):
+    kn = _small_camo_netlist(toy_checkpoint[0])
     trace = dip_attack(kn, make_oracle(kn))
     assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 11, 1325)
-    assert "".join(map(str, trace.key)) == _SMALL_DIP_KEY
+    assert "".join(map(str, trace.key)) == "000000000000000000000000000000101010100000"
 
 
-def test_dip_attack_gives_dead_keys_no_variables(toy_checkpoint, monkeypatch):
-    kn = _small_dead_key_netlist(toy_checkpoint[0])
+def _floating_candidate_netlist():
+    """y = AND(NOT x, UT-A(z; decoy d)) beside two cells that drive nothing:
+    a genuine inverter f1 and an FI cell f2 (keys 4-7)."""
+    c = Circuit()
+    for net in ("x", "z", "d"):
+        c.add(net, "input")
+    c.add("a", "not", "x")
+    c.add("b", "nand", "z", "d")
+    c.add("y", "and", "a", "b")
+    c.add("f1", "not", "z")
+    c.add("f2", "not", "x")
+    c.outputs = ["y"]
+    placements = [
+        CovertInstance(CovertGateKind.UT_A, CovertConfig.NORMAL, out="b",
+                       real_in="z", dummy_in="d"),
+        CovertInstance(CovertGateKind.FI, CovertConfig.CONST1, out="f2", real_in="x"),
+    ]
+    kn = keyize_netlist(CamouflagedNetlist(None, c, placements, []))
+    assert kn.n_key_bits == 8
+    assert kn.live_key_inputs == ["key0", "key1", "key2", "key3"]
+    assert kn.correct_key == [0, 0, 0, 0, 0, 0, 1, 0]
+    return kn
+
+
+def test_key_is_correct_ignores_dead_keys():
+    kn = _floating_candidate_netlist()
+    assert key_is_correct(kn, kn.correct_key)
+    assert key_is_correct(kn, kn.correct_key[:4] + [1, 1, 0, 1])
+    assert not key_is_correct(kn, [1] + kn.correct_key[1:])  # ties a high
+
+
+def test_dip_attack_gives_dead_keys_no_variables(monkeypatch):
+    kn = _floating_candidate_netlist()
+    live_only = KeyedNetlist(kn.circuit, kn.live_key_inputs, kn.correct_key[:4])
     n_vars = []
 
     def recording_solve(cnf, *args, **kwargs):
@@ -232,10 +251,12 @@ def test_dip_attack_gives_dead_keys_no_variables(toy_checkpoint, monkeypatch):
         return sat_solve(cnf, *args, **kwargs)
 
     monkeypatch.setattr(attack, "sat_solve", recording_solve)
-    dip_attack(kn, make_oracle(kn), max_iters=1)
-    assert kn.live_key_inputs == _read_keys(kn)
-    dead = kn.n_key_bits - len(kn.live_key_inputs)
-    assert n_vars[0] == 207 - 2 * dead  # 207 with two variables per dead key
+    traces = [dip_attack(k, make_oracle(k)) for k in (kn, live_only)]
+    half = len(n_vars) // 2  # the two attacks make the same solves
+    assert n_vars[:half] == n_vars[half:]
+    assert traces[0].status == "solved" and traces[0].key[4:] == [0, 0, 0, 0]
+    assert traces[0].key[:4] == traces[1].key
+    assert key_is_correct(kn, traces[0].key)
 
 
 def _one_cell_netlist(op, placement=None):

@@ -5,8 +5,9 @@ import pytest
 from ipcamo.aig import NodeType, TensorTriple, random_tree, to_tensors
 from ipcamo.camouflage import (CamouflagedNetlist, PositionSpace,
                                _pair_states, _positions, appearance_mimic,
-                               area_overhead, camouflage_pipeline, edge_state,
-                               fix_lookup, functional_preserve, interpolate,
+                               area_overhead, camouflage_pipeline,
+                               checkpoint_sha256, edge_state, fix_lookup,
+                               functional_preserve, interpolate, live_slots,
                                threshold_filter)
 from ipcamo.attack import equivalence_check
 
@@ -128,23 +129,41 @@ def test_functional_preserve_actions():
     space = PositionSpace(n_pi=2, n_and=2)
     g_states = {(0, 2): "10", (1, 2): "11", (2, 4): "10"}
     f_states = {(0, 2): "11", (1, 3): "10", (3, 4): "10"}
-    real, gf, log = functional_preserve(g_states, f_states, space)
+    live = live_slots(set(g_states) | set(f_states), space)
+    assert live == {2, 3, 4}
+    real, gf, log = functional_preserve(g_states, f_states, live)
     assert real[(0, 2)]["kind"] == "ut_b" and real[(0, 2)]["functional"]
     assert real[(1, 2)] == {"kind": "fi", "functional": False}
     assert real[(1, 3)] == {"kind": "wire", "functional": True}
     assert gf[(1, 3)] == "10"  # new connection shows up in the apparent states
     assert real[(2, 4)] == {"kind": "fb", "functional": False}
     actions = {tuple(e["pair"]): e["action"] for e in log}
-    assert actions[(0, 2)] == "ut_b" and actions[(3, 4)] == "connect"
+    assert actions == {(0, 2): "ut_b", (1, 2): "fi", (1, 3): "connect",
+                       (2, 4): "fb", (3, 4): "connect"}
+
+
+def test_fix_log_holds_only_actions_into_live_slots():
+    # slots 3 and 4 have no path to the PO (5): their wiring is realized,
+    # so the decoy draws stay in step, but never logged or built
+    space = PositionSpace(n_pi=2, n_and=3)
+    g_states = {(0, 2): "10", (2, 5): "10", (1, 3): "11", (3, 4): "10"}
+    f_states = {(0, 2): "11", (2, 5): "10"}
+    a_states = {(1, 2): "10", (0, 4): "10"}
+    live = live_slots(set(g_states) | set(f_states) | set(a_states), space)
+    assert live == {2, 5}
+    real, gf, log1 = functional_preserve(g_states, f_states, live)
+    log2 = appearance_mimic(gf, a_states, real, live)
+    assert set(real) == set(g_states) | set(a_states)
+    assert [(e["phase"], e["pair"], e["action"]) for e in log1 + log2] == [
+        ("functional", [0, 2], "ut_b"), ("appearance", [1, 2], "fb")]
 
 
 def test_appearance_mimic_respects_function():
-    space = PositionSpace(n_pi=2, n_and=2)
     real = {(0, 2): {"kind": "wire", "functional": True},
             (1, 2): {"kind": "ut_a", "functional": True}}
     gf = {(0, 2): "10", (1, 2): "11"}
     a_states = {(0, 2): "11", (1, 2): "10", (1, 3): "10"}
-    log = appearance_mimic(gf, a_states, real, space)
+    log = appearance_mimic(gf, a_states, real, live={2, 3, 4})
     assert real[(0, 2)] == {"kind": "ut_a", "functional": True}
     assert real[(1, 3)] == {"kind": "fb", "functional": False}
     skipped = [e for e in log if e.get("skipped")]
@@ -168,6 +187,22 @@ def test_pipeline_preserves_function(toy_checkpoint):
     for key in ("p", "th", "seed", "checkpoint_sha256", "baseline_cells"):
         assert key in nl.metadata
     assert area_overhead(nl) > 0
+
+
+def test_checkpoint_sha256_follows_the_weights(toy_checkpoint, tmp_path):
+    from ipcamo.vae import load_vae, save_vae
+    params, _ = toy_checkpoint
+    digest = checkpoint_sha256(params)
+    save_vae(params, str(tmp_path / "ckpt.json"))
+    assert checkpoint_sha256(load_vae(str(tmp_path / "ckpt.json"))) == digest
+    w = params.dec_init_b.data
+    old = w.flat[0]
+    try:
+        w.flat[0] = np.nextafter(old, np.inf)
+        assert checkpoint_sha256(params) != digest
+    finally:
+        w.flat[0] = old
+    assert checkpoint_sha256(params) == digest
 
 
 def test_pipeline_deterministic_json(toy_checkpoint):

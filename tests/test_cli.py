@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ipcamo
@@ -128,6 +129,30 @@ def test_attack_report(workspace, tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         assert line.split(",")[4] in ("solved", "budget-exceeded")
+
+
+def test_attack_budget_rows_are_byte_identical(toy_checkpoint, tmp_path):
+    """A run cut by its budget writes no counts that depend on the machine's
+    speed. On ac08's desk netlist the second DIP solve alone takes seconds,
+    so at a 0.5 s budget both runs stop on the clock."""
+    from ipcamo.aig import random_tree
+    from ipcamo.camouflage import camouflage_pipeline
+    params, _ = toy_checkpoint
+    rng = np.random.default_rng(100)
+    f, a = random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10)
+    nets = tmp_path / "netlists"
+    nets.mkdir()
+    (nets / "netlist_p0.5_th0.05.json").write_text(
+        camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0).to_json())
+    out = tmp_path / "attack"
+    cfg = _write_cfg(tmp_path / "a.json", {"out": str(out), "netlists": str(nets)})
+    runs = []
+    for _ in range(2):
+        assert main(["attack", "--config", str(cfg), "--budget", "0.5"]) == EXIT_OK
+        runs.append([(out / n).read_bytes() for n in ("attack.csv", "manifest.json")])
+    assert runs[0] == runs[1]
+    row = runs[0][0].decode().splitlines()[1]
+    assert row.split(",")[3:] == ["5708", "budget-exceeded", "", ""]
 
 
 def test_eval_report(workspace, tmp_path):
