@@ -1,9 +1,10 @@
 """Latent interpolation, threshold filtering and the two-phase fix engine.
 
 The generated graph G-hat is reconciled against the functional target F and
-the appearance target A on a shared "position space": after padding, the k-th
-node of each type in either graph occupies the same slot, ordered PIs, then
-ANDs, then the output.
+the appearance target A on the nodes of F padded to A's type counts: PIs,
+then ANDs, then the output. A-padded-to-F has the same layout, and the k-th
+node of each type in G-hat takes the layout's k-th node of that type, so
+G-hat supplies only wiring.
 """
 from __future__ import annotations
 
@@ -98,88 +99,34 @@ def fix_lookup(g_state: str, target_state: str, phase: str) -> str | None:
     raise ValueError(f"unknown phase {phase!r}")
 
 
-# -- Position space -----------------------------------------------------------
+# -- Slot layout --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositionSpace:
-    """Typed slots shared by F, A and G-hat: PIs, then ANDs, then one PO."""
-
-    n_pi: int
-    n_and: int
-
-    @property
-    def n(self) -> int:
-        return self.n_pi + self.n_and + 1
-
-    @property
-    def po(self) -> int:
-        return self.n_pi + self.n_and
-
-    def type_of(self, idx: int) -> NodeType:
-        if idx < self.n_pi:
-            return NodeType.PI
-        if idx < self.po:
-            return NodeType.AND
-        return NodeType.PO
-
-
-def _positions(g: AigGraph, space: PositionSpace) -> list[int]:
-    """Map each node to its slot: the k-th node of a type gets that type's k-th slot."""
-    pos = []
-    counts = {NodeType.PI: 0, NodeType.AND: 0, NodeType.PO: 0}
-    for t in g.types:
-        k = counts[t]
-        counts[t] += 1
-        if t is NodeType.PI:
-            if k >= space.n_pi:
-                raise ValueError("position space has too few PI slots")
-            pos.append(k)
-        elif t is NodeType.AND:
-            if k >= space.n_and:
-                raise ValueError("position space has too few AND slots")
-            pos.append(space.n_pi + k)
-        else:
-            if k >= 1:
-                raise ValueError("position space holds a single PO")
-            pos.append(space.po)
-    return pos
-
-
-def _pair_states(g: AigGraph, space: PositionSpace) -> dict[tuple[int, int], str]:
-    pos = _positions(g, space)
+def _pair_states(g: AigGraph, layout: AigGraph) -> dict[tuple[int, int], str]:
+    """Edge states of g placed on the layout's nodes: the k-th node of each
+    type in g takes the layout's k-th node of that type. A node past the
+    layout's count for its type is dropped with its edges, and so is an
+    edge into a PI."""
+    slots = {t: iter(layout.indices(t)) for t in NodeType}
+    pos = [next(slots[t], None) for t in g.types]
     states: dict[tuple[int, int], str] = {}
     for s, d, inv in g.edges:
+        if pos[s] is None or pos[d] is None:
+            continue
         u, v = sorted((pos[s], pos[d]))
-        states[(u, v)] = "11" if inv else "10"
+        if layout.types[v] is not NodeType.PI:
+            states[(u, v)] = "11" if inv else "10"
     return states
-
-
-def live_slots(pairs, space: PositionSpace) -> set[int]:
-    """Non-PI slots with a path to the PO over the given wired pairs."""
-    preds: dict[int, list[int]] = {}
-    for u, v in pairs:
-        preds.setdefault(v, []).append(u)
-    live: set[int] = set()
-    stack = [space.po]
-    while stack:
-        v = stack.pop()
-        if v not in live:
-            live.add(v)
-            stack.extend(u for u in preds.get(v, ()) if u >= space.n_pi)
-    return live
 
 
 # -- Fix phases ---------------------------------------------------------------
 #
 # A realization record tracks, per pair, how the visible wiring is built and
 # whether a real signal rides on it ("functional") or it is quietly tied off.
-# Every wired pair is realized, but only actions on pairs into live slots are
-# logged: the rest of the wiring is never built.
 
 
 def functional_preserve(
-    g_states: dict, f_states: dict, live: set[int]
+    g_states: dict, f_states: dict
 ) -> tuple[dict, dict, list[dict]]:
     """Phase 1: make the generated wiring compute F. Returns (realization,
     post-fix apparent states, fix log)."""
@@ -190,7 +137,7 @@ def functional_preserve(
         sg = g_states.get(pair, "00")
         sf = f_states.get(pair, "00")
         action = fix_lookup(sg, sf, "functional")
-        if action is not None and pair[1] in live:
+        if action is not None:
             log.append({"phase": "functional", "pair": list(pair),
                         "g_state": sg, "f_state": sf, "action": action})
         if action == "connect":
@@ -213,9 +160,7 @@ def functional_preserve(
     return realization, gf_states, log
 
 
-def appearance_mimic(
-    gf_states: dict, a_states: dict, realization: dict, live: set[int]
-) -> list[dict]:
+def appearance_mimic(gf_states: dict, a_states: dict, realization: dict) -> list[dict]:
     """Phase 2: reshape the visible wiring toward A without touching function."""
     log = []
     for pair in sorted(set(gf_states) | set(a_states)):
@@ -224,73 +169,41 @@ def appearance_mimic(
         action = fix_lookup(sg, sa, "appearance")
         if action is None:
             continue
-        skipped = False
+        entry = {"phase": "appearance", "pair": list(pair),
+                 "g_state": sg, "a_state": sa, "action": action}
         if action in ("fb", "fi"):
             realization[pair] = {"kind": action, "functional": False}
         else:
             prev = realization[pair]  # sg is connected, so a record exists
-            skipped = prev["kind"] in ("ut_a", "ut_b")
-            if not skipped:
+            if prev["kind"] in ("ut_a", "ut_b"):
+                entry["skipped"] = "pair already realized as a camouflaged NAND"
+            else:
                 realization[pair] = {"kind": action,
                                      "functional": prev["functional"]}
-        if pair[1] in live:
-            entry = {"phase": "appearance", "pair": list(pair),
-                     "g_state": sg, "a_state": sa, "action": action}
-            if skipped:
-                entry["skipped"] = "pair already realized as a camouflaged NAND"
-            log.append(entry)
+        log.append(entry)
     return log
 
 
 # -- Netlist assembly ---------------------------------------------------------
 
 
-def _slot_names(space: PositionSpace, fp: AigGraph) -> tuple[list[str], list[bool]]:
-    names, dummy = [], []
-    by_type = {NodeType.PI: [], NodeType.AND: [], NodeType.PO: []}
-    for i, t in enumerate(fp.types):
-        by_type[t].append(i)
-    for k in range(space.n_pi):
-        if k < len(by_type[NodeType.PI]):
-            i = by_type[NodeType.PI][k]
-            names.append(fp.names[i])
-            dummy.append(fp.dummy[i])
-        else:
-            names.append(f"xpi{k}")
-            dummy.append(True)
-    for k in range(space.n_and):
-        if k < len(by_type[NodeType.AND]):
-            i = by_type[NodeType.AND][k]
-            names.append(f"g{space.n_pi + k}")
-            dummy.append(fp.dummy[i])
-        else:
-            names.append(f"g{space.n_pi + k}")
-            dummy.append(True)
-    names.append(fp.names[by_type[NodeType.PO][0]])
-    dummy.append(False)
-    return names, dummy
-
-
 def _build_views(
-    space: PositionSpace,
-    realization: dict,
-    live: set[int],
-    names: list[str],
-    dummy: list[bool],
-    rng: np.random.Generator,
+    fp: AigGraph, realization: dict, rng: np.random.Generator
 ) -> tuple[AigGraph, Circuit, list[CovertInstance]]:
     """Functional view (pruned to the PO cone) and appearance view with its
-    covert placements; only live slots get cells, so nothing floats."""
-    incoming: dict[int, list] = {v: [] for v in range(space.n)}
+    covert placements. Each AND slot is a node of F or of A, so every slot
+    has wiring into it and a path to the PO."""
+    n_pi = len(fp.pi_indices)
+    names = [f"g{i}" if t is NodeType.AND else fp.names[i]
+             for i, t in enumerate(fp.types)]
+    incoming: dict[int, list] = {v: [] for v in range(n_pi, fp.n)}
     func_edges = []
     for (u, v), r in sorted(realization.items()):
-        if v < space.n_pi:
-            continue  # input slots ignore incoming wiring; nothing to realize
         incoming[v].append((u, r))
         if r["functional"]:
             func_edges.append((u, v, r["kind"] in ("inv", "ut_b")))
 
-    pi_nets = names[: space.n_pi]
+    pi_nets = names[:n_pi]
     c = Circuit()
     for name in pi_nets:  # duplicated leaf names are one shared signal
         if name not in c.gates:
@@ -325,26 +238,16 @@ def _build_views(
                                          dummy_in=dummy_net))
         return out
 
-    for v in range(space.n_pi, space.n):
-        if v not in live:
-            # dead slots still draw, so built cells keep the decoys of a full build
-            uts = sum(r["kind"] in ("ut_a", "ut_b") for _, r in incoming[v])
-            for _ in range(uts if incoming[v] else 1):
-                rng.integers(len(pi_nets))
-            continue
-        ins = [realize_edge(u, v, r, k) for k, (u, r) in enumerate(incoming[v])]
-        if not ins:  # an unwired slot still needs a visible cell body
-            ins = [pi_nets[int(rng.integers(len(pi_nets)))]]
-        net = c.add(names[v], "and", *ins)
-        if v == space.po:
-            c.outputs.append(net)
-    # inputs that only dead slots read drop out
+    for v, edges in incoming.items():
+        ins = [realize_edge(u, v, r, k) for k, (u, r) in enumerate(edges)]
+        c.add(names[v], "and", *ins)
+    c.outputs.append(names[-1])
+    # a tree may feed an AND one input twice and so leave a PI unread
     read = {s for g in c.gates.values() for s in g.ins}
     c.gates = {n: g for n, g in c.gates.items() if g.op != "input" or n in read}
 
-    types = [space.type_of(i) for i in range(space.n)]
-    full = AigGraph(types=types, edges=sorted(func_edges),
-                    names=list(names), dummy=list(dummy))
+    full = AigGraph(types=list(fp.types), edges=sorted(func_edges),
+                    names=names, dummy=list(fp.dummy))
     return _prune_cone(full), c, placements
 
 
@@ -455,22 +358,11 @@ def camouflage_pipeline(
     soft = decode(z, fp.n, params)
     g_hat = from_tensors(threshold_filter(soft, th))
 
-    space = PositionSpace(
-        n_pi=max(len(fp.pi_indices), len(g_hat.pi_indices)),
-        n_and=max(len(fp.and_indices), len(g_hat.and_indices)),
-    )
-    f_states = _pair_states(fp, space)
-    a_states = _pair_states(ap, space)
-    g_states = _pair_states(g_hat, space)
-
-    live = live_slots(set(g_states) | set(f_states) | set(a_states), space)
-    realization, gf_states, log1 = functional_preserve(g_states, f_states, live)
-    log2 = appearance_mimic(gf_states, a_states, realization, live)
-
-    names, dummy = _slot_names(space, fp)
-    rng = np.random.default_rng(seed)
+    realization, gf_states, log1 = functional_preserve(
+        _pair_states(g_hat, fp), _pair_states(fp, fp))
+    log2 = appearance_mimic(gf_states, _pair_states(ap, fp), realization)
     functional_view, appearance_view, placements = _build_views(
-        space, realization, live, names, dummy, rng)
+        fp, realization, np.random.default_rng(seed))
 
     meta = {
         "p": p, "th": th, "seed": seed,

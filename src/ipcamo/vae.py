@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .aig import AigGraph, NodeType, TensorTriple, to_tensors
+from .aig import AigGraph, NodeType, TensorTriple, from_tensors, to_tensors
 from .autodiff import (AdamState, GruParams, MlpParams, Tensor, adam_step,
                        gru_step, init_gru, init_mlp, mlp_forward, no_grad)
 
@@ -340,7 +340,6 @@ def write_history_csv(history: list[dict], path: str) -> None:
 def reconstruct(g: AigGraph, p: VaeParams, th: float) -> AigGraph:
     """encode -> decode at |g| -> threshold filter -> graph (possibly non-canonical)."""
     from .camouflage import threshold_filter  # local import avoids a cycle
-    from .aig import from_tensors
 
     code = encode(g, p)
     soft = decode(code.mu, g.n, p)

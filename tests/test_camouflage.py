@@ -2,14 +2,15 @@
 import numpy as np
 import pytest
 
-from ipcamo.aig import NodeType, TensorTriple, random_tree, to_tensors
-from ipcamo.camouflage import (CamouflagedNetlist, PositionSpace,
-                               _pair_states, _positions, appearance_mimic,
-                               area_overhead, camouflage_pipeline,
-                               checkpoint_sha256, edge_state, fix_lookup,
-                               functional_preserve, interpolate, live_slots,
-                               threshold_filter)
+from ipcamo.aig import (AigGraph, NodeType, TensorTriple, normalize,
+                        pad_to_match, random_tree, to_tensors)
+from ipcamo.camouflage import (CamouflagedNetlist, _pair_states,
+                               appearance_mimic, area_overhead,
+                               camouflage_pipeline, checkpoint_sha256,
+                               edge_state, fix_lookup, functional_preserve,
+                               interpolate, threshold_filter)
 from ipcamo.attack import equivalence_check
+from ipcamo.gatelevel import prune
 
 
 def test_interpolation_endpoints_bitwise():
@@ -104,34 +105,31 @@ def test_fix_lookup_rejects_garbage():
     assert edge_state(0, 1) == "01"
 
 
-def test_position_space_mapping():
-    space = PositionSpace(n_pi=3, n_and=2)
-    assert space.n == 6 and space.po == 5
-    assert [space.type_of(i) for i in range(6)] == [
-        NodeType.PI, NodeType.PI, NodeType.PI,
-        NodeType.AND, NodeType.AND, NodeType.PO]
-    g = random_tree(np.random.default_rng(1), 2, n_pi_pool=3)
-    pos = _positions(g, PositionSpace(n_pi=len(g.pi_indices), n_and=2))
-    assert len(pos) == g.n and len(set(pos)) == g.n
-    with pytest.raises(ValueError, match="too few"):
-        _positions(g, PositionSpace(n_pi=0, n_and=2))
-
-
-def test_pair_states_records_polarity():
-    g = random_tree(np.random.default_rng(2), 3, n_pi_pool=4)
-    space = PositionSpace(n_pi=len(g.pi_indices), n_and=3)
-    states = _pair_states(g, space)
-    assert len(states) == len(g.edges)
-    assert set(states.values()) <= {"10", "11"}
+def test_pair_states_places_g_on_the_layout():
+    PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
+    layout = AigGraph(types=[PI, PI, AND, AND, PO],
+                      edges=[(0, 2, False), (1, 2, True), (1, 3, False),
+                             (2, 3, False), (3, 4, False)])
+    assert _pair_states(layout, layout) == {
+        (0, 2): "10", (1, 2): "11", (1, 3): "10", (2, 3): "10", (3, 4): "10"}
+    # g has one PI (node 3) and one AND (node 5) more than the layout
+    g = AigGraph(types=[PI, AND, PI, PI, AND, AND, PO],
+                 edges=[(0, 1, False),   # PI 0 -> AND 0: slots (0, 2)
+                        (2, 1, True),    # PI 1 -> AND 0: slots (1, 2), inverted
+                        (0, 2, False),   # into a PI slot: dropped
+                        (3, 4, False),   # from the surplus PI: dropped
+                        (1, 4, True),    # AND 0 -> AND 1: slots (2, 3)
+                        (4, 5, False),   # into the surplus AND: dropped
+                        (5, 6, False),   # from the surplus AND: dropped
+                        (4, 6, False)])  # AND 1 -> PO: slots (3, 4)
+    assert _pair_states(g, layout) == {
+        (0, 2): "10", (1, 2): "11", (2, 3): "11", (3, 4): "10"}
 
 
 def test_functional_preserve_actions():
-    space = PositionSpace(n_pi=2, n_and=2)
     g_states = {(0, 2): "10", (1, 2): "11", (2, 4): "10"}
     f_states = {(0, 2): "11", (1, 3): "10", (3, 4): "10"}
-    live = live_slots(set(g_states) | set(f_states), space)
-    assert live == {2, 3, 4}
-    real, gf, log = functional_preserve(g_states, f_states, live)
+    real, gf, log = functional_preserve(g_states, f_states)
     assert real[(0, 2)]["kind"] == "ut_b" and real[(0, 2)]["functional"]
     assert real[(1, 2)] == {"kind": "fi", "functional": False}
     assert real[(1, 3)] == {"kind": "wire", "functional": True}
@@ -142,28 +140,12 @@ def test_functional_preserve_actions():
                        (2, 4): "fb", (3, 4): "connect"}
 
 
-def test_fix_log_holds_only_actions_into_live_slots():
-    # slots 3 and 4 have no path to the PO (5): their wiring is realized,
-    # so the decoy draws stay in step, but never logged or built
-    space = PositionSpace(n_pi=2, n_and=3)
-    g_states = {(0, 2): "10", (2, 5): "10", (1, 3): "11", (3, 4): "10"}
-    f_states = {(0, 2): "11", (2, 5): "10"}
-    a_states = {(1, 2): "10", (0, 4): "10"}
-    live = live_slots(set(g_states) | set(f_states) | set(a_states), space)
-    assert live == {2, 5}
-    real, gf, log1 = functional_preserve(g_states, f_states, live)
-    log2 = appearance_mimic(gf, a_states, real, live)
-    assert set(real) == set(g_states) | set(a_states)
-    assert [(e["phase"], e["pair"], e["action"]) for e in log1 + log2] == [
-        ("functional", [0, 2], "ut_b"), ("appearance", [1, 2], "fb")]
-
-
 def test_appearance_mimic_respects_function():
     real = {(0, 2): {"kind": "wire", "functional": True},
             (1, 2): {"kind": "ut_a", "functional": True}}
     gf = {(0, 2): "10", (1, 2): "11"}
     a_states = {(0, 2): "11", (1, 2): "10", (1, 3): "10"}
-    log = appearance_mimic(gf, a_states, real, live={2, 3, 4})
+    log = appearance_mimic(gf, a_states, real)
     assert real[(0, 2)] == {"kind": "ut_a", "functional": True}
     assert real[(1, 3)] == {"kind": "fb", "functional": False}
     skipped = [e for e in log if e.get("skipped")]
@@ -174,6 +156,29 @@ def test_appearance_mimic_respects_function():
 def _toy_pair(seed):
     rng = np.random.default_rng(seed)
     return (random_tree(rng, 4, n_pi_pool=5), random_tree(rng, 5, n_pi_pool=5))
+
+
+def _desk_pair(seed):
+    rng = np.random.default_rng(seed)
+    return (random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10))
+
+
+@pytest.mark.parametrize("p,th", [(0.0, 0.01), (0.5, 0.05), (1.0, 0.5)])
+def test_pipeline_builds_every_slot_of_the_layout(toy_checkpoint, p, th):
+    """Each AND slot of F padded to A is built, the fix log stays on the
+    layout, and nothing in the view floats."""
+    params, _ = toy_checkpoint
+    pairs = [_toy_pair(s) for s in (10, 11)] + [_desk_pair(s) for s in (100, 101, 102, 103)]
+    for f, a in pairs:
+        fp = normalize(pad_to_match(f, a))
+        nl = camouflage_pipeline(f, a, params, p=p, th=th, seed=1)
+        view = nl.appearance_view
+        for i in fp.and_indices:
+            body = view.gates[f"g{i}"]
+            assert body.op == "and" and body.ins
+        for e in nl.fix_log:
+            assert max(e["pair"]) < fp.n and e["action"] is not None
+        assert list(prune(view).gates.items()) == list(view.gates.items())
 
 
 def test_pipeline_preserves_function(toy_checkpoint):
@@ -220,7 +225,6 @@ def test_pipeline_deterministic_json(toy_checkpoint):
 def test_pipeline_rejects_non_trees(toy_checkpoint):
     params, _ = toy_checkpoint
     f, a = _toy_pair(12)
-    from ipcamo.aig import AigGraph
     dag = AigGraph(types=[NodeType.PI, NodeType.AND, NodeType.AND, NodeType.PO],
                    edges=[(0, 1, False), (0, 2, False), (1, 3, False),
                           (1, 2, True), (2, 3, False)])
