@@ -105,14 +105,13 @@ def test_fix_lookup_rejects_garbage():
     assert edge_state(0, 1) == "01"
 
 
-def test_pair_states_places_g_on_the_layout():
+def test_position_space_mapping():
     PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
     layout = AigGraph(types=[PI, PI, AND, AND, PO],
                       edges=[(0, 2, False), (1, 2, True), (1, 3, False),
                              (2, 3, False), (3, 4, False)])
-    assert _pair_states(layout, layout) == {
-        (0, 2): "10", (1, 2): "11", (1, 3): "10", (2, 3): "10", (3, 4): "10"}
-    # g has one PI (node 3) and one AND (node 5) more than the layout
+    # g has one PI (node 3) and one AND (node 5) more than the layout; the
+    # k-th node of each type in g takes the layout's k-th node of that type
     g = AigGraph(types=[PI, AND, PI, PI, AND, AND, PO],
                  edges=[(0, 1, False),   # PI 0 -> AND 0: slots (0, 2)
                         (2, 1, True),    # PI 1 -> AND 0: slots (1, 2), inverted
@@ -124,6 +123,21 @@ def test_pair_states_places_g_on_the_layout():
                         (4, 6, False)])  # AND 1 -> PO: slots (3, 4)
     assert _pair_states(g, layout) == {
         (0, 2): "10", (1, 2): "11", (2, 3): "11", (3, 4): "10"}
+
+
+def test_pair_states_records_polarity():
+    PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
+    layout = AigGraph(types=[PI, PI, AND, AND, PO],
+                      edges=[(0, 2, False), (1, 2, True), (1, 3, False),
+                             (2, 3, False), (3, 4, False)])
+    assert _pair_states(layout, layout) == {
+        (0, 2): "10", (1, 2): "11", (1, 3): "10", (2, 3): "10", (3, 4): "10"}
+    g = random_tree(np.random.default_rng(2), 3, n_pi_pool=4)
+    states = _pair_states(g, g)
+    assert len(states) == len(g.edges)
+    assert set(states.values()) <= {"10", "11"}
+    assert sorted(v == "11" for v in states.values()) == sorted(
+        inv for _, _, inv in g.edges)
 
 
 def test_functional_preserve_actions():
