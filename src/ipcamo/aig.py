@@ -97,9 +97,6 @@ class AigGraph:
     def po_names(self) -> list[str]:
         return [self.names[i] for i in self.po_indices]
 
-    def preds(self, i: int) -> list[tuple[int, bool]]:
-        return [(s, inv) for s, d, inv in self.edges if d == i]
-
     def pred_table(self) -> list[list[tuple[int, bool]]]:
         tbl: list[list[tuple[int, bool]]] = [[] for _ in range(self.n)]
         for s, d, inv in self.edges:

@@ -14,7 +14,7 @@ import numpy as np
 from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, sat_solve
-from .covert import CovertGateKind, CovertInstance, config_key_bits
+from .covert import KEY00_OP, CovertInstance, cell_nets, config_key_bits
 from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, simplify,
                         substitute)
 
@@ -168,11 +168,7 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     """
     src = nl.appearance_view
     by_out = {p.out: p for p in nl.placements}
-    consumed: set[str] = set()
-    for p in nl.placements:
-        consumed.add(p.out)
-        if p.kind is CovertGateKind.FB:  # second cell of the inverter pair
-            consumed.add(src.gates[p.out].ins[0])
+    consumed = {net for p in nl.placements for net in cell_nets(p, src)}
 
     candidates: list[tuple[str, CovertInstance | None]] = []
     for net in sorted(src.gates):
@@ -210,18 +206,10 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
         c.add(k1, "input")
         c.add(k0, "input")
         if p is not None:
-            if p.kind in (CovertGateKind.UT_A, CovertGateKind.FB):
-                normal = p.real_in  # UT-A passes through; FB reads as a buffer
-            else:  # UT-B passes inverted; FI has no pass mode, key 00 reads the mask
-                normal = c.add(f"{net}__norm", "not", p.real_in)
+            op, ins = KEY00_OP[p.kind], (p.real_in,)
         else:
-            g = src.gates[net]
-            if g.op == "not":
-                normal = c.add(f"{net}__norm", "not", g.ins[0])
-            elif g.op == "buf":
-                normal = g.ins[0]
-            else:
-                normal = c.add(f"{net}__norm", "nand", *g.ins)
+            op, ins = src.gates[net].op, src.gates[net].ins
+        normal = ins[0] if op == "buf" else c.add(f"{net}__norm", op, *ins)
         _keyed_cell(c, net, normal, k1, k0)
     return KeyedNetlist(c, key_inputs, correct)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aig import AigGraph, NodeType, TensorTriple, from_tensors, normalize, pad_to_match
-from .covert import CovertConfig, CovertGateKind, CovertInstance
+from .covert import CovertConfig, CovertGateKind, CovertInstance, apparent_op, draw_cell
 from .gatelevel import Circuit, circuit_from_obj, circuit_to_obj, from_aig
 from .vae import VaeParams, decode, encode
 
@@ -218,25 +218,12 @@ def _build_views(
             return src
         if kind == "inv":
             return c.add(stem, "not", src)
-        if kind == "fi":
-            out = c.add(stem, "not", src)
-            placements.append(CovertInstance(CovertGateKind.FI, CovertConfig.CONST1,
-                                             out=out, real_in=src))
-            return out
-        if kind == "fb":
-            mid = c.add(stem + "a", "not", src)
-            out = c.add(stem, "not", mid)
-            placements.append(CovertInstance(CovertGateKind.FB, CovertConfig.CONST1,
-                                             out=out, real_in=src))
-            return out
-        # camouflaged NAND; the second fan-in is a decoy tap on a primary input
-        gk = CovertGateKind.UT_A if kind == "ut_a" else CovertGateKind.UT_B
+        gk = CovertGateKind[kind.upper()]  # "fi", "fb", "ut_a" or "ut_b"
         cfg = CovertConfig.NORMAL if r["functional"] else CovertConfig.CONST1
-        dummy_net = pi_nets[int(rng.integers(len(pi_nets)))]
-        out = c.add(stem, "nand", src, dummy_net)
-        placements.append(CovertInstance(gk, cfg, out=out, real_in=src,
-                                         dummy_in=dummy_net))
-        return out
+        # a camouflaged NAND's second fan-in is a decoy tap on a primary input
+        dummy = pi_nets[int(rng.integers(len(pi_nets)))] if apparent_op(gk) == "nand" else None
+        placements.append(draw_cell(c, gk, cfg, stem, src, dummy))
+        return stem
 
     for v, edges in incoming.items():
         ins = [realize_edge(u, v, r, k) for k, (u, r) in enumerate(edges)]

@@ -1,8 +1,10 @@
-"""Covert gate primitives: actual vs. apparent behavior, key encoding."""
+"""Covert gate primitives: actual vs. apparent behavior, cell layout, key encoding."""
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+from .gatelevel import Circuit
 
 
 class CovertGateKind(enum.Enum):
@@ -56,6 +58,29 @@ class CovertInstance:
             raise ValueError(f"{self.kind.value} needs a dummy input net")
 
 
+def draw_cell(c: Circuit, kind: CovertGateKind, config: CovertConfig, out: str,
+              real_in: str, dummy_in: str | None = None) -> CovertInstance:
+    """Add one covert cell driving net out to c and return its placement.
+
+    FI is one inverter; FB is two, its middle net `out + "a"` added first;
+    UT-A and UT-B are a NAND of the real input and the dummy tap."""
+    cell = CovertInstance(kind, config, out=out, real_in=real_in, dummy_in=dummy_in)
+    if kind is CovertGateKind.FI:
+        c.add(out, "not", real_in)
+    elif kind is CovertGateKind.FB:
+        c.add(out, "not", c.add(out + "a", "not", real_in))
+    else:
+        c.add(out, "nand", real_in, dummy_in)
+    return cell
+
+
+def cell_nets(p: CovertInstance, c: Circuit) -> tuple[str, ...]:
+    """Nets of c a placement occupies: its output, and an FB's middle inverter."""
+    if p.kind is CovertGateKind.FB:
+        return p.out, c.gates[p.out].ins[0]
+    return (p.out,)
+
+
 def gate_function(kind: CovertGateKind, config: CovertConfig, x: int | None = None) -> int:
     """Real (fabricated) output bit; x is the true input for UT pass-through."""
     if config not in LEGAL_CONFIGS[kind]:
@@ -85,7 +110,16 @@ def apparent_function(kind: CovertGateKind, x: int, dummy: int = 1) -> int:
 # Every inverter, buffer pair and (N)AND-looking cell is a candidate covert
 # site, so the attacker models each with 2 key bits selecting its behavior
 # (attack.keyize_netlist): 00 keeps the cell function, 01 ties it low, and
-# 10 and its alias 11 tie it high.
+# 10 and its alias 11 tie it high. Key 00 reads a covert cell as the
+# one-input op below applied to its real input: a UT pass-through mode, and
+# the apparent function of FI and FB, which have none.
+
+KEY00_OP = {
+    CovertGateKind.FI: "not",
+    CovertGateKind.FB: "buf",
+    CovertGateKind.UT_A: "buf",
+    CovertGateKind.UT_B: "not",
+}
 
 
 _KEY_BITS = {

@@ -10,7 +10,8 @@ import numpy as np
 
 from .aig import AigGraph
 from .camouflage import CamouflagedNetlist
-from .covert import CovertConfig, CovertGateKind, CovertInstance
+from .covert import (CovertConfig, CovertGateKind, CovertInstance, apparent_op,
+                     cell_nets, draw_cell)
 from .gatelevel import Circuit, Gate, from_aig
 from .ged import graph_edit_distance
 from .vae import VaeParams, encode
@@ -185,41 +186,19 @@ def random_covert_insertion(
     for step in range(k):
         target = and_nets[int(rng.integers(len(and_nets)))]
         g = out.gates[target]
-        kind = ("fi", "fb", "ut_splice", "ut_const")[int(rng.integers(4))]
+        kind = tuple(CovertGateKind)[int(rng.integers(4))]
         src = pis[int(rng.integers(len(pis)))]
         stem = f"{target}__cov{step}"
-        if kind == "ut_splice":
-            # camouflaged buffer spliced into one real fan-in wire
-            j = int(rng.integers(len(g.ins)))
-            wire = g.ins[j]
-            dummy = pis[int(rng.integers(len(pis)))]
-            out.add(stem, "nand", wire, dummy)
-            placements.append(CovertInstance(CovertGateKind.UT_A,
-                                             CovertConfig.NORMAL, out=stem,
-                                             real_in=wire, dummy_in=dummy))
-            ins = list(g.ins)
-            ins[j] = stem
-            out.gates[target] = Gate("and", tuple(ins))
-            continue
-        # a decoy fan-in whose real value is tied high (non-controlling)
-        if kind == "fi":
-            out.add(stem, "not", src)
-            placements.append(CovertInstance(CovertGateKind.FI,
-                                             CovertConfig.CONST1, out=stem,
-                                             real_in=src))
-        elif kind == "fb":
-            out.add(stem + "a", "not", src)
-            out.add(stem, "not", stem + "a")
-            placements.append(CovertInstance(CovertGateKind.FB,
-                                             CovertConfig.CONST1, out=stem,
-                                             real_in=src))
-        else:
-            dummy = pis[int(rng.integers(len(pis)))]
-            out.add(stem, "nand", src, dummy)
-            placements.append(CovertInstance(CovertGateKind.UT_B,
-                                             CovertConfig.CONST1, out=stem,
-                                             real_in=src, dummy_in=dummy))
-        out.gates[target] = Gate("and", tuple(g.ins) + (stem,))
+        ins = list(g.ins)
+        if kind is CovertGateKind.UT_A:  # a camouflaged buffer spliced into a fan-in wire
+            j = int(rng.integers(len(ins)))
+            src, ins[j] = ins[j], stem
+        else:  # a decoy fan-in whose real value is tied high (non-controlling)
+            ins.append(stem)
+        dummy = pis[int(rng.integers(len(pis)))] if apparent_op(kind) == "nand" else None
+        cfg = CovertConfig.NORMAL if kind is CovertGateKind.UT_A else CovertConfig.CONST1
+        placements.append(draw_cell(out, kind, cfg, stem, src, dummy))
+        out.gates[target] = Gate("and", tuple(ins))
 
     meta = {"method": f"random_{mode}", "value": value,
             "baseline_cells": base_cells, "placements": len(placements)}
@@ -254,11 +233,8 @@ def export_gnn_dataset(netlists: list[CamouflagedNetlist], path: str) -> None:
         wl.writerow(["graph_id", "node", "family", "is_covert", "covert_kind"])
         for gid, nl in enumerate(netlists):
             c = nl.appearance_view
-            covert: dict[str, str] = {}
-            for p in nl.placements:
-                covert[p.out] = p.kind.value
-                if p.kind is CovertGateKind.FB:
-                    covert[c.gates[p.out].ins[0]] = p.kind.value
+            covert = {net: p.kind.value for p in nl.placements
+                      for net in cell_nets(p, c)}
             fam = nl.metadata["family"]
             for net in sorted(c.gates):
                 g = c.gates[net]

@@ -158,7 +158,7 @@ def circuit_from_obj(obj: dict) -> Circuit:
     return Circuit(gates=gates, outputs=list(obj["outputs"]))
 
 
-def from_aig(g: AigGraph, prefix: str = "") -> Circuit:
+def from_aig(g: AigGraph) -> Circuit:
     """Lower a canonical AIG to gates; PIs with equal names share one input net."""
     bad = g.issues()
     if bad:
@@ -169,7 +169,7 @@ def from_aig(g: AigGraph, prefix: str = "") -> Circuit:
     # PI and PO nets carry their AIG names; an AND or inverter net whose
     # default name is one of those, or already used, takes the first free
     # `<name>_<k>`, so graphs without such a clash keep the default names.
-    reserved = {prefix + g.names[i] for i, t in enumerate(g.types) if t is not NodeType.AND}
+    reserved = {g.names[i] for i, t in enumerate(g.types) if t is not NodeType.AND}
 
     def free(net: str) -> str:
         k, name = 0, net
@@ -185,17 +185,17 @@ def from_aig(g: AigGraph, prefix: str = "") -> Circuit:
 
     for i, t in enumerate(g.types):
         if t is NodeType.PI:
-            name = prefix + g.names[i]
+            name = g.names[i]
             if name not in c.gates:
                 c.add(name, "input")
             net_of[i] = name
         elif t is NodeType.AND:
-            net = free(f"{prefix}n{i}")
+            net = free(f"n{i}")
             ins = [lit(s, inv, net, k) for k, (s, inv) in enumerate(preds[i])]
             c.add(net, "and", *ins)
             net_of[i] = net
         else:
-            net = prefix + g.names[i]
+            net = g.names[i]
             (s, inv), = preds[i]
             c.add(net, "not" if inv else "buf", net_of[s])
             net_of[i] = net

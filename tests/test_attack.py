@@ -13,7 +13,7 @@ from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
 from ipcamo.camouflage import CamouflagedNetlist, camouflage_pipeline
 from ipcamo.cnf import CnfFormula, sat_solve
 from ipcamo.covert import (LEGAL_CONFIGS, CovertConfig, CovertGateKind,
-                           CovertInstance, apparent_op, config_key_bits)
+                           CovertInstance, apparent_op, config_key_bits, draw_cell)
 from ipcamo.evaluation import random_covert_insertion
 from ipcamo.gatelevel import Circuit, from_aig, prune
 
@@ -59,13 +59,11 @@ def test_equivalence_check_small():
     c = from_aig(g)
     assert equivalence_check(g, c)
     # flip the output polarity -> inequivalent
-    flipped = from_aig(g, prefix="q_")
+    flipped = from_aig(g)
     out = flipped.outputs[0]
     gate = flipped.gates[out]
     flipped.gates[out] = type(gate)("not" if gate.op == "buf" else "buf", gate.ins)
-    ren = {n: n[2:] if n.startswith("q_") else n for n in flipped.gates}
-    ren[out] = g.po_names[0]
-    assert not equivalence_check(c, flipped.renamed(ren))
+    assert not equivalence_check(c, flipped)
 
 
 def test_equivalence_check_wide_support_uses_sat():
@@ -259,20 +257,23 @@ def test_dip_attack_gives_dead_keys_no_variables(monkeypatch):
     assert key_is_correct(kn, traces[0].key)
 
 
-def _one_cell_netlist(op, placement=None):
-    """Appearance view y = op(x[, d]); an FB cell is drawn as two inverters."""
+def _one_cell_netlist(kind, config=None):
+    """y = kind(x[, d]): a genuine cell when kind is an op name, else one
+    covert cell laid out by draw_cell with real input x and dummy tap d."""
     c = Circuit()
     c.add("x", "input")
     c.add("d", "input")
-    if placement is not None and placement.kind is CovertGateKind.FB:
-        c.add("y", "not", c.add("ya", "not", "x"))
-    elif op == "nand":
+    placements = []
+    if config is not None:
+        dummy = "d" if apparent_op(kind) == "nand" else None
+        placements.append(draw_cell(c, kind, config, "y", "x", dummy))
+    elif kind == "nand":
         c.add("y", "nand", "x", "d")
     else:
-        c.add("y", op, "x")
+        c.add("y", kind, "x")
     c.outputs = ["y"]
     # keyize_netlist reads only the appearance view and the placements
-    return CamouflagedNetlist(None, c, [placement] if placement else [], [])
+    return CamouflagedNetlist(None, c, placements, [])
 
 
 _KEY00 = {  # the true cell function each candidate keeps under key 00
@@ -288,22 +289,18 @@ _KEY00 = {  # the true cell function each candidate keeps under key 00
 
 def test_keyize_candidate_semantics():
     cases = [(op, None) for op in ("not", "buf", "nand")]
-    for kind, configs in LEGAL_CONFIGS.items():
-        for cfg in sorted(configs, key=lambda c: c.value):
-            dummy = "d" if apparent_op(kind) == "nand" else None
-            cases.append((kind, CovertInstance(kind, cfg, out="y", real_in="x",
-                                               dummy_in=dummy)))
-    for kind, placement in cases:
-        op = kind if placement is None else apparent_op(kind)
-        kn = keyize_netlist(_one_cell_netlist(op, placement))
+    cases += [(kind, cfg) for kind, configs in LEGAL_CONFIGS.items()
+              for cfg in sorted(configs, key=lambda c: c.value)]
+    for kind, cfg in cases:
+        kn = keyize_netlist(_one_cell_netlist(kind, cfg))
         assert kn.n_key_bits == 2
-        want_key = (0, 0) if placement is None else config_key_bits(placement.config)
-        assert tuple(kn.correct_key) == want_key, (kind, placement)
+        want_key = (0, 0) if cfg is None else config_key_bits(cfg)
+        assert tuple(kn.correct_key) == want_key, (kind, cfg)
         for x, d in itertools.product((0, 1), repeat=2):
             for key, want in (((0, 0), _KEY00[kind](x, d)), ((0, 1), 0),
                               ((1, 0), 1), ((1, 1), 1)):
                 got = kn.evaluate(list(key), {"x": x, "d": d})["y"]
-                assert got == want, (kind, placement, key, x, d)
+                assert got == want, (kind, cfg, key, x, d)
 
 
 @pytest.mark.parametrize("seed", range(5))

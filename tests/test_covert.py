@@ -1,8 +1,12 @@
 """Covert gate semantics: actual vs. apparent behavior."""
 import pytest
 
-from ipcamo.covert import (CovertConfig, CovertGateKind, CovertInstance,
-                           apparent_function, apparent_op, gate_function)
+from ipcamo.attack import keyize_netlist
+from ipcamo.camouflage import CamouflagedNetlist
+from ipcamo.covert import (LEGAL_CONFIGS, CovertConfig, CovertGateKind,
+                           CovertInstance, apparent_function, apparent_op,
+                           cell_nets, draw_cell, gate_function)
+from ipcamo.gatelevel import Circuit, Gate
 
 K = CovertGateKind
 C = CovertConfig
@@ -46,3 +50,25 @@ def test_ut_needs_dummy_input():
     with pytest.raises(ValueError, match="dummy"):
         CovertInstance(K.UT_A, C.NORMAL, out="o", real_in="x")
     CovertInstance(K.UT_A, C.NORMAL, out="o", real_in="x", dummy_in="d")
+
+
+def test_draw_cell_layout_matches_cell_nets_and_key_model():
+    for kind, configs in LEGAL_CONFIGS.items():
+        for cfg in sorted(configs, key=lambda c: c.value):
+            c = Circuit()
+            c.add("x", "input")
+            c.add("d", "input")
+            dummy = "d" if apparent_op(kind) == "nand" else None
+            p = draw_cell(c, kind, cfg, "y", "x", dummy)
+            assert (p.kind, p.config, p.out, p.real_in, p.dummy_in) == \
+                (kind, cfg, "y", "x", dummy)
+            nets = cell_nets(p, c)
+            assert sorted(nets) == sorted(set(c.gates) - {"x", "d"}), (kind, cfg)
+            if kind is K.FB:
+                assert c.gates[nets[1]] == Gate("not", ("x",))
+            c.outputs = ["y"]
+            kn = keyize_netlist(CamouflagedNetlist(None, c, [p], []))
+            for x in (0, 1):
+                for d in (0, 1):
+                    got = kn.evaluate(kn.correct_key, {"x": x, "d": d})["y"]
+                    assert got == gate_function(kind, cfg, x), (kind, cfg, x, d)
