@@ -1,8 +1,9 @@
 """Attack-side tooling: CNF encoding, equivalence checking and the DIP loop.
 
 The camouflaged netlist is re-expressed as an ordinary circuit with extra
-key inputs (2 bits per candidate cell), so the oracle-guided SAT attack and
-the logic-locking baseline share one code path.
+key inputs (2 bits per candidate cell in the output cone, each one read by
+the circuit), so the oracle-guided SAT attack and the logic-locking
+baseline share one code path.
 """
 from __future__ import annotations
 
@@ -134,11 +135,6 @@ class KeyedNetlist:
         return len(self.key_inputs)
 
     @property
-    def live_key_inputs(self) -> list[str]:
-        """Key inputs that are nets of the circuit; the others drive nothing."""
-        return [n for n in self.key_inputs if n in self.circuit.gates]
-
-    @property
     def payload_inputs(self) -> list[str]:
         keys = set(self.key_inputs)
         return [n for n in self.circuit.inputs if n not in keys]
@@ -161,10 +157,9 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
 
     Every covert placement and every genuine inverter/buffer/NAND cell is a
     candidate with 2 key bits: 00 keeps the true cell function, 01 ties the
-    output low, 10 (and its alias 11) ties it high. Keys are numbered and
-    `correct_key` is set over all candidates, but only cells in the output
-    cone are built: a candidate that cannot reach an output keeps its key
-    inputs in `key_inputs` and has no cell in the circuit.
+    output low, 10 (and its alias 11) ties it high. Only candidates in the
+    output cone get a cell and key bits (`key{2i}`, `key{2i+1}` for the i-th
+    of them), so every key input is an input of the circuit.
     """
     src = nl.appearance_view
     by_out = {p.out: p for p in nl.placements}
@@ -197,14 +192,11 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     c.outputs = list(src.outputs)
     key_inputs: list[str] = []
     correct: list[int] = []
-    for i, (net, p) in enumerate(candidates):
-        k1, k0 = f"key{2 * i}", f"key{2 * i + 1}"
+    for i, (net, p) in enumerate((n, p) for n, p in candidates if n in live):
+        k1 = c.add(f"key{2 * i}", "input")
+        k0 = c.add(f"key{2 * i + 1}", "input")
         key_inputs += [k1, k0]
         correct += config_key_bits(p.config) if p is not None else (0, 0)
-        if net not in live:
-            continue
-        c.add(k1, "input")
-        c.add(k0, "input")
         if p is not None:
             op, ins = KEY00_OP[p.kind], (p.real_in,)
         else:
@@ -249,7 +241,6 @@ class DipTrace:
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    elapsed: float = 0.0
 
     def add_solve(self, res: SatResult) -> None:
         self.conflicts += res.conflicts
@@ -281,7 +272,7 @@ def dip_attack(
     if len(kn.circuit.outputs) != 1:
         raise ValueError(f"dip_attack needs a single-output netlist, "
                          f"got {len(kn.circuit.outputs)} outputs")
-    t0 = time.monotonic()
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     xs = kn.payload_inputs
     out_net = kn.circuit.outputs[0]
     sim = CompiledCircuit(kn.circuit)  # one topological order for every copy
@@ -290,9 +281,8 @@ def dip_attack(
     t = cnf.new_var()
     cnf.add_clause([t])
     x_vars = {n: cnf.new_var() for n in xs}
-    live_keys = kn.live_key_inputs
-    ka = {n: cnf.new_var() for n in live_keys}
-    kb = {n: cnf.new_var() for n in live_keys}
+    ka = {n: cnf.new_var() for n in kn.key_inputs}
+    kb = {n: cnf.new_var() for n in kn.key_inputs}
     oa = tseitin_encode(cnf, sim, {**x_vars, **ka}, t)[out_net]
     ob = tseitin_encode(cnf, sim, {**x_vars, **kb}, t)[out_net]
     cnf.add_clause([oa, ob])
@@ -308,21 +298,23 @@ def dip_attack(
             target.add_clause([o if y else -o])
 
     trace = DipTrace("budget", None, 0)
-    proved = False
-    while trace.iterations < max_iters:
+
+    def solve(f: CnfFormula) -> SatResult | None:
+        """The solver's result, or None once the time budget is spent."""
         remaining = None
-        if time_budget is not None:
-            remaining = time_budget - (time.monotonic() - t0)
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
             if remaining <= 0:
-                trace.elapsed = time.monotonic() - t0
-                return trace
-        res = sat_solve(cnf, time_budget=remaining)
+                return None
+        res = sat_solve(f, time_budget=remaining)
         trace.add_solve(res)
-        if res.status == "BUDGET":
-            trace.elapsed = time.monotonic() - t0
+        return None if res.status == "BUDGET" else res
+
+    while trace.iterations < max_iters:
+        res = solve(cnf)
+        if res is None:
             return trace
         if res.status == "UNSAT":
-            proved = True
             break
         dip = {n: int(res.model[x_vars[n]]) for n in xs}
         y = oracle(dip)[out_net]
@@ -331,42 +323,26 @@ def dip_attack(
         trace.iterations += 1
         add_constraints(cnf, ka, t, [observations[-1]])
         add_constraints(cnf, kb, t, [observations[-1]])
-
-    if not proved:  # ran out of iterations with distinguishing inputs left
-        trace.elapsed = time.monotonic() - t0
+    else:  # ran out of iterations with distinguishing inputs left
         return trace
 
     # key extraction: any key satisfying every recorded observation
     final = CnfFormula()
     tf = final.new_var()
     final.add_clause([tf])
-    kf = {n: final.new_var() for n in live_keys}
+    kf = {n: final.new_var() for n in kn.key_inputs}
     add_constraints(final, kf, tf, observations)
-    remaining = None
-    if time_budget is not None:
-        remaining = time_budget - (time.monotonic() - t0)
-        if remaining <= 0:
-            trace.elapsed = time.monotonic() - t0
-            return trace
-    res = sat_solve(final, time_budget=remaining)
-    trace.add_solve(res)
-    trace.elapsed = time.monotonic() - t0
-    if res.status != "SAT":
+    res = solve(final)
+    if res is None or res.status != "SAT":
         return trace
     trace.status = "solved"
-    # a key the circuit does not read is unconstrained; the solver would
-    # decide it to its initial saved phase, 0
-    trace.key = [int(res.model[kf[n]]) if n in kf else 0 for n in kn.key_inputs]
+    trace.key = [int(res.model[kf[n]]) for n in kn.key_inputs]
     return trace
 
 
 def key_is_correct(kn: KeyedNetlist, key: list[int]) -> bool:
     """Does the recovered key realize the oracle function (not necessarily
     bit-identical to the designer's key, thanks to the 11/10 alias)?"""
-    live = set(kn.live_key_inputs)  # substitute binds only nets of the circuit
-
-    def bind(bits: list[int]) -> dict[str, int]:
-        return {n: b for n, b in zip(kn.key_inputs, bits) if n in live}
-
-    return equivalence_check(substitute(kn.circuit, bind(key)),
-                             substitute(kn.circuit, bind(kn.correct_key)))
+    return equivalence_check(substitute(kn.circuit, dict(zip(kn.key_inputs, key))),
+                             substitute(kn.circuit,
+                                        dict(zip(kn.key_inputs, kn.correct_key))))

@@ -124,6 +124,8 @@ def _pair_states(g: AigGraph, layout: AigGraph) -> dict[tuple[int, int], str]:
 # A realization record tracks, per pair, how the visible wiring is built and
 # whether a real signal rides on it ("functional") or it is quietly tied off.
 
+_ADDED = {"connect": "wire", "insert_inv": "inv"}  # phase-1 action -> wiring it adds
+
 
 def functional_preserve(
     g_states: dict, f_states: dict
@@ -140,23 +142,14 @@ def functional_preserve(
         if action is not None:
             log.append({"phase": "functional", "pair": list(pair),
                         "g_state": sg, "f_state": sf, "action": action})
-        if action == "connect":
-            realization[pair] = {"kind": "wire", "functional": True}
-            gf_states[pair] = "10"
-        elif action == "insert_inv":
-            realization[pair] = {"kind": "inv", "functional": True}
-            gf_states[pair] = "11"
-        elif action == "fb":
-            realization[pair] = {"kind": "fb", "functional": False}
-        elif action == "fi":
-            realization[pair] = {"kind": "fi", "functional": False}
-        elif action == "ut_a":
-            realization[pair] = {"kind": "ut_a", "functional": True}
-        elif action == "ut_b":
-            realization[pair] = {"kind": "ut_b", "functional": True}
+            kind = _ADDED.get(action, action)
+            if action in _ADDED:
+                gf_states[pair] = sf
         elif not _no_conn(sg):  # states already agree; keep the plain wiring
-            realization[pair] = {"kind": "wire" if sg == "10" else "inv",
-                                 "functional": True}
+            kind = "wire" if sg == "10" else "inv"
+        else:
+            continue
+        realization[pair] = {"kind": kind, "functional": kind not in ("fb", "fi")}
     return realization, gf_states, log
 
 

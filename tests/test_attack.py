@@ -11,7 +11,7 @@ from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
                            key_is_correct, keyize_netlist, make_ll_baseline,
                            make_oracle, tseitin_encode)
 from ipcamo.camouflage import CamouflagedNetlist, camouflage_pipeline
-from ipcamo.cnf import CnfFormula, sat_solve
+from ipcamo.cnf import CnfFormula, SatResult, sat_solve
 from ipcamo.covert import (LEGAL_CONFIGS, CovertConfig, CovertGateKind,
                            CovertInstance, apparent_op, config_key_bits, draw_cell)
 from ipcamo.evaluation import random_covert_insertion
@@ -167,7 +167,7 @@ def test_keyize_builds_only_the_output_cone(toy_checkpoint):
         kn = keyize_netlist(nl)
         assert list(prune(kn.circuit).gates.items()) == list(kn.circuit.gates.items())
         assert len(kn.key_inputs) == 2 * _n_candidates(nl)
-        assert kn.live_key_inputs == kn.key_inputs
+        assert set(kn.key_inputs) <= set(kn.circuit.inputs)
 
 
 def _sha256(lines):
@@ -210,7 +210,7 @@ def test_dip_attack_on_small_camo_netlist_is_pinned(toy_checkpoint):
 
 def _floating_candidate_netlist():
     """y = AND(NOT x, UT-A(z; decoy d)) beside two cells that drive nothing:
-    a genuine inverter f1 and an FI cell f2 (keys 4-7)."""
+    a genuine inverter f1 and an FI cell f2."""
     c = Circuit()
     for net in ("x", "z", "d"):
         c.add(net, "input")
@@ -220,41 +220,25 @@ def _floating_candidate_netlist():
     c.add("f1", "not", "z")
     c.add("f2", "not", "x")
     c.outputs = ["y"]
-    placements = [
-        CovertInstance(CovertGateKind.UT_A, CovertConfig.NORMAL, out="b",
-                       real_in="z", dummy_in="d"),
-        CovertInstance(CovertGateKind.FI, CovertConfig.CONST1, out="f2", real_in="x"),
-    ]
-    kn = keyize_netlist(CamouflagedNetlist(None, c, placements, []))
-    assert kn.n_key_bits == 8
-    assert kn.live_key_inputs == ["key0", "key1", "key2", "key3"]
-    assert kn.correct_key == [0, 0, 0, 0, 0, 0, 1, 0]
+    ut = CovertInstance(CovertGateKind.UT_A, CovertConfig.NORMAL, out="b",
+                        real_in="z", dummy_in="d")
+    fi = CovertInstance(CovertGateKind.FI, CovertConfig.CONST1, out="f2", real_in="x")
+    kn = keyize_netlist(CamouflagedNetlist(None, c, [ut, fi], []))
+    assert kn.key_inputs == ["key0", "key1", "key2", "key3"]
+    assert kn.correct_key == [0, 0, 0, 0]
+    assert kn.payload_inputs == ["x", "z"]  # the decoy-only d is kept out
+    pruned = keyize_netlist(CamouflagedNetlist(None, prune(c), [ut], []))
+    assert list(kn.circuit.gates.items()) == list(pruned.circuit.gates.items())
     return kn
 
 
-def test_key_is_correct_ignores_dead_keys():
+def test_floating_candidates_get_no_keys():
     kn = _floating_candidate_netlist()
     assert key_is_correct(kn, kn.correct_key)
-    assert key_is_correct(kn, kn.correct_key[:4] + [1, 1, 0, 1])
     assert not key_is_correct(kn, [1] + kn.correct_key[1:])  # ties a high
-
-
-def test_dip_attack_gives_dead_keys_no_variables(monkeypatch):
-    kn = _floating_candidate_netlist()
-    live_only = KeyedNetlist(kn.circuit, kn.live_key_inputs, kn.correct_key[:4])
-    n_vars = []
-
-    def recording_solve(cnf, *args, **kwargs):
-        n_vars.append(cnf.n_vars)
-        return sat_solve(cnf, *args, **kwargs)
-
-    monkeypatch.setattr(attack, "sat_solve", recording_solve)
-    traces = [dip_attack(k, make_oracle(k)) for k in (kn, live_only)]
-    half = len(n_vars) // 2  # the two attacks make the same solves
-    assert n_vars[:half] == n_vars[half:]
-    assert traces[0].status == "solved" and traces[0].key[4:] == [0, 0, 0, 0]
-    assert traces[0].key[:4] == traces[1].key
-    assert key_is_correct(kn, traces[0].key)
+    trace = dip_attack(kn, make_oracle(kn))
+    assert trace.status == "solved"
+    assert key_is_correct(kn, trace.key)
 
 
 def _one_cell_netlist(kind, config=None):
@@ -400,6 +384,29 @@ def test_dip_trace_sums_every_solve(monkeypatch):
     for name in ("conflicts", "decisions", "propagations"):
         assert getattr(trace, name) == sum(getattr(r, name) for r in results)
     assert trace.decisions > 0 and trace.propagations > 0
+
+
+def test_dip_attack_key_extraction_budget_exit(monkeypatch):
+    """A key-extraction solve that runs out of budget leaves no key, but its
+    statistics still count."""
+    kn = make_ll_baseline(random_tree(np.random.default_rng(7), 5), 6, seed=2)
+    full = dip_attack(kn, make_oracle(kn))
+    results = []
+
+    def budget_after_unsat(*args, **kwargs):
+        if results and results[-1].status == "UNSAT":
+            results.append(SatResult("BUDGET", None, 7, 11, 13))
+        else:
+            results.append(sat_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(attack, "sat_solve", budget_after_unsat)
+    trace = dip_attack(kn, make_oracle(kn))
+    assert results[-1].status == "BUDGET"
+    assert trace.status == "budget" and trace.key is None
+    assert trace.iterations == full.iterations
+    for name in ("conflicts", "decisions", "propagations"):
+        assert getattr(trace, name) == sum(getattr(r, name) for r in results)
 
 
 def test_dip_attack_rejects_multiple_outputs():
