@@ -224,21 +224,42 @@ def _floating_candidate_netlist():
                         real_in="z", dummy_in="d")
     fi = CovertInstance(CovertGateKind.FI, CovertConfig.CONST1, out="f2", real_in="x")
     kn = keyize_netlist(CamouflagedNetlist(None, c, [ut, fi], []))
-    assert kn.key_inputs == ["key0", "key1", "key2", "key3"]
-    assert kn.correct_key == [0, 0, 0, 0]
-    assert kn.payload_inputs == ["x", "z"]  # the decoy-only d is kept out
     pruned = keyize_netlist(CamouflagedNetlist(None, prune(c), [ut], []))
-    assert list(kn.circuit.gates.items()) == list(pruned.circuit.gates.items())
-    return kn
+    return kn, pruned
 
 
 def test_floating_candidates_get_no_keys():
-    kn = _floating_candidate_netlist()
+    kn, pruned = _floating_candidate_netlist()
+    assert kn.key_inputs == ["key0", "key1", "key2", "key3"]
+    assert kn.correct_key == [0, 0, 0, 0]
+    assert kn.payload_inputs == ["x", "z"]  # the decoy-only d is kept out
+    assert list(kn.circuit.gates.items()) == list(pruned.circuit.gates.items())
+
+
+def test_key_is_correct_ignores_dead_keys():
+    """The floating cells carry no key bits, so the key covers only y's cone."""
+    kn, _ = _floating_candidate_netlist()
     assert key_is_correct(kn, kn.correct_key)
     assert not key_is_correct(kn, [1] + kn.correct_key[1:])  # ties a high
-    trace = dip_attack(kn, make_oracle(kn))
-    assert trace.status == "solved"
-    assert key_is_correct(kn, trace.key)
+
+
+def test_dip_attack_gives_dead_keys_no_variables(monkeypatch):
+    """The floating cells add no solver variables: the attack makes the same
+    solves as on the pruned view."""
+    kn, pruned = _floating_candidate_netlist()
+    n_vars = []
+
+    def recording_solve(cnf, *args, **kwargs):
+        n_vars.append(cnf.n_vars)
+        return sat_solve(cnf, *args, **kwargs)
+
+    monkeypatch.setattr(attack, "sat_solve", recording_solve)
+    traces = [dip_attack(k, make_oracle(k)) for k in (kn, pruned)]
+    half = len(n_vars) // 2  # the two attacks make the same solves
+    assert n_vars[:half] == n_vars[half:]
+    assert traces[0].status == "solved"
+    assert traces[0].key == traces[1].key
+    assert key_is_correct(kn, traces[0].key)
 
 
 def _one_cell_netlist(kind, config=None):
