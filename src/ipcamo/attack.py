@@ -31,11 +31,17 @@ def tseitin_encode(
     """Encode the circuit over pre-assigned input literals; returns net -> literal.
 
     inputs may bind input nets to any literal, including +-true_lit for
-    constants. One auxiliary variable per internal net; an AND costs three
-    clauses. Callers that encode one circuit many times pass it compiled,
-    so its topological order is computed once.
+    constants, which fold through the encoding: a net whose value they fix
+    maps to +-true_lit, and a gate left with one live input maps to that
+    input's literal or its negation. Only a gate with two or more live
+    inputs gets an auxiliary variable; an AND costs one clause per input
+    plus one, and OR is the negated AND of negated inputs. A circuit whose
+    inputs are all constant adds no variables and no clauses. Callers that
+    encode one circuit many times pass it compiled, so its topological
+    order is computed once.
     """
     cc = c if isinstance(c, CompiledCircuit) else CompiledCircuit(c)
+    t = true_lit
     lit = [0] * len(cc.nets)
     for i, (net, op, fanin) in enumerate(zip(cc.nets, cc.ops, cc.fanin)):
         if op == "input":
@@ -43,37 +49,44 @@ def tseitin_encode(
                 raise KeyError(f"no literal bound for input {net!r}")
             lit[i] = inputs[net]
             continue
-        if op == "const1":
-            lit[i] = true_lit
-            continue
-        if op == "const0":
-            lit[i] = -true_lit
+        if op == "const1" or op == "const0":
+            lit[i] = t if op == "const1" else -t
             continue
         ins = [lit[s] for s in fanin]
-        if op == "buf":
-            lit[i] = ins[0]
-            continue
-        if op == "not":
-            lit[i] = -ins[0]
-            continue
-        o = cnf.new_var()
-        if op in ("and", "nand"):
-            w = o if op == "and" else -o
-            for x in ins:
-                cnf.add_clause([-w, x])
-            cnf.add_clause([w] + [-x for x in ins])
-        elif op == "or":
-            for x in ins:
-                cnf.add_clause([o, -x])
-            cnf.add_clause([-o] + ins)
+        if op == "buf" or op == "not":
+            lit[i] = ins[0] if op == "buf" else -ins[0]
         elif op in ("xor", "xnor"):
             a, b = ins
-            w = o if op == "xor" else -o
+            flip = op == "xnor"
+            if abs(a) == t:
+                a, b = b, a
+            if abs(b) == t:   # xor with a constant: a or its negation
+                lit[i] = -a if (b == t) != flip else a
+                continue
+            o = cnf.new_var()
+            w = -o if flip else o
             cnf.add_clause([-w, a, b])
             cnf.add_clause([-w, -a, -b])
             cnf.add_clause([w, -a, b])
             cnf.add_clause([w, a, -b])
-        lit[i] = o
+            lit[i] = o
+        else:   # and, nand, or: or(x..) = not and(not x..)
+            negate = op == "nand"
+            if op == "or":
+                ins = [-x for x in ins]
+                negate = True
+            if -t in ins:
+                lit[i] = t if negate else -t
+                continue
+            ins = [x for x in ins if x != t]
+            if len(ins) > 1:
+                o = cnf.new_var()
+                for x in ins:
+                    cnf.add_clause([-o, x])
+                cnf.add_clause([o] + [-x for x in ins])
+            else:
+                o = ins[0] if ins else t
+            lit[i] = -o if negate else o
     return dict(zip(cc.nets, lit))
 
 
@@ -267,6 +280,14 @@ def dip_attack(
     """Classic oracle-guided attack: find distinguishing inputs until the
     two-key miter is UNSAT, then read a consistent key off the constraints.
 
+    The whole attack is one incremental formula. The miter's two
+    disagreement clauses are guarded by an activation variable m: the DIP
+    loop solves under the assumption m, and each DIP adds its two
+    constraint copies, with the payload inputs folded to constants, to the
+    same formula. Key extraction is one solve under -m, which reads the
+    first key copy; the learnt clauses and phases of every solve carry over
+    to the next.
+
     The miter compares one output, so netlists with several outputs are
     rejected rather than attacked on their first output alone."""
     if len(kn.circuit.outputs) != 1:
@@ -285,58 +306,46 @@ def dip_attack(
     kb = {n: cnf.new_var() for n in kn.key_inputs}
     oa = tseitin_encode(cnf, sim, {**x_vars, **ka}, t)[out_net]
     ob = tseitin_encode(cnf, sim, {**x_vars, **kb}, t)[out_net]
-    cnf.add_clause([oa, ob])
-    cnf.add_clause([-oa, -ob])
-
-    observations: list[tuple[dict[str, int], int]] = []
-
-    def add_constraints(target: CnfFormula, keys: dict[str, int], tl: int,
-                        obs) -> None:
-        for dip, y in obs:
-            binding = {n: tl if dip[n] else -tl for n in xs}
-            o = tseitin_encode(target, sim, {**binding, **keys}, tl)[out_net]
-            target.add_clause([o if y else -o])
+    m = cnf.new_var()
+    cnf.add_clause([oa, ob, -m])
+    cnf.add_clause([-oa, -ob, -m])
 
     trace = DipTrace("budget", None, 0)
 
-    def solve(f: CnfFormula) -> SatResult | None:
+    def solve(assumption: int) -> SatResult | None:
         """The solver's result, or None once the time budget is spent."""
         remaining = None
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None
-        res = sat_solve(f, time_budget=remaining)
+        res = sat_solve(cnf, [assumption], time_budget=remaining)
         trace.add_solve(res)
         return None if res.status == "BUDGET" else res
 
     while trace.iterations < max_iters:
-        res = solve(cnf)
+        res = solve(m)
         if res is None:
             return trace
         if res.status == "UNSAT":
             break
         dip = {n: int(res.model[x_vars[n]]) for n in xs}
         y = oracle(dip)[out_net]
-        observations.append((dip, y))
         trace.dips.append(dip)
         trace.iterations += 1
-        add_constraints(cnf, ka, t, [observations[-1]])
-        add_constraints(cnf, kb, t, [observations[-1]])
+        binding = {n: t if dip[n] else -t for n in xs}
+        for keys in (ka, kb):
+            o = tseitin_encode(cnf, sim, {**binding, **keys}, t)[out_net]
+            cnf.add_clause([o if y else -o])
     else:  # ran out of iterations with distinguishing inputs left
         return trace
 
     # key extraction: any key satisfying every recorded observation
-    final = CnfFormula()
-    tf = final.new_var()
-    final.add_clause([tf])
-    kf = {n: final.new_var() for n in kn.key_inputs}
-    add_constraints(final, kf, tf, observations)
-    res = solve(final)
+    res = solve(-m)
     if res is None or res.status != "SAT":
         return trace
     trace.status = "solved"
-    trace.key = [int(res.model[kf[n]]) for n in kn.key_inputs]
+    trace.key = [int(res.model[ka[n]]) for n in kn.key_inputs]
     return trace
 
 

@@ -1,19 +1,42 @@
-"""CNF container, DIMACS export, and a deterministic CDCL SAT solver.
+"""CNF container and a deterministic, incremental CDCL SAT solver.
 
 Two-watched-literal propagation, first-UIP clause learning, VSIDS-style
 activities with phase saving and Luby restarts. Small and dependency-free.
 
-Branching takes the unassigned variable of highest activity from an indexed
-binary max-heap (MiniSat's order heap, Een & Sorensson 2003): a position
-array locates each variable, so a bump sifts it up in place and the heap
-never holds a variable twice. Assigned variables stay in the heap until a
-decision pops them; backtracking re-inserts what it unassigns. The order is
-total: equal activities break toward the lowest variable index, so the
-heap picks exactly what a scan over all variables would, and runs repeat
-bit-for-bit.
+Branching takes the unassigned variable of highest activity from a binary
+heap of (-activity, variable) entries kept by `heapq`, as MiniSat's order
+heap does (Een & Sorensson 2003). A bump pushes a fresh entry and leaves the
+old one stale; a decision pops and skips stale entries. Assigned variables
+stay in the heap until a decision pops them; backtracking re-inserts what
+it unassigns. The order is total: equal activities break toward the lowest
+variable index, so the heap picks exactly what a scan over all variables
+would, and runs repeat bit-for-bit.
+
+The solver is incremental, with MiniSat's interface. A formula carries its
+own search state, created by its first `sat_solve` call: the learnt
+clauses, watches, activities, saved phases, the order heap and the level-0
+trail. Each later call continues from that state:
+- it grows the state to `n_vars` and attaches the clauses appended since
+  the last call (`clauses` is append-only; learnt clauses stay private);
+- each new clause is first simplified against the level-0 assignment that
+  held before the batch: a satisfied clause is dropped, false literals are
+  dropped, an empty clause makes the formula UNSAT for good, and a clause
+  left with one literal is enqueued at level 0. A fresh formula has no such
+  assignment, so its first call attaches every clause as given;
+- assumptions are the first decision levels, not unit clauses, so they bind
+  one call only. An assumption found false makes that call UNSAT and leaves
+  the formula usable;
+- every call ends back at level 0, and a conflict at level 0 makes the
+  formula UNSAT for good.
+`copy` gives the same clauses with a fresh search state.
+
+Values and watch lists are indexed by literal: a list of 2n + 1 entries
+holds +v at index v and -v at index -v (Python's negative indexing), so a
+literal's value is one lookup.
 """
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -22,6 +45,8 @@ from dataclasses import dataclass, field
 class CnfFormula:
     n_vars: int = 0
     clauses: list[list[int]] = field(default_factory=list)
+    _search: _Search | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def new_var(self) -> int:
         self.n_vars += 1
@@ -38,11 +63,6 @@ class CnfFormula:
             if not isinstance(l, int) or l == 0 or abs(l) > self.n_vars:
                 raise ValueError(f"bad literal {l!r} (have {self.n_vars} vars)")
         self.clauses.append(lits)
-
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.n_vars} {len(self.clauses)}"]
-        lines += [" ".join(map(str, cl)) + " 0" for cl in self.clauses]
-        return "\n".join(lines) + "\n"
 
     def copy(self) -> "CnfFormula":
         return CnfFormula(self.n_vars, [list(cl) for cl in self.clauses])
@@ -65,176 +85,155 @@ def _luby(i: int) -> int:
     return _luby(i - (1 << (k.bit_length() - 1)) + 1)
 
 
-def sat_solve(
-    cnf: CnfFormula,
-    assumptions: tuple[int, ...] | list[int] = (),
-    conflict_budget: int | None = None,
-    time_budget: float | None = None,
-) -> SatResult:
-    """Solve cnf (plus unit assumptions); BUDGET when a limit trips first."""
-    n = cnf.n_vars
-    clauses = [list(cl) for cl in cnf.clauses]
-    for a in assumptions:
-        if a == 0 or abs(a) > n:
-            raise ValueError(f"bad assumption literal {a}")
-        clauses.append([a])
+class _Search:
+    """The search state one formula keeps between `sat_solve` calls."""
 
-    value = [0] * (n + 1)       # 0 unassigned, +1 true, -1 false
-    level = [0] * (n + 1)
-    reason: list[int | None] = [None] * (n + 1)
-    saved = [False] * (n + 1)   # phase saving
-    activity = [0.0] * (n + 1)
-    var_inc = 1.0
-    trail: list[int] = []
-    lim: list[int] = []
-    qhead = 0
-    watches: dict[int, list[int]] = {}
-    stats = SatResult("BUDGET")
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    def __init__(self) -> None:
+        self.n = 0
+        self.attached = 0                       # cnf.clauses taken in so far
+        self.clauses: list[list[int]] = []      # attached and learnt clauses
+        self.value = [0]         # by literal: +1 true, -1 false, 0 unassigned
+        self.watches: list[list[int]] = [[]]    # by literal
+        self.level = [0]
+        self.reason: list[int | None] = [None]
+        self.saved = [False]     # phase saving
+        self.activity = [0.0]
+        self.seen = [False]      # analyze() leaves it all False again
+        self.var_inc = 1.0
+        # (-activity[v], v) entries: heap[0] is the next decision, and equal
+        # activities break toward the lowest index. in_heap[v]: v has an
+        # entry with its current activity; other entries of v are stale.
+        self.heap: list[tuple[float, int]] = []
+        self.in_heap = [False]
+        self.trail: list[int] = []
+        self.lim: list[int] = []
+        self.qhead = 0
+        self.unsat = False
+        self.conflicts = self.decisions = self.propagations = 0
 
-    def val(lit: int) -> int:
-        v = value[abs(lit)]
-        return v if lit > 0 else -v
+    def grow(self, n: int) -> None:
+        old, k = self.n, n - self.n
+        if k <= 0:
+            return
+        # new literals go between +old and -old, keeping the 2n + 1 layout
+        self.value[old + 1:old + 1] = [0] * (2 * k)
+        self.watches[old + 1:old + 1] = [[] for _ in range(2 * k)]
+        self.level += [0] * k
+        self.reason += [None] * k
+        self.saved += [False] * k
+        self.activity += [0.0] * k
+        self.seen += [False] * k
+        self.in_heap += [True] * k
+        for v in range(old + 1, n + 1):
+            heapq.heappush(self.heap, (-0.0, v))
+        self.n = n
 
-    def enqueue(lit: int, why: int | None) -> None:
-        v = abs(lit)
-        value[v] = 1 if lit > 0 else -1
-        level[v] = len(lim)
-        reason[v] = why
-        trail.append(lit)
-
-    def attach(ci: int) -> bool:
-        """Set up watches; returns False on immediate top-level conflict."""
-        cl = clauses[ci]
-        if len(cl) == 1:
-            if val(cl[0]) < 0:
+    def attach(self, new: list[list[int]]) -> bool:
+        """Take in new clauses; False when they make the formula UNSAT."""
+        value = self.value
+        kept = [[l for l in cl if value[l] == 0] for cl in new
+                if not any(value[l] > 0 for l in cl)]
+        for cl in kept:
+            if len(cl) > 1:
+                ci = len(self.clauses)
+                self.clauses.append(cl)
+                self.watches[cl[0]].append(ci)
+                self.watches[cl[1]].append(ci)
+            elif not cl or value[cl[0]] < 0:
                 return False
-            if val(cl[0]) == 0:
-                enqueue(cl[0], ci)
-            return True
-        watches.setdefault(cl[0], []).append(ci)
-        watches.setdefault(cl[1], []).append(ci)
+            elif value[cl[0]] == 0:
+                self.enqueue(cl[0], None)
         return True
 
-    def done(status: str, model: dict[int, bool] | None = None) -> SatResult:
-        return SatResult(status, model, stats.conflicts, stats.decisions,
-                         stats.propagations)
+    def enqueue(self, lit: int, why: int | None) -> None:
+        v = abs(lit)
+        self.value[lit] = 1
+        self.value[-lit] = -1
+        self.level[v] = len(self.lim)
+        self.reason[v] = why
+        self.trail.append(lit)
 
-    for ci in range(len(clauses)):
-        if not attach(ci):
-            return done("UNSAT")
-
-    def propagate() -> int | None:
-        nonlocal qhead
+    def propagate(self) -> int | None:
+        """Index of a conflicting clause, or None at the fixpoint."""
+        trail, value, watches = self.trail, self.value, self.watches
+        clauses, level, reason = self.clauses, self.level, self.reason
+        depth = len(self.lim)
+        qhead = start = self.qhead
+        confl = None
         while qhead < len(trail):
-            lit = trail[qhead]
+            false_lit = -trail[qhead]
             qhead += 1
-            stats.propagations += 1
-            false_lit = -lit
-            ws = watches.get(false_lit, [])
+            ws = watches[false_lit]
             keep: list[int] = []
-            i = 0
-            while i < len(ws):
-                ci = ws[i]
-                i += 1
+            for i, ci in enumerate(ws):
                 cl = clauses[ci]
                 if cl[0] == false_lit:
-                    cl[0], cl[1] = cl[1], cl[0]
-                if val(cl[0]) > 0:
+                    cl[0], cl[1] = cl[1], false_lit
+                first = cl[0]
+                if value[first] > 0:
                     keep.append(ci)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if val(cl[k]) >= 0:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        watches.setdefault(cl[1], []).append(ci)
-                        moved = True
+                    q = cl[k]
+                    if value[q] >= 0:
+                        cl[1], cl[k] = q, false_lit
+                        watches[q].append(ci)
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if val(cl[0]) < 0:
-                    keep.extend(ws[i:])
-                    watches[false_lit] = keep
-                    return ci
-                enqueue(cl[0], ci)
+                else:
+                    keep.append(ci)
+                    if value[first] < 0:
+                        keep.extend(ws[i + 1:])
+                        confl = ci
+                        break
+                    # enqueue(first, ci), inlined on the hot path
+                    value[first] = 1
+                    value[-first] = -1
+                    v = abs(first)
+                    level[v] = depth
+                    reason[v] = ci
+                    trail.append(first)
             watches[false_lit] = keep
-        return None
-
-    # heap[0] is the next decision; "u before v" means activity[u] >
-    # activity[v], or equal activities and u < v. pos[v] == -1: not in heap.
-    heap = list(range(1, n + 1))     # all activities 0: index order is a heap
-    pos = list(range(-1, n))
-
-    def sift_up(i: int) -> None:
-        v = heap[i]
-        act = activity[v]
-        while i:
-            up = (i - 1) >> 1
-            u = heap[up]
-            au = activity[u]
-            if au > act or (au == act and u < v):
+            if confl is not None:
                 break
-            heap[i] = u
-            pos[u] = i
-            i = up
-        heap[i] = v
-        pos[v] = i
+        self.qhead = qhead
+        self.propagations += qhead - start
+        return confl
 
-    def sift_down(i: int) -> None:
-        v = heap[i]
-        act = activity[v]
-        size = len(heap)
-        while True:
-            child = 2 * i + 1
-            if child >= size:
-                break
-            c = heap[child]
-            ac = activity[c]
-            if child + 1 < size:
-                r = heap[child + 1]
-                ar = activity[r]
-                if ar > ac or (ar == ac and r < c):
-                    child, c, ac = child + 1, r, ar
-            if act > ac or (act == ac and v < c):
-                break
-            heap[i] = c
-            pos[c] = i
-            i = child
-        heap[i] = v
-        pos[v] = i
-
-    def bump(v: int) -> None:
-        nonlocal var_inc
-        activity[v] += var_inc
+    def bump(self, v: int) -> None:
+        activity = self.activity
+        activity[v] += self.var_inc
         if activity[v] > 1e100:
-            for u in range(1, n + 1):
+            for u in range(1, self.n + 1):
                 activity[u] *= 1e-100
-            var_inc *= 1e-100
-            # underflow can turn a strict order into a tie: rebuild the heap
-            for i in range(len(heap) // 2 - 1, -1, -1):
-                sift_down(i)
-        elif pos[v] >= 0:
-            sift_up(pos[v])
+            self.var_inc *= 1e-100
+            self.rebuild_heap()   # every entry is now stale
+        elif self.in_heap[v]:
+            heapq.heappush(self.heap, (-activity[v], v))
+            if len(self.heap) > 2 * self.n:   # mostly stale entries
+                self.rebuild_heap()
 
-    seen = [False] * (n + 1)    # analyze() leaves it all False again
+    def rebuild_heap(self) -> None:
+        activity, in_heap = self.activity, self.in_heap
+        self.heap[:] = [(-activity[v], v) for v in range(1, self.n + 1) if in_heap[v]]
+        heapq.heapify(self.heap)
 
-    def analyze(confl: int) -> tuple[list[int], int]:
+    def analyze(self, confl: int) -> tuple[list[int], int]:
+        trail, level, reason, seen = self.trail, self.level, self.reason, self.seen
+        depth = len(self.lim)
         learnt = [0]
         counter = 0
         p = None
         idx = len(trail) - 1
         ci: int | None = confl
         while True:
-            cl = clauses[ci]
-            for q in cl:
+            for q in self.clauses[ci]:
                 if p is not None and q == p:
                     continue
                 v = abs(q)
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    bump(v)
-                    if level[v] == len(lim):
+                    self.bump(v)
+                    if level[v] == depth:
                         counter += 1
                     else:
                         learnt.append(q)
@@ -258,66 +257,113 @@ def sat_solve(
             back = level[abs(learnt[1])]
         return learnt, back
 
-    def cancel_until(lvl: int) -> None:
-        nonlocal qhead
-        while trail and level[abs(trail[-1])] > lvl:
-            lit = trail.pop()
-            v = abs(lit)
-            saved[v] = lit > 0
-            value[v] = 0
-            reason[v] = None
-            if pos[v] < 0:
-                pos[v] = len(heap)
-                heap.append(v)
-                sift_up(pos[v])
-        del lim[lvl:]
-        qhead = len(trail)
+    def cancel_until(self, lvl: int) -> None:
+        trail, value, saved, reason = self.trail, self.value, self.saved, self.reason
+        heap, in_heap, activity = self.heap, self.in_heap, self.activity
+        if len(self.lim) > lvl:
+            stop = self.lim[lvl]
+            while len(trail) > stop:
+                lit = trail.pop()
+                v = abs(lit)
+                saved[v] = lit > 0
+                value[lit] = value[-lit] = 0
+                reason[v] = None
+                if not in_heap[v]:
+                    in_heap[v] = True
+                    heapq.heappush(heap, (-activity[v], v))
+            del self.lim[lvl:]
+            self.qhead = len(trail)
 
-    def decide() -> int | None:
+    def decide(self) -> int | None:
+        heap, in_heap, activity = self.heap, self.in_heap, self.activity
         while heap:
-            v = heap[0]
-            pos[v] = -1
-            last = heap.pop()
-            if heap:
-                heap[0] = last
-                sift_down(0)
-            if value[v] == 0:
-                return v if saved[v] else -v
+            act, v = heapq.heappop(heap)
+            if -act != activity[v] or not in_heap[v]:
+                continue
+            in_heap[v] = False
+            if self.value[v] == 0:
+                return v if self.saved[v] else -v
         return None
 
-    restarts = 0
-    conflicts_until_restart = 64 * _luby(1)
-    confl = propagate()
-    if confl is not None:
-        return done("UNSAT")
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return done("BUDGET")
-        confl = propagate()
-        if confl is not None:
-            stats.conflicts += 1
-            if conflict_budget is not None and stats.conflicts > conflict_budget:
-                return done("BUDGET")
-            if not lim:
-                return done("UNSAT")
-            learnt, back = analyze(confl)
-            cancel_until(back)
-            ci = len(clauses)
-            clauses.append(learnt)
-            if len(learnt) > 1:
-                watches.setdefault(learnt[0], []).append(ci)
-                watches.setdefault(learnt[1], []).append(ci)
-            enqueue(learnt[0], ci)
-            var_inc /= 0.95
-            conflicts_until_restart -= 1
-            if conflicts_until_restart <= 0:
-                restarts += 1
-                conflicts_until_restart = 64 * _luby(restarts + 1)
-                cancel_until(0)
-            continue
-        lit = decide()
-        if lit is None:
-            return done("SAT", {v: value[v] > 0 for v in range(1, n + 1)})
-        stats.decisions += 1
-        lim.append(len(trail))
-        enqueue(lit, None)
+    def result(self, status: str, model: dict[int, bool] | None = None) -> SatResult:
+        self.cancel_until(0)
+        return SatResult(status, model, self.conflicts, self.decisions,
+                         self.propagations)
+
+    def solve(self, assumptions: list[int], conflict_budget: int | None,
+              deadline: float | None) -> SatResult:
+        self.conflicts = self.decisions = self.propagations = 0
+        if self.unsat or self.propagate() is not None:
+            self.unsat = True
+            return self.result("UNSAT")
+        lim = self.lim
+        restarts = 0
+        conflicts_until_restart = 64 * _luby(1)
+        while True:
+            if deadline is not None and time.monotonic() > deadline:
+                return self.result("BUDGET")
+            confl = self.propagate()
+            if confl is not None:
+                self.conflicts += 1
+                if conflict_budget is not None and self.conflicts > conflict_budget:
+                    return self.result("BUDGET")
+                if not lim:
+                    self.unsat = True
+                    return self.result("UNSAT")
+                learnt, back = self.analyze(confl)
+                self.cancel_until(back)
+                ci = len(self.clauses)
+                self.clauses.append(learnt)
+                if len(learnt) > 1:
+                    self.watches[learnt[0]].append(ci)
+                    self.watches[learnt[1]].append(ci)
+                self.enqueue(learnt[0], ci)
+                self.var_inc /= 0.95
+                conflicts_until_restart -= 1
+                if conflicts_until_restart <= 0:
+                    restarts += 1
+                    conflicts_until_restart = 64 * _luby(restarts + 1)
+                    self.cancel_until(0)
+                continue
+            if len(lim) < len(assumptions):
+                lit = assumptions[len(lim)]
+                if self.value[lit] < 0:
+                    return self.result("UNSAT")
+                if self.value[lit] > 0:
+                    lim.append(len(self.trail))     # an empty level keeps count
+                    continue
+            else:
+                lit = self.decide()
+                if lit is None:
+                    value = self.value
+                    return self.result("SAT", {v: value[v] > 0
+                                               for v in range(1, self.n + 1)})
+                self.decisions += 1
+            lim.append(len(self.trail))
+            self.enqueue(lit, None)
+
+
+def sat_solve(
+    cnf: CnfFormula,
+    assumptions: tuple[int, ...] | list[int] = (),
+    conflict_budget: int | None = None,
+    time_budget: float | None = None,
+) -> SatResult:
+    """Solve cnf under assumptions; BUDGET when a limit trips first.
+
+    Continues the formula's search state from its previous call (see the
+    module docstring); assumptions hold for this call only."""
+    n = cnf.n_vars
+    for a in assumptions:
+        if a == 0 or abs(a) > n:
+            raise ValueError(f"bad assumption literal {a}")
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    s = cnf._search
+    if s is None:
+        s = cnf._search = _Search()
+    s.grow(n)
+    new = cnf.clauses[s.attached:]
+    s.attached = len(cnf.clauses)
+    if not s.unsat and not s.attach(new):
+        s.unsat = True
+    return s.solve(list(assumptions), conflict_budget, deadline)

@@ -54,6 +54,61 @@ def test_tseitin_xor_and_constants():
     assert sat_solve(cnf, assumptions=[-a, lits["x"]]).status == "SAT"
 
 
+def _mixed_circuit():
+    """Every gate op, with constant ties; every non-input net an output."""
+    c = Circuit()
+    for net in ("a", "b", "c"):
+        c.add(net, "input")
+    c.add("one", "const1")
+    c.add("zero", "const0")
+    c.add("x", "xor", "a", "one")
+    c.add("xn", "xnor", "b", "c")
+    c.add("o", "or", "x", "xn", "zero")
+    c.add("n", "nand", "o", "c", "one")
+    c.add("y", "and", "n", "b", "a")
+    c.add("bf", "buf", "y")
+    c.add("nt", "not", "bf")
+    c.outputs = [n for n, g in c.gates.items() if g.op != "input"]
+    return c
+
+
+@pytest.mark.parametrize("seed", list(range(8)) + ["mixed"])
+def test_tseitin_folds_constant_inputs(seed):
+    """Each subset of inputs bound to +-t: every output still matches
+    evaluate, through assumptions on the inputs left free."""
+    c = _mixed_circuit() if seed == "mixed" else _random_circuit(seed)
+    for bits in itertools.product((0, 1), repeat=len(c.inputs)):
+        assign = dict(zip(c.inputs, bits))
+        want = c.evaluate(assign)
+        for fixed in itertools.product((False, True), repeat=len(c.inputs)):
+            cnf = CnfFormula()
+            t = cnf.new_var()
+            cnf.add_clause([t])
+            in_lits = {n: (t if assign[n] else -t) if fx else cnf.new_var()
+                       for n, fx in zip(c.inputs, fixed)}
+            lits = tseitin_encode(cnf, c, in_lits, t)
+            free = [in_lits[n] if assign[n] else -in_lits[n]
+                    for n, fx in zip(c.inputs, fixed) if not fx]
+            for out, v in want.items():
+                o = lits[out] if v else -lits[out]
+                assert sat_solve(cnf, assumptions=free + [o]).status == "SAT"
+                assert sat_solve(cnf, assumptions=free + [-o]).status == "UNSAT"
+
+
+@pytest.mark.parametrize("seed", list(range(8)) + ["mixed"])
+def test_tseitin_constant_circuit_adds_nothing(seed):
+    c = _mixed_circuit() if seed == "mixed" else _random_circuit(seed)
+    for bits in itertools.product((0, 1), repeat=len(c.inputs)):
+        assign = dict(zip(c.inputs, bits))
+        cnf = CnfFormula()
+        t = cnf.new_var()
+        cnf.add_clause([t])
+        lits = tseitin_encode(cnf, c, {n: t if v else -t for n, v in assign.items()}, t)
+        assert (cnf.n_vars, len(cnf.clauses)) == (1, 1)
+        assert {o: lits[o] for o in c.outputs} == \
+            {o: t if v else -t for o, v in c.evaluate(assign).items()}
+
+
 def test_equivalence_check_small():
     g = random_tree(np.random.default_rng(0), 3)
     c = from_aig(g)
@@ -204,8 +259,8 @@ def _small_camo_netlist(params):
 def test_dip_attack_on_small_camo_netlist_is_pinned(toy_checkpoint):
     kn = _small_camo_netlist(toy_checkpoint[0])
     trace = dip_attack(kn, make_oracle(kn))
-    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 11, 1325)
-    assert "".join(map(str, trace.key)) == "000000000000000000000000000000101010100000"
+    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 10, 395)
+    assert "".join(map(str, trace.key)) == "110001100101111100101111101110101011110010"
 
 
 def _floating_candidate_netlist():

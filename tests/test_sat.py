@@ -24,13 +24,16 @@ def model_satisfies(cnf: CnfFormula, model: dict[int, bool], assumptions=()) -> 
     return all(any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses)
 
 
+def random_lits(rng, n_vars, k) -> list[int]:
+    vs = rng.choice(n_vars, size=min(k, n_vars), replace=False) + 1
+    return [int(v) if rng.integers(2) else -int(v) for v in vs]
+
+
 def random_cnf(rng, n_vars, n_clauses, width=3) -> CnfFormula:
     cnf = CnfFormula()
     cnf.new_vars(n_vars)
     for _ in range(n_clauses):
-        k = 1 + int(rng.integers(width))
-        vs = rng.choice(n_vars, size=min(k, n_vars), replace=False) + 1
-        cnf.add_clause([int(v) if rng.integers(2) else -int(v) for v in vs])
+        cnf.add_clause(random_lits(rng, n_vars, 1 + int(rng.integers(width))))
     return cnf
 
 
@@ -112,8 +115,8 @@ def test_assumptions_do_not_mutate_formula():
 def test_deterministic_reruns():
     rng = np.random.default_rng(123)
     cnf = random_cnf(rng, n_vars=9, n_clauses=35)
-    r1 = sat_solve(cnf)
-    r2 = sat_solve(cnf)
+    r1 = sat_solve(cnf.copy())
+    r2 = sat_solve(cnf.copy())
     assert (r1.status, r1.model, r1.conflicts, r1.decisions) == \
            (r2.status, r2.model, r2.conflicts, r2.decisions)
 
@@ -121,9 +124,63 @@ def test_deterministic_reruns():
 def test_conflict_budget_trips():
     cnf = pigeonhole(4, 3)  # UNSAT and needs real search
     assert sat_solve(cnf).status == "UNSAT"
-    res = sat_solve(cnf, conflict_budget=1)
+    again = sat_solve(cnf)  # the formula stays UNSAT without a search
+    assert (again.status, again.conflicts) == ("UNSAT", 0)
+    res = sat_solve(pigeonhole(4, 3), conflict_budget=1)
     assert res.status == "BUDGET" and res.model is None
-    assert sat_solve(cnf, time_budget=0.0).status == "BUDGET"
+    assert sat_solve(pigeonhole(4, 3), time_budget=0.0).status == "BUDGET"
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_incremental_solves_match_brute_force(seed):
+    """One formula built in 3 batches of variables and clauses, solved after
+    each batch under random assumptions."""
+    rng = np.random.default_rng(seed)
+    cnf = CnfFormula()
+    for _ in range(3):
+        cnf.new_vars(1 + int(rng.integers(3)))
+        for _ in range(int(rng.integers(1, 5))):
+            cnf.add_clause(random_lits(rng, cnf.n_vars, 1 + int(rng.integers(3))))
+        for _ in range(3):
+            assumps = random_lits(rng, cnf.n_vars, int(rng.integers(cnf.n_vars + 1)))
+            res = sat_solve(cnf, assumptions=assumps)
+            expected = brute_force_sat(cnf, assumps)
+            assert (res.status == "SAT") == expected
+            if expected:
+                assert model_satisfies(cnf, res.model, assumps)
+
+
+def test_assumptions_hold_for_one_call():
+    cnf = CnfFormula()
+    a, b = cnf.new_vars(2)
+    cnf.add_clause([a, b])
+    assert sat_solve(cnf, assumptions=[-a, -b]).status == "UNSAT"
+    assert sat_solve(cnf).status == "SAT"
+
+
+def test_clause_added_after_a_solve_meets_level_zero():
+    cnf = CnfFormula()
+    a, b, c = cnf.new_vars(3)
+    cnf.add_clause([a])
+    cnf.add_clause([-a, b])
+    assert sat_solve(cnf).status == "SAT"  # a and b now hold at level 0
+    cnf.add_clause([-b, c])                # -b is false: the clause is unit c
+    res = sat_solve(cnf)
+    assert res.status == "SAT" and res.model[c] and res.decisions == 0
+    cnf.add_clause([-a, -b, -c])           # every literal false at level 0
+    assert sat_solve(cnf).status == "UNSAT"
+    assert sat_solve(cnf, assumptions=[a]).status == "UNSAT"
+
+
+def test_budget_exit_leaves_formula_usable():
+    for cnf, want in ((pigeonhole(4, 3), "UNSAT"), (random_3sat(3), "SAT")):
+        n_clauses = len(cnf.clauses)
+        assert sat_solve(cnf, conflict_budget=1).status == "BUDGET"
+        res = sat_solve(cnf)
+        assert res.status == want
+        assert len(cnf.clauses) == n_clauses  # learnt clauses stay private
+        if want == "SAT":
+            assert model_satisfies(cnf, res.model)
 
 
 def test_luby_sequence():
@@ -131,11 +188,10 @@ def test_luby_sequence():
     assert got == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
-def test_dimacs_and_validation():
+def test_clause_validation():
     cnf = CnfFormula()
     a, b = cnf.new_vars(2)
     cnf.add_clause([a, -b])
-    assert cnf.to_dimacs() == "p cnf 2 1\n1 -2 0\n"
     with pytest.raises(ValueError, match="empty"):
         cnf.add_clause([])
     with pytest.raises(ValueError, match="bad literal"):
@@ -201,7 +257,7 @@ def test_search_is_pinned(name):
 def test_dip_attack_search_is_pinned():
     kn = make_ll_baseline(random_tree(np.random.default_rng(7), 5), 6, seed=2)
     trace = dip_attack(kn, make_oracle(kn))
-    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 3, 19)
+    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 3, 12)
     assert trace.key == [0, 0, 0, 1, 1, 0]
     assert trace.dips == [{"pi5": 0, "pi3": 0, "pi4": 0, "pi2": 0},
                           {"pi5": 0, "pi3": 0, "pi4": 1, "pi2": 0},
