@@ -2,15 +2,26 @@
 
 Float64 throughout; single-threaded tape; gradients are validated against
 central finite differences in the test suite.
+
+Besides elementary ops the tape has fused nodes, each one tensor with a
+hand-written backward that lists every tensor it reads as a parent:
+`gru_step` (one GRU update of any number of rows), `gru_decode` (a whole
+GRU run fed its own softmax head, backpropagated through time) and
+`pair_head` (an edge MLP over every row pair). `Tensor.backward` walks the
+recorded nodes reachable from the loss in reverse creation order, which is
+a topological order because a node is created after all of its parents.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 _grad_enabled = True
+_creation = itertools.count()  # creation index of every recorded node
 
 
 class no_grad:
@@ -36,8 +47,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _records(parents) -> bool:
+    """Whether a node over these parents goes on the tape."""
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                return True
+    return False
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_order")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -45,6 +75,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
+        self._order = next(_creation) if backward is not None else -1
 
     @property
     def shape(self):
@@ -57,8 +88,7 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward):
-        track = _grad_enabled and any(p.requires_grad for p in parents)
-        if not track:
+        if not _records(parents):
             return Tensor(data)
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
@@ -139,26 +169,31 @@ class Tensor:
             self.grad += g
 
     def backward(self):
+        """Accumulate d self / d leaf into every leaf that requires grad.
+
+        Recorded nodes reachable from self start from no gradient and run in
+        reverse creation order, so a node's gradient is complete before its
+        backward runs.
+        """
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar loss")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        nodes: list[Tensor] = []
+        seen = {id(self)}
+        stack = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
+            node = stack.pop()
+            if node._backward is None:
                 continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
+            nodes.append(node)
+            node.grad = None
             for p in node._parents:
-                if p.requires_grad:
-                    stack.append((p, False))
+                if p.requires_grad and id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        nodes.sort(key=attrgetter("_order"), reverse=True)
         self.grad = np.asarray(1.0)
-        for node in reversed(topo):
-            if node._backward is not None:
+        for node in nodes:
+            if node.grad is not None:
                 node._backward(node.grad)
 
 
@@ -167,7 +202,7 @@ def as_tensor(x) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
+    out_data = _sigmoid(x.data)
 
     def bwd(g, a=x, o=out_data):
         if a.requires_grad:
@@ -208,9 +243,7 @@ def log(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax(x.data)
 
     def bwd(g, a=x, o=out_data):
         if a.requires_grad:
@@ -236,14 +269,18 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(parts), bwd)
 
 
-def take_row(x: Tensor, i: int) -> Tensor:
-    """Select row i of a matrix as a (1, d) tensor."""
-    out_data = x.data[i : i + 1]
+def take(x: Tensor, index) -> Tensor:
+    """x.data[index] as a tensor: a gather of rows or a block of columns.
 
-    def bwd(g, a=x, row=i):
+    The backward accumulates repeated rows (np.add.at), so a gather may read
+    one row many times.
+    """
+    out_data = x.data[index]
+
+    def bwd(g, a=x):
         if a.requires_grad:
             full = np.zeros(a.shape)
-            full[row : row + 1] = g
+            np.add.at(full, index, g)
             a._accum(full)
 
     return Tensor._make(out_data, (x,), bwd)
@@ -285,6 +322,45 @@ def init_gru(rng: np.random.Generator, hidden: int, cond: int) -> GruParams:
     )
 
 
+def _gru_forward(p: GruParams, md: np.ndarray, td: np.ndarray,
+                 hd: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The GRU equations on arrays: the new state and the gates its backward reads."""
+    z = _sigmoid(md @ p.w_z.data + td @ p.u_z.data + p.b_z.data)
+    r = _sigmoid(md @ p.w_r.data + td @ p.u_r.data + p.b_r.data)
+    rh = r * hd
+    h_tilde = np.tanh(rh @ p.w_h.data + td @ p.u_h.data + p.b_h.data)
+    return (1.0 - z) * hd + z * h_tilde, (z, r, rh, h_tilde)
+
+
+def _gru_backward(p: GruParams, g: np.ndarray, hd: np.ndarray, gates: tuple):
+    """Backward of _gru_forward for output gradient g.
+
+    Returns the pre-activation gradients (z, r and candidate), then the
+    gradients of m, t and h_prev.
+    """
+    z, r, _, h_tilde = gates
+    d_h = g * z * (1.0 - h_tilde * h_tilde)
+    d_rh = d_h @ p.w_h.data.T
+    d_r = d_rh * hd * r * (1.0 - r)
+    d_z = g * (h_tilde - hd) * z * (1.0 - z)
+    d_m = d_z @ p.w_z.data.T + d_r @ p.w_r.data.T
+    d_t = d_z @ p.u_z.data.T + d_r @ p.u_r.data.T + d_h @ p.u_h.data.T
+    return (d_z, d_r, d_h), d_m, d_t, g * (1.0 - z) + d_rh * r
+
+
+def _gru_weight_grads(p: GruParams, md: np.ndarray, td: np.ndarray, rh: np.ndarray,
+                      pre: tuple) -> None:
+    """Accumulate the nine weight gradients, each one matmul over all rows."""
+    for x, d, w, u, b in ((md, pre[0], p.w_z, p.u_z, p.b_z), (md, pre[1], p.w_r, p.u_r, p.b_r),
+                          (rh, pre[2], p.w_h, p.u_h, p.b_h)):
+        if w.requires_grad:
+            w._accum(x.T @ d)
+        if u.requires_grad:
+            u._accum(td.T @ d)
+        if b.requires_grad:
+            b._accum(d.sum(axis=0))
+
+
 def gru_step(p: GruParams, m: Tensor, t: Tensor, h_prev: Tensor) -> Tensor:
     """One gated update: z/r gates from (m, t), candidate from (r*h_prev, t).
 
@@ -294,34 +370,80 @@ def gru_step(p: GruParams, m: Tensor, t: Tensor, h_prev: Tensor) -> Tensor:
     md, td, hd = m.data, t.data, h_prev.data
     if not md.shape[0] == td.shape[0] == hd.shape[0]:
         raise ValueError(f"row mismatch: m {md.shape}, t {td.shape}, h_prev {hd.shape}")
-    z = 1.0 / (1.0 + np.exp(-(md @ p.w_z.data + td @ p.u_z.data + p.b_z.data)))
-    r = 1.0 / (1.0 + np.exp(-(md @ p.w_r.data + td @ p.u_r.data + p.b_r.data)))
-    rh = r * hd
-    h_tilde = np.tanh(rh @ p.w_h.data + td @ p.u_h.data + p.b_h.data)
-    out_data = (1.0 - z) * hd + z * h_tilde
+    out_data, gates = _gru_forward(p, md, td, hd)
 
     def bwd(g):
-        # gradients of the three gate pre-activations
-        d_h = g * z * (1.0 - h_tilde * h_tilde)
-        d_rh = d_h @ p.w_h.data.T
-        d_r = d_rh * hd * r * (1.0 - r)
-        d_z = g * (h_tilde - hd) * z * (1.0 - z)
-        for x, d, w, u, b in ((md, d_z, p.w_z, p.u_z, p.b_z), (md, d_r, p.w_r, p.u_r, p.b_r),
-                              (rh, d_h, p.w_h, p.u_h, p.b_h)):
-            if w.requires_grad:
-                w._accum(x.T @ d)
-            if u.requires_grad:
-                u._accum(td.T @ d)
-            if b.requires_grad:
-                b._accum(d.sum(axis=0))
+        pre, d_m, d_t, d_prev = _gru_backward(p, g, hd, gates)
+        _gru_weight_grads(p, md, td, gates[2], pre)
         if m.requires_grad:
-            m._accum(d_z @ p.w_z.data.T + d_r @ p.w_r.data.T)
+            m._accum(d_m)
         if t.requires_grad:
-            t._accum(d_z @ p.u_z.data.T + d_r @ p.u_r.data.T + d_h @ p.u_h.data.T)
+            t._accum(d_t)
         if h_prev.requires_grad:
-            h_prev._accum(g * (1.0 - z) + d_rh * r)
+            h_prev._accum(d_prev)
 
     return Tensor._make(out_data, (m, t, h_prev, *vars(p).values()), bwd)
+
+
+def gru_decode(p: GruParams, head: MlpParams, h0: Tensor, t0: np.ndarray,
+               n: int) -> Tensor:
+    """A GRU run that feeds itself its own type head, as one tape node.
+
+    h_0 = h0 (1, H) and t_0 = t0 (1, k); for i = 1..n-1 (n >= 2),
+    h_i = gru_step(p, h_{i-1}, t_{i-1}, h_{i-1}) and t_i = head(h_i), where
+    head is tanh then softmax. Returns the (n, H + k) matrix whose row i is
+    [h_i, t_i]. The backward runs through time over the stored gates, then
+    forms each weight gradient with one matmul over the stacked steps.
+    """
+    (w0, b0, act0), (w1, b1, act1) = head.layers
+    if (act0, act1) != ("tanh", "softmax"):
+        raise ValueError(f"type head needs tanh then softmax, got {act0}, {act1}")
+    if n < 2:
+        raise ValueError(f"a run needs at least 2 states, got n={n}")
+    width = h0.shape[1]
+    out_data = np.empty((n, width + w1.shape[1]))
+    out_data[0, :width], out_data[0, width:] = h0.data, t0
+    parents = (h0, *vars(p).values(), w0, b0, w1, b1)
+    record = _records(parents)
+    gates, hidden = [], []
+    h, t = h0.data, t0
+    for i in range(1, n):
+        h, step_gates = _gru_forward(p, h, t, h)
+        a = np.tanh(h @ w0.data + b0.data)
+        t = _softmax(a @ w1.data + b1.data)
+        out_data[i, :width], out_data[i, width:] = h, t
+        if record:
+            gates.append(step_gates)
+            hidden.append(a)
+
+    def bwd(g):
+        states, types = out_data[:, :width], out_data[:, width:]
+        pre = [np.empty((n - 1, width)) for _ in range(3)]
+        d_logit = np.empty((n - 1, w1.shape[1]))
+        d_a = np.empty((n - 1, w0.shape[1]))
+        d_h, d_t = 0.0, 0.0  # gradients reaching h_i and t_i from step i + 1
+        for i in range(n - 1, 0, -1):
+            s, a = types[i : i + 1], hidden[i - 1]
+            d_s = g[i : i + 1, width:] + d_t
+            d_logit[i - 1] = s * (d_s - (d_s * s).sum(axis=-1, keepdims=True))
+            d_a[i - 1] = (d_logit[i - 1] @ w1.data.T) * (1.0 - a * a)
+            d_state = g[i : i + 1, :width] + d_h + d_a[i - 1] @ w0.data.T
+            step_pre, d_m, d_t, d_prev = _gru_backward(p, d_state, states[i - 1 : i],
+                                                       gates[i - 1])
+            for rows, d in zip(pre, step_pre):
+                rows[i - 1] = d
+            d_h = d_m + d_prev
+        if h0.requires_grad:
+            h0._accum(g[:1, :width] + d_h)
+        rh = np.concatenate([step_gates[2] for step_gates in gates])
+        _gru_weight_grads(p, states[:-1], types[:-1], rh, pre)
+        for w, b, x, d in ((w0, b0, states[1:], d_a), (w1, b1, np.concatenate(hidden), d_logit)):
+            if w.requires_grad:
+                w._accum(x.T @ d)
+            if b.requires_grad:
+                b._accum(d.sum(axis=0))
+
+    return Tensor._make(out_data, parents, bwd)
 
 
 @dataclass
@@ -371,7 +493,8 @@ def pair_head(h: Tensor, p: MlpParams) -> Tensor:
 
     Returns a (n(n-1)/2, k) tensor in np.tril_indices(n, -1) order; one tape
     node. Row i is scored from the projections h @ W0[:H] and h @ W0[H:], so
-    no (pairs x width) array is built, in the forward or the backward.
+    an unrecorded forward builds no (pairs x width) array. A recorded one
+    keeps the hidden rows, and its backward runs over all of them at once.
     """
     (w0, b0, act0), (w1, b1, act1) = p.layers
     if (act0, act1) != ("tanh", "sigmoid"):
@@ -380,41 +503,38 @@ def pair_head(h: Tensor, p: MlpParams) -> Tensor:
     n, width = hd.shape
     if w0.shape[0] != 2 * width:
         raise ValueError(f"dimension mismatch: pairs of {hd.shape} @ {w0.shape}")
+    parents = (h, w0, b0, w1, b1)
+    n_pairs = n * (n - 1) // 2
     left = hd @ w0.data[:width]
     right = hd @ w0.data[width:]
-
-    def hidden(i: int) -> np.ndarray:
-        return np.tanh(left[i] + right[:i] + b0.data)
-
-    pre = np.empty((n * (n - 1) // 2, w1.shape[1]))
+    hidden = np.empty((n_pairs, w0.shape[1])) if _records(parents) else None
+    pre = np.empty((n_pairs, w1.shape[1]))
     for i in range(1, n):
-        pre[i * (i - 1) // 2 : i * (i + 1) // 2] = hidden(i) @ w1.data
-    out_data = 1.0 / (1.0 + np.exp(-(pre + b1.data)))
+        a = np.tanh(left[i] + right[:i] + b0.data)
+        block = slice(i * (i - 1) // 2, i * (i + 1) // 2)
+        pre[block] = a @ w1.data
+        if hidden is not None:
+            hidden[block] = a
+    out_data = _sigmoid(pre + b1.data)
 
     def bwd(g):
         d_pre = g * out_data * (1.0 - out_data)
-        d_left = np.zeros_like(left)
-        d_right = np.zeros_like(right)
-        d_w1 = np.zeros(w1.shape)
-        for i in range(1, n):
-            a = hidden(i)
-            d_out = d_pre[i * (i - 1) // 2 : i * (i + 1) // 2]
-            d_w1 += a.T @ d_out
-            d_a = (d_out @ w1.data.T) * (1.0 - a * a)
-            d_left[i] = d_a.sum(axis=0)
-            d_right[:i] += d_a
+        d_a = (d_pre @ w1.data.T) * (1.0 - hidden * hidden)
+        by_pair = np.zeros((n, n, w0.shape[1]))
+        by_pair[np.tril_indices(n, -1)] = d_a
+        d_left, d_right = by_pair.sum(axis=1), by_pair.sum(axis=0)
         if w1.requires_grad:
-            w1._accum(d_w1)
+            w1._accum(hidden.T @ d_pre)
         if b1.requires_grad:
             b1._accum(d_pre.sum(axis=0))
         if b0.requires_grad:
-            b0._accum(d_left.sum(axis=0))
+            b0._accum(d_a.sum(axis=0))
         if w0.requires_grad:
             w0._accum(np.vstack([hd.T @ d_left, hd.T @ d_right]))
         if h.requires_grad:
             h._accum(d_left @ w0.data[:width].T + d_right @ w0.data[width:].T)
 
-    return Tensor._make(out_data, (h, w0, b0, w1, b1), bwd)
+    return Tensor._make(out_data, parents, bwd)
 
 
 def _init_tensor(rng: np.random.Generator, shape: tuple[int, int]) -> Tensor:

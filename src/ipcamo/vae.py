@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from .aig import AigGraph, NodeType, TensorTriple, from_tensors, to_tensors
 from .autodiff import (AdamState, GruParams, MlpParams, Tensor, adam_step,
                        gru_step, init_gru, init_mlp, mlp_forward, no_grad)
 
-_ONE_HOT = {t: t.one_hot().reshape(1, 3) for t in NodeType}
+_TYPE_ROWS = np.eye(3)  # row t.value is the one-hot of NodeType t
 
 
 @dataclass
@@ -98,29 +99,39 @@ def init_vae(h: Hyperparams, rng: np.random.Generator) -> VaeParams:
 
 
 def encode_tensors(g: AigGraph, p: VaeParams) -> tuple[Tensor, Tensor]:
-    """Differentiable encode; returns (mu, logvar) as (1, d) tensors."""
+    """Differentiable encode; returns (mu, logvar) as (1, d) tensors.
+
+    Level by level: PIs are level 0 and a gate's level is one more than the
+    highest level of its fan-ins. The PI states are one gather of `pi_embed`
+    (PI k reads row min(k, max_pi - 1)). Each further level is one `gru_step`
+    whose message, also its previous state, is one signed-incidence matmul
+    over the states of all lower levels: the sum of the fan-in states, each
+    negated on an inverted edge. mu and logvar come from the PO's state.
+    """
     if not g.is_tree():
         raise ValueError("encoder input must be a canonical single-PO tree")
     preds = g.pred_table()
-    h: list[Tensor | None] = [None] * g.n
-    pi_ordinal = 0
-    h_po = None
-    for i, t in enumerate(g.types):
-        if t is NodeType.PI:
-            row = min(pi_ordinal, p.max_pi - 1)
-            h[i] = ad.take_row(p.pi_embed, row)
-            pi_ordinal += 1
-            continue
-        m = None
-        for src, inv in preds[i]:
-            if h[src] is None:
-                raise RuntimeError(f"predecessor {src} of node {i} not yet processed")
-            term = -h[src] if inv else h[src]
-            m = term if m is None else m + term
-        hv = gru_step(p.enc, m, Tensor(_ONE_HOT[t]), m)
-        h[i] = hv
-        if t is NodeType.PO:
-            h_po = hv
+    level = [0] * g.n
+    for i, t in enumerate(g.types):  # canonical: every fan-in has a lower index
+        if t is not NodeType.PI:
+            level[i] = 1 + max(level[s] for s, _ in preds[i])
+    order = sorted(range(g.n), key=level.__getitem__)  # by level, then by index
+    row = {v: k for k, v in enumerate(order)}  # each node's row in the stacked states
+    first = [0, *itertools.accumulate(np.bincount(level).tolist())]  # first row per level
+    incidence = np.zeros((g.n, g.n))
+    for s, d, inv in g.edges:
+        incidence[row[d], row[s]] += -1.0 if inv else 1.0
+    types = _TYPE_ROWS[[g.types[v].value for v in order]]
+    levels = [ad.take(p.pi_embed, np.minimum(np.arange(first[1]), p.max_pi - 1))]
+    states = levels[0]
+    for lv in range(1, len(first) - 1):
+        if lv > 1:
+            states = ad.concat([states, levels[-1]], axis=0)
+        block = slice(first[lv], first[lv + 1])
+        m = Tensor(incidence[block, : first[lv]]) @ states
+        levels.append(gru_step(p.enc, m, Tensor(types[block]), m))
+    po = g.po_indices[0]
+    h_po = ad.take(levels[level[po]], [row[po] - first[level[po]]])
     mu = mlp_forward(p.mlp_mu, h_po)
     logvar = mlp_forward(p.mlp_logvar, h_po)
     return mu, logvar
@@ -175,22 +186,21 @@ class DecodedSoft:
 
 
 def decode_tensors(z: Tensor, node_count: int, p: VaeParams) -> DecodedSoft:
-    """Type MLP and GRU node by node; then every edge head over all state pairs."""
+    """Decode z to the soft tensors of a node_count-node graph.
+
+    h_0 = tanh(z W + b); then `gru_decode` runs the type MLP and the GRU
+    over all nodes as one tape node (node 0 is forced PI), and `pair_head`
+    scores connections and inversions once each over all state pairs.
+    """
     if node_count < 2:
         raise ValueError("decoder needs at least 2 nodes")
     if z.data.ndim != 2 or z.data.shape[0] != 1:
         raise ValueError(f"latent must be a (1, d) row, got shape {z.data.shape}")
-    h = ad.tanh(z @ p.dec_init_w + p.dec_init_b)
-    rows: list[Tensor] = []
-    type_rows = [Tensor(_ONE_HOT[NodeType.PI])]  # first node is forced PI
-    for i in range(node_count):
-        if i > 0:
-            type_rows.append(mlp_forward(p.mlp_add, h))
-        rows.append(h)
-        if i + 1 < node_count:
-            h = gru_step(p.dec, h, type_rows[i], h)
-    states = ad.concat(rows, axis=0)
-    return DecodedSoft(node_count, ad.concat(type_rows, axis=0),
+    h0 = ad.tanh(z @ p.dec_init_w + p.dec_init_b)
+    run = ad.gru_decode(p.dec, p.mlp_add, h0, NodeType.PI.one_hot().reshape(1, 3), node_count)
+    states = ad.take(run, (slice(None), slice(None, p.hidden)))
+    types = ad.take(run, (slice(None), slice(p.hidden, None)))
+    return DecodedSoft(node_count, types,
                        ad.pair_head(states, p.mlp_conn), ad.pair_head(states, p.mlp_inv))
 
 
@@ -216,28 +226,42 @@ def loss(x: TensorTriple, x_hat: TensorTriple, code: LatentCode,
     return float(total.data), comps
 
 
-def _squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
-    d = pred - Tensor(target)
-    return (d * d).sum()
-
-
 def loss_tensors(x: TensorTriple, decoded: DecodedSoft, mu: Tensor,
                  logvar: Tensor, h: Hyperparams) -> tuple[Tensor, dict[str, float]]:
-    """Weighted MSE over the three tensors plus the closed-form KL term."""
+    """Weighted MSE over the three tensors plus the closed-form KL term.
+
+    One tape node: alpha * type + beta * conn + gamma * inv + delta * kl, where
+    type is the squared error of the type rows over 3n, conn and inv those of
+    the lower-triangle columns over n^2, and kl is
+    0.5 * sum(exp(logvar) + mu^2 - logvar - 1). comps holds the four terms.
+    """
     if x.n != decoded.n:
         raise ValueError(f"node count mismatch: {x.n} vs {decoded.n}")
     n = x.n
-    l_type = _squared_error(decoded.types, x.type_mat) * (1.0 / (n * 3))
-    l_conn = _squared_error(decoded.conn, _lower(x.conn_mat)) * (1.0 / (n * n))
-    l_inv = _squared_error(decoded.inv, _lower(x.inv_mat)) * (1.0 / (n * n))
+    parts = ((decoded.types, x.type_mat, 1.0 / (n * 3), h.alpha),
+             (decoded.conn, _lower(x.conn_mat), 1.0 / (n * n), h.beta),
+             (decoded.inv, _lower(x.inv_mat), 1.0 / (n * n), h.gamma))
+    diffs = [pred.data - target for pred, target, _, _ in parts]
+    terms = [(d * d).sum() * scale for d, (_, _, scale, _) in zip(diffs, parts)]
+    var = np.exp(logvar.data)
+    l_kl = (var + mu.data * mu.data - logvar.data - 1.0).sum() * 0.5
+    total = (h.alpha * terms[0] + h.beta * terms[1] + h.gamma * terms[2]
+             + h.delta * l_kl)
 
-    var = ad.exp(logvar)
-    l_kl = (var + mu * mu - logvar - 1.0).sum() * 0.5
+    def bwd(g):
+        for (pred, _, scale, weight), d in zip(parts, diffs):
+            if pred.requires_grad:
+                pred._accum(2.0 * (g * weight * scale * d))
+        k = g * h.delta * 0.5
+        if mu.requires_grad:
+            mu._accum(2.0 * (k * mu.data))
+        if logvar.requires_grad:
+            logvar._accum(k * var - k)
 
-    total = h.alpha * l_type + h.beta * l_conn + h.gamma * l_inv + h.delta * l_kl
-    comps = {"type": float(l_type.data), "conn": float(l_conn.data),
-             "inv": float(l_inv.data), "kl": float(l_kl.data)}
-    return total, comps
+    comps = {"type": float(terms[0]), "conn": float(terms[1]),
+             "inv": float(terms[2]), "kl": float(l_kl)}
+    return Tensor._make(total, (decoded.types, decoded.conn, decoded.inv, mu, logvar),
+                        bwd), comps
 
 
 # -- Training -----------------------------------------------------------------

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ipcamo import autodiff as ad
-from ipcamo.autodiff import (AdamState, Tensor, adam_step, gru_step, init_gru,
-                             init_mlp, mlp_forward, no_grad, params_from_json,
-                             params_to_json)
+from ipcamo.autodiff import (AdamState, Tensor, adam_step, gru_decode, gru_step,
+                             init_gru, init_mlp, mlp_forward, no_grad,
+                             params_from_json, params_to_json)
 
 
 def fd_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -24,6 +24,30 @@ def fd_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         g[idx] = (fp - fm) / (2 * h)
         it.iternext()
     return g
+
+
+def assert_grads_match(grads: dict, ref: dict, rtol: float = 1e-12) -> None:
+    """Every gradient equals its reference to rtol of the reference's largest entry."""
+    assert sorted(grads) == sorted(ref)
+    for name, r in ref.items():
+        np.testing.assert_allclose(grads[name], r, rtol=rtol,
+                                   atol=rtol * float(np.abs(r).max()), err_msg=name)
+
+
+def backward_grads(loss: Tensor, tensors: dict) -> dict:
+    """Run loss.backward() from cleared gradients; return each tensor's gradient."""
+    for t in tensors.values():
+        t.grad = None
+    loss.backward()
+    return {k: t.grad.copy() for k, t in tensors.items()}
+
+
+def gru_by_ops(p, m: Tensor, t: Tensor, h: Tensor) -> Tensor:
+    """The GRU update as elementary tape ops (the reference for the fused nodes)."""
+    z = ad.sigmoid(m @ p.w_z + t @ p.u_z + p.b_z)
+    r = ad.sigmoid(m @ p.w_r + t @ p.u_r + p.b_r)
+    h_tilde = ad.tanh((r * h) @ p.w_h + t @ p.u_h + p.b_h)
+    return (1.0 - z) * h + z * h_tilde
 
 
 def check(build, *shapes, seed=0):
@@ -60,7 +84,10 @@ def test_softmax_rows():
 
 def test_concat_repeat_take():
     check(lambda a, b: (ad.concat([a, b], axis=0) ** 2.0).sum(), (2, 3), (4, 3))
-    check(lambda a: (ad.take_row(a, 2) ** 2.0).sum(), (4, 3))
+    check(lambda a: (ad.take(a, [2]) ** 2.0).sum(), (4, 3))
+    check(lambda a: (ad.take(a, (slice(None), slice(1, None))) ** 3.0).sum(), (4, 3))
+    # a gather that reads row 1 three times accumulates all three gradients
+    check(lambda a: (ad.take(a, np.array([1, 0, 1, 1])) ** 3.0).sum(), (3, 2))
 
 
 def test_gru_step_gradients():
@@ -107,6 +134,58 @@ def test_fused_gru_step_matches_finite_differences(rows, same_m, t_grad):
         assert t.grad is None
 
 
+def _gru_decode_by_ops(p, head, h0: Tensor, t0: np.ndarray, n: int) -> Tensor:
+    """gru_decode as a loop of elementary tape ops."""
+    h, t = h0, Tensor(t0)
+    rows = [ad.concat([h, t], axis=1)]
+    for _ in range(1, n):
+        h = gru_by_ops(p, h, t, h)
+        t = mlp_forward(head, h)
+        rows.append(ad.concat([h, t], axis=1))
+    return ad.concat(rows, axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gru_decode_matches_reference_and_finite_differences(n):
+    rng = np.random.default_rng(20 + n)
+    p = init_gru(rng, 4, 3)
+    head = init_mlp(rng, [4, 5, 3], ["tanh", "softmax"])
+    tensors = {**p.named("gru"), **head.named("head")}
+    for name, t in tensors.items():  # nonzero biases exercise the bias gradients
+        if ".b" in name:
+            t.data[...] = rng.standard_normal(t.shape)
+    h0 = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
+    tensors["h0"] = h0
+    t0 = np.array([[1.0, 0.0, 0.0]])
+    weights = Tensor(rng.standard_normal((n, 7)))
+
+    out = gru_decode(p, head, h0, t0, n)
+    ref = _gru_decode_by_ops(p, head, h0, t0, n)
+    assert out.shape == (n, 7)
+    np.testing.assert_allclose(out.data, ref.data, rtol=1e-12)
+    with no_grad():
+        assert (gru_decode(p, head, h0, t0, n).data == out.data).all()
+
+    def run():
+        return (gru_decode(p, head, h0, t0, n) * weights).sum()
+
+    grads = backward_grads(run(), tensors)
+    assert_grads_match(grads, backward_grads((ref * weights).sum(), tensors))
+    for name, w in tensors.items():
+        fd = fd_grad(lambda: float(run().data), w.data)
+        np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+def test_gru_decode_rejects_other_heads():
+    rng = np.random.default_rng(0)
+    p = init_gru(rng, 4, 3)
+    h0 = Tensor(np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="tanh then softmax"):
+        gru_decode(p, init_mlp(rng, [4, 5, 3], ["tanh", "sigmoid"]), h0, np.zeros((1, 3)), 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        gru_decode(p, init_mlp(rng, [4, 5, 3], ["tanh", "softmax"]), h0, np.zeros((1, 3)), 1)
+
+
 def test_gru_step_rejects_row_mismatch():
     p = init_gru(np.random.default_rng(0), 4, 2)
     h = Tensor(np.zeros((2, 4)))
@@ -136,7 +215,7 @@ def test_mlp_forward_and_shape_error():
 def _pair_head_by_rows(h: Tensor, p) -> Tensor:
     """The edge head as a plain MLP over explicit [h_i, h_j] rows."""
     n = h.shape[0]
-    pairs = [ad.concat([ad.take_row(h, i), ad.take_row(h, j)], axis=1)
+    pairs = [ad.concat([ad.take(h, [i]), ad.take(h, [j])], axis=1)
              for i in range(1, n) for j in range(i)]
     return mlp_forward(p, ad.concat(pairs, axis=0))
 
@@ -151,15 +230,21 @@ def test_pair_head_matches_finite_differences(n):
     weights = Tensor(rng.standard_normal((n * (n - 1) // 2, 1)))
     out = ad.pair_head(h, p)
     assert out.shape == (n * (n - 1) // 2, 1)
-    np.testing.assert_allclose(out.data, _pair_head_by_rows(h, p).data, rtol=1e-12)
+    ref = _pair_head_by_rows(h, p)
+    np.testing.assert_allclose(out.data, ref.data, rtol=1e-12)
+    with no_grad():
+        assert (ad.pair_head(h, p).data == out.data).all()
 
     def run():
         return (ad.pair_head(h, p) * weights).sum()
 
-    run().backward()
-    for name, w in {**p.named("head"), "h": h}.items():
+    # the recorded node keeps its hidden rows; the backward reads them
+    tensors = {**p.named("head"), "h": h}
+    grads = backward_grads(run(), tensors)
+    assert_grads_match(grads, backward_grads((ref * weights).sum(), tensors))
+    for name, w in tensors.items():
         fd = fd_grad(lambda: float(run().data), w.data)
-        np.testing.assert_allclose(w.grad, fd, rtol=1e-6, atol=1e-8, err_msg=name)
+        np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 def test_pair_head_rejects_other_layers():
@@ -169,6 +254,25 @@ def test_pair_head_rejects_other_layers():
         ad.pair_head(h, init_mlp(rng, [8, 5, 1], ["tanh", "identity"]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         ad.pair_head(h, init_mlp(rng, [6, 5, 1], ["tanh", "sigmoid"]))
+
+
+def test_backward_walks_nodes_in_creation_order():
+    x = Tensor(np.array([0.3, -0.7]), requires_grad=True)
+    y = Tensor(np.array([1.1, 0.4]), requires_grad=True)
+    u = x * y            # feeds both later nodes
+    v = ad.exp(u)
+    # the sum node lists u after v, so a stack pops u (and would run its
+    # backward) before v has passed on its share of u's gradient
+    loss = (v + u).sum()
+    loss.backward()
+    xy = x.data * y.data
+    np.testing.assert_allclose(x.grad, y.data * (np.exp(xy) + 1.0), rtol=1e-15)
+    np.testing.assert_allclose(y.grad, x.data * (np.exp(xy) + 1.0), rtol=1e-15)
+    # a second loss over the same u: leaves accumulate, u starts from zero again
+    g_x, g_y = x.grad.copy(), y.grad.copy()
+    (u * u).sum().backward()
+    np.testing.assert_allclose(x.grad, g_x + 2.0 * xy * y.data, rtol=1e-15)
+    np.testing.assert_allclose(y.grad, g_y + 2.0 * xy * x.data, rtol=1e-15)
 
 
 def test_no_grad_skips_tape():

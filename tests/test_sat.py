@@ -196,11 +196,13 @@ def test_clause_validation():
         cnf.add_clause([])
     with pytest.raises(ValueError, match="bad literal"):
         cnf.add_clause([3])
-    with pytest.raises(ValueError, match="bad literal"):
-        cnf.add_clause([0])
+    for bad in ([0], [-3], [1.5], ["1"], [a, np.int64(1)], [a, False]):
+        with pytest.raises(ValueError, match="bad literal"):
+            cnf.add_clause(bad)
     c2 = cnf.copy()
     c2.add_clause([b])
     assert len(cnf.clauses) == 1  # copies are independent
+    c2.add_clause([True, -a])  # an int subclass is a literal: True is 1
 
 
 def test_ties_branch_on_lowest_index_first():

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from conftest import TOY_HP
+from test_autodiff import assert_grads_match, backward_grads, fd_grad, gru_by_ops
 from ipcamo.aig import AigGraph, NodeType, TensorTriple, random_tree, to_tensors
+from ipcamo import autodiff as ad
 from ipcamo import vae
-from ipcamo.autodiff import Tensor, exp
+from ipcamo.autodiff import Tensor, exp, mlp_forward, no_grad
 from ipcamo.vae import (Hyperparams, LatentCode, decode, encode, init_vae,
                         load_vae, loss, sample_latent, save_vae, train)
 
@@ -60,6 +62,132 @@ def test_loss_tensor_and_plain_agree(small_params):
     assert float(total_t.data) == pytest.approx(total, abs=1e-12)
     for k in comps:
         assert comps_t[k] == pytest.approx(comps[k], abs=1e-12)
+
+
+def _encode_by_ops(g: AigGraph, p: vae.VaeParams) -> tuple[Tensor, Tensor]:
+    """The encoder node by node in index order, as elementary tape ops."""
+    preds = g.pred_table()
+    h: list = [None] * g.n
+    n_pi = 0
+    for i, t in enumerate(g.types):
+        if t is NodeType.PI:
+            h[i] = ad.take(p.pi_embed, [min(n_pi, p.max_pi - 1)])
+            n_pi += 1
+            continue
+        terms = [-h[src] if inv else h[src] for src, inv in preds[i]]
+        m = terms[0]
+        for term in terms[1:]:
+            m = m + term
+        h[i] = gru_by_ops(p.enc, m, Tensor(t.one_hot().reshape(1, 3)), m)
+    h_po = h[g.po_indices[0]]
+    return mlp_forward(p.mlp_mu, h_po), mlp_forward(p.mlp_logvar, h_po)
+
+
+PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
+ENCODER_TREES = {
+    # 5 PIs past max_pi 3, one interleaved with the gates; inverted edges;
+    # level 1 holds gates 2 and 5; the PO reads an inverted edge
+    "deep": AigGraph([PI, PI, AND, PI, PI, AND, PI, AND, AND, PO],
+                     [(0, 2, False), (1, 2, True), (3, 5, False), (4, 5, False),
+                      (2, 7, True), (6, 7, False), (5, 8, False), (7, 8, True),
+                      (8, 9, True)]),
+    "pi_to_po": AigGraph([PI, PO], [(0, 1, False)]),
+}
+
+
+@pytest.mark.parametrize("tree", sorted(ENCODER_TREES))
+def test_level_batched_encoder_matches_reference(tree):
+    g = ENCODER_TREES[tree]
+    assert g.is_tree()
+    hp = Hyperparams(latent_dim=3, hidden_dim=4, mlp_hidden=3, max_pi=3)
+    rng = np.random.default_rng(5)
+    p = init_vae(hp, rng)
+    tensors = {k: t for k, t in p.named().items()
+               if k.split(".")[0] in ("pi_embed", "enc", "mlp_mu", "mlp_logvar")}
+    for name, t in tensors.items():  # nonzero biases exercise the bias gradients
+        if ".b" in name:
+            t.data[...] = rng.standard_normal(t.shape)
+    w_mu, w_lv = Tensor(rng.standard_normal((1, 3))), Tensor(rng.standard_normal((1, 3)))
+
+    def run(encoder):
+        mu, logvar = encoder(g, p)
+        return (mu * w_mu).sum() + (logvar * w_lv).sum()
+
+    mu, logvar = vae.encode_tensors(g, p)
+    ref_mu, ref_logvar = _encode_by_ops(g, p)
+    np.testing.assert_allclose(mu.data, ref_mu.data, rtol=1e-12)
+    np.testing.assert_allclose(logvar.data, ref_logvar.data, rtol=1e-12)
+    grads = backward_grads(run(vae.encode_tensors), tensors)
+    assert_grads_match(grads, backward_grads(run(_encode_by_ops), tensors))
+    if tree == "deep":  # the PIs past max_pi - 1 all add into its last row
+        assert np.abs(grads["pi_embed"][2]).max() > 0
+    for name, w in tensors.items():
+        fd = fd_grad(lambda: float(run(vae.encode_tensors).data), w.data)
+        np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+def _loss_by_ops(x: TensorTriple, decoded: vae.DecodedSoft, mu: Tensor, logvar: Tensor,
+                 h: Hyperparams) -> tuple[Tensor, dict]:
+    """loss_tensors composed of elementary tape ops."""
+    def squared_error(pred, target):
+        d = pred - Tensor(target)
+        return (d * d).sum()
+
+    n = x.n
+    l_type = squared_error(decoded.types, x.type_mat) * (1.0 / (n * 3))
+    l_conn = squared_error(decoded.conn, vae._lower(x.conn_mat)) * (1.0 / (n * n))
+    l_inv = squared_error(decoded.inv, vae._lower(x.inv_mat)) * (1.0 / (n * n))
+    l_kl = (exp(logvar) + mu * mu - logvar - 1.0).sum() * 0.5
+    total = h.alpha * l_type + h.beta * l_conn + h.gamma * l_inv + h.delta * l_kl
+    return total, {"type": float(l_type.data), "conn": float(l_conn.data),
+                   "inv": float(l_inv.data), "kl": float(l_kl.data)}
+
+
+def test_loss_node_matches_reference():
+    x = to_tensors(random_tree(np.random.default_rng(4), 3))
+    n = x.n
+    hp = Hyperparams(alpha=0.3, beta=0.5, gamma=0.7, delta=0.2)
+    rng = np.random.default_rng(6)
+    tensors = {"types": Tensor(rng.uniform(0, 1, (n, 3)), requires_grad=True),
+               "conn": Tensor(rng.uniform(0, 1, (n * (n - 1) // 2, 1)), requires_grad=True),
+               "inv": Tensor(rng.uniform(0, 1, (n * (n - 1) // 2, 1)), requires_grad=True),
+               "mu": Tensor(rng.standard_normal((1, 4)), requires_grad=True),
+               "logvar": Tensor(rng.standard_normal((1, 4)), requires_grad=True)}
+    decoded = vae.DecodedSoft(n, tensors["types"], tensors["conn"], tensors["inv"])
+
+    def run(loss_fn):
+        return loss_fn(x, decoded, tensors["mu"], tensors["logvar"], hp)
+
+    total, comps = run(vae.loss_tensors)
+    ref_total, ref_comps = run(_loss_by_ops)
+    np.testing.assert_allclose(float(total.data), float(ref_total.data), rtol=1e-12)
+    assert comps.keys() == ref_comps.keys()
+    for k in comps:
+        assert comps[k] == pytest.approx(ref_comps[k], rel=1e-12), k
+    grads = backward_grads(total, tensors)
+    assert_grads_match(grads, backward_grads(ref_total, tensors))
+    for name, w in tensors.items():
+        fd = fd_grad(lambda: float(run(vae.loss_tensors)[0].data), w.data)
+        np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+def test_unrecorded_forward_equals_recorded(small_params):
+    g = random_tree(np.random.default_rng(7), 4)
+    x = to_tensors(g)
+
+    def forward():
+        mu, logvar = vae.encode_tensors(g, small_params)
+        decoded = vae.decode_tensors(mu, g.n, small_params)
+        total, comps = vae.loss_tensors(x, decoded, mu, logvar, SMALL_HP)
+        return [mu.data, logvar.data, decoded.types.data, decoded.conn.data,
+                decoded.inv.data, total.data], comps
+
+    recorded, comps = forward()
+    with no_grad():
+        plain, plain_comps = forward()
+    assert comps == plain_comps
+    for a, b in zip(recorded, plain):
+        assert a.shape == b.shape and (a == b).all()
 
 
 def test_encode_rejects_non_tree(small_params):
