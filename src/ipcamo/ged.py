@@ -27,15 +27,51 @@ Ties on f go to the larger g (the deeper partial mapping), then to the
 earlier push. Because the bound is admissible, the first complete state
 popped has the least cost; the edit distance is that unique minimum, so the
 result does not depend on the order the search takes, only its time does.
+
+That order is chosen for speed. At unit costs the reverse of an edit path
+costs the same, so the distance is symmetric and the search maps the
+smaller graph (the first one on a tie). It takes that graph's nodes
+breadth-first from its POs over undirected edges, ties to the lower index
+(from the last node if there is no PO; unreached nodes follow in index
+order), so each node it maps meets its edges to the nodes mapped before it.
+In index order a graph's PIs come first; they share no edge, so the edge
+cost stays flat over the first depths and the heap fills with equal-cost
+permutations of interchangeable PIs.
 """
 from __future__ import annotations
 
 import heapq
 import time
+from collections import deque
 
 from .aig import AigGraph, NodeType
 
 EPS = -1  # deletion marker
+
+
+def _po_bfs_order(g: AigGraph) -> list[int]:
+    """g's nodes breadth-first from its POs over undirected edges.
+
+    Sources and each node's neighbours go in index order. With no PO the
+    walk starts at the last node; nodes it never reaches follow in index
+    order.
+    """
+    if not g.n:
+        return []
+    nbr: list[set[int]] = [set() for _ in range(g.n)]
+    for s, d, _ in g.edges:
+        nbr[s].add(d)
+        nbr[d].add(s)
+    order = g.po_indices or [g.n - 1]
+    seen = set(order)
+    queue = deque(order)
+    while queue:
+        for k in sorted(nbr[queue.popleft()]):
+            if k not in seen:
+                seen.add(k)
+                order.append(k)
+                queue.append(k)
+    return order + [k for k in range(g.n) if k not in seen]
 
 
 def graph_edit_distance(
@@ -47,8 +83,13 @@ def graph_edit_distance(
     directed. Returns None when the search exceeds the timeout.
     """
     deadline = time.monotonic() + timeout
+    if g1.n > g2.n:
+        g1, g2 = g2, g1
     n1, n2 = g1.n, g2.n
-    lab1 = [t.value for t in g1.types]
+    # g1's depth-d node is order[d]; from here on g1 is seen in that order
+    order = _po_bfs_order(g1)
+    depth_of = {k: d for d, k in enumerate(order)}
+    lab1 = [g1.types[k].value for k in order]
     lab2 = [t.value for t in g2.types]
     n_lab = len(NodeType)
 
@@ -58,9 +99,10 @@ def graph_edit_distance(
         suffix1[d][:] = suffix1[d + 1]
         suffix1[d][lab1[d]] += 1
     open1 = [0] * (n1 + 1)
-    # each g1 node's edges to lower-indexed nodes: (k, edge is k -> i, inv)
+    # each g1 node's edges to nodes mapped before it: (k, edge is k -> i, inv)
     back1: list[list[tuple[int, bool, bool]]] = [[] for _ in range(n1)]
-    for (a, b), inv in {(s, d): inv for s, d, inv in g1.edges}.items():
+    edges1 = {(depth_of[s], depth_of[d]): inv for s, d, inv in g1.edges}
+    for (a, b), inv in edges1.items():
         open1[max(a, b)] += 1
         if a < b:
             back1[b].append((a, True, inv))
@@ -70,8 +112,8 @@ def graph_edit_distance(
         open1[d] += open1[d + 1]
 
     # g2: inversion flag by successor and by predecessor, and a neighbour
-    # bitmask per node (edges go from lower to higher index, so the bits of
-    # nbr2[j] inside a node set count j's edges into that set)
+    # bitmask per node (a DAG has no edge pair a -> b, b -> a, so the bits
+    # of nbr2[j] inside a node set count j's edges into that set)
     succ2: list[dict[int, bool]] = [{} for _ in range(n2)]
     pred2: list[dict[int, bool]] = [{} for _ in range(n2)]
     nbr2 = [0] * n2

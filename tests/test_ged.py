@@ -77,6 +77,38 @@ def test_against_brute_force_oracle():
     assert graph_edit_distance(empty, empty) == brute_force_ged(empty, empty) == 0
 
 
+def renumbered(g: AigGraph, rng) -> AigGraph:
+    """g with node k moved to perm[k]; some edges then run high -> low."""
+    perm = [int(k) for k in rng.permutation(g.n)]
+    types = [None] * g.n
+    for k, t in enumerate(g.types):
+        types[perm[k]] = t
+    return tiny(types, [(perm[s], perm[d], inv) for s, d, inv in g.edges])
+
+
+def test_invariant_to_renumbering_and_argument_order():
+    P, A, O = NodeType.PI, NodeType.AND, NodeType.PO
+    rng = np.random.default_rng(5)
+    graphs = {
+        # no PO, and node 3 (where the walk then starts) reaches nothing
+        "no_po": tiny([P, P, A, P], [(0, 2, False), (1, 2, True)]),
+        "two_po": tiny([P, P, A, O, O],
+                       [(0, 2, False), (1, 2, True), (2, 3, False), (1, 4, True)]),
+        "tree": random_tree(rng, 2, n_pi_pool=3),
+        "empty": AigGraph(types=[], edges=[]),
+    }
+    assert graphs["tree"].n <= 6  # keeps brute_force_ged cheap
+    backward_edges = 0
+    for (na, a), (nb, b) in itertools.combinations_with_replacement(graphs.items(), 2):
+        expect = brute_force_ged(a, b)
+        for trial in range(3):
+            ra, rb = renumbered(a, rng), renumbered(b, rng)
+            backward_edges += sum(s > d for s, d, _ in ra.edges + rb.edges)
+            for x, y in ((a, b), (b, a), (ra, b), (a, rb), (rb, ra)):
+                assert graph_edit_distance(x, y) == expect, f"{na} vs {nb}, trial {trial}"
+    assert backward_edges
+
+
 # GED of every pair (i, j), i < j, of the 22 toy test trees (data seed 42):
 # row i lists j = i+1..21. Recorded with the search that recomputed its
 # bound from scratch for every state; any exact search returns the same.
@@ -107,10 +139,13 @@ TOY_TEST_GED = [
 
 def test_toy_test_set_distances_are_pinned(toy_data):
     _, test_set = toy_data
-    got = [[graph_edit_distance(test_set[i], test_set[j], timeout=120.0)
-            for j in range(i + 1, len(test_set))]
-           for i in range(len(test_set) - 1)]
-    assert got == TOY_TEST_GED
+    n = len(test_set)
+    # both argument orders: the search maps whichever graph is smaller
+    for order in (lambda a, b: (a, b), lambda a, b: (b, a)):
+        got = [[graph_edit_distance(*order(test_set[i], test_set[j]), timeout=120.0)
+                for j in range(i + 1, n)]
+               for i in range(n - 1)]
+        assert got == TOY_TEST_GED
 
 
 def test_symmetry():
