@@ -9,10 +9,19 @@ hand-written backward that lists every tensor it reads as a parent:
 GRU run fed its own softmax head, backpropagated through time) and
 `pair_head` (an edge MLP over every row pair). `Tensor.backward` walks the
 recorded nodes reachable from the loss in reverse creation order, which is
-a topological order because a node is created after all of its parents.
+a topological order because a node is created after all of its parents;
+leaves never enter the walk. Each `gru_decode` step makes one product of
+its state with the stacked `[W0 | w_z | w_r]` and one of its type row with
+the stacked `[u_z | u_r | u_h]`.
+
+Training packs the parameters into an `arena`: one parameter vector that
+every parameter's data views and one gradient vector that every grad
+views. `adam_step` updates the vector in one pass, and a step's gradient
+reset is one fill.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -179,15 +188,13 @@ class Tensor:
             raise ValueError("backward() requires a scalar loss")
         nodes: list[Tensor] = []
         seen = {id(self)}
-        stack = [self]
-        while stack:
+        stack = [self] if self._backward is not None else []
+        while stack:  # only recorded nodes: leaves never enter the walk
             node = stack.pop()
-            if node._backward is None:
-                continue
             nodes.append(node)
             node.grad = None
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p._backward is not None and id(p) not in seen:
                     seen.add(id(p))
                     stack.append(p)
         nodes.sort(key=attrgetter("_order"), reverse=True)
@@ -322,29 +329,39 @@ def init_gru(rng: np.random.Generator, hidden: int, cond: int) -> GruParams:
     )
 
 
-def _gru_forward(p: GruParams, md: np.ndarray, td: np.ndarray,
+def _gru_forward(p: GruParams, m_prods: tuple, t_prods: tuple,
                  hd: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The GRU equations on arrays: the new state and the gates its backward reads."""
-    z = _sigmoid(md @ p.w_z.data + td @ p.u_z.data + p.b_z.data)
-    r = _sigmoid(md @ p.w_r.data + td @ p.u_r.data + p.b_r.data)
+    """The GRU equations on arrays: the new state and the gates its backward reads.
+
+    m_prods are m @ w_z and m @ w_r, t_prods are t @ u_z, t @ u_r and t @ u_h.
+    """
+    (mz, mr), (tz, tr, th) = m_prods, t_prods
+    z = _sigmoid(mz + tz + p.b_z.data)
+    r = _sigmoid(mr + tr + p.b_r.data)
     rh = r * hd
-    h_tilde = np.tanh(rh @ p.w_h.data + td @ p.u_h.data + p.b_h.data)
+    h_tilde = np.tanh(rh @ p.w_h.data + th + p.b_h.data)
     return (1.0 - z) * hd + z * h_tilde, (z, r, rh, h_tilde)
 
 
-def _gru_backward(p: GruParams, g: np.ndarray, hd: np.ndarray, gates: tuple):
-    """Backward of _gru_forward for output gradient g.
+def _gru_transposes(p: GruParams) -> tuple:
+    """The weight transposes _gru_backward reads, in its order."""
+    return tuple(w.data.T for w in (p.w_h, p.w_z, p.w_r, p.u_z, p.u_r, p.u_h))
+
+
+def _gru_backward(wt: tuple, g: np.ndarray, hd: np.ndarray, gates: tuple):
+    """Backward of _gru_forward for output gradient g; wt is _gru_transposes(p).
 
     Returns the pre-activation gradients (z, r and candidate), then the
     gradients of m, t and h_prev.
     """
+    w_h, w_z, w_r, u_z, u_r, u_h = wt
     z, r, _, h_tilde = gates
     d_h = g * z * (1.0 - h_tilde * h_tilde)
-    d_rh = d_h @ p.w_h.data.T
+    d_rh = d_h @ w_h
     d_r = d_rh * hd * r * (1.0 - r)
     d_z = g * (h_tilde - hd) * z * (1.0 - z)
-    d_m = d_z @ p.w_z.data.T + d_r @ p.w_r.data.T
-    d_t = d_z @ p.u_z.data.T + d_r @ p.u_r.data.T + d_h @ p.u_h.data.T
+    d_m = d_z @ w_z + d_r @ w_r
+    d_t = d_z @ u_z + d_r @ u_r + d_h @ u_h
     return (d_z, d_r, d_h), d_m, d_t, g * (1.0 - z) + d_rh * r
 
 
@@ -370,10 +387,11 @@ def gru_step(p: GruParams, m: Tensor, t: Tensor, h_prev: Tensor) -> Tensor:
     md, td, hd = m.data, t.data, h_prev.data
     if not md.shape[0] == td.shape[0] == hd.shape[0]:
         raise ValueError(f"row mismatch: m {md.shape}, t {td.shape}, h_prev {hd.shape}")
-    out_data, gates = _gru_forward(p, md, td, hd)
+    out_data, gates = _gru_forward(p, (md @ p.w_z.data, md @ p.w_r.data),
+                                   (td @ p.u_z.data, td @ p.u_r.data, td @ p.u_h.data), hd)
 
     def bwd(g):
-        pre, d_m, d_t, d_prev = _gru_backward(p, g, hd, gates)
+        pre, d_m, d_t, d_prev = _gru_backward(_gru_transposes(p), g, hd, gates)
         _gru_weight_grads(p, md, td, gates[2], pre)
         if m.requires_grad:
             m._accum(d_m)
@@ -392,24 +410,34 @@ def gru_decode(p: GruParams, head: MlpParams, h0: Tensor, t0: np.ndarray,
     h_0 = h0 (1, H) and t_0 = t0 (1, k); for i = 1..n-1 (n >= 2),
     h_i = gru_step(p, h_{i-1}, t_{i-1}, h_{i-1}) and t_i = head(h_i), where
     head is tanh then softmax. Returns the (n, H + k) matrix whose row i is
-    [h_i, t_i]. The backward runs through time over the stored gates, then
-    forms each weight gradient with one matmul over the stacked steps.
+    [h_i, t_i]. Each step makes one product of its state with the stacked
+    [W0 | w_z | w_r], which feeds its head and the next step's gates, and one
+    of its type row with the stacked [u_z | u_r | u_h]. The backward runs
+    through time over the stored gates, then forms each weight gradient with
+    one matmul over the stacked steps.
     """
     (w0, b0, act0), (w1, b1, act1) = head.layers
     if (act0, act1) != ("tanh", "softmax"):
         raise ValueError(f"type head needs tanh then softmax, got {act0}, {act1}")
     if n < 2:
         raise ValueError(f"a run needs at least 2 states, got n={n}")
-    width = h0.shape[1]
+    width, mid = h0.shape[1], w0.shape[1]
+    by_state = np.hstack([w0.data, p.w_z.data, p.w_r.data])
+    by_type = np.hstack([p.u_z.data, p.u_r.data, p.u_h.data])
     out_data = np.empty((n, width + w1.shape[1]))
     out_data[0, :width], out_data[0, width:] = h0.data, t0
     parents = (h0, *vars(p).values(), w0, b0, w1, b1)
     record = _records(parents)
     gates, hidden = [], []
     h, t = h0.data, t0
+    hp = h @ by_state
     for i in range(1, n):
-        h, step_gates = _gru_forward(p, h, t, h)
-        a = np.tanh(h @ w0.data + b0.data)
+        tp = t @ by_type
+        h, step_gates = _gru_forward(
+            p, (hp[:, mid : mid + width], hp[:, mid + width :]),
+            (tp[:, :width], tp[:, width : 2 * width], tp[:, 2 * width :]), h)
+        hp = h @ by_state
+        a = np.tanh(hp[:, :mid] + b0.data)
         t = _softmax(a @ w1.data + b1.data)
         out_data[i, :width], out_data[i, width:] = h, t
         if record:
@@ -418,17 +446,18 @@ def gru_decode(p: GruParams, head: MlpParams, h0: Tensor, t0: np.ndarray,
 
     def bwd(g):
         states, types = out_data[:, :width], out_data[:, width:]
+        wt, w0t, w1t = _gru_transposes(p), w0.data.T, w1.data.T
         pre = [np.empty((n - 1, width)) for _ in range(3)]
         d_logit = np.empty((n - 1, w1.shape[1]))
-        d_a = np.empty((n - 1, w0.shape[1]))
+        d_a = np.empty((n - 1, mid))
         d_h, d_t = 0.0, 0.0  # gradients reaching h_i and t_i from step i + 1
         for i in range(n - 1, 0, -1):
             s, a = types[i : i + 1], hidden[i - 1]
             d_s = g[i : i + 1, width:] + d_t
             d_logit[i - 1] = s * (d_s - (d_s * s).sum(axis=-1, keepdims=True))
-            d_a[i - 1] = (d_logit[i - 1] @ w1.data.T) * (1.0 - a * a)
-            d_state = g[i : i + 1, :width] + d_h + d_a[i - 1] @ w0.data.T
-            step_pre, d_m, d_t, d_prev = _gru_backward(p, d_state, states[i - 1 : i],
+            d_a[i - 1] = (d_logit[i - 1] @ w1t) * (1.0 - a * a)
+            d_state = g[i : i + 1, :width] + d_h + d_a[i - 1] @ w0t
+            step_pre, d_m, d_t, d_prev = _gru_backward(wt, d_state, states[i - 1 : i],
                                                        gates[i - 1])
             for rows, d in zip(pre, step_pre):
                 rows[i - 1] = d
@@ -488,6 +517,19 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     return h
 
 
+@functools.cache
+def tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(n, -1), computed once per n and read-only.
+
+    The cache keeps every n it is asked for: two index arrays of n(n-1)/2
+    entries each, about 0.2 MB at n = 166.
+    """
+    low = np.tril_indices(n, -1)
+    for idx in low:
+        idx.flags.writeable = False
+    return low
+
+
 def pair_head(h: Tensor, p: MlpParams) -> Tensor:
     """sigmoid(tanh([h_i, h_j] W0 + b0) W1 + b1) for every row pair j < i of h.
 
@@ -521,7 +563,7 @@ def pair_head(h: Tensor, p: MlpParams) -> Tensor:
         d_pre = g * out_data * (1.0 - out_data)
         d_a = (d_pre @ w1.data.T) * (1.0 - hidden * hidden)
         by_pair = np.zeros((n, n, w0.shape[1]))
-        by_pair[np.tril_indices(n, -1)] = d_a
+        by_pair[tril_indices(n)] = d_a
         d_left, d_right = by_pair.sum(axis=1), by_pair.sum(axis=0)
         if w1.requires_grad:
             w1._accum(hidden.T @ d_pre)
@@ -545,6 +587,26 @@ def _init_tensor(rng: np.random.Generator, shape: tuple[int, int]) -> Tensor:
 # -- Adam ---------------------------------------------------------------------
 
 
+def arena(tensors) -> tuple[np.ndarray, np.ndarray]:
+    """Pack the tensors, in order, into one parameter vector and one gradient vector.
+
+    Every tensor's data becomes a view of the parameter vector (its values
+    kept) and its grad a view of the zeroed gradient vector, so a backward
+    accumulates into the gradient vector and one write to the parameter
+    vector updates every tensor.
+    """
+    tensors = list(tensors)
+    flat = np.concatenate([t.data.ravel() for t in tensors])
+    grad = np.zeros_like(flat)
+    ofs = 0
+    for t in tensors:
+        shape, size = t.data.shape, t.data.size
+        t.data = flat[ofs : ofs + size].reshape(shape)
+        t.grad = grad[ofs : ofs + size].reshape(shape)
+        ofs += size
+    return flat, grad
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-4
@@ -552,42 +614,33 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: np.ndarray | None = None  # moments of every parameter, concatenated in params order
+    m: np.ndarray | None = None  # moments, one entry per parameter entry
     v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: dict[str, Tensor],
-              grads: dict[str, np.ndarray]) -> None:
-    """Bias-corrected Adam update, in place on params; deterministic.
+def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray) -> None:
+    """Bias-corrected Adam update of the parameter vector flat, in place; deterministic.
 
-    Every parameter needs a gradient of its own shape; all are checked before
-    anything changes. The update runs once over the concatenated vector.
+    grad and the moments must have flat's shape; all are checked before
+    anything changes. Each Adam expression runs once over the whole vector.
     """
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ValueError(f"missing gradient for {name}")
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-    g = np.concatenate([grads[name].ravel() for name in params])
+    if grad.shape != flat.shape:
+        raise ValueError(f"gradient shape {grad.shape} differs from parameters {flat.shape}")
     if state.m is None:
-        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
-    elif state.m.shape != g.shape:
-        raise ValueError(f"parameter size {g.size} differs from the state's {state.m.size}")
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
+    elif state.m.shape != flat.shape or state.v.shape != flat.shape:
+        raise ValueError(f"moment shapes {state.m.shape}, {state.v.shape} differ "
+                         f"from parameters {flat.shape}")
     state.step += 1
     t = state.step
     m, v = state.m, state.v
     m *= state.beta1
-    m += (1 - state.beta1) * g
+    m += (1 - state.beta1) * grad
     v *= state.beta2
-    v += (1 - state.beta2) * g * g
+    v += (1 - state.beta2) * grad * grad
     m_hat = m / (1 - state.beta1 ** t)
     v_hat = v / (1 - state.beta2 ** t)
-    update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    ofs = 0
-    for p in params.values():
-        p.data -= update[ofs : ofs + p.data.size].reshape(p.data.shape)
-        ofs += p.data.size
+    flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 # -- Checkpoint I/O -----------------------------------------------------------

@@ -163,7 +163,7 @@ def sample_latent(code: LatentCode, mode: str, rng: np.random.Generator | None =
 def _lower(mat: np.ndarray) -> np.ndarray:
     """Strictly lower-triangle entries of a square matrix as a column, in
     np.tril_indices(n, -1) order."""
-    return mat[np.tril_indices(mat.shape[0], -1)].reshape(-1, 1)
+    return mat[ad.tril_indices(mat.shape[0])].reshape(-1, 1)
 
 
 @dataclass
@@ -177,7 +177,7 @@ class DecodedSoft:
 
     def to_triple(self) -> TensorTriple:
         n = self.n
-        low = np.tril_indices(n, -1)
+        low = ad.tril_indices(n)
         conn = np.zeros((n, n))
         inv = np.zeros((n, n))
         conn[low] = self.conn.data.ravel()
@@ -267,17 +267,13 @@ def loss_tensors(x: TensorTriple, decoded: DecodedSoft, mu: Tensor,
 # -- Training -----------------------------------------------------------------
 
 
-def _snapshot(params: VaeParams) -> dict[str, np.ndarray]:
-    return {k: t.data.copy() for k, t in params.named().items()}
-
-
-def _restore(params: VaeParams, snap: dict[str, np.ndarray]) -> None:
-    for k, t in params.named().items():
-        t.data = snap[k].copy()
-
-
 def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict]]:
-    """Per-graph SGD with Adam, 80-20 train/validation split, early stopping."""
+    """Per-graph SGD with Adam, 80-20 train/validation split, early stopping.
+
+    The parameters train on one arena (`autodiff.arena`): one Adam step and
+    one gradient reset per graph, and the best epoch's snapshot is a copy of
+    the parameter vector. Every grad is None again on return.
+    """
     if not dataset:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(h.seed)
@@ -285,18 +281,17 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
     n_val = max(1, len(dataset) // 5) if len(dataset) > 1 else 0
     val_set = [dataset[i] for i in order[:n_val]]
     train_set = [dataset[i] for i in order[n_val:]]
-    if not train_set:
-        train_set, val_set = val_set, []
 
     params = init_vae(h, rng)
     named = params.named()
+    flat, grad = ad.arena(named.values())
     opt = AdamState(lr=h.lr)
     train_examples = [(g, to_tensors(g)) for g in train_set]
     val_examples = [(g, to_tensors(g)) for g in val_set]
 
     history: list[dict] = []
     best_val = np.inf
-    best_snap = _snapshot(params)
+    best = flat.copy()
     bad_epochs = 0
     for epoch in range(1, h.epochs + 1):
         idx = rng.permutation(len(train_set))
@@ -309,9 +304,8 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
             decoded = decode_tensors(z, g.n, params)
             total, comps = loss_tensors(target, decoded, mu, logvar, h)
             total.backward()
-            adam_step(opt, named, {name: t.grad for name, t in named.items()})
-            for t in named.values():
-                t.grad = None
+            adam_step(opt, flat, grad)
+            grad.fill(0.0)
             train_losses.append(float(total.data))
             for c in comp_sums:
                 comp_sums[c] += comps[c]
@@ -326,13 +320,15 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
         history.append(row)
         if val_loss < best_val:
             best_val = val_loss
-            best_snap = _snapshot(params)
+            best = flat.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs > h.patience:
                 break
-    _restore(params, best_snap)
+    flat[:] = best
+    for t in named.values():
+        t.grad = None
     return params, history
 
 

@@ -145,6 +145,20 @@ def _gru_decode_by_ops(p, head, h0: Tensor, t0: np.ndarray, n: int) -> Tensor:
     return ad.concat(rows, axis=0)
 
 
+def _gru_decode_rows(p, head, h0: np.ndarray, t0: np.ndarray, n: int) -> np.ndarray:
+    """gru_decode's forward on arrays, one product per weight: _gru_forward
+    then the tanh/softmax head, step by step."""
+    (w0, b0, _), (w1, b1, _) = head.layers
+    h, t = h0, t0
+    rows = [np.hstack([h, t])]
+    for _ in range(1, n):
+        h, _ = ad._gru_forward(p, (h @ p.w_z.data, h @ p.w_r.data),
+                               (t @ p.u_z.data, t @ p.u_r.data, t @ p.u_h.data), h)
+        t = ad._softmax(np.tanh(h @ w0.data + b0.data) @ w1.data + b1.data)
+        rows.append(np.hstack([h, t]))
+    return np.vstack(rows)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_gru_decode_matches_reference_and_finite_differences(n):
     rng = np.random.default_rng(20 + n)
@@ -163,8 +177,11 @@ def test_gru_decode_matches_reference_and_finite_differences(n):
     ref = _gru_decode_by_ops(p, head, h0, t0, n)
     assert out.shape == (n, 7)
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-12)
+    # the stacked products give the bits of one product per weight
+    rows = _gru_decode_rows(p, head, h0.data, t0, n)
+    assert np.array_equal(out.data, rows)
     with no_grad():
-        assert (gru_decode(p, head, h0, t0, n).data == out.data).all()
+        assert np.array_equal(gru_decode(p, head, h0, t0, n).data, rows)
 
     def run():
         return (gru_decode(p, head, h0, t0, n) * weights).sum()
@@ -247,6 +264,14 @@ def test_pair_head_matches_finite_differences(n):
         np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
+def test_tril_indices_cached_read_only():
+    low = ad.tril_indices(5)
+    assert all(np.array_equal(a, b) for a, b in zip(low, np.tril_indices(5, -1)))
+    assert ad.tril_indices(5) is low  # every caller shares one copy, so none may write it
+    with pytest.raises(ValueError, match="read-only"):
+        low[0][0] = 1
+
+
 def test_pair_head_rejects_other_layers():
     rng = np.random.default_rng(0)
     h = Tensor(np.zeros((3, 4)))
@@ -287,41 +312,51 @@ def test_no_grad_skips_tape():
 def test_adam_step_known_update():
     p = {"w": Tensor(np.array([1.0]), requires_grad=True),
          "u": Tensor(np.array([[3.0, -1.0]]), requires_grad=True)}
+    flat, grad = ad.arena(p.values())
+    grad[:] = [2.0, -0.5, 0.0]
     st = AdamState(lr=0.1)
-    adam_step(st, p, {"w": np.array([2.0]), "u": np.array([[-0.5, 0.0]])})
-    # first step: m_hat = g, v_hat = g^2 -> update = lr * sign(g) (eps aside)
+    adam_step(st, flat, grad)
+    # the tensors view the vector: first step m_hat = g, v_hat = g^2 -> update = lr * sign(g)
     np.testing.assert_allclose(p["w"].data, 1.0 - 0.1 * (2.0 / (2.0 + 1e-8)))
     np.testing.assert_allclose(p["u"].data, [[3.0 + 0.1 * (0.5 / (0.5 + 1e-8)), -1.0]])
-    before = {k: t.data.copy() for k, t in p.items()}
-    moments = (st.m.copy(), st.v.copy())
-    for bad in ({"w": np.array([1.0]), "u": np.zeros((2,))},   # shape of a later parameter
-                {"w": np.array([1.0])}):                       # a gradient missing
-        with pytest.raises(ValueError, match="shape mismatch|missing gradient"):
-            adam_step(st, p, bad)
-        assert st.step == 1
-        for k, t in p.items():
-            assert (t.data == before[k]).all(), k
-        assert (st.m == moments[0]).all() and (st.v == moments[1]).all()
+    before, m, v = flat.copy(), st.m.copy(), st.v.copy()
+    resized_v = AdamState(lr=0.1, step=1, m=st.m, v=np.zeros(4))
+    for state, args in ((st, (flat, grad[:2])),            # short gradient
+                        (st, (flat, grad.reshape(1, 3))),  # same size, 2-D
+                        (st, (flat[:2], grad[:2])),        # not the moments' size
+                        (resized_v, (flat, grad))):        # one moment resized
+        with pytest.raises(ValueError, match="differ"):
+            adam_step(state, *args)
+        assert state.step == 1
+        assert (flat == before).all()
+        assert (state.m == m).all()
+    assert (st.v == v).all() and (resized_v.v == 0.0).all()
 
 
 def test_adam_step_matches_per_parameter_update():
-    """The flat update is the elementwise per-parameter Adam, bit for bit."""
+    """The one-pass update is the elementwise per-parameter Adam, bit for bit."""
     rng = np.random.default_rng(9)
     shapes = {"a": (3, 2), "b": (4,), "c": (1, 5)}
     p = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
     ref = {k: t.data.copy() for k, t in p.items()}
+    flat, grad = ad.arena(p.values())
     m = {k: np.zeros(s) for k, s in shapes.items()}
     v = {k: np.zeros(s) for k, s in shapes.items()}
     st = AdamState(lr=0.01)
     for step in range(1, 4):
         grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        adam_step(st, p, grads)
+        for k, g in grads.items():
+            p[k].grad[...] = g  # the tensor's grad is its slice of the vector
+        adam_step(st, flat, grad)
+        ofs = 0
         for k, g in grads.items():
             m[k] = m[k] * 0.9 + (1 - 0.9) * g
             v[k] = v[k] * 0.999 + (1 - 0.999) * g * g
             ref[k] -= 0.01 * (m[k] / (1 - 0.9 ** step)) / (
                 np.sqrt(v[k] / (1 - 0.999 ** step)) + 1e-8)
             assert (p[k].data == ref[k]).all(), (step, k)
+            assert (flat[ofs : ofs + g.size] == ref[k].ravel()).all(), (step, k)
+            ofs += g.size
 
 
 def test_params_json_bit_exact():

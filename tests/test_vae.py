@@ -258,6 +258,90 @@ def test_train_early_stopping():
         train([], hp)
 
 
+def _train_by_parameter(dataset, h: Hyperparams):
+    """vae.train as a loop over the named tensors: a fresh tape gradient per
+    graph, the Adam equations per parameter, and a dict snapshot of the best
+    epoch restored at the end."""
+    rng = np.random.default_rng(h.seed)
+    order = rng.permutation(len(dataset))
+    n_val = max(1, len(dataset) // 5) if len(dataset) > 1 else 0
+    val_set = [(dataset[i], to_tensors(dataset[i])) for i in order[:n_val]]
+    train_set = [(dataset[i], to_tensors(dataset[i])) for i in order[n_val:]]
+    params = init_vae(h, rng)
+    named = params.named()
+    opt = ad.AdamState(lr=h.lr)
+    m = {k: np.zeros(t.shape) for k, t in named.items()}
+    v = {k: np.zeros(t.shape) for k, t in named.items()}
+    step, history, best_val, bad = 0, [], np.inf, 0
+    best = {k: t.data.copy() for k, t in named.items()}
+    for epoch in range(1, h.epochs + 1):
+        losses, comps_sum = [], dict.fromkeys(("type", "conn", "inv", "kl"), 0.0)
+        for k in rng.permutation(len(train_set)):
+            g, target = train_set[k]
+            for t in named.values():
+                t.grad = None
+            mu, logvar = vae.encode_tensors(g, params)
+            z = mu + exp(logvar * 0.5) * Tensor(rng.standard_normal(mu.shape))
+            total, comps = vae.loss_tensors(target, vae.decode_tensors(z, g.n, params),
+                                            mu, logvar, h)
+            total.backward()
+            step += 1
+            for name, t in named.items():
+                grad = t.grad if t.grad is not None else np.zeros(t.shape)
+                m[name] = m[name] * opt.beta1 + (1 - opt.beta1) * grad
+                v[name] = v[name] * opt.beta2 + (1 - opt.beta2) * grad * grad
+                t.data = t.data - opt.lr * (m[name] / (1 - opt.beta1 ** step)) / (
+                    np.sqrt(v[name] / (1 - opt.beta2 ** step)) + opt.eps)
+            losses.append(float(total.data))
+            for c in comps_sum:
+                comps_sum[c] += comps[c]
+        val = vae.evaluate_loss(val_set, params, h) if val_set else float(np.mean(losses))
+        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "val_loss": val,
+                        **{f"l_{c}": comps_sum[c] / len(train_set) for c in comps_sum}})
+        if val < best_val:
+            best_val, bad = val, 0
+            best = {k: t.data.copy() for k, t in named.items()}
+        else:
+            bad += 1
+            if bad > h.patience:
+                break
+    for k, t in named.items():
+        t.data = best[k]
+    return params, history
+
+
+@pytest.mark.parametrize("patience, lr", [(0, 1e-1), (10, 3e-3)])
+def test_train_equals_per_parameter_loop(patience, lr):
+    """train on its parameter arena gives the bits of the per-parameter loop."""
+    rng = np.random.default_rng(11)
+    data = [random_tree(rng, 1 + int(rng.integers(3)), n_pi_pool=4) for _ in range(6)]
+    hp = Hyperparams(latent_dim=8, hidden_dim=8, mlp_hidden=8, max_pi=8,
+                     seed=2, epochs=6, patience=patience, lr=lr)
+    params, history = train(data, hp)
+    ref_params, ref_history = _train_by_parameter(data, hp)
+    assert history == ref_history
+    if patience == 0:  # stopped early, and the best epoch is not the last one
+        vals = [row["val_loss"] for row in history]
+        assert len(history) < hp.epochs and int(np.argmin(vals)) < len(vals) - 1
+    ref = ref_params.named()
+    for name, t in params.named().items():
+        assert np.array_equal(t.data, ref[name].data), name
+        assert t.grad is None, name
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_train_on_one_or_two_graphs(size):
+    data = [random_tree(np.random.default_rng(12 + k), 2, n_pi_pool=4) for k in range(size)]
+    hp = Hyperparams(latent_dim=8, hidden_dim=8, mlp_hidden=8, max_pi=8,
+                     seed=0, epochs=3, lr=3e-3)
+    _, history = train(data, hp)
+    assert len(history) == 3
+    for row in history:
+        assert all(np.isfinite(x) for x in row.values()), row
+        if size == 1:  # nothing to validate on: the validation loss is the training loss
+            assert row["val_loss"] == row["train_loss"]
+
+
 def test_checkpoint_roundtrip(tmp_path, small_params):
     path = tmp_path / "ckpt.json"
     save_vae(small_params, str(path))
