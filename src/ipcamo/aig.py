@@ -444,24 +444,25 @@ def to_tensors(g: AigGraph) -> TensorTriple:
 
 
 def from_tensors(t: TensorTriple) -> AigGraph:
-    """Rebuild a (possibly non-canonical) AigGraph from a binary triple."""
+    """Rebuild a (possibly non-canonical) AigGraph from a binary triple.
+
+    Edges come from the strict lower triangle in row-major order: (j, i, inv)
+    for each connection bit at row i, column j < i. An inverter bit there
+    without a connection bit is dropped with a warning.
+    """
     if not t.is_binary():
         raise ValueError("triple is not binary")
-    n = t.n
-    types = []
-    for i in range(n):
-        row = t.type_mat[i]
-        if row.sum() != 1.0:
-            raise ValueError(f"type row {i} is not one-hot: {row.tolist()}")
-        types.append(NodeType(int(np.argmax(row))))
-    edges = []
-    dropped = 0
-    for i in range(n):
-        for j in range(i):
-            if t.conn_mat[i, j]:
-                edges.append((j, i, bool(t.inv_mat[i, j])))
-            elif t.inv_mat[i, j]:
-                dropped += 1
+    bad = np.flatnonzero(t.type_mat.sum(axis=1) != 1.0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"type row {i} is not one-hot: {t.type_mat[i].tolist()}")
+    types = [NodeType(v) for v in t.type_mat.argmax(axis=1).tolist()]
+    lower = np.tri(t.n, k=-1, dtype=bool)
+    conn = lower & (t.conn_mat != 0)
+    inv = t.inv_mat != 0
+    dst, src = np.nonzero(conn)
+    edges = list(zip(src.tolist(), dst.tolist(), inv[dst, src].tolist()))
+    dropped = int(np.count_nonzero(inv & lower & ~conn))
     if dropped:
         warnings.warn(
             f"dropped {dropped} inverter bit(s) without a connection bit",

@@ -158,13 +158,6 @@ class KeyedNetlist:
         return self.circuit.evaluate(full)
 
 
-def _keyed_cell(c: Circuit, out: str, normal: str, k1: str, k0: str) -> None:
-    """out = k1 ? 1 : (k0 ? 0 : normal)."""
-    nk0 = c.add(f"{out}__nk0", "not", k0)
-    pick = c.add(f"{out}__pick", "and", nk0, normal)
-    c.add(out, "or", k1, pick)
-
-
 def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     """Attacker's key-programmable model of a camouflaged netlist.
 
@@ -198,25 +191,39 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
         p = cand.get(net)
         stack.extend((p.real_in,) if p is not None else src.gates[net].ins)
 
-    c = Circuit()
-    for net, g in src.gates.items():
-        if net in live and net not in cand:
-            c.gates[net] = g
-    c.outputs = list(src.outputs)
+    # one pass in the circuit's net order: the live non-candidate nets of the
+    # view, then per keyed candidate its key inputs, the true cell function
+    # (none for a buffer), and out = k1 ? 1 : (k0 ? 0 : normal)
+    gates = {net: g for net, g in src.gates.items() if net in live and net not in cand}
+    key_input = Gate("input")
     key_inputs: list[str] = []
     correct: list[int] = []
     for i, (net, p) in enumerate((n, p) for n, p in candidates if n in live):
-        k1 = c.add(f"key{2 * i}", "input")
-        k0 = c.add(f"key{2 * i + 1}", "input")
-        key_inputs += [k1, k0]
-        correct += config_key_bits(p.config) if p is not None else (0, 0)
         if p is not None:
             op, ins = KEY00_OP[p.kind], (p.real_in,)
+            correct += config_key_bits(p.config)
         else:
-            op, ins = src.gates[net].op, src.gates[net].ins
-        normal = ins[0] if op == "buf" else c.add(f"{net}__norm", op, *ins)
-        _keyed_cell(c, net, normal, k1, k0)
-    return KeyedNetlist(c, key_inputs, correct)
+            op, ins = src.gates[net]
+            correct += (0, 0)
+        k1, k0, nk0, pick = f"key{2 * i}", f"key{2 * i + 1}", f"{net}__nk0", f"{net}__pick"
+        if op == "buf":
+            normal, made = ins[0], (k1, k0, nk0, pick)
+        else:
+            normal = f"{net}__norm"
+            made = (k1, k0, normal, nk0, pick)
+        # made names differ from each other by their suffixes and every out
+        # is a live net, so a net is driven twice only if a made name is live
+        if not live.isdisjoint(made):
+            clash = next(m for m in made if m in live)
+            raise ValueError(f"net {clash!r} already driven")
+        gates[k1] = gates[k0] = key_input
+        if op != "buf":
+            gates[normal] = Gate(op, ins)
+        gates[nk0] = Gate("not", (k0,))
+        gates[pick] = Gate("and", (nk0, normal))
+        gates[net] = Gate("or", (k1, pick))
+        key_inputs += (k1, k0)
+    return KeyedNetlist(Circuit(gates, list(src.outputs)), key_inputs, correct)
 
 
 def make_ll_baseline(f: AigGraph, n_key_bits: int, seed: int = 0) -> KeyedNetlist:

@@ -348,11 +348,12 @@ def _gru_transposes(p: GruParams) -> tuple:
     return tuple(w.data.T for w in (p.w_h, p.w_z, p.w_r, p.u_z, p.u_r, p.u_h))
 
 
-def _gru_backward(wt: tuple, g: np.ndarray, hd: np.ndarray, gates: tuple):
+def _gru_backward(wt: tuple, g: np.ndarray, hd: np.ndarray, gates: tuple,
+                  need_t: bool = True):
     """Backward of _gru_forward for output gradient g; wt is _gru_transposes(p).
 
     Returns the pre-activation gradients (z, r and candidate), then the
-    gradients of m, t and h_prev.
+    gradients of m, t (None unless need_t) and h_prev.
     """
     w_h, w_z, w_r, u_z, u_r, u_h = wt
     z, r, _, h_tilde = gates
@@ -361,7 +362,7 @@ def _gru_backward(wt: tuple, g: np.ndarray, hd: np.ndarray, gates: tuple):
     d_r = d_rh * hd * r * (1.0 - r)
     d_z = g * (h_tilde - hd) * z * (1.0 - z)
     d_m = d_z @ w_z + d_r @ w_r
-    d_t = d_z @ u_z + d_r @ u_r + d_h @ u_h
+    d_t = d_z @ u_z + d_r @ u_r + d_h @ u_h if need_t else None
     return (d_z, d_r, d_h), d_m, d_t, g * (1.0 - z) + d_rh * r
 
 
@@ -391,7 +392,8 @@ def gru_step(p: GruParams, m: Tensor, t: Tensor, h_prev: Tensor) -> Tensor:
                                    (td @ p.u_z.data, td @ p.u_r.data, td @ p.u_h.data), hd)
 
     def bwd(g):
-        pre, d_m, d_t, d_prev = _gru_backward(_gru_transposes(p), g, hd, gates)
+        pre, d_m, d_t, d_prev = _gru_backward(_gru_transposes(p), g, hd, gates,
+                                              t.requires_grad)
         _gru_weight_grads(p, md, td, gates[2], pre)
         if m.requires_grad:
             m._accum(d_m)

@@ -180,6 +180,12 @@ def appearance_mimic(gf_states: dict, a_states: dict, realization: dict) -> list
 # -- Netlist assembly ---------------------------------------------------------
 
 
+# realization kind ("fi", "fb", "ut_a" or "ut_b") -> the covert cell it places,
+# and whether that cell reads a decoy tap: a camouflaged NAND's second fan-in
+# is a primary input
+_CELL_KIND = {k.name.lower(): (k, apparent_op(k) == "nand") for k in CovertGateKind}
+
+
 def _build_views(
     fp: AigGraph, realization: dict, rng: np.random.Generator
 ) -> tuple[AigGraph, Circuit, list[CovertInstance]]:
@@ -211,10 +217,9 @@ def _build_views(
             return src
         if kind == "inv":
             return c.add(stem, "not", src)
-        gk = CovertGateKind[kind.upper()]  # "fi", "fb", "ut_a" or "ut_b"
+        gk, decoy = _CELL_KIND[kind]
         cfg = CovertConfig.NORMAL if r["functional"] else CovertConfig.CONST1
-        # a camouflaged NAND's second fan-in is a decoy tap on a primary input
-        dummy = pi_nets[int(rng.integers(len(pi_nets)))] if apparent_op(gk) == "nand" else None
+        dummy = pi_nets[int(rng.integers(len(pi_nets)))] if decoy else None
         placements.append(draw_cell(c, gk, cfg, stem, src, dummy))
         return stem
 

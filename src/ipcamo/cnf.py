@@ -59,9 +59,10 @@ class CnfFormula:
         lits = list(lits)
         if not lits:
             raise ValueError("empty clause")
+        n = self.n_vars
         for l in lits:
-            if not isinstance(l, int) or l == 0 or abs(l) > self.n_vars:
-                raise ValueError(f"bad literal {l!r} (have {self.n_vars} vars)")
+            if not isinstance(l, int) or l == 0 or not -n <= l <= n:
+                raise ValueError(f"bad literal {l!r} (have {n} vars)")
         self.clauses.append(lits)
 
     def copy(self) -> "CnfFormula":

@@ -40,7 +40,12 @@ def apparent_op(kind: CovertGateKind) -> str:
     return _APPEARANCE[kind]
 
 
-@dataclass
+# (kind, config) -> whether the cell needs a dummy input net, for legal pairs only
+_NEEDS_DUMMY = {(kind, config): kind in (CovertGateKind.UT_A, CovertGateKind.UT_B)
+                for kind, configs in LEGAL_CONFIGS.items() for config in configs}
+
+
+@dataclass(slots=True)
 class CovertInstance:
     """One placed covert gate; UT kinds take an extra dummy input net."""
 
@@ -52,9 +57,10 @@ class CovertInstance:
     note: str = ""
 
     def __post_init__(self):
-        if self.config not in LEGAL_CONFIGS[self.kind]:
+        needs_dummy = _NEEDS_DUMMY.get((self.kind, self.config))
+        if needs_dummy is None:
             raise ValueError(f"{self.kind.value} cannot be configured {self.config.value}")
-        if self.kind in (CovertGateKind.UT_A, CovertGateKind.UT_B) and not self.dummy_in:
+        if needs_dummy and not self.dummy_in:
             raise ValueError(f"{self.kind.value} needs a dummy input net")
 
 

@@ -1,32 +1,45 @@
 """Small gate-level netlist IR: named nets, bit-parallel simulation, const-prop,
-strashing."""
+strashing.
+
+A `Gate` is a validated named tuple (op, ins): immutable, hashable and equal
+to any gate with the same op and fan-in.
+"""
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .aig import AigGraph, NodeType
 
-# unary: buf, not; n-ary: and, or, nand; binary: xor, xnor; leaf: input, const0, const1
-OPS = {"input", "const0", "const1", "buf", "not", "and", "or", "nand", "xor", "xnor"}
+# op -> (min fan-in, max fan-in, the rule a bad fan-in breaks)
+_ARITY = {
+    **{op: (0, 0, "takes no inputs") for op in ("input", "const0", "const1")},
+    **{op: (1, 1, "takes one input") for op in ("buf", "not")},
+    **{op: (2, 2, "takes two inputs") for op in ("xor", "xnor")},
+    **{op: (1, math.inf, "needs at least one input") for op in ("and", "or", "nand")},
+}
+OPS = set(_ARITY)
 _COMMUTATIVE = {"and", "or", "nand", "xor", "xnor"}
 
 
-@dataclass(frozen=True)
-class Gate:
-    op: str
-    ins: tuple[str, ...] = ()
+class Gate(namedtuple("Gate", "op ins")):
+    """A gate: its op and the tuple of nets it reads."""
 
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise ValueError(f"unknown gate op {self.op!r}")
-        if self.op in ("input", "const0", "const1") and self.ins:
-            raise ValueError(f"{self.op} gate takes no inputs")
-        if self.op in ("buf", "not") and len(self.ins) != 1:
-            raise ValueError(f"{self.op} gate takes one input")
-        if self.op in ("xor", "xnor") and len(self.ins) != 2:
-            raise ValueError(f"{self.op} gate takes two inputs")
-        if self.op in ("and", "or", "nand") and len(self.ins) < 1:
-            raise ValueError(f"{self.op} gate needs at least one input")
+    __slots__ = ()
+
+    def __new__(cls, op: str, ins: tuple[str, ...] = ()):
+        try:
+            lo, hi, rule = _ARITY[op]
+        except KeyError:
+            raise ValueError(f"unknown gate op {op!r}") from None
+        if not lo <= len(ins) <= hi:
+            raise ValueError(f"{op} gate {rule}")
+        return tuple.__new__(cls, (op, ins))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":  # namedtuple's _make and _replace skip __new__
+        return cls(*iterable)
 
 
 @dataclass
@@ -39,7 +52,7 @@ class Circuit:
     def add(self, net: str, op: str, *ins: str) -> str:
         if net in self.gates:
             raise ValueError(f"net {net!r} already driven")
-        self.gates[net] = Gate(op, tuple(ins))
+        self.gates[net] = Gate(op, ins)
         return net
 
     @property

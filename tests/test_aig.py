@@ -1,10 +1,13 @@
 """AIG data model, AIGER I/O, cones, tensors, simulation."""
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipcamo.aig import (AigGraph, AigerParseError, NodeType, extract_cone_tree,
-                        from_tensors, normalize, pad_to_match, parse_aiger,
+from ipcamo.aig import (AigGraph, AigerParseError, NodeType, TensorTriple,
+                        extract_cone_tree, from_tensors, normalize, pad_to_match, parse_aiger,
                         random_tree, simulate, to_tensors, truth_table,
                         write_aiger)
 
@@ -177,6 +180,61 @@ def test_from_tensors_drops_orphan_inverter_bits():
     with pytest.warns(UserWarning, match="dropped 1 inverter"):
         g = from_tensors(t)
     assert g.structurally_equal(simple_graph())
+
+
+def _from_tensors_by_loops(t):
+    """from_tensors' checks and edges as a double loop over the strict lower
+    triangle; returns the types, the edges and the dropped inverter bits."""
+    types = []
+    for i in range(t.n):
+        row = t.type_mat[i]
+        if row.sum() != 1.0:
+            raise ValueError(f"type row {i} is not one-hot: {row.tolist()}")
+        types.append(NodeType(int(np.argmax(row))))
+    edges, dropped = [], 0
+    for i in range(t.n):
+        for j in range(i):
+            if t.conn_mat[i, j]:
+                edges.append((j, i, bool(t.inv_mat[i, j])))
+            elif t.inv_mat[i, j]:
+                dropped += 1
+    return types, edges, dropped
+
+
+@pytest.mark.parametrize("n", [2, 7, 40, 166])
+def test_from_tensors_matches_double_loop(n):
+    rng = np.random.default_rng(n)
+    type_mat = np.eye(3)[rng.integers(3, size=n)]
+    conn = (rng.random((n, n)) < 0.3).astype(float)  # upper-triangle bits are ignored
+    inv = (rng.random((n, n)) < 0.3).astype(float)
+    conn[n - 1, 0], inv[n - 1, 0] = 0.0, 1.0  # at least one orphan inverter bit
+    t = TensorTriple(type_mat, conn, inv)
+    types, edges, dropped = _from_tensors_by_loops(t)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = from_tensors(t)
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [
+        (UserWarning, f"dropped {dropped} inverter bit(s) without a connection bit", __file__)]
+    assert g.types == types
+    assert g.edges == edges
+    assert all(type(s) is int and type(d) is int and type(v) is bool for s, d, v in g.edges)
+
+
+def test_from_tensors_rejects_soft_triples_and_non_one_hot_rows():
+    t = to_tensors(simple_graph())
+    with pytest.raises(ValueError, match="^triple is not binary$"):
+        from_tensors(TensorTriple(t.type_mat, t.conn_mat * 0.5, t.inv_mat))
+    with pytest.raises(ValueError, match="^triple is not binary$"):
+        from_tensors(TensorTriple(t.type_mat, t.conn_mat, t.inv_mat + 2.0))
+    types = t.type_mat.copy()
+    types[1] = 0.0
+    types[3] = 1.0
+    for mat, row in ((types, "1 is not one-hot: [0.0, 0.0, 0.0]"),
+                     (types[[0, 3]], "1 is not one-hot: [1.0, 1.0, 1.0]")):
+        with pytest.raises(ValueError, match=re.escape(f"type row {row}")):
+            _from_tensors_by_loops(TensorTriple(mat, t.conn_mat, t.inv_mat))
+        with pytest.raises(ValueError, match=re.escape(f"type row {row}")):
+            from_tensors(TensorTriple(mat, t.conn_mat, t.inv_mat))
 
 
 def test_pad_to_match():

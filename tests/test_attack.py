@@ -283,6 +283,29 @@ def _floating_candidate_netlist():
     return kn, pruned
 
 
+@pytest.mark.parametrize("op, net, clash", [
+    ("not", "key0", True),       # a key input of candidate a
+    ("not", "a__pick", True),    # a's pick gate
+    ("not", "a__norm", True),    # a's true cell function
+    ("buf", "a__norm", False),   # a buffer cell makes no __norm net
+])
+def test_keyize_keeps_every_net_single_driven(op, net, clash):
+    c = Circuit()
+    c.add("x", "input")
+    c.add("a", op, "x")
+    c.add(net, "and", "a", "x")
+    c.outputs = [net]
+    nl = CamouflagedNetlist(None, c, [], [])
+    if clash:
+        with pytest.raises(ValueError, match=f"^net '{net}' already driven$"):
+            keyize_netlist(nl)
+        return
+    kn = keyize_netlist(nl)
+    assert kn.key_inputs == ["key0", "key1"]
+    for x in (0, 1):
+        assert kn.evaluate(kn.correct_key, {"x": x}) == c.evaluate({"x": x})
+
+
 def test_floating_candidates_get_no_keys():
     kn, pruned = _floating_candidate_netlist()
     assert kn.key_inputs == ["key0", "key1", "key2", "key3"]

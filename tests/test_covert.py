@@ -52,6 +52,25 @@ def test_ut_needs_dummy_input():
     CovertInstance(K.UT_A, C.NORMAL, out="o", real_in="x", dummy_in="d")
 
 
+def test_covert_instance_rejects_illegal_pairs_and_missing_dummies():
+    ut = (K.UT_A, K.UT_B)
+    for kind in K:
+        for cfg in C:
+            dummy = "d" if kind in ut else None
+            if cfg in LEGAL_CONFIGS[kind]:
+                p = CovertInstance(kind, cfg, out="o", real_in="x", dummy_in=dummy)
+                assert (p.kind, p.config, p.dummy_in) == (kind, cfg, dummy)
+            else:
+                with pytest.raises(ValueError,
+                                   match=f"^{kind.value} cannot be configured {cfg.value}$"):
+                    CovertInstance(kind, cfg, out="o", real_in="x", dummy_in=dummy)
+    for kind in ut:
+        for cfg in C:
+            for dummy in (None, ""):
+                with pytest.raises(ValueError, match=f"^{kind.value} needs a dummy input net$"):
+                    CovertInstance(kind, cfg, out="o", real_in="x", dummy_in=dummy)
+
+
 def test_draw_cell_layout_matches_cell_nets_and_key_model():
     for kind, configs in LEGAL_CONFIGS.items():
         for cfg in sorted(configs, key=lambda c: c.value):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipcamo.aig import AigGraph, NodeType, pattern_words, random_tree
-from ipcamo.gatelevel import (Circuit, CompiledCircuit, Gate, circuit_from_obj,
+from ipcamo.gatelevel import (OPS, Circuit, CompiledCircuit, Gate, circuit_from_obj,
                               circuit_to_obj, from_aig, miter, prune, simplify,
                               substitute)
 
@@ -47,6 +47,44 @@ def test_gate_validation_and_cycles():
     c2.gates["z"] = Gate("not", ("missing",))
     with pytest.raises(ValueError, match="undriven"):
         c2.topo_order()
+
+
+# op -> (fewest inputs, most inputs or None for no bound, the error a bad count gives)
+_FAN_IN = {
+    "input": (0, 0, "input gate takes no inputs"),
+    "const0": (0, 0, "const0 gate takes no inputs"),
+    "const1": (0, 0, "const1 gate takes no inputs"),
+    "buf": (1, 1, "buf gate takes one input"),
+    "not": (1, 1, "not gate takes one input"),
+    "xor": (2, 2, "xor gate takes two inputs"),
+    "xnor": (2, 2, "xnor gate takes two inputs"),
+    "and": (1, None, "and gate needs at least one input"),
+    "or": (1, None, "or gate needs at least one input"),
+    "nand": (1, None, "nand gate needs at least one input"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_gate_arity_edges(op):
+    """Fan-ins just outside an op's range raise; the ones at its ends make an
+    immutable, hashable gate equal to its twin."""
+    assert set(_FAN_IN) == OPS
+    lo, hi, message = _FAN_IN[op]
+    nets = tuple(f"a{k}" for k in range(6))
+    outside = [k for k in (lo - 1, None if hi is None else hi + 1) if k is not None and k >= 0]
+    assert outside
+    for k in outside:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Gate(op, nets[:k])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Gate(op, nets[:lo])._replace(ins=nets[:k])
+    for k in (lo, 5 if hi is None else hi):
+        g, twin = Gate(op, nets[:k]), Gate(op, tuple(list(nets[:k])))
+        assert (g.op, g.ins) == (op, nets[:k])
+        assert g == twin and hash(g) == hash(twin) and {g: k}[twin] == k
+        for field_name in ("op", "ins"):
+            with pytest.raises(AttributeError):
+                setattr(g, field_name, "x")
 
 
 def test_simplify_constant_propagation():

@@ -58,6 +58,25 @@ def test_trivial_cases():
     assert sat_solve(cnf).status == "UNSAT"
 
 
+def test_add_clause_accepts_and_rejects_exactly():
+    cnf = CnfFormula()
+    n = len(cnf.new_vars(3))
+    good = ([1], [-n, n], [True], (2, -1, True), (l for l in (3, -2)))
+    for lits in good:
+        cnf.add_clause(lits)
+    assert cnf.clauses == [[1], [-3, 3], [True], [2, -1, True], [3, -2]]
+    bad = {"empty clause": [[], ()],
+           "bad literal": [[0], [n + 1], [-(n + 1)], [1.0], ["1"], [False], [2, 0],
+                           [1, n + 1], [np.int64(1)], [None]]}
+    for message, cases in bad.items():
+        for lits in cases:
+            with pytest.raises(ValueError, match=message):
+                cnf.add_clause(lits)
+    assert len(cnf.clauses) == len(good)
+    with pytest.raises(ValueError, match=r"^bad literal 4 \(have 3 vars\)$"):
+        cnf.add_clause([4])
+
+
 def test_top_level_unsat_reports_its_propagations():
     # the first propagation pass already conflicts, before any decision
     cnf = CnfFormula()
