@@ -133,9 +133,13 @@ class AigGraph:
         return not self.issues()
 
     def is_tree(self) -> bool:
+        """Canonical, one PO, and every other node feeds exactly one edge."""
+        pos = self.po_indices
+        srcs = {s for s, _, _ in self.edges}
         return (
-            len(self.po_indices) == 1
-            and len(self.edges) == self.n - 1
+            len(pos) == 1
+            and len(self.edges) == len(srcs) == self.n - 1
+            and pos[0] not in srcs
             and self.is_canonical
         )
 
@@ -226,10 +230,14 @@ def parse_aiger(data: bytes | str) -> AigGraph:
         return vals, ln
 
     in_lits = []
+    seen_lits: set[int] = set()  # literals defined by an input or an AND
     for _ in range(i_cnt):
         vals, ln = take("input literal")
         if len(vals) != 1 or vals[0] < 2 or vals[0] % 2:
             raise AigerParseError(f"invalid input literal {lines[ln - 1]!r}", line=ln)
+        if vals[0] in seen_lits:
+            raise AigerParseError(f"literal {vals[0]} defined twice", line=ln)
+        seen_lits.add(vals[0])
         in_lits.append(vals[0])
     out_lits = []
     for _ in range(o_cnt):
@@ -242,6 +250,9 @@ def parse_aiger(data: bytes | str) -> AigGraph:
         vals, ln = take("AND definition")
         if len(vals) != 3 or vals[0] < 2 or vals[0] % 2:
             raise AigerParseError(f"invalid AND definition {lines[ln - 1]!r}", line=ln)
+        if vals[0] in seen_lits:
+            raise AigerParseError(f"literal {vals[0]} defined twice", line=ln)
+        seen_lits.add(vals[0])
         and_defs.append((vals, ln))
 
     # symbol table

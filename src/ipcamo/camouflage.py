@@ -121,8 +121,10 @@ def _pair_states(g: AigGraph, layout: AigGraph) -> dict[tuple[int, int], str]:
 
 # -- Fix phases ---------------------------------------------------------------
 #
-# A realization record tracks, per pair, how the visible wiring is built and
-# whether a real signal rides on it ("functional") or it is quietly tied off.
+# The realization maps each wired pair to how its visible wiring is built: a
+# plain "wire", an "inv", or a covert cell ("fi", "fb", "ut_a", "ut_b"). A
+# real signal rides on a pair exactly when it is an edge of F; the cells on
+# every other pair are tied off.
 
 _ADDED = {"connect": "wire", "insert_inv": "inv"}  # phase-1 action -> wiring it adds
 
@@ -132,7 +134,7 @@ def functional_preserve(
 ) -> tuple[dict, dict, list[dict]]:
     """Phase 1: make the generated wiring compute F. Returns (realization,
     post-fix apparent states, fix log)."""
-    realization: dict[tuple[int, int], dict] = {}
+    realization: dict[tuple[int, int], str] = {}
     gf_states = dict(g_states)
     log = []
     for pair in sorted(set(g_states) | set(f_states)):
@@ -142,14 +144,11 @@ def functional_preserve(
         if action is not None:
             log.append({"phase": "functional", "pair": list(pair),
                         "g_state": sg, "f_state": sf, "action": action})
-            kind = _ADDED.get(action, action)
+            realization[pair] = _ADDED.get(action, action)
             if action in _ADDED:
                 gf_states[pair] = sf
         elif not _no_conn(sg):  # states already agree; keep the plain wiring
-            kind = "wire" if sg == "10" else "inv"
-        else:
-            continue
-        realization[pair] = {"kind": kind, "functional": kind not in ("fb", "fi")}
+            realization[pair] = "wire" if sg == "10" else "inv"
     return realization, gf_states, log
 
 
@@ -164,15 +163,10 @@ def appearance_mimic(gf_states: dict, a_states: dict, realization: dict) -> list
             continue
         entry = {"phase": "appearance", "pair": list(pair),
                  "g_state": sg, "a_state": sa, "action": action}
-        if action in ("fb", "fi"):
-            realization[pair] = {"kind": action, "functional": False}
+        if realization.get(pair) in ("ut_a", "ut_b"):
+            entry["skipped"] = "pair already realized as a camouflaged NAND"
         else:
-            prev = realization[pair]  # sg is connected, so a record exists
-            if prev["kind"] in ("ut_a", "ut_b"):
-                entry["skipped"] = "pair already realized as a camouflaged NAND"
-            else:
-                realization[pair] = {"kind": action,
-                                     "functional": prev["functional"]}
+            realization[pair] = action
         log.append(entry)
     return log
 
@@ -186,21 +180,19 @@ def appearance_mimic(gf_states: dict, a_states: dict, realization: dict) -> list
 _CELL_KIND = {k.name.lower(): (k, apparent_op(k) == "nand") for k in CovertGateKind}
 
 
-def _build_views(
-    fp: AigGraph, realization: dict, rng: np.random.Generator
-) -> tuple[AigGraph, Circuit, list[CovertInstance]]:
-    """Functional view (pruned to the PO cone) and appearance view with its
-    covert placements. Each AND slot is a node of F or of A, so every slot
-    has wiring into it and a path to the PO."""
+def _build_appearance(
+    fp: AigGraph, realization: dict, f_states: dict, rng: np.random.Generator
+) -> tuple[Circuit, list[CovertInstance]]:
+    """Appearance view and its covert placements: NORMAL on an edge of F,
+    CONST1 elsewhere. Each slot is a node of F or of A, both trees, so every
+    AND slot has wiring into it, every PI slot is read, and every slot has a
+    path to the PO."""
     n_pi = len(fp.pi_indices)
     names = [f"g{i}" if t is NodeType.AND else fp.names[i]
              for i, t in enumerate(fp.types)]
     incoming: dict[int, list] = {v: [] for v in range(n_pi, fp.n)}
-    func_edges = []
-    for (u, v), r in sorted(realization.items()):
-        incoming[v].append((u, r))
-        if r["functional"]:
-            func_edges.append((u, v, r["kind"] in ("inv", "ut_b")))
+    for (u, v), kind in sorted(realization.items()):
+        incoming[v].append((u, kind))
 
     pi_nets = names[:n_pi]
     c = Circuit()
@@ -209,53 +201,24 @@ def _build_views(
             c.add(name, "input")
     placements: list[CovertInstance] = []
 
-    def realize_edge(u: int, v: int, r: dict, k: int) -> str:
+    def realize_edge(u: int, v: int, kind: str, k: int) -> str:
         src = names[u]
         stem = f"{names[v]}_e{k}"
-        kind = r["kind"]
         if kind == "wire":
             return src
         if kind == "inv":
             return c.add(stem, "not", src)
         gk, decoy = _CELL_KIND[kind]
-        cfg = CovertConfig.NORMAL if r["functional"] else CovertConfig.CONST1
+        cfg = CovertConfig.NORMAL if (u, v) in f_states else CovertConfig.CONST1
         dummy = pi_nets[int(rng.integers(len(pi_nets)))] if decoy else None
         placements.append(draw_cell(c, gk, cfg, stem, src, dummy))
         return stem
 
     for v, edges in incoming.items():
-        ins = [realize_edge(u, v, r, k) for k, (u, r) in enumerate(edges)]
+        ins = [realize_edge(u, v, kind, k) for k, (u, kind) in enumerate(edges)]
         c.add(names[v], "and", *ins)
     c.outputs.append(names[-1])
-    # a tree may feed an AND one input twice and so leave a PI unread
-    read = {s for g in c.gates.values() for s in g.ins}
-    c.gates = {n: g for n, g in c.gates.items() if g.op != "input" or n in read}
-
-    full = AigGraph(types=list(fp.types), edges=sorted(func_edges),
-                    names=names, dummy=list(fp.dummy))
-    return _prune_cone(full), c, placements
-
-
-def _prune_cone(g: AigGraph) -> AigGraph:
-    """Drop nodes with no path to a PO, keeping relative order."""
-    preds = g.pred_table()
-    keep: set[int] = set()
-    stack = list(g.po_indices)
-    while stack:
-        i = stack.pop()
-        if i in keep:
-            continue
-        keep.add(i)
-        stack.extend(s for s, _ in preds[i])
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    return AigGraph(
-        types=[g.types[i] for i in order],
-        edges=sorted((remap[s], remap[d], inv) for s, d, inv in g.edges
-                     if s in keep and d in keep),
-        names=[g.names[i] for i in order],
-        dummy=[g.dummy[i] for i in order],
-    )
+    return c, placements
 
 
 # -- Result container ---------------------------------------------------------
@@ -343,11 +306,18 @@ def camouflage_pipeline(
     soft = decode(z, fp.n, params)
     g_hat = from_tensors(threshold_filter(soft, th))
 
+    f_states = _pair_states(fp, fp)
     realization, gf_states, log1 = functional_preserve(
-        _pair_states(g_hat, fp), _pair_states(fp, fp))
+        _pair_states(g_hat, fp), f_states)
     log2 = appearance_mimic(gf_states, _pair_states(ap, fp), realization)
-    functional_view, appearance_view, placements = _build_views(
-        fp, realization, np.random.default_rng(seed))
+    appearance_view, placements = _build_appearance(
+        fp, realization, f_states, np.random.default_rng(seed))
+    # the functional view is F on the layout's net names: F's k-th AND is
+    # the slot and net g{n_pi(fp) + k}
+    view = normalize(f)
+    shift = len(fp.pi_indices) - len(f.pi_indices)
+    view.names = [f"g{i + shift}" if t is NodeType.AND else view.names[i]
+                  for i, t in enumerate(view.types)]
 
     meta = {
         "p": p, "th": th, "seed": seed,
@@ -357,5 +327,5 @@ def camouflage_pipeline(
         "g_hat_nodes": g_hat.n,
         "baseline_cells": from_aig(f).cell_count(),
     }
-    return CamouflagedNetlist(functional_view, appearance_view, placements,
+    return CamouflagedNetlist(view, appearance_view, placements,
                               log1 + log2, meta)

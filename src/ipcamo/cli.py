@@ -227,6 +227,9 @@ def cmd_camouflage(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
+    """Check each netlist's functional view against F. The pipeline stores F
+    itself as that view, on the layout's net names, so this checks the
+    stored copy of F, not the placements of the appearance view."""
     out = _out_dir(cfg)
     f = _load_graph(_require(cfg, "functional"))
     paths = sorted(glob.glob(os.path.join(_require(cfg, "netlists"), "netlist_*.json")))

@@ -106,6 +106,73 @@ def test_parse_errors_carry_line_numbers():
         parse_aiger("aag 2 1 0 1 1\n2\n4\n4 2 1\n")
 
 
+@pytest.mark.parametrize("text,line", [
+    ("aag 3 2 0 1 2\n2\n4\n6\n6 2 4\n6 3 5\n", 6),  # an AND defined twice
+    ("aag 3 2 0 1 2\n2\n4\n6\n6 2 4\n4 2 2\n", 6),  # an AND redefines an input
+    ("aag 2 2 0 1 1\n2\n2\n4\n4 2 3\n", 3),          # an input listed twice
+], ids=["and-twice", "and-redefines-input", "input-twice"])
+def test_parse_rejects_literals_defined_twice(text, line):
+    with pytest.raises(AigerParseError, match="defined twice") as err:
+        parse_aiger(text)
+    assert err.value.line == line
+
+
+# PI1 is read by nothing, and the AND reads PI0 twice: y = a & ~a = 0
+REPEATED_FAN_IN = AigGraph(
+    types=[NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
+    edges=[(0, 2, False), (0, 2, True), (2, 3, False)])
+
+
+def test_is_tree_rejects_repeated_fan_in():
+    assert REPEATED_FAN_IN.is_canonical
+    assert len(REPEATED_FAN_IN.edges) == REPEATED_FAN_IN.n - 1
+    assert not REPEATED_FAN_IN.is_tree()
+    po_feeds = AigGraph(types=[NodeType.PI, NodeType.PO, NodeType.PI, NodeType.AND],
+                        edges=[(0, 1, False), (1, 3, False), (2, 3, False)])
+    assert not po_feeds.is_tree()  # a PO that feeds an AND
+
+
+def test_is_tree_accepts_random_trees():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for n_ands in (1, 2, 5, 13, 40, 82):
+            for pool in (1, 6, 10):  # one shared leaf name up to many
+                assert random_tree(rng, n_ands, n_pi_pool=pool).is_tree()
+
+
+# a shared AND (8) read by two gates and an output, and an AND (14) that
+# reads one literal twice; every output cone is a tree after duplication
+SHARED_FANOUT_AAG = """aag 7 3 0 3 4
+2
+4
+6
+8
+12
+15
+8 2 4
+10 8 6
+12 10 9
+14 12 12
+i0 a
+i1 b
+i2 c
+o0 y0
+o1 y1
+o2 y2
+"""
+
+
+def test_cone_trees_of_shared_fanout_aag_are_trees():
+    g = parse_aiger(SHARED_FANOUT_AAG)
+    assert not g.is_tree()
+    assignments = [dict(zip("abc", bits)) for bits in np.ndindex(2, 2, 2)]
+    for name in g.po_names:
+        cone = extract_cone_tree(g, name)
+        assert cone is not None and cone.is_tree(), name
+        for assign in assignments:
+            assert simulate(cone, assign)[name] == simulate(g, assign)[name]
+
+
 def test_aiger_roundtrip_simple():
     g = simple_graph()
     again = parse_aiger(write_aiger(g))

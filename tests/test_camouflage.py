@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 from ipcamo.aig import (AigGraph, NodeType, TensorTriple, normalize,
-                        pad_to_match, random_tree, to_tensors)
+                        pad_to_match, pattern_words, random_tree, to_tensors)
 from ipcamo.camouflage import (CamouflagedNetlist, _pair_states,
                                appearance_mimic, area_overhead,
                                camouflage_pipeline, checkpoint_sha256,
                                edge_state, fix_lookup, functional_preserve,
                                interpolate, threshold_filter)
-from ipcamo.attack import equivalence_check
-from ipcamo.gatelevel import prune
+from ipcamo.attack import equivalence_check, keyize_netlist
+from ipcamo.gatelevel import CompiledCircuit, from_aig, prune
 
 
 def test_interpolation_endpoints_bitwise():
@@ -144,27 +144,23 @@ def test_functional_preserve_actions():
     g_states = {(0, 2): "10", (1, 2): "11", (2, 4): "10"}
     f_states = {(0, 2): "11", (1, 3): "10", (3, 4): "10"}
     real, gf, log = functional_preserve(g_states, f_states)
-    assert real[(0, 2)]["kind"] == "ut_b" and real[(0, 2)]["functional"]
-    assert real[(1, 2)] == {"kind": "fi", "functional": False}
-    assert real[(1, 3)] == {"kind": "wire", "functional": True}
+    assert real == {(0, 2): "ut_b", (1, 2): "fi", (1, 3): "wire",
+                    (2, 4): "fb", (3, 4): "wire"}
     assert gf[(1, 3)] == "10"  # new connection shows up in the apparent states
-    assert real[(2, 4)] == {"kind": "fb", "functional": False}
     actions = {tuple(e["pair"]): e["action"] for e in log}
     assert actions == {(0, 2): "ut_b", (1, 2): "fi", (1, 3): "connect",
                        (2, 4): "fb", (3, 4): "connect"}
 
 
 def test_appearance_mimic_respects_function():
-    real = {(0, 2): {"kind": "wire", "functional": True},
-            (1, 2): {"kind": "ut_a", "functional": True}}
+    real = {(0, 2): "wire", (1, 2): "ut_a"}
     gf = {(0, 2): "10", (1, 2): "11"}
     a_states = {(0, 2): "11", (1, 2): "10", (1, 3): "10"}
     log = appearance_mimic(gf, a_states, real)
-    assert real[(0, 2)] == {"kind": "ut_a", "functional": True}
-    assert real[(1, 3)] == {"kind": "fb", "functional": False}
+    # (1, 2) is already a camouflaged NAND and stays one
+    assert real == {(0, 2): "ut_a", (1, 2): "ut_a", (1, 3): "fb"}
     skipped = [e for e in log if e.get("skipped")]
     assert len(skipped) == 1 and skipped[0]["pair"] == [1, 2]
-    assert real[(1, 2)]["kind"] == "ut_a"  # untouched
 
 
 def _toy_pair(seed):
@@ -208,6 +204,38 @@ def test_pipeline_preserves_function(toy_checkpoint):
     assert area_overhead(nl) > 0
 
 
+def test_functional_view_is_f_on_the_layout_names(toy_checkpoint):
+    params, _ = toy_checkpoint
+    for f, a in (_toy_pair(10), _toy_pair(11), _desk_pair(100)):
+        fp = normalize(pad_to_match(f, a))
+        nl = camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=1)
+        view = nl.functional_view
+        assert view.structurally_equal(normalize(f))
+        first = len(fp.pi_indices)  # F's k-th AND is the layout's slot first + k
+        assert view.names == [f.names[i] for i in f.pi_indices] + [
+            f"g{first + k}" for k in range(len(f.and_indices))] + f.po_names
+        assert set(view.names) <= set(nl.appearance_view.gates)
+
+
+def test_keyed_netlist_computes_f_under_the_correct_key(toy_checkpoint):
+    """The built netlist, not the functional view: keyed under its correct
+    key, each desk cell computes F on all 2^10 patterns of its inputs."""
+    params, _ = toy_checkpoint
+    for idx, seed in enumerate((100, 101, 102, 103)):
+        f, a = _desk_pair(seed)
+        pis = f.pi_names
+        words, full = pattern_words(len(pis))
+        payload = dict(zip(pis, words))
+        want = CompiledCircuit(from_aig(f)).run(payload, full)
+        for p in (0.1, 0.9):
+            for th in (0.01, 0.05, 0.09, 0.5):
+                kn = keyize_netlist(camouflage_pipeline(f, a, params, p, th, seed=idx))
+                key = {k: full if b else 0 for k, b in zip(kn.key_inputs, kn.correct_key)}
+                assert set(kn.circuit.inputs) == set(pis) | set(key)
+                got = CompiledCircuit(kn.circuit).run(payload | key, full)
+                assert got == want, (seed, p, th)
+
+
 def test_checkpoint_sha256_follows_the_weights(toy_checkpoint, tmp_path):
     from ipcamo.vae import load_vae, save_vae
     params, _ = toy_checkpoint
@@ -242,10 +270,14 @@ def test_pipeline_rejects_non_trees(toy_checkpoint):
     dag = AigGraph(types=[NodeType.PI, NodeType.AND, NodeType.AND, NodeType.PO],
                    edges=[(0, 1, False), (0, 2, False), (1, 3, False),
                           (1, 2, True), (2, 3, False)])
-    with pytest.raises(ValueError, match="tree"):
-        camouflage_pipeline(dag, a, params, p=0.5, th=0.05)
-    with pytest.raises(ValueError, match="tree"):
-        camouflage_pipeline(f, dag, params, p=0.5, th=0.05)
+    # canonical with n - 1 edges, but the AND reads PI 0 twice and PI 1 floats
+    repeated = AigGraph(types=[NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
+                        edges=[(0, 2, False), (0, 2, True), (2, 3, False)])
+    for bad in (dag, repeated):
+        with pytest.raises(ValueError, match="tree"):
+            camouflage_pipeline(bad, a, params, p=0.5, th=0.05)
+        with pytest.raises(ValueError, match="tree"):
+            camouflage_pipeline(f, bad, params, p=0.5, th=0.05)
 
 
 def test_area_overhead_requires_metadata():

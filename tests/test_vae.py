@@ -195,6 +195,11 @@ def test_encode_rejects_non_tree(small_params):
                  edges=[(0, 1, False), (0, 2, False)])
     with pytest.raises(ValueError, match="tree"):
         encode(g, small_params)
+    # canonical with n - 1 edges, but the AND reads PI 0 twice and PI 1 floats
+    repeated = AigGraph(types=[NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
+                        edges=[(0, 2, False), (0, 2, True), (2, 3, False)])
+    with pytest.raises(ValueError, match="tree"):
+        encode(repeated, small_params)
 
 
 def test_encode_eval_deterministic(small_params):
