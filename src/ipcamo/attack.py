@@ -14,7 +14,7 @@ import numpy as np
 
 from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
-from .cnf import CnfFormula, SatResult, sat_solve
+from .cnf import CnfFormula, SatResult, check_literals, sat_solve
 from .covert import KEY00_OP, CovertInstance, cell_nets, config_key_bits
 from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, simplify,
                         substitute)
@@ -38,55 +38,64 @@ def tseitin_encode(
     plus one, and OR is the negated AND of negated inputs. A circuit whose
     inputs are all constant adds no variables and no clauses. Callers that
     encode one circuit many times pass it compiled, so its topological
-    order is computed once.
+    order is computed once. An unbound input net (KeyError) or a bad
+    true_lit or input literal (add_clause's ValueError) is caught before
+    the formula changes.
     """
     cc = c if isinstance(c, CompiledCircuit) else CompiledCircuit(c)
     t = true_lit
+    n = cnf.n_vars
+    for net in cc.inputs:
+        if net not in inputs:
+            raise KeyError(f"no literal bound for input {net!r}")
+    # the bound literals are checked once, by add_clause's rule; every clause
+    # below is made of them and of new variables, so it is appended unchecked
+    check_literals([t] + [inputs[net] for net in cc.inputs], n)
+    clauses = cnf.clauses
     lit = [0] * len(cc.nets)
-    for i, (net, op, fanin) in enumerate(zip(cc.nets, cc.ops, cc.fanin)):
-        if op == "input":
-            if net not in inputs:
-                raise KeyError(f"no literal bound for input {net!r}")
-            lit[i] = inputs[net]
-            continue
-        if op == "const1" or op == "const0":
-            lit[i] = t if op == "const1" else -t
-            continue
-        ins = [lit[s] for s in fanin]
-        if op == "buf" or op == "not":
-            lit[i] = ins[0] if op == "buf" else -ins[0]
-        elif op in ("xor", "xnor"):
-            a, b = ins
+    for i, (op, fanin) in enumerate(zip(cc.ops, cc.fanin)):
+        if op == "not":
+            lit[i] = -lit[fanin[0]]
+        elif op == "and" or op == "or" or op == "nand":
+            # or(x..) = not and(not x..)
+            if op == "or":
+                ins = [-lit[s] for s in fanin]
+                negate = True
+            else:
+                ins = [lit[s] for s in fanin]
+                negate = op == "nand"
+            if -t in ins:
+                lit[i] = t if negate else -t
+                continue
+            if t in ins:
+                ins = [x for x in ins if x != t]
+            if len(ins) > 1:
+                n += 1
+                o = n
+                clauses += [[-o, x] for x in ins]
+                clauses.append([o] + [-x for x in ins])
+            else:
+                o = ins[0] if ins else t
+            lit[i] = -o if negate else o
+        elif op == "input":
+            lit[i] = inputs[cc.nets[i]]
+        elif op == "buf":
+            lit[i] = lit[fanin[0]]
+        elif op == "xor" or op == "xnor":
+            a, b = lit[fanin[0]], lit[fanin[1]]
             flip = op == "xnor"
             if abs(a) == t:
                 a, b = b, a
             if abs(b) == t:   # xor with a constant: a or its negation
                 lit[i] = -a if (b == t) != flip else a
                 continue
-            o = cnf.new_var()
-            w = -o if flip else o
-            cnf.add_clause([-w, a, b])
-            cnf.add_clause([-w, -a, -b])
-            cnf.add_clause([w, -a, b])
-            cnf.add_clause([w, a, -b])
-            lit[i] = o
-        else:   # and, nand, or: or(x..) = not and(not x..)
-            negate = op == "nand"
-            if op == "or":
-                ins = [-x for x in ins]
-                negate = True
-            if -t in ins:
-                lit[i] = t if negate else -t
-                continue
-            ins = [x for x in ins if x != t]
-            if len(ins) > 1:
-                o = cnf.new_var()
-                for x in ins:
-                    cnf.add_clause([-o, x])
-                cnf.add_clause([o] + [-x for x in ins])
-            else:
-                o = ins[0] if ins else t
-            lit[i] = -o if negate else o
+            n += 1
+            w = -n if flip else n
+            clauses += ([-w, a, b], [-w, -a, -b], [w, -a, b], [w, a, -b])
+            lit[i] = n
+        else:   # const1, const0
+            lit[i] = t if op == "const1" else -t
+    cnf.n_vars = n
     return dict(zip(cc.nets, lit))
 
 
@@ -257,15 +266,24 @@ class DipTrace:
     key: list[int] | None
     iterations: int
     dips: list[dict] = field(default_factory=list)
-    # solver statistics summed over every SAT call of the attack
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
+    # (conflicts, decisions, propagations) of each SAT call of the attack
+    solves: list[tuple[int, int, int]] = field(default_factory=list)
 
     def add_solve(self, res: SatResult) -> None:
-        self.conflicts += res.conflicts
-        self.decisions += res.decisions
-        self.propagations += res.propagations
+        self.solves.append((res.conflicts, res.decisions, res.propagations))
+
+    # the same statistics summed over every call
+    @property
+    def conflicts(self) -> int:
+        return sum(s[0] for s in self.solves)
+
+    @property
+    def decisions(self) -> int:
+        return sum(s[1] for s in self.solves)
+
+    @property
+    def propagations(self) -> int:
+        return sum(s[2] for s in self.solves)
 
 
 def make_oracle(kn: KeyedNetlist):

@@ -3,6 +3,19 @@
 Two-watched-literal propagation, first-UIP clause learning, VSIDS-style
 activities with phase saving and Luby restarts. Small and dependency-free.
 
+Backjumps are chronological when they are long (Nadel & Ryvchin, SAT 2018;
+Moehle & Biere, SAT 2019). A conflict's level c is the highest level in the
+conflicting clause: the search first cancels to c, where `analyze` takes the
+first UIP, and then backjumps to the learnt clause's level b, unless
+c - b > CHRONO_LEVELS: then it cancels one level only, to c - 1, keeping the
+levels in between, and the asserting literal goes in at level b all the
+same (out of order). So the trail is no longer sorted by level. A propagated literal takes
+the highest level of its reason's other literals, and `cancel_until(l)`
+keeps the trail literals of level <= l, in their order, and propagates them
+again. Every backjump of at most CHRONO_LEVELS levels runs as it did in a
+purely non-chronological solver, so a search that makes only such jumps is
+the same search, count for count.
+
 Branching takes the unassigned variable of highest activity from a binary
 heap of (-activity, variable) entries kept by `heapq`, as MiniSat's order
 heap does (Een & Sorensson 2003). A bump pushes a fresh entry and leaves the
@@ -24,9 +37,11 @@ trail. Each later call continues from that state:
   left with one literal is enqueued at level 0. A fresh formula has no such
   assignment, so its first call attaches every clause as given;
 - assumptions are the first decision levels, not unit clauses, so they bind
-  one call only. An assumption found false makes that call UNSAT and leaves
-  the formula usable;
-- every call ends back at level 0, and a conflict at level 0 makes the
+  one call only. They are checked by `add_clause`'s rule before the search
+  state is touched. An assumption found false makes that call UNSAT and
+  leaves the formula usable;
+- every call ends back at level 0, keeping the level-0 literals that were
+  enqueued out of order, and a conflict among level-0 literals makes the
   formula UNSAT for good.
 `copy` gives the same clauses with a fresh search state.
 
@@ -39,6 +54,17 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+
+# longest backjump taken in full; past it the search backtracks one level
+# (the threshold of Nadel & Ryvchin, SAT 2018)
+CHRONO_LEVELS = 100
+
+
+def check_literals(lits, n: int, what: str = "literal") -> None:
+    """Raise ValueError unless every literal is a nonzero int in [-n, n]."""
+    for l in lits:
+        if not isinstance(l, int) or l == 0 or not -n <= l <= n:
+            raise ValueError(f"bad {what} {l!r} (have {n} vars)")
 
 
 @dataclass
@@ -59,10 +85,7 @@ class CnfFormula:
         lits = list(lits)
         if not lits:
             raise ValueError("empty clause")
-        n = self.n_vars
-        for l in lits:
-            if not isinstance(l, int) or l == 0 or not -n <= l <= n:
-                raise ValueError(f"bad literal {l!r} (have {n} vars)")
+        check_literals(lits, self.n_vars)
         self.clauses.append(lits)
 
     def copy(self) -> "CnfFormula":
@@ -130,27 +153,38 @@ class _Search:
         self.n = n
 
     def attach(self, new: list[list[int]]) -> bool:
-        """Take in new clauses; False when they make the formula UNSAT."""
-        value = self.value
-        kept = [[l for l in cl if value[l] == 0] for cl in new
-                if not any(value[l] > 0 for l in cl)]
-        for cl in kept:
+        """Take in new clauses; False when they make the formula UNSAT.
+
+        Each clause is simplified against the level-0 assignment that held
+        before the batch; its units are enqueued after the batch, in order."""
+        value, clauses, watches = self.value, self.clauses, self.watches
+        get = value.__getitem__
+        units = []
+        for cl in new:
+            vals = list(map(get, cl))
+            if 1 in vals:
+                continue
+            cl = [l for l, x in zip(cl, vals) if not x] if -1 in vals else list(cl)
             if len(cl) > 1:
-                ci = len(self.clauses)
-                self.clauses.append(cl)
-                self.watches[cl[0]].append(ci)
-                self.watches[cl[1]].append(ci)
-            elif not cl or value[cl[0]] < 0:
+                watches[cl[0]].append(len(clauses))
+                watches[cl[1]].append(len(clauses))
+                clauses.append(cl)
+            elif not cl:
                 return False
-            elif value[cl[0]] == 0:
-                self.enqueue(cl[0], None)
+            else:
+                units.append(cl[0])
+        for l in units:
+            if value[l] < 0:
+                return False
+            if value[l] == 0:
+                self.enqueue(l, None, 0)
         return True
 
-    def enqueue(self, lit: int, why: int | None) -> None:
+    def enqueue(self, lit: int, why: int | None, lvl: int) -> None:
         v = abs(lit)
         self.value[lit] = 1
         self.value[-lit] = -1
-        self.level[v] = len(self.lim)
+        self.level[v] = lvl
         self.reason[v] = why
         self.trail.append(lit)
 
@@ -164,6 +198,9 @@ class _Search:
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
+            # an implied literal takes its reason's highest level, which is
+            # the current one when false_lit is at it
+            top = level[abs(false_lit)] == depth
             ws = watches[false_lit]
             keep: list[int] = []
             for i, ci in enumerate(ws):
@@ -190,7 +227,8 @@ class _Search:
                     value[first] = 1
                     value[-first] = -1
                     v = abs(first)
-                    level[v] = depth
+                    level[v] = depth if top else max(
+                        [level[abs(q)] for q in cl[1:]])
                     reason[v] = ci
                     trail.append(first)
             watches[false_lit] = keep
@@ -219,6 +257,8 @@ class _Search:
         heapq.heapify(self.heap)
 
     def analyze(self, confl: int) -> tuple[list[int], int]:
+        """The first-UIP clause at the current level, which is the conflict's
+        level, and the level to assert it at."""
         trail, level, reason, seen = self.trail, self.level, self.reason, self.seen
         depth = len(self.lim)
         learnt = [0]
@@ -238,7 +278,11 @@ class _Search:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(trail[idx])]:
+            while True:
+                v = abs(trail[idx])
+                # skip lower-level literals sitting out of order on the trail
+                if seen[v] and level[v] == depth:
+                    break
                 idx -= 1
             p = trail[idx]
             seen[abs(p)] = False
@@ -259,21 +303,27 @@ class _Search:
         return learnt, back
 
     def cancel_until(self, lvl: int) -> None:
+        """Unassign every level above lvl; the literals of level <= lvl that
+        sit above it on the trail keep their order and propagate again."""
         trail, value, saved, reason = self.trail, self.value, self.saved, self.reason
-        heap, in_heap, activity = self.heap, self.in_heap, self.activity
+        heap, in_heap, activity, level = self.heap, self.in_heap, self.activity, self.level
         if len(self.lim) > lvl:
             stop = self.lim[lvl]
-            while len(trail) > stop:
-                lit = trail.pop()
+            kept = []
+            for lit in trail[stop:]:
                 v = abs(lit)
+                if level[v] <= lvl:
+                    kept.append(lit)
+                    continue
                 saved[v] = lit > 0
                 value[lit] = value[-lit] = 0
                 reason[v] = None
                 if not in_heap[v]:
                     in_heap[v] = True
                     heapq.heappush(heap, (-activity[v], v))
+            trail[stop:] = kept
             del self.lim[lvl:]
-            self.qhead = len(trail)
+            self.qhead = stop
 
     def decide(self) -> int | None:
         heap, in_heap, activity = self.heap, self.in_heap, self.activity
@@ -306,19 +356,21 @@ class _Search:
             confl = self.propagate()
             if confl is not None:
                 self.conflicts += 1
-                if conflict_budget is not None and self.conflicts > conflict_budget:
-                    return self.result("BUDGET")
-                if not lim:
+                c = max([self.level[abs(q)] for q in self.clauses[confl]])
+                if c == 0:
                     self.unsat = True
                     return self.result("UNSAT")
+                if conflict_budget is not None and self.conflicts > conflict_budget:
+                    return self.result("BUDGET")
+                self.cancel_until(c)
                 learnt, back = self.analyze(confl)
-                self.cancel_until(back)
+                self.cancel_until(c - 1 if c - back > CHRONO_LEVELS else back)
                 ci = len(self.clauses)
                 self.clauses.append(learnt)
                 if len(learnt) > 1:
                     self.watches[learnt[0]].append(ci)
                     self.watches[learnt[1]].append(ci)
-                self.enqueue(learnt[0], ci)
+                self.enqueue(learnt[0], ci, back)
                 self.var_inc /= 0.95
                 conflicts_until_restart -= 1
                 if conflicts_until_restart <= 0:
@@ -341,7 +393,7 @@ class _Search:
                                                for v in range(1, self.n + 1)})
                 self.decisions += 1
             lim.append(len(self.trail))
-            self.enqueue(lit, None)
+            self.enqueue(lit, None, len(lim))
 
 
 def sat_solve(
@@ -355,9 +407,8 @@ def sat_solve(
     Continues the formula's search state from its previous call (see the
     module docstring); assumptions hold for this call only."""
     n = cnf.n_vars
-    for a in assumptions:
-        if a == 0 or abs(a) > n:
-            raise ValueError(f"bad assumption literal {a}")
+    assumptions = list(assumptions)
+    check_literals(assumptions, n, "assumption literal")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     s = cnf._search
     if s is None:
@@ -367,4 +418,4 @@ def sat_solve(
     s.attached = len(cnf.clauses)
     if not s.unsat and not s.attach(new):
         s.unsat = True
-    return s.solve(list(assumptions), conflict_budget, deadline)
+    return s.solve(assumptions, conflict_budget, deadline)

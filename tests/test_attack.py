@@ -54,6 +54,28 @@ def test_tseitin_xor_and_constants():
     assert sat_solve(cnf, assumptions=[-a, lits["x"]]).status == "SAT"
 
 
+def test_tseitin_rejects_bad_literals_before_encoding():
+    c = _mixed_circuit()
+    cnf = CnfFormula()
+    t = cnf.new_var()
+    cnf.add_clause([t])
+    a, b, x = cnf.new_vars(3)
+    for true_lit, bound in ((t, {"a": a, "b": b, "c": 1.0}),
+                            (t, {"a": a, "b": -5, "c": x}),
+                            (t, {"a": a, "b": b, "c": np.int64(3)}),
+                            (0, {"a": a, "b": b, "c": x})):
+        with pytest.raises(ValueError, match=r"^bad literal .* \(have 4 vars\)$"):
+            tseitin_encode(cnf, c, bound, true_lit)
+    with pytest.raises(KeyError, match="no literal bound for input 'c'"):
+        tseitin_encode(cnf, c, {"a": a, "b": b}, t)
+    assert (cnf.n_vars, cnf.clauses) == (4, [[t]])
+    lits = tseitin_encode(cnf, c, {"a": a, "b": b, "c": x}, t)
+    assert cnf.n_vars > 4
+    for cl in cnf.clauses:   # what add_clause would have accepted
+        CnfFormula(cnf.n_vars).add_clause(cl)
+    assert all(abs(l) <= cnf.n_vars for l in lits.values())
+
+
 def _mixed_circuit():
     """Every gate op, with constant ties; every non-input net an output."""
     c = Circuit()
@@ -483,6 +505,28 @@ def test_dip_trace_sums_every_solve(monkeypatch):
     for name in ("conflicts", "decisions", "propagations"):
         assert getattr(trace, name) == sum(getattr(r, name) for r in results)
     assert trace.decisions > 0 and trace.propagations > 0
+
+
+def test_dip_trace_records_each_solve(monkeypatch):
+    """One (conflicts, decisions, propagations) row per SAT call, in call
+    order, and the trace's totals are the sums of its rows."""
+    results = []
+
+    def recording_solve(*args, **kwargs):
+        results.append(sat_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(attack, "sat_solve", recording_solve)
+    f = random_tree(np.random.default_rng(8), 4)
+    nl = random_covert_insertion(f, "fraction", 0.5, np.random.default_rng(8))
+    kn = keyize_netlist(nl)
+    trace = dip_attack(kn, make_oracle(kn))
+    assert trace.status == "solved"
+    assert trace.solves == [(r.conflicts, r.decisions, r.propagations) for r in results]
+    assert (trace.conflicts, trace.decisions, trace.propagations) == \
+        tuple(map(sum, zip(*trace.solves)))
+    assert trace.propagations > 0
+    assert dip_attack(kn, make_oracle(kn), max_iters=0).solves == []
 
 
 def test_dip_attack_key_extraction_budget_exit(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from ipcamo.aig import random_tree
 from ipcamo.attack import dip_attack, make_ll_baseline, make_oracle
-from ipcamo.cnf import CnfFormula, SatResult, _luby, sat_solve
+from ipcamo import cnf as cnf_module
+from ipcamo.cnf import CHRONO_LEVELS, CnfFormula, SatResult, _luby, sat_solve
 
 
 def brute_force_sat(cnf: CnfFormula, assumptions=()) -> bool:
@@ -283,3 +284,180 @@ def test_dip_attack_search_is_pinned():
     assert trace.dips == [{"pi5": 0, "pi3": 0, "pi4": 0, "pi2": 0},
                           {"pi5": 0, "pi3": 0, "pi4": 1, "pi2": 0},
                           {"pi5": 0, "pi3": 0, "pi4": 1, "pi2": 1}]
+
+
+def test_bad_assumption_leaves_the_formula_usable():
+    # a float assumption used to raise TypeError inside the search, at
+    # decision level 1, and the next call then broke its own assumption
+    cnf = CnfFormula()
+    a, b = cnf.new_vars(2)
+    cnf.add_clause([a, b])
+    for bad in ([-a, 1.0], [-a, "1"], [np.int64(1)], [a, None], [-a, 0], [-a, 3]):
+        with pytest.raises(ValueError, match=r"^bad assumption literal .* \(have 2 vars\)$"):
+            sat_solve(cnf, bad)
+    res = sat_solve(cnf, [a])
+    assert res.status == "SAT" and res.model[a]
+    res = sat_solve(cnf, [-a])
+    assert res.status == "SAT" and res.model == {a: False, b: True}
+
+
+# -- chronological backtracking ------------------------------------------------
+# A padded formula: variable 1, PAD free variables that occur in no clause,
+# then a random core over variable 1 and the core variables. With no
+# activity yet, the first descent decides 1, the free variables, then the
+# core, so a learnt clause over 1 and one core variable backjumps over the
+# whole pad.
+
+PAD = 150
+
+
+def core_clauses(rng, core: list[int], n_clauses: int) -> list[list[int]]:
+    """Random 3-clauses over core[1:], about half of them with core[0] in
+    place of their first literal."""
+    out = []
+    for _ in range(n_clauses):
+        vs = [int(v) for v in rng.choice(core[1:], size=3, replace=False)]
+        if rng.random() < 0.5:
+            vs[0] = core[0]
+        out.append([v if rng.integers(2) else -v for v in vs])
+    return out
+
+
+def padded_cnf(seed: int, n_core: int = 14, ratio: float = 4.3) -> CnfFormula:
+    rng = np.random.default_rng(seed)
+    cnf = CnfFormula()
+    first = cnf.new_var()
+    cnf.new_vars(PAD)
+    core = [first] + cnf.new_vars(n_core)
+    for cl in core_clauses(rng, core, round(ratio * n_core)):
+        cnf.add_clause(cl)
+    return cnf
+
+
+def core_models(cnf: CnfFormula):
+    """Every assignment of the variables that occur in clauses, as bit rows
+    by variable, and which of them satisfy every clause."""
+    vs = sorted({abs(l) for cl in cnf.clauses for l in cl})
+    idx = np.arange(1 << len(vs))
+    bits = {v: (idx >> i) & 1 == 1 for i, v in enumerate(vs)}
+    ok = np.ones(len(idx), bool)
+    for cl in cnf.clauses:
+        ok &= np.logical_or.reduce([bits[l] if l > 0 else ~bits[-l] for l in cl])
+    return bits, ok
+
+
+def check_against_core(cnf: CnfFormula, res: SatResult, assumptions=()) -> None:
+    bits, ok = core_models(cnf)
+    under = ok.copy()
+    for a in assumptions:
+        under &= bits[a] if a > 0 else ~bits[-a]
+    assert res.status == ("SAT" if under.any() else "UNSAT")
+    if res.status == "SAT":
+        assert model_satisfies(cnf, res.model, assumptions)
+    # the call ends at level 0, and each literal left there follows from
+    # the clauses alone
+    s = cnf._search
+    assert not s.lim and all(s.level[abs(l)] == 0 for l in s.trail)
+    for l in s.trail:
+        assert not (ok & (~bits[l] if l > 0 else bits[-l])).any()
+
+
+def solve_padded(seed: int) -> None:
+    cnf = padded_cnf(seed)
+    check_against_core(cnf, sat_solve(cnf))
+
+
+def solve_padded_incrementally(seed: int) -> None:
+    """Three batches, each of PAD free variables and five core variables,
+    solved after each batch without and with assumptions; later batches'
+    clauses also use the earlier core variables."""
+    rng = np.random.default_rng(1000 + seed)
+    cnf = CnfFormula()
+    core = [cnf.new_var()]
+    level0: set[int] = set()
+    for _ in range(3):
+        cnf.new_vars(PAD)
+        core += cnf.new_vars(5)
+        for cl in core_clauses(rng, core, 20):
+            cnf.add_clause(cl)
+        for k in (0, 1, 3):
+            assumps = [core[a] if a > 0 else -core[-a]
+                       for a in random_lits(rng, len(core) - 1, k)]
+            res = sat_solve(cnf, assumps)
+            check_against_core(cnf, res, assumps)
+            assert level0 <= set(cnf._search.trail)    # level-0 literals survive
+            level0 = set(cnf._search.trail)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_padded_formulas_match_brute_force(seed):
+    solve_padded(seed)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_padded_formulas_incremental_match_brute_force(seed):
+    solve_padded_incrementally(seed)
+
+
+# (status, conflicts, decisions, propagations) of padded_cnf(seed). Seed 3
+# keeps the pad after its long backjump, where a purely non-chronological
+# search re-decides it: ("SAT", 4, 311, 337). Seed 2 moves when implied
+# literals take the current level or kept literals are not propagated
+# again; non-chronologically it is ("SAT", 3, 310, 335).
+GOLDEN_PADDED = {2: ("SAT", 4, 314, 340), 3: ("SAT", 4, 161, 187)}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_PADDED))
+def test_padded_search_is_pinned(seed):
+    res = sat_solve(padded_cnf(seed))
+    assert (res.status, res.conflicts, res.decisions, res.propagations) == \
+        GOLDEN_PADDED[seed]
+
+
+def test_padded_formulas_take_long_backjumps(monkeypatch):
+    """The padded formulas above do reach the chronological path: most of
+    them learn a clause more than CHRONO_LEVELS levels below its conflict,
+    and some then meet a conflict below the current level, among literals
+    propagated out of order."""
+    jumps: list[int] = []
+    low_conflicts: list[int] = []
+    analyze, propagate = cnf_module._Search.analyze, cnf_module._Search.propagate
+
+    def recording_analyze(self, confl):
+        learnt, back = analyze(self, confl)
+        jumps.append(len(self.lim) - back)
+        return learnt, back
+
+    def recording_propagate(self):
+        confl = propagate(self)
+        if confl is not None:
+            c = max(self.level[abs(q)] for q in self.clauses[confl])
+            low_conflicts.append(len(self.lim) - c)
+        return confl
+
+    monkeypatch.setattr(cnf_module._Search, "analyze", recording_analyze)
+    monkeypatch.setattr(cnf_module._Search, "propagate", recording_propagate)
+    fired = 0
+    for seed in range(12):
+        for run in (solve_padded, solve_padded_incrementally):
+            del jumps[:]
+            run(seed)
+            fired += max(jumps, default=0) > CHRONO_LEVELS
+    assert fired >= 12
+    assert sum(d > 0 for d in low_conflicts) >= 5
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_always_chronological_matches_brute_force(seed, monkeypatch):
+    """With the threshold at 0 every backjump is chronological, so out-of-order
+    literals fill the trail even on small formulas."""
+    monkeypatch.setattr(cnf_module, "CHRONO_LEVELS", 0)
+    rng = np.random.default_rng(2000 + seed)
+    cnf = random_cnf(rng, n_vars=10, n_clauses=int(rng.integers(30, 50)))
+    check_against_core(cnf, sat_solve(cnf))
+    solve_padded(seed)
+    solve_padded_incrementally(seed)
+    cnf = random_3sat(seed, n_vars=18)
+    for k in (3, 0, 6):
+        assumps = random_lits(rng, 18, k)
+        check_against_core(cnf, sat_solve(cnf, assumps), assumps)
