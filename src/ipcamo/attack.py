@@ -15,7 +15,7 @@ import numpy as np
 from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, check_literals, sat_solve
-from .covert import KEY00_OP, CovertInstance, cell_nets, config_key_bits
+from .covert import CovertInstance, cell_nets
 from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, simplify,
                         substitute)
 
@@ -209,8 +209,8 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     correct: list[int] = []
     for i, (net, p) in enumerate((n, p) for n, p in candidates if n in live):
         if p is not None:
-            op, ins = KEY00_OP[p.kind], (p.real_in,)
-            correct += config_key_bits(p.config)
+            op, ins = p.kind.key00, (p.real_in,)
+            correct += p.config.key_bits
         else:
             op, ins = src.gates[net]
             correct += (0, 0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aig import AigGraph, NodeType, TensorTriple, from_tensors, normalize, pad_to_match
-from .covert import CovertConfig, CovertGateKind, CovertInstance, apparent_op, draw_cell
+from .covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell
 from .gatelevel import Circuit, circuit_from_obj, circuit_to_obj, from_aig
 from .vae import VaeParams, decode, encode
 
@@ -174,12 +174,6 @@ def appearance_mimic(gf_states: dict, a_states: dict, realization: dict) -> list
 # -- Netlist assembly ---------------------------------------------------------
 
 
-# realization kind ("fi", "fb", "ut_a" or "ut_b") -> the covert cell it places,
-# and whether that cell reads a decoy tap: a camouflaged NAND's second fan-in
-# is a primary input
-_CELL_KIND = {k.name.lower(): (k, apparent_op(k) == "nand") for k in CovertGateKind}
-
-
 def _build_appearance(
     fp: AigGraph, realization: dict, f_states: dict, rng: np.random.Generator
 ) -> tuple[Circuit, list[CovertInstance]]:
@@ -208,9 +202,10 @@ def _build_appearance(
             return src
         if kind == "inv":
             return c.add(stem, "not", src)
-        gk, decoy = _CELL_KIND[kind]
+        gk = CovertGateKind[kind.upper()]  # "ut_a" places a UT_A cell
         cfg = CovertConfig.NORMAL if (u, v) in f_states else CovertConfig.CONST1
-        dummy = pi_nets[int(rng.integers(len(pi_nets)))] if decoy else None
+        # a decoy tap, a camouflaged NAND's second fan-in, is a primary input
+        dummy = pi_nets[int(rng.integers(len(pi_nets)))] if gk.decoy else None
         placements.append(draw_cell(c, gk, cfg, stem, src, dummy))
         return stem
 

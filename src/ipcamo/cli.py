@@ -20,6 +20,7 @@ import numpy as np
 from . import aig, vae
 from .attack import dip_attack, equivalence_check, keyize_netlist, make_oracle
 from .camouflage import CamouflagedNetlist, camouflage_pipeline
+from .covert import realize
 from .evaluation import export_gnn_dataset, ged_lsd_study
 
 EXIT_OK = 0
@@ -227,9 +228,9 @@ def cmd_camouflage(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    """Check each netlist's functional view against F. The pipeline stores F
-    itself as that view, on the layout's net names, so this checks the
-    stored copy of F, not the placements of the appearance view."""
+    """Check each netlist's fabricated circuit against F: the appearance
+    view with every covert cell replaced by its real gate (covert.realize),
+    so a wrong placement shows."""
     out = _out_dir(cfg)
     f = _load_graph(_require(cfg, "functional"))
     paths = sorted(glob.glob(os.path.join(_require(cfg, "netlists"), "netlist_*.json")))
@@ -239,7 +240,8 @@ def cmd_verify(cfg: dict) -> int:
     rows, failures = [], 0
     for path in paths:
         nl = CamouflagedNetlist.from_json(_read(path).decode())
-        ok = equivalence_check(nl.functional_view, f, time_budget=budget)
+        ok = equivalence_check(realize(nl.appearance_view, nl.placements), f,
+                               time_budget=budget)
         failures += not ok
         rows.append({"netlist": os.path.basename(path),
                      "equivalent": bool(ok),

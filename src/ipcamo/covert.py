@@ -1,48 +1,54 @@
-"""Covert gate primitives: actual vs. apparent behavior, cell layout, key encoding."""
+"""Covert gate primitives: actual vs. apparent behavior, cell layout, key encoding.
+
+Every fact about a covert kind or configuration is an attribute of its enum
+member; the rest of the package reads these and keeps no table of its own."""
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-from .gatelevel import Circuit
+from .gatelevel import Circuit, Gate
 
 
 class CovertGateKind(enum.Enum):
-    FI = "FI"      # fake inverter: looks like an INV, ties the net to a constant
-    FB = "FB"      # fake buffer: looks like an INV pair, ties the net to a constant
-    UT_A = "UT-A"  # untraceable NAND whose real function is a buffer (or constant)
-    UT_B = "UT-B"  # untraceable NAND whose real function is an inverter (or constant)
+    """A covert kind. `look` is the op the layout reads as; `real` is the
+    pass-through op, None for FI and FB, whose real output is always a
+    constant; `key00` (`real or look`) is the one-input op that key 00
+    reads the cell as, applied to its real input; `decoy` is true for a
+    camouflaged NAND, whose second fan-in is a dummy tap."""
+
+    FI = "FI", "not", None        # fake inverter: ties the net to a constant
+    FB = "FB", "buf", None        # fake buffer, drawn as an INV pair: ties it too
+    UT_A = "UT-A", "nand", "buf"  # untraceable NAND: really a buffer (or constant)
+    UT_B = "UT-B", "nand", "not"  # untraceable NAND: really an inverter (or constant)
+
+    def __new__(cls, value: str, look: str, real: str | None):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.look, kind.real = look, real
+        kind.key00 = real or look
+        kind.decoy = look == "nand"
+        return kind
 
 
 class CovertConfig(enum.Enum):
-    NORMAL = "normal"
-    CONST0 = "const0"
-    CONST1 = "const1"
+    """A configuration; `key_bits` is its canonical 2-bit key code (key 11
+    is an alias of 10, see attack.keyize_netlist)."""
+
+    NORMAL = "normal", (0, 0)
+    CONST0 = "const0", (0, 1)
+    CONST1 = "const1", (1, 0)
+
+    def __new__(cls, value: str, key_bits: tuple[int, int]):
+        config = object.__new__(cls)
+        config._value_ = value
+        config.key_bits = key_bits
+        return config
 
 
-# FI/FB have no pass-through mode; their real output is always a constant.
-LEGAL_CONFIGS: dict[CovertGateKind, frozenset[CovertConfig]] = {
-    CovertGateKind.FI: frozenset({CovertConfig.CONST0, CovertConfig.CONST1}),
-    CovertGateKind.FB: frozenset({CovertConfig.CONST0, CovertConfig.CONST1}),
-    CovertGateKind.UT_A: frozenset(CovertConfig),
-    CovertGateKind.UT_B: frozenset(CovertConfig),
-}
-
-_APPEARANCE = {
-    CovertGateKind.FI: "not",
-    CovertGateKind.FB: "buf",   # reads as back-to-back inverters
-    CovertGateKind.UT_A: "nand",
-    CovertGateKind.UT_B: "nand",
-}
-
-
-def apparent_op(kind: CovertGateKind) -> str:
-    return _APPEARANCE[kind]
-
-
-# (kind, config) -> whether the cell needs a dummy input net, for legal pairs only
-_NEEDS_DUMMY = {(kind, config): kind in (CovertGateKind.UT_A, CovertGateKind.UT_B)
-                for kind, configs in LEGAL_CONFIGS.items() for config in configs}
+def _check_config(kind: CovertGateKind, config: CovertConfig) -> None:
+    if config is CovertConfig.NORMAL and kind.real is None:
+        raise ValueError(f"{kind.value} cannot be configured {config.value}")
 
 
 @dataclass(slots=True)
@@ -57,10 +63,8 @@ class CovertInstance:
     note: str = ""
 
     def __post_init__(self):
-        needs_dummy = _NEEDS_DUMMY.get((self.kind, self.config))
-        if needs_dummy is None:
-            raise ValueError(f"{self.kind.value} cannot be configured {self.config.value}")
-        if needs_dummy and not self.dummy_in:
+        _check_config(self.kind, self.config)
+        if self.kind.decoy and not self.dummy_in:
             raise ValueError(f"{self.kind.value} needs a dummy input net")
 
 
@@ -71,12 +75,12 @@ def draw_cell(c: Circuit, kind: CovertGateKind, config: CovertConfig, out: str,
     FI is one inverter; FB is two, its middle net `out + "a"` added first;
     UT-A and UT-B are a NAND of the real input and the dummy tap."""
     cell = CovertInstance(kind, config, out=out, real_in=real_in, dummy_in=dummy_in)
-    if kind is CovertGateKind.FI:
-        c.add(out, "not", real_in)
-    elif kind is CovertGateKind.FB:
+    if kind.decoy:
+        c.add(out, kind.look, real_in, dummy_in)
+    elif kind.look == "buf":  # drawn as back-to-back inverters
         c.add(out, "not", c.add(out + "a", "not", real_in))
     else:
-        c.add(out, "nand", real_in, dummy_in)
+        c.add(out, kind.look, real_in)
     return cell
 
 
@@ -87,54 +91,41 @@ def cell_nets(p: CovertInstance, c: Circuit) -> tuple[str, ...]:
     return (p.out,)
 
 
+def realize(view: Circuit, placements: list[CovertInstance]) -> Circuit:
+    """The fabricated circuit: view with each placement's cell replaced by
+    its real gate, a constant tie or, under NORMAL, `kind.real` of its real
+    input. An FB's middle inverter goes with its cell."""
+    gates = dict(view.gates)
+    for p in placements:
+        for net in cell_nets(p, view)[1:]:
+            del gates[net]
+        if p.config is CovertConfig.NORMAL:
+            gates[p.out] = Gate(p.kind.real, (p.real_in,))
+        else:
+            gates[p.out] = Gate(p.config.value)  # "const0" or "const1"
+    return Circuit(gates, list(view.outputs))
+
+
+def _bit(op: str, x: int, d: int = 1) -> int:
+    """Output bit of a `buf`, `not` or `nand` cell with inputs x (and d)."""
+    x = int(bool(x))
+    if op == "buf":
+        return x
+    if op == "not":
+        return 1 - x
+    return 1 - (x & int(bool(d)))
+
+
 def gate_function(kind: CovertGateKind, config: CovertConfig, x: int | None = None) -> int:
     """Real (fabricated) output bit; x is the true input for UT pass-through."""
-    if config not in LEGAL_CONFIGS[kind]:
-        raise ValueError(f"{kind.value} cannot be configured {config.value}")
-    if config is CovertConfig.CONST0:
-        return 0
-    if config is CovertConfig.CONST1:
-        return 1
+    _check_config(kind, config)
+    if config is not CovertConfig.NORMAL:
+        return int(config is CovertConfig.CONST1)
     if x is None:
         raise ValueError("pass-through mode needs the input bit")
-    return int(bool(x)) if kind is CovertGateKind.UT_A else 1 - int(bool(x))
+    return _bit(kind.real, x)
 
 
 def apparent_function(kind: CovertGateKind, x: int, dummy: int = 1) -> int:
     """What an attacker reading the layout would compute for this cell."""
-    op = apparent_op(kind)
-    x = int(bool(x))
-    if op == "not":
-        return 1 - x
-    if op == "buf":
-        return x
-    return 1 - (x & int(bool(dummy)))
-
-
-# -- Key encoding -------------------------------------------------------------
-#
-# Every inverter, buffer pair and (N)AND-looking cell is a candidate covert
-# site, so the attacker models each with 2 key bits selecting its behavior
-# (attack.keyize_netlist): 00 keeps the cell function, 01 ties it low, and
-# 10 and its alias 11 tie it high. Key 00 reads a covert cell as the
-# one-input op below applied to its real input: a UT pass-through mode, and
-# the apparent function of FI and FB, which have none.
-
-KEY00_OP = {
-    CovertGateKind.FI: "not",
-    CovertGateKind.FB: "buf",
-    CovertGateKind.UT_A: "buf",
-    CovertGateKind.UT_B: "not",
-}
-
-
-_KEY_BITS = {
-    CovertConfig.NORMAL: (0, 0),
-    CovertConfig.CONST0: (0, 1),
-    CovertConfig.CONST1: (1, 0),
-}
-
-
-def config_key_bits(config: CovertConfig) -> tuple[int, int]:
-    """Canonical key encoding of a configuration (the non-alias codes)."""
-    return _KEY_BITS[config]
+    return _bit(kind.look, x, dummy)

@@ -10,8 +10,7 @@ import numpy as np
 
 from .aig import AigGraph
 from .camouflage import CamouflagedNetlist
-from .covert import (CovertConfig, CovertGateKind, CovertInstance, apparent_op,
-                     cell_nets, draw_cell)
+from .covert import CovertConfig, CovertGateKind, CovertInstance, cell_nets, draw_cell
 from .gatelevel import Circuit, Gate, from_aig
 from .ged import graph_edit_distance
 from .vae import VaeParams, encode
@@ -101,6 +100,8 @@ def ged_lsd_study(
     """
     if len(graphs) < 2:
         raise ValueError("need at least two graphs")
+    if bins < 1:
+        raise ValueError(f"need at least one bin, got {bins}")
     codes = [encode(g, params).mu for g in graphs]
     pairs: list[tuple[int, int, float, int | None]] = []
     discarded = 0
@@ -195,7 +196,7 @@ def random_covert_insertion(
             src, ins[j] = ins[j], stem
         else:  # a decoy fan-in whose real value is tied high (non-controlling)
             ins.append(stem)
-        dummy = pis[int(rng.integers(len(pis)))] if apparent_op(kind) == "nand" else None
+        dummy = pis[int(rng.integers(len(pis)))] if kind.decoy else None
         cfg = CovertConfig.NORMAL if kind is CovertGateKind.UT_A else CovertConfig.CONST1
         placements.append(draw_cell(out, kind, cfg, stem, src, dummy))
         out.gates[target] = Gate("and", tuple(ins))

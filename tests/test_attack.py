@@ -12,8 +12,7 @@ from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
                            make_oracle, tseitin_encode)
 from ipcamo.camouflage import CamouflagedNetlist, camouflage_pipeline
 from ipcamo.cnf import CnfFormula, SatResult, sat_solve
-from ipcamo.covert import (LEGAL_CONFIGS, CovertConfig, CovertGateKind,
-                           CovertInstance, apparent_op, config_key_bits, draw_cell)
+from ipcamo.covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell
 from ipcamo.evaluation import random_covert_insertion
 from ipcamo.gatelevel import Circuit, from_aig, prune
 
@@ -370,7 +369,7 @@ def _one_cell_netlist(kind, config=None):
     c.add("d", "input")
     placements = []
     if config is not None:
-        dummy = "d" if apparent_op(kind) == "nand" else None
+        dummy = "d" if kind.decoy else None
         placements.append(draw_cell(c, kind, config, "y", "x", dummy))
     elif kind == "nand":
         c.add("y", "nand", "x", "d")
@@ -394,12 +393,13 @@ _KEY00 = {  # the true cell function each candidate keeps under key 00
 
 def test_keyize_candidate_semantics():
     cases = [(op, None) for op in ("not", "buf", "nand")]
-    cases += [(kind, cfg) for kind, configs in LEGAL_CONFIGS.items()
-              for cfg in sorted(configs, key=lambda c: c.value)]
+    cases += [(kind, cfg) for kind in CovertGateKind
+              for cfg in sorted(CovertConfig, key=lambda c: c.value)
+              if cfg is not CovertConfig.NORMAL or kind.real is not None]
     for kind, cfg in cases:
         kn = keyize_netlist(_one_cell_netlist(kind, cfg))
         assert kn.n_key_bits == 2
-        want_key = (0, 0) if cfg is None else config_key_bits(cfg)
+        want_key = (0, 0) if cfg is None else cfg.key_bits
         assert tuple(kn.correct_key) == want_key, (kind, cfg)
         for x, d in itertools.product((0, 1), repeat=2):
             for key, want in (((0, 0), _KEY00[kind](x, d)), ((0, 1), 0),

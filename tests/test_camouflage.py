@@ -10,6 +10,7 @@ from ipcamo.camouflage import (CamouflagedNetlist, _pair_states,
                                edge_state, fix_lookup, functional_preserve,
                                interpolate, threshold_filter)
 from ipcamo.attack import equivalence_check, keyize_netlist
+from ipcamo.covert import realize
 from ipcamo.gatelevel import CompiledCircuit, from_aig, prune
 
 
@@ -219,7 +220,8 @@ def test_functional_view_is_f_on_the_layout_names(toy_checkpoint):
 
 def test_keyed_netlist_computes_f_under_the_correct_key(toy_checkpoint):
     """The built netlist, not the functional view: keyed under its correct
-    key, each desk cell computes F on all 2^10 patterns of its inputs."""
+    key, and realized with each covert cell's real gate, each desk cell
+    computes F on all 2^10 patterns of its inputs."""
     params, _ = toy_checkpoint
     for idx, seed in enumerate((100, 101, 102, 103)):
         f, a = _desk_pair(seed)
@@ -229,11 +231,15 @@ def test_keyed_netlist_computes_f_under_the_correct_key(toy_checkpoint):
         want = CompiledCircuit(from_aig(f)).run(payload, full)
         for p in (0.1, 0.9):
             for th in (0.01, 0.05, 0.09, 0.5):
-                kn = keyize_netlist(camouflage_pipeline(f, a, params, p, th, seed=idx))
+                nl = camouflage_pipeline(f, a, params, p, th, seed=idx)
+                kn = keyize_netlist(nl)
                 key = {k: full if b else 0 for k, b in zip(kn.key_inputs, kn.correct_key)}
                 assert set(kn.circuit.inputs) == set(pis) | set(key)
+                fab = prune(realize(nl.appearance_view, nl.placements))
+                assert set(fab.inputs) <= set(pis)
                 got = CompiledCircuit(kn.circuit).run(payload | key, full)
                 assert got == want, (seed, p, th)
+                assert CompiledCircuit(fab).run(payload, full) == want, (seed, p, th)
 
 
 def test_checkpoint_sha256_follows_the_weights(toy_checkpoint, tmp_path):

@@ -114,6 +114,47 @@ def test_verify_pass_and_fail(workspace, tmp_path):
     assert json.loads((bad_out / "verify.json").read_text())["failures"] >= 1
 
 
+def test_verify_rejects_a_wrong_placement(toy_checkpoint, tmp_path):
+    """The stored functional view is still F, but one UT cell flipped from
+    NORMAL to CONST0 changes the built function, so verify fails."""
+    from ipcamo.aig import pattern_words, random_tree
+    from ipcamo.attack import keyize_netlist
+    from ipcamo.camouflage import camouflage_pipeline
+    from ipcamo.covert import CovertConfig
+    from ipcamo.gatelevel import CompiledCircuit, from_aig
+    params, _ = toy_checkpoint
+    rng = np.random.default_rng(100)
+    f, a = random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10)
+    words, full = pattern_words(len(f.pi_names))
+    payload = dict(zip(f.pi_names, words))
+    want = CompiledCircuit(from_aig(f)).run(payload, full)
+    nl = camouflage_pipeline(f, a, params, p=0.5, th=0.5, seed=0)
+    # the first flip that the keyed circuit under its correct key shows
+    for p in nl.placements:
+        if p.config is not CovertConfig.NORMAL:
+            continue
+        p.config = CovertConfig.CONST0
+        kn = keyize_netlist(nl)
+        key = {k: full if b else 0 for k, b in zip(kn.key_inputs, kn.correct_key)}
+        if CompiledCircuit(kn.circuit).run(payload | key, full) != want:
+            break
+        p.config = CovertConfig.NORMAL
+    else:
+        pytest.fail("no NORMAL -> CONST0 flip changes the function")
+    f_path = tmp_path / "f.json"
+    f_path.write_text(f.to_json())
+    nets = tmp_path / "netlists"
+    nets.mkdir()
+    (nets / "netlist_p0.5_th0.5.json").write_text(nl.to_json())
+    out = tmp_path / "verify"
+    cfg = _write_cfg(tmp_path / "v.json", {"out": str(out), "functional": str(f_path),
+                                           "netlists": str(nets)})
+    assert main(["verify", "--config", str(cfg)]) == EXIT_VIOLATION
+    report = json.loads((out / "verify.json").read_text())
+    assert report["failures"] == 1
+    assert [r["equivalent"] for r in report["results"]] == [False]
+
+
 def _write_cfg(path, obj):
     path.write_text(json.dumps(obj))
     return path
@@ -171,6 +212,13 @@ def test_eval_report(workspace, tmp_path):
     assert (out / "gnn" / "labels.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "gnn/nodes.csv" in manifest["artifacts"]
+    zero = _write_cfg(tmp_path / "e0.json", {
+        "out": str(tmp_path / "eval0"),
+        "dataset": str(workspace["dataset"]),
+        "checkpoint": str(workspace["train"] / "checkpoint.json"),
+        "bins": 0,
+    })
+    assert main(["eval", "--config", str(zero)]) == EXIT_VIOLATION
 
 
 def test_manifest_checksums_match(workspace):

@@ -3,13 +3,16 @@ import pytest
 
 from ipcamo.attack import keyize_netlist
 from ipcamo.camouflage import CamouflagedNetlist
-from ipcamo.covert import (LEGAL_CONFIGS, CovertConfig, CovertGateKind,
-                           CovertInstance, apparent_function, apparent_op,
-                           cell_nets, draw_cell, gate_function)
+from ipcamo.covert import (CovertConfig, CovertGateKind, CovertInstance,
+                           apparent_function, cell_nets, draw_cell, gate_function,
+                           realize)
 from ipcamo.gatelevel import Circuit, Gate
 
 K = CovertGateKind
 C = CovertConfig
+# the legal (kind, config) pairs: FI and FB have no pass-through mode
+LEGAL = [(kind, cfg) for kind in K for cfg in sorted(C, key=lambda c: c.value)
+         if cfg is not C.NORMAL or kind in (K.UT_A, K.UT_B)]
 
 
 def test_actual_function_exhaustive():
@@ -40,10 +43,10 @@ def test_apparent_function_exhaustive():
 
 
 def test_appearance_cost_model():
-    assert apparent_op(K.FI) == "not"
-    assert apparent_op(K.FB) == "buf"
-    for kind in (K.UT_A, K.UT_B):
-        assert apparent_op(kind) == "nand"
+    assert [(k.look, k.real, k.key00, k.decoy) for k in K] == [
+        ("not", None, "not", False), ("buf", None, "buf", False),
+        ("nand", "buf", "buf", True), ("nand", "not", "not", True)]
+    assert [c.key_bits for c in C] == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_ut_needs_dummy_input():
@@ -57,7 +60,7 @@ def test_covert_instance_rejects_illegal_pairs_and_missing_dummies():
     for kind in K:
         for cfg in C:
             dummy = "d" if kind in ut else None
-            if cfg in LEGAL_CONFIGS[kind]:
+            if (kind, cfg) in LEGAL:
                 p = CovertInstance(kind, cfg, out="o", real_in="x", dummy_in=dummy)
                 assert (p.kind, p.config, p.dummy_in) == (kind, cfg, dummy)
             else:
@@ -72,22 +75,29 @@ def test_covert_instance_rejects_illegal_pairs_and_missing_dummies():
 
 
 def test_draw_cell_layout_matches_cell_nets_and_key_model():
-    for kind, configs in LEGAL_CONFIGS.items():
-        for cfg in sorted(configs, key=lambda c: c.value):
-            c = Circuit()
-            c.add("x", "input")
-            c.add("d", "input")
-            dummy = "d" if apparent_op(kind) == "nand" else None
-            p = draw_cell(c, kind, cfg, "y", "x", dummy)
-            assert (p.kind, p.config, p.out, p.real_in, p.dummy_in) == \
-                (kind, cfg, "y", "x", dummy)
-            nets = cell_nets(p, c)
-            assert sorted(nets) == sorted(set(c.gates) - {"x", "d"}), (kind, cfg)
-            if kind is K.FB:
-                assert c.gates[nets[1]] == Gate("not", ("x",))
-            c.outputs = ["y"]
-            kn = keyize_netlist(CamouflagedNetlist(None, c, [p], []))
-            for x in (0, 1):
-                for d in (0, 1):
-                    got = kn.evaluate(kn.correct_key, {"x": x, "d": d})["y"]
-                    assert got == gate_function(kind, cfg, x), (kind, cfg, x, d)
+    """The drawn cell reads as apparent_function, and both the keyed cell
+    under its correct key and the realized cell compute gate_function."""
+    for kind, cfg in LEGAL:
+        c = Circuit()
+        c.add("x", "input")
+        c.add("d", "input")
+        dummy = "d" if kind in (K.UT_A, K.UT_B) else None
+        p = draw_cell(c, kind, cfg, "y", "x", dummy)
+        assert (p.kind, p.config, p.out, p.real_in, p.dummy_in) == \
+            (kind, cfg, "y", "x", dummy)
+        nets = cell_nets(p, c)
+        assert sorted(nets) == sorted(set(c.gates) - {"x", "d"}), (kind, cfg)
+        if kind is K.FB:
+            assert c.gates[nets[1]] == Gate("not", ("x",))
+        c.outputs = ["y"]
+        kn = keyize_netlist(CamouflagedNetlist(None, c, [p], []))
+        fab = realize(c, [p])
+        assert set(fab.gates) == {"x", "d", "y"}, (kind, cfg)
+        for x in (0, 1):
+            for d in (0, 1):
+                real = gate_function(kind, cfg, x)
+                got = kn.evaluate(kn.correct_key, {"x": x, "d": d})["y"]
+                assert got == real, (kind, cfg, x, d)
+                assert c.evaluate({"x": x, "d": d})["y"] == \
+                    apparent_function(kind, x, d), (kind, cfg, x, d)
+                assert fab.evaluate({"x": x, "d": d})["y"] == real, (kind, cfg, x, d)

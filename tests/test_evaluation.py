@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from ipcamo import evaluation
 from ipcamo.aig import random_tree
 from ipcamo.evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
                                ged_lsd_study, latent_distance, load_gnn_dataset,
@@ -29,7 +30,7 @@ def test_pearson_r_hand_values():
         pearson_r([1, 2], [1, 2, 3])
 
 
-def test_ged_lsd_study_small(toy_checkpoint):
+def test_ged_lsd_study_small(toy_checkpoint, monkeypatch):
     params, _ = toy_checkpoint
     rng = np.random.default_rng(20)
     graphs = [random_tree(rng, 1 + int(rng.integers(3)), n_pi_pool=4)
@@ -44,6 +45,14 @@ def test_ged_lsd_study_small(toy_checkpoint):
     assert sum(b.count for b in report.bins) == report.valid_pairs
     with pytest.raises(ValueError, match="two graphs"):
         ged_lsd_study(graphs[:1], params)
+
+    def no_ged(*args, **kwargs):
+        raise AssertionError("GED ran before the bins check")
+
+    monkeypatch.setattr(evaluation, "graph_edit_distance", no_ged)
+    for bins in (0, -1):
+        with pytest.raises(ValueError, match="at least one bin"):
+            ged_lsd_study(graphs, params, bins=bins)
 
 
 def test_report_serialization(tmp_path):
