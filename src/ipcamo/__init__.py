@@ -9,7 +9,7 @@ from .attack import (DipTrace, KeyedNetlist, dip_attack, equivalence_check,
                      key_is_correct, keyize_netlist, make_ll_baseline,
                      make_oracle, tseitin_encode)
 from .camouflage import (CamouflagedNetlist, area_overhead, camouflage_pipeline,
-                         edge_state, fix_lookup, interpolate, threshold_filter)
+                         fix_lookup, interpolate, threshold_filter)
 from .cnf import CnfFormula, SatResult, sat_solve
 from .covert import (CovertConfig, CovertGateKind, CovertInstance,
                      apparent_function, gate_function)

@@ -551,12 +551,13 @@ def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:
 
 # -- Random tree generation (toy datasets, demos, tests) ----------------------
 
+INV_PROB = 0.3  # chance that random_tree inverts an edge
+
 
 def random_tree(
     rng: np.random.Generator,
     n_ands: int,
     n_pi_pool: int = 6,
-    inv_prob: float = 0.3,
 ) -> AigGraph:
     """Random single-PO AIG tree with n_ands AND nodes; PI names drawn from a pool."""
     if n_ands < 1:
@@ -577,12 +578,12 @@ def random_tree(
         types.append(NodeType.AND)
         names.append(None)
         me = len(types) - 1
-        edges.append((a, me, bool(rng.random() < inv_prob)))
-        edges.append((b, me, bool(rng.random() < inv_prob)))
+        edges.append((a, me, bool(rng.random() < INV_PROB)))
+        edges.append((b, me, bool(rng.random() < INV_PROB)))
         return me
 
     root = build(n_ands)
     types.append(NodeType.PO)
     names.append("po0")
-    edges.append((root, len(types) - 1, bool(rng.random() < inv_prob)))
+    edges.append((root, len(types) - 1, bool(rng.random() < INV_PROB)))
     return AigGraph(types=types, edges=edges, names=names)

@@ -609,12 +609,12 @@ def arena(tensors) -> tuple[np.ndarray, np.ndarray]:
     return flat, grad
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None  # moments, one entry per parameter entry
     v: np.ndarray | None = None
@@ -636,13 +636,13 @@ def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray) -> None:
     state.step += 1
     t = state.step
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1 - state.beta1) * grad
-    v *= state.beta2
-    v += (1 - state.beta2) * grad * grad
-    m_hat = m / (1 - state.beta1 ** t)
-    v_hat = v / (1 - state.beta2 ** t)
-    flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    flat -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- Checkpoint I/O -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Latent interpolation, threshold filtering and the two-phase fix engine.
+"""Latent interpolation, threshold filtering and the fix pass.
 
 The generated graph G-hat is reconciled against the functional target F and
 the appearance target A on the nodes of F padded to A's type counts: PIs,
@@ -66,10 +66,6 @@ def threshold_filter(soft: TensorTriple, th: float) -> TensorTriple:
 STATES = ("00", "01", "10", "11")
 
 
-def edge_state(conn: int, inv: int) -> str:
-    return f"{int(bool(conn))}{int(bool(inv))}"
-
-
 def _no_conn(s: str) -> bool:
     return s in ("00", "01")
 
@@ -119,63 +115,57 @@ def _pair_states(g: AigGraph, layout: AigGraph) -> dict[tuple[int, int], str]:
     return states
 
 
-# -- Fix phases ---------------------------------------------------------------
+# -- The fix pass -------------------------------------------------------------
 #
-# The realization maps each wired pair to how its visible wiring is built: a
-# plain "wire", an "inv", or a covert cell ("fi", "fb", "ut_a", "ut_b"). A
-# real signal rides on a pair exactly when it is an edge of F; the cells on
-# every other pair are tied off.
+# Each wired pair's visible wiring is a plain "wire", an "inv", or a covert
+# cell ("fi", "fb", "ut_a", "ut_b"). A real signal rides on a pair exactly
+# when it is an edge of F; the cells on every other pair are tied off.
 
 _ADDED = {"connect": "wire", "insert_inv": "inv"}  # phase-1 action -> wiring it adds
 
 
-def functional_preserve(
-    g_states: dict, f_states: dict
-) -> tuple[dict, dict, list[dict]]:
-    """Phase 1: make the generated wiring compute F. Returns (realization,
-    post-fix apparent states, fix log)."""
-    realization: dict[tuple[int, int], str] = {}
-    gf_states = dict(g_states)
-    log = []
-    for pair in sorted(set(g_states) | set(f_states)):
+def fix_pairs(
+    g_states: dict, f_states: dict, a_states: dict
+) -> tuple[dict[int, list], list[dict]]:
+    """Both fix phases, pair by pair. Phase 1 makes the generated wiring
+    compute F; phase 2 then reshapes the post-fix wiring toward A without
+    touching function. Returns each slot's incoming wiring, a list of
+    (source slot, kind, is an edge of F) in source order, and the fix log:
+    every phase-1 entry, then every phase-2 entry."""
+    incoming: dict[int, list] = {}
+    log1, log2 = [], []
+    for pair in sorted(g_states.keys() | f_states.keys() | a_states.keys()):
         sg = g_states.get(pair, "00")
         sf = f_states.get(pair, "00")
+        # the generated wiring stays as it is unless a phase acts on it
+        kind = None if _no_conn(sg) else "wire" if sg == "10" else "inv"
         action = fix_lookup(sg, sf, "functional")
         if action is not None:
-            log.append({"phase": "functional", "pair": list(pair),
-                        "g_state": sg, "f_state": sf, "action": action})
-            realization[pair] = _ADDED.get(action, action)
-            if action in _ADDED:
-                gf_states[pair] = sf
-        elif not _no_conn(sg):  # states already agree; keep the plain wiring
-            realization[pair] = "wire" if sg == "10" else "inv"
-    return realization, gf_states, log
-
-
-def appearance_mimic(gf_states: dict, a_states: dict, realization: dict) -> list[dict]:
-    """Phase 2: reshape the visible wiring toward A without touching function."""
-    log = []
-    for pair in sorted(set(gf_states) | set(a_states)):
-        sg = gf_states.get(pair, "00")
+            log1.append({"phase": "functional", "pair": list(pair),
+                         "g_state": sg, "f_state": sf, "action": action})
+            kind = _ADDED.get(action, action)
+            if action in _ADDED:  # the new connection is visible to phase 2
+                sg = sf
         sa = a_states.get(pair, "00")
         action = fix_lookup(sg, sa, "appearance")
-        if action is None:
-            continue
-        entry = {"phase": "appearance", "pair": list(pair),
-                 "g_state": sg, "a_state": sa, "action": action}
-        if realization.get(pair) in ("ut_a", "ut_b"):
-            entry["skipped"] = "pair already realized as a camouflaged NAND"
-        else:
-            realization[pair] = action
-        log.append(entry)
-    return log
+        if action is not None:
+            entry = {"phase": "appearance", "pair": list(pair),
+                     "g_state": sg, "a_state": sa, "action": action}
+            if kind in ("ut_a", "ut_b"):
+                entry["skipped"] = "pair already realized as a camouflaged NAND"
+            else:
+                kind = action
+            log2.append(entry)
+        if kind is not None:
+            incoming.setdefault(pair[1], []).append((pair[0], kind, pair in f_states))
+    return incoming, log1 + log2
 
 
 # -- Netlist assembly ---------------------------------------------------------
 
 
 def _build_appearance(
-    fp: AigGraph, realization: dict, f_states: dict, rng: np.random.Generator
+    fp: AigGraph, incoming: dict, rng: np.random.Generator
 ) -> tuple[Circuit, list[CovertInstance]]:
     """Appearance view and its covert placements: NORMAL on an edge of F,
     CONST1 elsewhere. Each slot is a node of F or of A, both trees, so every
@@ -184,10 +174,6 @@ def _build_appearance(
     n_pi = len(fp.pi_indices)
     names = [f"g{i}" if t is NodeType.AND else fp.names[i]
              for i, t in enumerate(fp.types)]
-    incoming: dict[int, list] = {v: [] for v in range(n_pi, fp.n)}
-    for (u, v), kind in sorted(realization.items()):
-        incoming[v].append((u, kind))
-
     pi_nets = names[:n_pi]
     c = Circuit()
     for name in pi_nets:  # duplicated leaf names are one shared signal
@@ -195,22 +181,22 @@ def _build_appearance(
             c.add(name, "input")
     placements: list[CovertInstance] = []
 
-    def realize_edge(u: int, v: int, kind: str, k: int) -> str:
+    def realize_edge(u: int, kind: str, real: bool, stem: str) -> str:
         src = names[u]
-        stem = f"{names[v]}_e{k}"
         if kind == "wire":
             return src
         if kind == "inv":
             return c.add(stem, "not", src)
         gk = CovertGateKind[kind.upper()]  # "ut_a" places a UT_A cell
-        cfg = CovertConfig.NORMAL if (u, v) in f_states else CovertConfig.CONST1
+        cfg = CovertConfig.NORMAL if real else CovertConfig.CONST1
         # a decoy tap, a camouflaged NAND's second fan-in, is a primary input
         dummy = pi_nets[int(rng.integers(len(pi_nets)))] if gk.decoy else None
         placements.append(draw_cell(c, gk, cfg, stem, src, dummy))
         return stem
 
-    for v, edges in incoming.items():
-        ins = [realize_edge(u, v, kind, k) for k, (u, kind) in enumerate(edges)]
+    for v in range(n_pi, fp.n):
+        ins = [realize_edge(u, kind, real, f"{names[v]}_e{k}")
+               for k, (u, kind, real) in enumerate(incoming.get(v, ()))]
         c.add(names[v], "and", *ins)
     c.outputs.append(names[-1])
     return c, placements
@@ -243,18 +229,30 @@ class CamouflagedNetlist:
 
     @staticmethod
     def from_json(text: str) -> "CamouflagedNetlist":
+        """Load a netlist; a placement whose cell, drawn with
+        covert.draw_cell, differs from the view's gate at any of its nets
+        raises ValueError."""
         obj = json.loads(text)
         if obj.get("format") != CAMO_JSON_FORMAT:
             raise ValueError(f"unsupported netlist format: {obj.get('format')!r}")
+        view = circuit_from_obj(obj["appearance_view"])
+        placements = [
+            CovertInstance(CovertGateKind(p["kind"]), CovertConfig(p["config"]),
+                           out=p["out"], real_in=p["real_in"],
+                           dummy_in=p["dummy_in"], note=p.get("note", ""))
+            for p in obj["placements"]
+        ]
+        for p in placements:
+            cell = Circuit()
+            draw_cell(cell, p.kind, p.config, p.out, p.real_in, p.dummy_in)
+            for net, gate in cell.gates.items():
+                if view.gates.get(net) != gate:
+                    raise ValueError(f"{p.kind.value} placement {p.out!r} is not "
+                                     f"the cell drawn at net {net!r}")
         return CamouflagedNetlist(
             functional_view=AigGraph.from_json(json.dumps(obj["functional_view"])),
-            appearance_view=circuit_from_obj(obj["appearance_view"]),
-            placements=[
-                CovertInstance(CovertGateKind(p["kind"]), CovertConfig(p["config"]),
-                               out=p["out"], real_in=p["real_in"],
-                               dummy_in=p["dummy_in"], note=p.get("note", ""))
-                for p in obj["placements"]
-            ],
+            appearance_view=view,
+            placements=placements,
             fix_log=obj["fix_log"],
             metadata=obj["metadata"],
         )
@@ -301,12 +299,10 @@ def camouflage_pipeline(
     soft = decode(z, fp.n, params)
     g_hat = from_tensors(threshold_filter(soft, th))
 
-    f_states = _pair_states(fp, fp)
-    realization, gf_states, log1 = functional_preserve(
-        _pair_states(g_hat, fp), f_states)
-    log2 = appearance_mimic(gf_states, _pair_states(ap, fp), realization)
+    incoming, fix_log = fix_pairs(
+        _pair_states(g_hat, fp), _pair_states(fp, fp), _pair_states(ap, fp))
     appearance_view, placements = _build_appearance(
-        fp, realization, f_states, np.random.default_rng(seed))
+        fp, incoming, np.random.default_rng(seed))
     # the functional view is F on the layout's net names: F's k-th AND is
     # the slot and net g{n_pi(fp) + k}
     view = normalize(f)
@@ -322,5 +318,4 @@ def camouflage_pipeline(
         "g_hat_nodes": g_hat.n,
         "baseline_cells": from_aig(f).cell_count(),
     }
-    return CamouflagedNetlist(view, appearance_view, placements,
-                              log1 + log2, meta)
+    return CamouflagedNetlist(view, appearance_view, placements, fix_log, meta)

@@ -4,11 +4,10 @@ import pytest
 
 from ipcamo.aig import (AigGraph, NodeType, TensorTriple, normalize,
                         pad_to_match, pattern_words, random_tree, to_tensors)
-from ipcamo.camouflage import (CamouflagedNetlist, _pair_states,
-                               appearance_mimic, area_overhead,
+from ipcamo.camouflage import (CamouflagedNetlist, _pair_states, area_overhead,
                                camouflage_pipeline, checkpoint_sha256,
-                               edge_state, fix_lookup, functional_preserve,
-                               interpolate, threshold_filter)
+                               fix_lookup, fix_pairs, interpolate,
+                               threshold_filter)
 from ipcamo.attack import equivalence_check, keyize_netlist
 from ipcamo.covert import realize
 from ipcamo.gatelevel import CompiledCircuit, from_aig, prune
@@ -102,8 +101,6 @@ def test_fix_lookup_rejects_garbage():
         fix_lookup("2", "10", "functional")
     with pytest.raises(ValueError, match="phase"):
         fix_lookup("10", "11", "later")
-    assert edge_state(1, 0) == "10" and edge_state(1, 1) == "11"
-    assert edge_state(0, 1) == "01"
 
 
 def test_position_space_mapping():
@@ -144,22 +141,31 @@ def test_pair_states_records_polarity():
 def test_functional_preserve_actions():
     g_states = {(0, 2): "10", (1, 2): "11", (2, 4): "10"}
     f_states = {(0, 2): "11", (1, 3): "10", (3, 4): "10"}
-    real, gf, log = functional_preserve(g_states, f_states)
-    assert real == {(0, 2): "ut_b", (1, 2): "fi", (1, 3): "wire",
-                    (2, 4): "fb", (3, 4): "wire"}
-    assert gf[(1, 3)] == "10"  # new connection shows up in the apparent states
+    incoming, log = fix_pairs(g_states, f_states, {})  # no target: phase 1 only
+    assert incoming == {2: [(0, "ut_b", True), (1, "fi", False)],
+                        3: [(1, "wire", True)],
+                        4: [(2, "fb", False), (3, "wire", True)]}
+    assert {e["phase"] for e in log} == {"functional"}
     actions = {tuple(e["pair"]): e["action"] for e in log}
     assert actions == {(0, 2): "ut_b", (1, 2): "fi", (1, 3): "connect",
                        (2, 4): "fb", (3, 4): "connect"}
+    # phase 2 sees the new connection (1, 3) as wired: an inverted target
+    # makes it a camouflaged NAND, not a fake inverter on an empty pair
+    incoming, log = fix_pairs(g_states, f_states, {(1, 3): "11"})
+    assert incoming[3] == [(1, "ut_a", True)]
+    assert log[-1] == {"phase": "appearance", "pair": [1, 3],
+                       "g_state": "10", "a_state": "11", "action": "ut_a"}
 
 
 def test_appearance_mimic_respects_function():
-    real = {(0, 2): "wire", (1, 2): "ut_a"}
-    gf = {(0, 2): "10", (1, 2): "11"}
+    g_states = {(0, 2): "10", (1, 2): "11"}
+    f_states = {(0, 2): "10", (1, 2): "10"}  # phase 1: a wire and a UT-A
     a_states = {(0, 2): "11", (1, 2): "10", (1, 3): "10"}
-    log = appearance_mimic(gf, a_states, real)
+    incoming, log = fix_pairs(g_states, f_states, a_states)
     # (1, 2) is already a camouflaged NAND and stays one
-    assert real == {(0, 2): "ut_a", (1, 2): "ut_a", (1, 3): "fb"}
+    assert incoming == {2: [(0, "ut_a", True), (1, "ut_a", True)],
+                        3: [(1, "fb", False)]}
+    assert [e["phase"] for e in log] == ["functional"] + ["appearance"] * 3
     skipped = [e for e in log if e.get("skipped")]
     assert len(skipped) == 1 and skipped[0]["pair"] == [1, 2]
 
@@ -196,7 +202,7 @@ def test_pipeline_preserves_function(toy_checkpoint):
     params, _ = toy_checkpoint
     f, a = _toy_pair(10)
     nl = camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=3)
-    assert equivalence_check(nl.functional_view, f)
+    assert equivalence_check(realize(nl.appearance_view, nl.placements), f)
     # the appearance view is a well-formed circuit covering the real function
     assign = {n: 0 for n in nl.appearance_view.inputs}
     nl.appearance_view.evaluate(assign)

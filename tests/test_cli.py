@@ -155,6 +155,42 @@ def test_verify_rejects_a_wrong_placement(toy_checkpoint, tmp_path):
     assert [r["equivalent"] for r in report["results"]] == [False]
 
 
+def test_verify_rejects_a_cell_that_does_not_read_its_real_input(toy_checkpoint,
+                                                                 tmp_path):
+    """A UT-A cell redrawn as a NAND of its decoy tap twice still realizes
+    F, since realize trusts the placement; loading the file checks every
+    placement against the cell drawn at its nets, so verify fails."""
+    from ipcamo.aig import random_tree
+    from ipcamo.attack import equivalence_check
+    from ipcamo.camouflage import CamouflagedNetlist, camouflage_pipeline
+    from ipcamo.covert import realize
+    from ipcamo.gatelevel import circuit_from_obj
+    params, _ = toy_checkpoint
+    rng = np.random.default_rng(100)
+    f, a = random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10)
+    nl = camouflage_pipeline(f, a, params, p=0.5, th=0.5, seed=0)
+    text = nl.to_json()
+    assert CamouflagedNetlist.from_json(text).to_json() == text
+    obj = json.loads(text)
+    gate = obj["appearance_view"]["gates"]["g87_e2"]
+    assert gate == {"op": "nand", "ins": ["g86", "pi5"]}
+    gate["ins"] = ["pi5", "pi5"]
+    tampered = circuit_from_obj(obj["appearance_view"])
+    assert equivalence_check(realize(tampered, nl.placements), f)
+    with pytest.raises(ValueError, match="g87_e2"):
+        CamouflagedNetlist.from_json(json.dumps(obj))
+
+    f_path = tmp_path / "f.json"
+    f_path.write_text(f.to_json())
+    nets = tmp_path / "netlists"
+    nets.mkdir()
+    (nets / "netlist_p0.5_th0.5.json").write_text(json.dumps(obj, sort_keys=True))
+    cfg = _write_cfg(tmp_path / "v.json", {"out": str(tmp_path / "verify"),
+                                           "functional": str(f_path),
+                                           "netlists": str(nets)})
+    assert main(["verify", "--config", str(cfg)]) == EXIT_VIOLATION
+
+
 def _write_cfg(path, obj):
     path.write_text(json.dumps(obj))
     return path

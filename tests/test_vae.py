@@ -293,10 +293,10 @@ def _train_by_parameter(dataset, h: Hyperparams):
             step += 1
             for name, t in named.items():
                 grad = t.grad if t.grad is not None else np.zeros(t.shape)
-                m[name] = m[name] * opt.beta1 + (1 - opt.beta1) * grad
-                v[name] = v[name] * opt.beta2 + (1 - opt.beta2) * grad * grad
-                t.data = t.data - opt.lr * (m[name] / (1 - opt.beta1 ** step)) / (
-                    np.sqrt(v[name] / (1 - opt.beta2 ** step)) + opt.eps)
+                m[name] = m[name] * ad.ADAM_BETA1 + (1 - ad.ADAM_BETA1) * grad
+                v[name] = v[name] * ad.ADAM_BETA2 + (1 - ad.ADAM_BETA2) * grad * grad
+                t.data = t.data - opt.lr * (m[name] / (1 - ad.ADAM_BETA1 ** step)) / (
+                    np.sqrt(v[name] / (1 - ad.ADAM_BETA2 ** step)) + ad.ADAM_EPS)
             losses.append(float(total.data))
             for c in comps_sum:
                 comps_sum[c] += comps[c]
