@@ -1,23 +1,31 @@
-"""Minimal dense-tensor reverse-mode autodiff with GRU, MLP, pair head and Adam.
+"""Minimal dense-tensor reverse-mode autodiff with fused GRU and MLP nodes, and Adam.
 
 Float64 throughout; single-threaded tape; gradients are validated against
 central finite differences in the test suite.
 
 Besides elementary ops the tape has fused nodes, each one tensor with a
-hand-written backward that lists every tensor it reads as a parent:
-`gru_step` (one GRU update of any number of rows), `gru_decode` (a whole
-GRU run fed its own softmax head, backpropagated through time) and
-`pair_head` (an edge MLP over every row pair). `Tensor.backward` walks the
-recorded nodes reachable from the loss in reverse creation order, which is
-a topological order because a node is created after all of its parents;
-leaves never enter the walk. Each `gru_decode` step makes one product of
-its state with the stacked `[W0 | w_z | w_r]` and one of its type row with
-the stacked `[u_z | u_r | u_h]`.
+hand-written backward that lists every tensor it reads as a parent, so a
+VAE training step is a handful of nodes:
+
+- `gru_encode`: a GRU up the levels of a DAG, one update of all of a
+  level's rows at a time, then the mu and logvar heads; it reads a
+  `LevelPlan` (level starts, signed-incidence blocks, type rows, leaf rows)
+  that its caller builds once per graph.
+- `gru_decode`: h_0 = tanh(z W + b), then a whole GRU run fed its own
+  softmax type head, backpropagated through time.
+- `edge_heads`: both edge MLPs over every row pair, one double-width hidden
+  row per pair.
+
+Every GRU update computes its z and r gates as one stacked block, forward
+and backward, and forms each weight gradient with one product over all the
+rows of a node. `Tensor.backward` walks the recorded nodes reachable from
+the loss in reverse creation order, which is a topological order because a
+node is created after all of its parents; leaves never enter the walk.
 
 Training packs the parameters into an `arena`: one parameter vector that
 every parameter's data views and one gradient vector that every grad
-views. `adam_step` updates the vector in one pass, and a step's gradient
-reset is one fill.
+views. `adam_step` updates the vector in place, with two scratch rows kept
+in its state, and a step's gradient reset is one fill.
 """
 from __future__ import annotations
 
@@ -26,6 +34,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +74,12 @@ def _records(parents) -> bool:
     return False
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), into out when given (which may be x)."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -277,17 +290,22 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def take(x: Tensor, index) -> Tensor:
-    """x.data[index] as a tensor: a gather of rows or a block of columns.
+    """x.data[index] as a tensor: a gather of rows or a block of slices.
 
     The backward accumulates repeated rows (np.add.at), so a gather may read
-    one row many times.
+    one row many times; a block reads each entry once, so its backward is
+    one assignment.
     """
     out_data = x.data[index]
+    block = isinstance(index, tuple) and all(isinstance(i, slice) for i in index)
 
     def bwd(g, a=x):
         if a.requires_grad:
             full = np.zeros(a.shape)
-            np.add.at(full, index, g)
+            if block:
+                full[index] = g
+            else:
+                np.add.at(full, index, g)
             a._accum(full)
 
     return Tensor._make(out_data, (x,), bwd)
@@ -329,194 +347,288 @@ def init_gru(rng: np.random.Generator, hidden: int, cond: int) -> GruParams:
     )
 
 
-def _gru_forward(p: GruParams, m_prods: tuple, t_prods: tuple,
-                 hd: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The GRU equations on arrays: the new state and the gates its backward reads.
-
-    m_prods are m @ w_z and m @ w_r, t_prods are t @ u_z, t @ u_r and t @ u_h.
-    """
-    (mz, mr), (tz, tr, th) = m_prods, t_prods
-    z = _sigmoid(mz + tz + p.b_z.data)
-    r = _sigmoid(mr + tr + p.b_r.data)
-    rh = r * hd
-    h_tilde = np.tanh(rh @ p.w_h.data + th + p.b_h.data)
-    return (1.0 - z) * hd + z * h_tilde, (z, r, rh, h_tilde)
-
-
-def _gru_transposes(p: GruParams) -> tuple:
-    """The weight transposes _gru_backward reads, in its order."""
-    return tuple(w.data.T for w in (p.w_h, p.w_z, p.w_r, p.u_z, p.u_r, p.u_h))
-
-
-def _gru_backward(wt: tuple, g: np.ndarray, hd: np.ndarray, gates: tuple,
-                  need_t: bool = True):
-    """Backward of _gru_forward for output gradient g; wt is _gru_transposes(p).
-
-    Returns the pre-activation gradients (z, r and candidate), then the
-    gradients of m, t (None unless need_t) and h_prev.
-    """
-    w_h, w_z, w_r, u_z, u_r, u_h = wt
-    z, r, _, h_tilde = gates
-    d_h = g * z * (1.0 - h_tilde * h_tilde)
-    d_rh = d_h @ w_h
-    d_r = d_rh * hd * r * (1.0 - r)
-    d_z = g * (h_tilde - hd) * z * (1.0 - z)
-    d_m = d_z @ w_z + d_r @ w_r
-    d_t = d_z @ u_z + d_r @ u_r + d_h @ u_h if need_t else None
-    return (d_z, d_r, d_h), d_m, d_t, g * (1.0 - z) + d_rh * r
-
-
-def _gru_weight_grads(p: GruParams, md: np.ndarray, td: np.ndarray, rh: np.ndarray,
-                      pre: tuple) -> None:
-    """Accumulate the nine weight gradients, each one matmul over all rows."""
-    for x, d, w, u, b in ((md, pre[0], p.w_z, p.u_z, p.b_z), (md, pre[1], p.w_r, p.u_r, p.b_r),
-                          (rh, pre[2], p.w_h, p.u_h, p.b_h)):
-        if w.requires_grad:
-            w._accum(x.T @ d)
-        if u.requires_grad:
-            u._accum(td.T @ d)
-        if b.requires_grad:
-            b._accum(d.sum(axis=0))
-
-
-def gru_step(p: GruParams, m: Tensor, t: Tensor, h_prev: Tensor) -> Tensor:
-    """One gated update: z/r gates from (m, t), candidate from (r*h_prev, t).
-
-    One tape node with a hand-written backward; m, t and h_prev have one row
-    per sequence, and m may be h_prev itself.
-    """
-    md, td, hd = m.data, t.data, h_prev.data
-    if not md.shape[0] == td.shape[0] == hd.shape[0]:
-        raise ValueError(f"row mismatch: m {md.shape}, t {td.shape}, h_prev {hd.shape}")
-    out_data, gates = _gru_forward(p, (md @ p.w_z.data, md @ p.w_r.data),
-                                   (td @ p.u_z.data, td @ p.u_r.data, td @ p.u_h.data), hd)
-
-    def bwd(g):
-        pre, d_m, d_t, d_prev = _gru_backward(_gru_transposes(p), g, hd, gates,
-                                              t.requires_grad)
-        _gru_weight_grads(p, md, td, gates[2], pre)
-        if m.requires_grad:
-            m._accum(d_m)
-        if t.requires_grad:
-            t._accum(d_t)
-        if h_prev.requires_grad:
-            h_prev._accum(d_prev)
-
-    return Tensor._make(out_data, (m, t, h_prev, *vars(p).values()), bwd)
-
-
-def gru_decode(p: GruParams, head: MlpParams, h0: Tensor, t0: np.ndarray,
-               n: int) -> Tensor:
-    """A GRU run that feeds itself its own type head, as one tape node.
-
-    h_0 = h0 (1, H) and t_0 = t0 (1, k); for i = 1..n-1 (n >= 2),
-    h_i = gru_step(p, h_{i-1}, t_{i-1}, h_{i-1}) and t_i = head(h_i), where
-    head is tanh then softmax. Returns the (n, H + k) matrix whose row i is
-    [h_i, t_i]. Each step makes one product of its state with the stacked
-    [W0 | w_z | w_r], which feeds its head and the next step's gates, and one
-    of its type row with the stacked [u_z | u_r | u_h]. The backward runs
-    through time over the stored gates, then forms each weight gradient with
-    one matmul over the stacked steps.
-    """
-    (w0, b0, act0), (w1, b1, act1) = head.layers
-    if (act0, act1) != ("tanh", "softmax"):
-        raise ValueError(f"type head needs tanh then softmax, got {act0}, {act1}")
-    if n < 2:
-        raise ValueError(f"a run needs at least 2 states, got n={n}")
-    width, mid = h0.shape[1], w0.shape[1]
-    by_state = np.hstack([w0.data, p.w_z.data, p.w_r.data])
-    by_type = np.hstack([p.u_z.data, p.u_r.data, p.u_h.data])
-    out_data = np.empty((n, width + w1.shape[1]))
-    out_data[0, :width], out_data[0, width:] = h0.data, t0
-    parents = (h0, *vars(p).values(), w0, b0, w1, b1)
-    record = _records(parents)
-    gates, hidden = [], []
-    h, t = h0.data, t0
-    hp = h @ by_state
-    for i in range(1, n):
-        tp = t @ by_type
-        h, step_gates = _gru_forward(
-            p, (hp[:, mid : mid + width], hp[:, mid + width :]),
-            (tp[:, :width], tp[:, width : 2 * width], tp[:, 2 * width :]), h)
-        hp = h @ by_state
-        a = np.tanh(hp[:, :mid] + b0.data)
-        t = _softmax(a @ w1.data + b1.data)
-        out_data[i, :width], out_data[i, width:] = h, t
-        if record:
-            gates.append(step_gates)
-            hidden.append(a)
-
-    def bwd(g):
-        states, types = out_data[:, :width], out_data[:, width:]
-        wt, w0t, w1t = _gru_transposes(p), w0.data.T, w1.data.T
-        pre = [np.empty((n - 1, width)) for _ in range(3)]
-        d_logit = np.empty((n - 1, w1.shape[1]))
-        d_a = np.empty((n - 1, mid))
-        d_h, d_t = 0.0, 0.0  # gradients reaching h_i and t_i from step i + 1
-        for i in range(n - 1, 0, -1):
-            s, a = types[i : i + 1], hidden[i - 1]
-            d_s = g[i : i + 1, width:] + d_t
-            d_logit[i - 1] = s * (d_s - (d_s * s).sum(axis=-1, keepdims=True))
-            d_a[i - 1] = (d_logit[i - 1] @ w1t) * (1.0 - a * a)
-            d_state = g[i : i + 1, :width] + d_h + d_a[i - 1] @ w0t
-            step_pre, d_m, d_t, d_prev = _gru_backward(wt, d_state, states[i - 1 : i],
-                                                       gates[i - 1])
-            for rows, d in zip(pre, step_pre):
-                rows[i - 1] = d
-            d_h = d_m + d_prev
-        if h0.requires_grad:
-            h0._accum(g[:1, :width] + d_h)
-        rh = np.concatenate([step_gates[2] for step_gates in gates])
-        _gru_weight_grads(p, states[:-1], types[:-1], rh, pre)
-        for w, b, x, d in ((w0, b0, states[1:], d_a), (w1, b1, np.concatenate(hidden), d_logit)):
-            if w.requires_grad:
-                w._accum(x.T @ d)
-            if b.requires_grad:
-                b._accum(d.sum(axis=0))
-
-    return Tensor._make(out_data, parents, bwd)
-
-
 @dataclass
 class MlpParams:
-    """Affine layers with activation tags: tanh | sigmoid | softmax | identity."""
+    """Affine layers (w, b). The node that runs an MLP fixes its activations."""
 
-    layers: list[tuple[Tensor, Tensor, str]]
+    layers: list[tuple[Tensor, Tensor]]
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         out = {}
-        for i, (w, b, _) in enumerate(self.layers):
+        for i, (w, b) in enumerate(self.layers):
             out[f"{prefix}.w{i}"] = w
             out[f"{prefix}.b{i}"] = b
         return out
 
 
-_ACTIVATIONS = {
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "softmax": softmax,
-    "identity": lambda x: x,
-}
-
-
-def init_mlp(rng: np.random.Generator, dims: list[int], activations: list[str]) -> MlpParams:
-    assert len(activations) == len(dims) - 1
-    layers = []
-    for d_in, d_out, act in zip(dims[:-1], dims[1:], activations):
-        if act not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {act!r}")
-        layers.append((_init_tensor(rng, (d_in, d_out)),
-                       Tensor(np.zeros(d_out), requires_grad=True), act))
-    return MlpParams(layers)
+def init_mlp(rng: np.random.Generator, dims: list[int]) -> MlpParams:
+    return MlpParams([(_init_tensor(rng, (d_in, d_out)),
+                       Tensor(np.zeros(d_out), requires_grad=True))
+                      for d_in, d_out in zip(dims[:-1], dims[1:])])
 
 
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
+    """tanh after every layer but the last, as elementary tape ops."""
     h = x
-    for w, b, act in p.layers:
+    for k, (w, b) in enumerate(p.layers):
         if h.shape[-1] != w.shape[0]:
             raise ValueError(f"dimension mismatch: {h.shape} @ {w.shape}")
-        h = _ACTIVATIONS[act](h @ w + b)
+        h = h @ w + b
+        if k < len(p.layers) - 1:
+            h = tanh(h)
     return h
+
+
+def _init_tensor(rng: np.random.Generator, shape: tuple[int, int]) -> Tensor:
+    bound = 1.0 / np.sqrt(shape[0])
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+# -- Fused nodes --------------------------------------------------------------
+
+
+def _accum_grads(pairs) -> None:
+    """Accumulate each (tensor, gradient) pair into the tensors that require grad."""
+    for t, g in pairs:
+        if t.requires_grad:
+            t._accum(g)
+
+
+def _gru_stacks(p: GruParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[w_z | w_r], [u_z | u_r | u_h] and [b_z | b_r | b_h]: the z and r gates as one block."""
+    return (np.concatenate([p.w_z.data, p.w_r.data], axis=1),
+            np.concatenate([p.u_z.data, p.u_r.data, p.u_h.data], axis=1),
+            np.concatenate([p.b_z.data, p.b_r.data, p.b_h.data]))
+
+
+def _gru_cell(w_h: np.ndarray, zr: np.ndarray, th: np.ndarray, hd: np.ndarray,
+              rh: np.ndarray, h_tilde: np.ndarray, h_new: np.ndarray) -> None:
+    """One GRU update of the rows hd, written into buffers the backward reads.
+
+    On entry zr holds m @ [w_z | w_r] + t @ [u_z | u_r] + [b_z | b_r] and th
+    holds t @ u_h + b_h. On return zr holds the gates [z | r], rh = r * hd,
+    h_tilde the candidate tanh(rh @ w_h + th) and h_new = (1 - z) * hd +
+    z * h_tilde, computed as hd + z * (h_tilde - hd).
+    """
+    _sigmoid(zr, out=zr)
+    width = hd.shape[-1]
+    np.multiply(zr[..., width:], hd, out=rh)
+    np.matmul(rh, w_h, out=h_tilde)
+    h_tilde += th
+    np.tanh(h_tilde, out=h_tilde)
+    np.subtract(h_tilde, hd, out=h_new)
+    h_new *= zr[..., :width]
+    h_new += hd
+
+
+def _gru_coefficients(zr: np.ndarray, h_tilde: np.ndarray, hd: np.ndarray) -> tuple:
+    """The factors _gru_backward reads, for every stored row at once.
+
+    (c_h, c_z, c_r, keep, r): the candidate's pre-activation gradient is
+    g * c_h, z's is g * c_z, r's is d_rh * c_r, and h_prev's through the
+    update and the candidate is g * keep + d_rh * r.
+    """
+    width = hd.shape[1]
+    z, r = zr[:, :width], zr[:, width:]
+    keep = 1.0 - z
+    return z * (1.0 - h_tilde * h_tilde), (h_tilde - hd) * z * keep, hd * r * (1.0 - r), keep, r
+
+
+def _gru_backward(coef: tuple, g: np.ndarray, d: np.ndarray, w_h_t: np.ndarray) -> np.ndarray:
+    """Backward of _gru_cell for output gradient g, given its rows of _gru_coefficients.
+
+    Writes the pre-activation gradients [z | r | candidate] into d and returns
+    h_prev's gradient, except for the part through the gates' message m.
+    """
+    c_h, c_z, c_r, keep, r = coef
+    width = g.shape[-1]
+    cand = d[..., 2 * width:]
+    np.multiply(g, c_h, out=cand)
+    d_rh = cand @ w_h_t
+    np.multiply(g, c_z, out=d[..., :width])
+    np.multiply(d_rh, c_r, out=d[..., width : 2 * width])
+    return g * keep + d_rh * r
+
+
+def _gru_weight_grads(p: GruParams, m: np.ndarray, t: np.ndarray, rh: np.ndarray,
+                      d: np.ndarray) -> None:
+    """Accumulate the nine GRU weight gradients, each from one product over all rows.
+
+    m, t and rh are every row's message, type row and r * h_prev; d holds
+    their [z | r | candidate] pre-activation gradients.
+    """
+    width = m.shape[1]
+    g_zr = m.T @ d[:, : 2 * width]
+    g_u = t.T @ d
+    g_b = d.sum(axis=0)
+    _accum_grads(((p.w_z, g_zr[:, :width]), (p.w_r, g_zr[:, width:]),
+                  (p.w_h, rh.T @ d[:, 2 * width :]), (p.u_z, g_u[:, :width]),
+                  (p.u_r, g_u[:, width : 2 * width]), (p.u_h, g_u[:, 2 * width :]),
+                  (p.b_z, g_b[:width]), (p.b_r, g_b[width : 2 * width]),
+                  (p.b_h, g_b[2 * width :])))
+
+
+class LevelPlan(NamedTuple):
+    """The rows of a levelled DAG in the order gru_encode reads them.
+
+    Rows are sorted by level. Level 0, rows [0, starts[1]), are leaves whose
+    states are rows leaf_rows of the embedding. Level l > 0 holds rows
+    [starts[l], starts[l + 1]); its messages are incidence[l - 1] times the
+    states of rows [0, starts[l]), and its type rows are those rows of types,
+    which has one row per non-leaf row. The heads read row out_row.
+    """
+
+    leaf_rows: np.ndarray
+    starts: tuple[int, ...]
+    incidence: tuple[np.ndarray, ...]
+    types: np.ndarray
+    out_row: int
+
+
+def gru_encode(p: GruParams, embed: Tensor, mu: MlpParams, logvar: MlpParams,
+               plan: LevelPlan) -> Tensor:
+    """A GRU up the levels of a DAG, then its mu and logvar heads, as one tape node.
+
+    Each level above 0 is one GRU update of all its rows, whose message m,
+    also its previous state, is the level's incidence block times the states
+    below it. The heads are tanh(h W0 + b0) W1 + b1 on the state of row
+    plan.out_row, their first layers one product with the stacked [W0 | W0'].
+    Returns the (1, 2d) row [mu | logvar]. The backward runs down the levels,
+    then forms each GRU weight gradient with one product over all rows.
+    """
+    starts, inc, types = plan.starts, plan.incidence, plan.types
+    n, n_leaf, width = starts[-1], starts[1], embed.shape[1]
+    if types.shape[0] != n - n_leaf or any(
+            block.shape != (hi - lo, lo) for block, lo, hi in zip(inc, starts[1:], starts[2:])):
+        raise ValueError(f"row mismatch: {n} rows in levels {starts}, types {types.shape}, "
+                         f"incidence {[block.shape for block in inc]}")
+    (w0m, b0m), (w1m, b1m) = mu.layers
+    (w0v, b0v), (w1v, b1v) = logvar.layers
+    mid, d_out = w0m.shape[1], w1m.shape[1]
+    w_zr, u_all, b_all = _gru_stacks(p)
+    states = np.empty((n, width))
+    states[:n_leaf] = embed.data[plan.leaf_rows]
+    msg = np.empty((n - n_leaf, width))  # each row's message, also its previous state
+    type_prods = types @ u_all + b_all  # every row's, for all levels at once
+    zr, th = type_prods[:, : 2 * width], type_prods[:, 2 * width :]
+    rh, h_tilde = np.empty_like(msg), np.empty_like(msg)
+    for block, lo, hi in zip(inc, starts[1:], starts[2:]):
+        s = slice(lo - n_leaf, hi - n_leaf)
+        m = np.matmul(block, states[:lo], out=msg[s])
+        zr[s] += m @ w_zr
+        _gru_cell(p.w_h.data, zr[s], th[s], m, rh[s], h_tilde[s], states[lo:hi])
+    h_out = states[plan.out_row]
+    w0 = np.concatenate([w0m.data, w0v.data], axis=1)
+    hidden = np.tanh(h_out @ w0 + np.concatenate([b0m.data, b0v.data]))
+    out_data = np.concatenate([hidden[:mid] @ w1m.data + b1m.data,
+                               hidden[mid:] @ w1v.data + b1v.data]).reshape(1, 2 * d_out)
+
+    def bwd(g):
+        g_mu, g_lv = g[0, :d_out], g[0, d_out:]
+        d_hidden = np.concatenate([g_mu @ w1m.data.T, g_lv @ w1v.data.T]) * (1.0 - hidden * hidden)
+        g_w0 = np.outer(h_out, d_hidden)
+        _accum_grads(((w1m, np.outer(hidden[:mid], g_mu)), (b1m, g_mu),
+                      (w1v, np.outer(hidden[mid:], g_lv)), (b1v, g_lv),
+                      (w0m, g_w0[:, :mid]), (b0m, d_hidden[:mid]),
+                      (w0v, g_w0[:, mid:]), (b0v, d_hidden[mid:])))
+        d_states = np.zeros((n, width))
+        d_states[plan.out_row] = d_hidden @ w0.T
+        coef = _gru_coefficients(zr, h_tilde, msg)
+        d = np.empty((n - n_leaf, 3 * width))
+        w_h_t, w_zr_t = p.w_h.data.T, w_zr.T
+        for block, lo, hi in zip(reversed(inc), reversed(starts[1:-1]), reversed(starts[2:])):
+            s = slice(lo - n_leaf, hi - n_leaf)
+            d_prev = _gru_backward([c[s] for c in coef], d_states[lo:hi], d[s], w_h_t)
+            d_prev += d[s, : 2 * width] @ w_zr_t
+            d_states[:lo] += block.T @ d_prev
+        if embed.requires_grad:
+            full = np.zeros(embed.shape)
+            np.add.at(full, plan.leaf_rows, d_states[:n_leaf])
+            embed._accum(full)
+        _gru_weight_grads(p, msg, types, rh, d)
+
+    parents = (embed, *vars(p).values(), w0m, b0m, w1m, b1m, w0v, b0v, w1v, b1v)
+    return Tensor._make(out_data, parents, bwd)
+
+
+def gru_decode(p: GruParams, head: MlpParams, z: Tensor, init_w: Tensor, init_b: Tensor,
+               t0: np.ndarray, n: int) -> Tensor:
+    """A GRU run from tanh(z W + b) that feeds itself its own type head, as one tape node.
+
+    h_0 = tanh(z init_w + init_b) for the (1, d) latent z and t_0 = t0 (k,).
+    For i = 1..n-1 (n >= 2), h_i is the GRU update of h_{i-1} with message
+    h_{i-1} and type row t_{i-1}, and t_i = softmax(tanh(h_i W0 + b0) W1 + b1).
+    Returns the (n, H + k) matrix whose row i is [h_i, t_i]. Each step makes
+    one product of its state with the stacked [W0 | w_z | w_r], which feeds
+    its head and the next step's gates, and one of its type row with the
+    stacked [u_z | u_r | u_h]. The backward runs through time over the stored
+    gates, one product with [[w_z | w_r | 0], [u_z | u_r | u_h]]^T a step
+    giving the gradients of h_{i-1} and t_{i-1}, then forms each weight
+    gradient with one product over the stacked steps.
+    """
+    if n < 2:
+        raise ValueError(f"a run needs at least 2 states, got n={n}")
+    (w0, b0), (w1, b1) = head.layers
+    width, mid, k = init_w.shape[1], w0.shape[1], w1.shape[1]
+    w_zr, u_all, b_all = _gru_stacks(p)
+    by_state = np.concatenate([w0.data, w_zr], axis=1)
+    out_data = np.empty((n, width + k))
+    h0 = np.tanh(z.data @ init_w.data + init_b.data)
+    out_data[0, :width], out_data[0, width:] = h0, t0
+    zr = np.empty((n - 1, 2 * width))
+    rh, h_tilde = np.empty((n - 1, width)), np.empty((n - 1, width))
+    hidden = np.empty((n - 1, mid))
+    h, t = out_data[0, :width], out_data[0, width:]
+    hp = h @ by_state
+    for i in range(1, n):
+        tp = t @ u_all
+        tp += b_all
+        np.add(hp[mid:], tp[: 2 * width], out=zr[i - 1])
+        h_new, t = out_data[i, :width], out_data[i, width:]
+        _gru_cell(p.w_h.data, zr[i - 1], tp[2 * width :], h, rh[i - 1], h_tilde[i - 1], h_new)
+        h = h_new
+        hp = h @ by_state
+        a = np.add(hp[:mid], b0.data, out=hidden[i - 1])
+        np.tanh(a, out=a)
+        logit = a @ w1.data
+        logit += b1.data
+        logit -= np.maximum.reduce(logit)
+        np.exp(logit, out=logit)
+        np.divide(logit, np.add.reduce(logit), out=t)
+
+    def bwd(g):
+        states, types = out_data[:, :width], out_data[:, width:]
+        coef = list(zip(*_gru_coefficients(zr, h_tilde, states[:-1])))
+        w_h_t, w0t, w1t = p.w_h.data.T, w0.data.T, w1.data.T
+        by_grad = np.zeros((3 * width, width + k))  # [d_z | d_r | d_cand] -> [d_h | d_t]
+        by_grad[: 2 * width, :width] = w_zr.T
+        by_grad[:, width:] = u_all.T
+        # The head maps a gradient d_s of t_i to one of h_i linearly: d_s @ head_t[i - 1],
+        # with softmax Jacobian diag(t_i) - t_i t_i^T; one batched product for all steps.
+        soft = types[1:]
+        jac = soft[:, :, None] * (np.eye(k) - soft[:, None, :])
+        tanh_grad = 1.0 - hidden * hidden
+        head_t = ((jac @ w1t) * tanh_grad[:, None, :]) @ w0t
+        d = np.empty((n - 1, 3 * width))
+        d_soft = np.empty((n - 1, k))
+        d_h, d_t = 0.0, 0.0  # gradients reaching h_i and t_i from step i + 1
+        for i in range(n - 1, 0, -1):
+            d_s = np.add(g[i, width:], d_t, out=d_soft[i - 1])
+            d_state = g[i, :width] + d_h + d_s @ head_t[i - 1]
+            d_prev = _gru_backward(coef[i - 1], d_state, d[i - 1], w_h_t)
+            d_ht = d[i - 1] @ by_grad
+            d_h, d_t = d_ht[:width] + d_prev, d_ht[width:]
+        d_logit = (d_soft[:, None, :] @ jac)[:, 0]
+        d_a = (d_logit @ w1t) * tanh_grad
+        d_init = (g[0, :width] + d_h) * (1.0 - h0 * h0)
+        _gru_weight_grads(p, states[:-1], types[:-1], rh, d)
+        _accum_grads(((init_w, z.data.T @ d_init), (init_b, d_init[0]),
+                      (w0, states[1:].T @ d_a), (b0, d_a.sum(axis=0)),
+                      (w1, hidden.T @ d_logit), (b1, d_logit.sum(axis=0)),
+                      (z, d_init @ init_w.data.T)))
+
+    parents = (z, init_w, init_b, *vars(p).values(), w0, b0, w1, b1)
+    return Tensor._make(out_data, parents, bwd)
 
 
 @functools.cache
@@ -532,58 +644,64 @@ def tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return low
 
 
-def pair_head(h: Tensor, p: MlpParams) -> Tensor:
-    """sigmoid(tanh([h_i, h_j] W0 + b0) W1 + b1) for every row pair j < i of h.
+def edge_heads(h: Tensor, conn: MlpParams, inv: MlpParams) -> Tensor:
+    """Both edge heads, sigmoid(tanh([h_i, h_j] W0 + b0) W1 + b1), for every row pair j < i of h.
 
-    Returns a (n(n-1)/2, k) tensor in np.tril_indices(n, -1) order; one tape
-    node. Row i is scored from the projections h @ W0[:H] and h @ W0[H:], so
-    an unrecorded forward builds no (pairs x width) array. A recorded one
-    keeps the hidden rows, and its backward runs over all of them at once.
+    Returns the (n(n-1)/2, 2) tensor of conn and inv scores, rows in
+    np.tril_indices(n, -1) order; one tape node. Each head scores one column.
+    A pair's hidden row is one double-width row for both heads, left_i +
+    right_j + [b0 | b0'], from one product of h with the stacked
+    [W0[:H] | W0'[:H] | W0[H:] | W0'[H:]]. A recorded forward gathers every
+    pair at once and keeps the hidden rows for its backward; an unrecorded
+    one scores row i's pairs at a time, so it builds no (pairs x width)
+    array. Both form each score with one einsum over its pair's hidden row,
+    whose sum order does not depend on the row count (a BLAS product's
+    does), so the two give the same bits.
     """
-    (w0, b0, act0), (w1, b1, act1) = p.layers
-    if (act0, act1) != ("tanh", "sigmoid"):
-        raise ValueError(f"pair head needs tanh then sigmoid, got {act0}, {act1}")
+    (w0c, b0c), (w1c, b1c) = conn.layers
+    (w0i, b0i), (w1i, b1i) = inv.layers
     hd = h.data
     n, width = hd.shape
-    if w0.shape[0] != 2 * width:
-        raise ValueError(f"dimension mismatch: pairs of {hd.shape} @ {w0.shape}")
-    parents = (h, w0, b0, w1, b1)
+    mid = w0c.shape[1]
+    if (w0c.shape != (2 * width, mid) or w0i.shape != w0c.shape
+            or {w1c.shape, w1i.shape} != {(mid, 1)}):
+        raise ValueError(f"dimension mismatch: pairs of {hd.shape} @ {w0c.shape}, {w0i.shape}; "
+                         f"W1 {w1c.shape}, {w1i.shape}")
+    proj_w = np.hstack([w0c.data[:width], w0i.data[:width], w0c.data[width:], w0i.data[width:]])
+    proj = hd @ proj_w
+    left, right = proj[:, : 2 * mid], proj[:, 2 * mid :]
+    b0 = np.concatenate([b0c.data, b0i.data])
+    w1 = np.concatenate([w1c.data, w1i.data]).reshape(2, mid)
+    parents = (h, w0c, b0c, w1c, b1c, w0i, b0i, w1i, b1i)
     n_pairs = n * (n - 1) // 2
-    left = hd @ w0.data[:width]
-    right = hd @ w0.data[width:]
-    hidden = np.empty((n_pairs, w0.shape[1])) if _records(parents) else None
-    pre = np.empty((n_pairs, w1.shape[1]))
-    for i in range(1, n):
-        a = np.tanh(left[i] + right[:i] + b0.data)
-        block = slice(i * (i - 1) // 2, i * (i + 1) // 2)
-        pre[block] = a @ w1.data
-        if hidden is not None:
-            hidden[block] = a
-    out_data = _sigmoid(pre + b1.data)
+    rows, cols = tril_indices(n)
+    if _records(parents):
+        hidden = np.tanh(left[rows] + right[cols] + b0)
+        pre = np.einsum("pkm,km->pk", hidden.reshape(n_pairs, 2, mid), w1)
+    else:
+        hidden, pre = None, np.empty((n_pairs, 2))
+        for i in range(1, n):
+            a = np.tanh(left[i] + right[:i] + b0).reshape(i, 2, mid)
+            pre[i * (i - 1) // 2 : i * (i + 1) // 2] = np.einsum("pkm,km->pk", a, w1)
+    pre += np.concatenate([b1c.data, b1i.data])
+    out_data = _sigmoid(pre, out=pre)
 
     def bwd(g):
         d_pre = g * out_data * (1.0 - out_data)
-        d_a = (d_pre @ w1.data.T) * (1.0 - hidden * hidden)
-        by_pair = np.zeros((n, n, w0.shape[1]))
-        by_pair[tril_indices(n)] = d_a
+        d_a = (d_pre[:, :, None] * w1).reshape(n_pairs, 2 * mid) * (1.0 - hidden * hidden)
+        by_pair = np.zeros((n, n, 2 * mid))
+        by_pair[rows, cols] = d_a
         d_left, d_right = by_pair.sum(axis=1), by_pair.sum(axis=0)
-        if w1.requires_grad:
-            w1._accum(hidden.T @ d_pre)
-        if b1.requires_grad:
-            b1._accum(d_pre.sum(axis=0))
-        if b0.requires_grad:
-            b0._accum(d_a.sum(axis=0))
-        if w0.requires_grad:
-            w0._accum(np.vstack([hd.T @ d_left, hd.T @ d_right]))
-        if h.requires_grad:
-            h._accum(d_left @ w0.data[:width].T + d_right @ w0.data[width:].T)
+        d_proj = np.concatenate([d_left, d_right], axis=1)
+        g_w0 = hd.T @ d_proj
+        g_w1 = hidden.reshape(n_pairs, 2, mid).transpose(1, 2, 0) @ d_pre.T[:, :, None]
+        g_b0, g_b1 = d_a.sum(axis=0), d_pre.sum(axis=0)
+        _accum_grads(((w0c, np.vstack([g_w0[:, :mid], g_w0[:, 2 * mid : 3 * mid]])),
+                      (w0i, np.vstack([g_w0[:, mid : 2 * mid], g_w0[:, 3 * mid :]])),
+                      (b0c, g_b0[:mid]), (b0i, g_b0[mid:]), (w1c, g_w1[0]), (w1i, g_w1[1]),
+                      (b1c, g_b1[:1]), (b1i, g_b1[1:]), (h, d_proj @ proj_w.T)))
 
     return Tensor._make(out_data, parents, bwd)
-
-
-def _init_tensor(rng: np.random.Generator, shape: tuple[int, int]) -> Tensor:
-    bound = 1.0 / np.sqrt(shape[0])
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -618,13 +736,15 @@ class AdamState:
     step: int = 0
     m: np.ndarray | None = None  # moments, one entry per parameter entry
     v: np.ndarray | None = None
+    work: np.ndarray | None = None  # two rows of scratch, so a step allocates nothing
 
 
 def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray) -> None:
     """Bias-corrected Adam update of the parameter vector flat, in place; deterministic.
 
     grad and the moments must have flat's shape; all are checked before
-    anything changes. Each Adam expression runs once over the whole vector.
+    anything changes. Each Adam expression runs once over the whole vector,
+    in place or into the state's two scratch rows.
     """
     if grad.shape != flat.shape:
         raise ValueError(f"gradient shape {grad.shape} differs from parameters {flat.shape}")
@@ -633,16 +753,25 @@ def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray) -> None:
     elif state.m.shape != flat.shape or state.v.shape != flat.shape:
         raise ValueError(f"moment shapes {state.m.shape}, {state.v.shape} differ "
                          f"from parameters {flat.shape}")
+    if state.work is None or state.work.shape != (2, *flat.shape):
+        state.work = np.empty((2, *flat.shape))
     state.step += 1
     t = state.step
-    m, v = state.m, state.v
+    m, v, (a, b) = state.m, state.v, state.work
+    np.multiply(grad, 1 - ADAM_BETA1, out=a)
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * grad
+    m += a
+    np.multiply(grad, 1 - ADAM_BETA2, out=a)
+    a *= grad
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1 - ADAM_BETA1 ** t)
-    v_hat = v / (1 - ADAM_BETA2 ** t)
-    flat -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += a
+    np.divide(v, 1 - ADAM_BETA2 ** t, out=a)  # sqrt(v_hat) + eps
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=b)  # lr * m_hat / a
+    b *= state.lr
+    b /= a
+    flat -= b
 
 
 # -- Checkpoint I/O -----------------------------------------------------------

@@ -230,7 +230,8 @@ def cmd_camouflage(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     """Check each netlist's fabricated circuit against F: the appearance
     view with every covert cell replaced by its real gate (covert.realize),
-    so a wrong placement shows."""
+    so a wrong placement shows. A check that runs out of its budget writes
+    `"equivalent": null` and counts as a failure."""
     out = _out_dir(cfg)
     f = _load_graph(_require(cfg, "functional"))
     paths = sorted(glob.glob(os.path.join(_require(cfg, "netlists"), "netlist_*.json")))
@@ -240,11 +241,14 @@ def cmd_verify(cfg: dict) -> int:
     rows, failures = [], 0
     for path in paths:
         nl = CamouflagedNetlist.from_json(_read(path).decode())
-        ok = equivalence_check(realize(nl.appearance_view, nl.placements), f,
-                               time_budget=budget)
-        failures += not ok
+        try:
+            ok = bool(equivalence_check(realize(nl.appearance_view, nl.placements), f,
+                                        time_budget=budget))
+        except TimeoutError:
+            ok = None
+        failures += ok is not True
         rows.append({"netlist": os.path.basename(path),
-                     "equivalent": bool(ok),
+                     "equivalent": ok,
                      "p": nl.metadata.get("p"), "th": nl.metadata.get("th")})
     report = os.path.join(out, "verify.json")
     with open(report, "w") as fh:
@@ -326,6 +330,15 @@ _COMMANDS = {
     "attack": cmd_attack,
     "eval": cmd_eval,
 }
+# The flags each command reads, besides --config and --out.
+_FLAGS = {
+    "dataset": ("seed",),
+    "train": ("seed",),
+    "camouflage": ("seed", "checkpoint", "p", "th"),
+    "verify": ("budget",),
+    "attack": ("budget",),
+    "eval": ("checkpoint", "budget"),
+}
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -336,17 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ipcamo",
                                      description="circuit camouflaging toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "seed": {"type": int},
+        "budget": {"type": float, "help": "time budget in seconds"},
+        "checkpoint": {},
+        "p": {"type": _parse_floats, "help": "comma-separated interpolation weights"},
+        "th": {"type": _parse_floats, "help": "comma-separated thresholds"},
+    }
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--budget", type=float, help="time budget in seconds")
-        sp.add_argument("--checkpoint")
-        sp.add_argument("--p", type=_parse_floats,
-                        help="comma-separated interpolation weights")
-        sp.add_argument("--th", type=_parse_floats,
-                        help="comma-separated thresholds")
+        for flag in _FLAGS[name]:
+            sp.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 

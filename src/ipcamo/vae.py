@@ -9,8 +9,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .aig import AigGraph, NodeType, TensorTriple, from_tensors, to_tensors
-from .autodiff import (AdamState, GruParams, MlpParams, Tensor, adam_step,
-                       gru_step, init_gru, init_mlp, mlp_forward, no_grad)
+from .autodiff import (AdamState, GruParams, LevelPlan, MlpParams, Tensor, adam_step,
+                       init_gru, init_mlp, no_grad)
 
 _TYPE_ROWS = np.eye(3)  # row t.value is the one-hot of NodeType t
 
@@ -84,29 +84,28 @@ def init_vae(h: Hyperparams, rng: np.random.Generator) -> VaeParams:
         hidden=H, latent=d, max_pi=h.max_pi,
         pi_embed=ad._init_tensor(rng, (h.max_pi, H)),
         enc=init_gru(rng, H, 3),
-        mlp_mu=init_mlp(rng, [H, w, d], ["tanh", "identity"]),
-        mlp_logvar=init_mlp(rng, [H, w, d], ["tanh", "identity"]),
+        mlp_mu=init_mlp(rng, [H, w, d]),
+        mlp_logvar=init_mlp(rng, [H, w, d]),
         dec_init_w=ad._init_tensor(rng, (d, H)),
         dec_init_b=Tensor(np.zeros(H), requires_grad=True),
         dec=init_gru(rng, H, 3),
-        mlp_add=init_mlp(rng, [H, w, 3], ["tanh", "softmax"]),
-        mlp_conn=init_mlp(rng, [2 * H, w, 1], ["tanh", "sigmoid"]),
-        mlp_inv=init_mlp(rng, [2 * H, w, 1], ["tanh", "sigmoid"]),
+        mlp_add=init_mlp(rng, [H, w, 3]),
+        mlp_conn=init_mlp(rng, [2 * H, w, 1]),
+        mlp_inv=init_mlp(rng, [2 * H, w, 1]),
     )
 
 
 # -- Encoder ------------------------------------------------------------------
 
 
-def encode_tensors(g: AigGraph, p: VaeParams) -> tuple[Tensor, Tensor]:
-    """Differentiable encode; returns (mu, logvar) as (1, d) tensors.
+def encoder_plan(g: AigGraph, max_pi: int) -> LevelPlan:
+    """The rows `autodiff.gru_encode` reads for tree g, built once per graph.
 
-    Level by level: PIs are level 0 and a gate's level is one more than the
-    highest level of its fan-ins. The PI states are one gather of `pi_embed`
-    (PI k reads row min(k, max_pi - 1)). Each further level is one `gru_step`
-    whose message, also its previous state, is one signed-incidence matmul
-    over the states of all lower levels: the sum of the fan-in states, each
-    negated on an inverted edge. mu and logvar come from the PO's state.
+    PIs are level 0 and a gate's level is one more than the highest level of
+    its fan-ins; rows are sorted by level, then by node index. PI k reads
+    `pi_embed` row min(k, max_pi - 1). A gate's message is the sum of its
+    fan-in states, each negated on an inverted edge: one row of a signed
+    incidence block per level. The heads read the PO's row.
     """
     if not g.is_tree():
         raise ValueError("encoder input must be a canonical single-PO tree")
@@ -117,24 +116,26 @@ def encode_tensors(g: AigGraph, p: VaeParams) -> tuple[Tensor, Tensor]:
             level[i] = 1 + max(level[s] for s, _ in preds[i])
     order = sorted(range(g.n), key=level.__getitem__)  # by level, then by index
     row = {v: k for k, v in enumerate(order)}  # each node's row in the stacked states
-    first = [0, *itertools.accumulate(np.bincount(level).tolist())]  # first row per level
+    starts = (0, *itertools.accumulate(np.bincount(level).tolist()))  # first row per level
     incidence = np.zeros((g.n, g.n))
     for s, d, inv in g.edges:
         incidence[row[d], row[s]] += -1.0 if inv else 1.0
-    types = _TYPE_ROWS[[g.types[v].value for v in order]]
-    levels = [ad.take(p.pi_embed, np.minimum(np.arange(first[1]), p.max_pi - 1))]
-    states = levels[0]
-    for lv in range(1, len(first) - 1):
-        if lv > 1:
-            states = ad.concat([states, levels[-1]], axis=0)
-        block = slice(first[lv], first[lv + 1])
-        m = Tensor(incidence[block, : first[lv]]) @ states
-        levels.append(gru_step(p.enc, m, Tensor(types[block]), m))
-    po = g.po_indices[0]
-    h_po = ad.take(levels[level[po]], [row[po] - first[level[po]]])
-    mu = mlp_forward(p.mlp_mu, h_po)
-    logvar = mlp_forward(p.mlp_logvar, h_po)
-    return mu, logvar
+    return LevelPlan(
+        leaf_rows=np.minimum(np.arange(starts[1]), max_pi - 1), starts=starts,
+        incidence=tuple(incidence[lo:hi, :lo].copy() for lo, hi in zip(starts[1:], starts[2:])),
+        types=_TYPE_ROWS[[g.types[v].value for v in order[starts[1]:]]],
+        out_row=row[g.po_indices[0]])
+
+
+def encode_tensors(g: AigGraph | LevelPlan, p: VaeParams) -> tuple[Tensor, Tensor]:
+    """Differentiable encode of a tree or its `encoder_plan`: (mu, logvar) as (1, d) tensors.
+
+    One `autodiff.gru_encode` node over all levels and both heads.
+    """
+    plan = g if isinstance(g, LevelPlan) else encoder_plan(g, p.max_pi)
+    out = ad.gru_encode(p.enc, p.pi_embed, p.mlp_mu, p.mlp_logvar, plan)
+    return (ad.take(out, (slice(None), slice(None, p.latent))),
+            ad.take(out, (slice(None), slice(p.latent, None))))
 
 
 def encode(g: AigGraph, p: VaeParams) -> LatentCode:
@@ -188,20 +189,21 @@ class DecodedSoft:
 def decode_tensors(z: Tensor, node_count: int, p: VaeParams) -> DecodedSoft:
     """Decode z to the soft tensors of a node_count-node graph.
 
-    h_0 = tanh(z W + b); then `gru_decode` runs the type MLP and the GRU
-    over all nodes as one tape node (node 0 is forced PI), and `pair_head`
-    scores connections and inversions once each over all state pairs.
+    `gru_decode` runs h_0 = tanh(z W + b), the type MLP and the GRU over all
+    nodes as one tape node (node 0 is forced PI), and `edge_heads` scores
+    connections and inversions over all state pairs as another.
     """
     if node_count < 2:
         raise ValueError("decoder needs at least 2 nodes")
     if z.data.ndim != 2 or z.data.shape[0] != 1:
         raise ValueError(f"latent must be a (1, d) row, got shape {z.data.shape}")
-    h0 = ad.tanh(z @ p.dec_init_w + p.dec_init_b)
-    run = ad.gru_decode(p.dec, p.mlp_add, h0, NodeType.PI.one_hot().reshape(1, 3), node_count)
+    run = ad.gru_decode(p.dec, p.mlp_add, z, p.dec_init_w, p.dec_init_b,
+                        NodeType.PI.one_hot(), node_count)
     states = ad.take(run, (slice(None), slice(None, p.hidden)))
     types = ad.take(run, (slice(None), slice(p.hidden, None)))
-    return DecodedSoft(node_count, types,
-                       ad.pair_head(states, p.mlp_conn), ad.pair_head(states, p.mlp_inv))
+    edges = ad.edge_heads(states, p.mlp_conn, p.mlp_inv)
+    return DecodedSoft(node_count, types, ad.take(edges, (slice(None), slice(0, 1))),
+                       ad.take(edges, (slice(None), slice(1, 2))))
 
 
 def decode(z: np.ndarray, node_count: int, p: VaeParams) -> TensorTriple:
@@ -272,7 +274,8 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
 
     The parameters train on one arena (`autodiff.arena`): one Adam step and
     one gradient reset per graph, and the best epoch's snapshot is a copy of
-    the parameter vector. Every grad is None again on return.
+    the parameter vector. Each graph's `encoder_plan` and target tensors are
+    built once. Every grad is None again on return.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -286,8 +289,8 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
     named = params.named()
     flat, grad = ad.arena(named.values())
     opt = AdamState(lr=h.lr)
-    train_examples = [(g, to_tensors(g)) for g in train_set]
-    val_examples = [(g, to_tensors(g)) for g in val_set]
+    train_examples = [(encoder_plan(g, h.max_pi), to_tensors(g)) for g in train_set]
+    val_examples = [(encoder_plan(g, h.max_pi), to_tensors(g)) for g in val_set]
 
     history: list[dict] = []
     best_val = np.inf
@@ -297,11 +300,11 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
         idx = rng.permutation(len(train_set))
         train_losses, comp_sums = [], {"type": 0.0, "conn": 0.0, "inv": 0.0, "kl": 0.0}
         for k in idx:
-            g, target = train_examples[k]
-            mu, logvar = encode_tensors(g, params)
+            plan, target = train_examples[k]
+            mu, logvar = encode_tensors(plan, params)
             eps = rng.standard_normal(mu.shape)
             z = mu + ad.exp(logvar * 0.5) * Tensor(eps)
-            decoded = decode_tensors(z, g.n, params)
+            decoded = decode_tensors(z, target.n, params)
             total, comps = loss_tensors(target, decoded, mu, logvar, h)
             total.backward()
             adam_step(opt, flat, grad)
@@ -332,16 +335,17 @@ def train(dataset: list[AigGraph], h: Hyperparams) -> tuple[VaeParams, list[dict
     return params, history
 
 
-def evaluate_loss(examples: list[tuple[AigGraph, TensorTriple]], params: VaeParams,
+def evaluate_loss(examples: list[tuple[AigGraph | LevelPlan, TensorTriple]], params: VaeParams,
                   h: Hyperparams) -> float:
-    """Mean evaluation-mode loss (z = mu, no sampling) over (graph, to_tensors(graph))."""
+    """Mean evaluation-mode loss (z = mu, no sampling) over pairs of a graph (or its
+    `encoder_plan`) and to_tensors(graph)."""
     if not examples:
         raise ValueError("no graphs to evaluate")
     vals = []
     with no_grad():
         for g, target in examples:
             mu, logvar = encode_tensors(g, params)
-            decoded = decode_tensors(mu, g.n, params)
+            decoded = decode_tensors(mu, target.n, params)
             total, _ = loss_tensors(target, decoded, mu, logvar, h)
             vals.append(float(total.data))
     return float(np.mean(vals))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ipcamo import autodiff as ad
-from ipcamo.autodiff import (AdamState, Tensor, adam_step, gru_decode, gru_step,
-                             init_gru, init_mlp, mlp_forward, no_grad,
-                             params_from_json, params_to_json)
+from ipcamo.autodiff import (AdamState, LevelPlan, Tensor, adam_step, edge_heads,
+                             gru_decode, gru_encode, init_gru, init_mlp, mlp_forward,
+                             no_grad, params_from_json, params_to_json)
 
 
 def fd_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -90,6 +90,26 @@ def test_concat_repeat_take():
     check(lambda a: (ad.take(a, np.array([1, 0, 1, 1])) ** 3.0).sum(), (3, 2))
 
 
+def gru_step(p, m: Tensor, t: Tensor, h: Tensor) -> Tensor:
+    """One GRU update as a tape node built from the cell helpers that
+    gru_encode and gru_decode share; m need not be h, and t may be on the tape."""
+    md, td, hd = m.data, t.data, h.data
+    width = hd.shape[1]
+    w_zr, u_all, b_all = ad._gru_stacks(p)
+    type_prods = td @ u_all + b_all
+    zr, th = type_prods[:, : 2 * width] + md @ w_zr, type_prods[:, 2 * width :]
+    rh, h_tilde, out = np.empty_like(hd), np.empty_like(hd), np.empty_like(hd)
+    ad._gru_cell(p.w_h.data, zr, th, hd, rh, h_tilde, out)
+
+    def bwd(g):
+        d = np.empty((hd.shape[0], 3 * width))
+        d_prev = ad._gru_backward(ad._gru_coefficients(zr, h_tilde, hd), g, d, p.w_h.data.T)
+        ad._gru_weight_grads(p, md, td, rh, d)
+        ad._accum_grads(((m, d[:, : 2 * width] @ w_zr.T), (t, d @ u_all.T), (h, d_prev)))
+
+    return Tensor._make(out, (m, t, h, *vars(p).values()), bwd)
+
+
 def test_gru_step_gradients():
     rng = np.random.default_rng(3)
     p = init_gru(rng, 6, 3)
@@ -125,6 +145,8 @@ def test_fused_gru_step_matches_finite_differences(rows, same_m, t_grad):
     def run():
         return (gru_step(p, m, t, h) * Tensor(weights)).sum()
 
+    np.testing.assert_allclose(gru_step(p, m, t, h).data, gru_by_ops(p, m, t, h).data,
+                               rtol=1e-12)
     run().backward()
     inputs = {"h": h, "m": m, **({"t": t} if t_grad else {})}
     for name, w in {**p.named("g"), **inputs}.items():
@@ -134,28 +156,35 @@ def test_fused_gru_step_matches_finite_differences(rows, same_m, t_grad):
         assert t.grad is None
 
 
-def _gru_decode_by_ops(p, head, h0: Tensor, t0: np.ndarray, n: int) -> Tensor:
+def _gru_decode_by_ops(p, head, z: Tensor, init_w: Tensor, init_b: Tensor,
+                       t0: np.ndarray, n: int) -> Tensor:
     """gru_decode as a loop of elementary tape ops."""
-    h, t = h0, Tensor(t0)
+    h, t = ad.tanh(z @ init_w + init_b), Tensor(t0.reshape(1, -1))
     rows = [ad.concat([h, t], axis=1)]
     for _ in range(1, n):
         h = gru_by_ops(p, h, t, h)
-        t = mlp_forward(head, h)
+        t = ad.softmax(mlp_forward(head, h))
         rows.append(ad.concat([h, t], axis=1))
     return ad.concat(rows, axis=0)
 
 
-def _gru_decode_rows(p, head, h0: np.ndarray, t0: np.ndarray, n: int) -> np.ndarray:
-    """gru_decode's forward on arrays, one product per weight: _gru_forward
-    then the tanh/softmax head, step by step."""
-    (w0, b0, _), (w1, b1, _) = head.layers
-    h, t = h0, t0
-    rows = [np.hstack([h, t])]
+def _gru_decode_rows(p, head, z: np.ndarray, init_w: np.ndarray, init_b: np.ndarray,
+                     t0: np.ndarray, n: int) -> np.ndarray:
+    """gru_decode's forward on arrays, one product per weight and no stacking,
+    in the node's order of float operations."""
+    (w0, b0), (w1, b1) = head.layers
+    sig = lambda x: 1.0 / (1.0 + np.exp(-x))  # noqa: E731
+    h, t = np.tanh(z @ init_w + init_b)[0], t0
+    rows = [np.concatenate([h, t])]
     for _ in range(1, n):
-        h, _ = ad._gru_forward(p, (h @ p.w_z.data, h @ p.w_r.data),
-                               (t @ p.u_z.data, t @ p.u_r.data, t @ p.u_h.data), h)
-        t = ad._softmax(np.tanh(h @ w0.data + b0.data) @ w1.data + b1.data)
-        rows.append(np.hstack([h, t]))
+        zg = sig(h @ p.w_z.data + (t @ p.u_z.data + p.b_z.data))
+        r = sig(h @ p.w_r.data + (t @ p.u_r.data + p.b_r.data))
+        h_tilde = np.tanh((r * h) @ p.w_h.data + (t @ p.u_h.data + p.b_h.data))
+        h = h + zg * (h_tilde - h)
+        logit = np.tanh(h @ w0.data + b0.data) @ w1.data + b1.data
+        e = np.exp(logit - logit.max())
+        t = e / e.sum()
+        rows.append(np.concatenate([h, t]))
     return np.vstack(rows)
 
 
@@ -163,105 +192,147 @@ def _gru_decode_rows(p, head, h0: np.ndarray, t0: np.ndarray, n: int) -> np.ndar
 def test_gru_decode_matches_reference_and_finite_differences(n):
     rng = np.random.default_rng(20 + n)
     p = init_gru(rng, 4, 3)
-    head = init_mlp(rng, [4, 5, 3], ["tanh", "softmax"])
-    tensors = {**p.named("gru"), **head.named("head")}
+    head = init_mlp(rng, [4, 5, 3])
+    init_w = Tensor(rng.uniform(-0.5, 0.5, (2, 4)), requires_grad=True)
+    init_b = Tensor(rng.standard_normal(4), requires_grad=True)
+    tensors = {**p.named("gru"), **head.named("head"), "init_w": init_w, "init_b": init_b}
     for name, t in tensors.items():  # nonzero biases exercise the bias gradients
         if ".b" in name:
             t.data[...] = rng.standard_normal(t.shape)
-    h0 = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
-    tensors["h0"] = h0
-    t0 = np.array([[1.0, 0.0, 0.0]])
+    z = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+    tensors["z"] = z
+    t0 = np.array([1.0, 0.0, 0.0])
     weights = Tensor(rng.standard_normal((n, 7)))
 
-    out = gru_decode(p, head, h0, t0, n)
-    ref = _gru_decode_by_ops(p, head, h0, t0, n)
+    out = gru_decode(p, head, z, init_w, init_b, t0, n)
+    ref = _gru_decode_by_ops(p, head, z, init_w, init_b, t0, n)
     assert out.shape == (n, 7)
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-12)
-    # the stacked products give the bits of one product per weight
-    rows = _gru_decode_rows(p, head, h0.data, t0, n)
+    # the stacked products and the in-place steps give the bits of the plain equations
+    rows = _gru_decode_rows(p, head, z.data, init_w.data, init_b.data, t0, n)
     assert np.array_equal(out.data, rows)
     with no_grad():
-        assert np.array_equal(gru_decode(p, head, h0, t0, n).data, rows)
+        assert np.array_equal(gru_decode(p, head, z, init_w, init_b, t0, n).data, rows)
 
     def run():
-        return (gru_decode(p, head, h0, t0, n) * weights).sum()
+        return (gru_decode(p, head, z, init_w, init_b, t0, n) * weights).sum()
 
     grads = backward_grads(run(), tensors)
     assert_grads_match(grads, backward_grads((ref * weights).sum(), tensors))
     for name, w in tensors.items():
         fd = fd_grad(lambda: float(run().data), w.data)
         np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
-
-
-def test_gru_decode_rejects_other_heads():
-    rng = np.random.default_rng(0)
-    p = init_gru(rng, 4, 3)
-    h0 = Tensor(np.zeros((1, 4)))
-    with pytest.raises(ValueError, match="tanh then softmax"):
-        gru_decode(p, init_mlp(rng, [4, 5, 3], ["tanh", "sigmoid"]), h0, np.zeros((1, 3)), 3)
     with pytest.raises(ValueError, match="at least 2"):
-        gru_decode(p, init_mlp(rng, [4, 5, 3], ["tanh", "softmax"]), h0, np.zeros((1, 3)), 1)
+        gru_decode(p, head, z, init_w, init_b, t0, 1)
 
 
-def test_gru_step_rejects_row_mismatch():
-    p = init_gru(np.random.default_rng(0), 4, 2)
-    h = Tensor(np.zeros((2, 4)))
+def _plan_pi_to_po(n_gate_rows: int = 1) -> LevelPlan:
+    """PI -> PO: one leaf reading embedding row 0, one level whose message is the leaf."""
+    return LevelPlan(leaf_rows=np.array([0]), starts=(0, 1, 2),
+                     incidence=(np.ones((1, 1)),),
+                     types=np.tile([[0.0, 0.0, 1.0]], (n_gate_rows, 1)), out_row=1)
+
+
+def test_gru_encode_rejects_row_mismatch():
+    rng = np.random.default_rng(0)
+    p, embed = init_gru(rng, 4, 3), Tensor(np.zeros((2, 4)))
+    heads = init_mlp(rng, [4, 3, 2]), init_mlp(rng, [4, 3, 2])
+    with pytest.raises(ValueError, match="row mismatch"):  # two type rows for one gate
+        gru_encode(p, embed, *heads, _plan_pi_to_po(2))
+    bad = _plan_pi_to_po()._replace(incidence=(np.ones((2, 1)),))
     with pytest.raises(ValueError, match="row mismatch"):
-        gru_step(p, h, Tensor(np.zeros((1, 2))), h)
+        gru_encode(p, embed, *heads, bad)
 
 
 def test_gru_zero_params_halves_state():
-    p = init_gru(np.random.default_rng(0), 4, 2)
+    """With zero GRU weights z = 0.5 and the candidate is 0, so the PO's state,
+    whose message and previous state are the PI's, is half the PI's."""
+    rng = np.random.default_rng(0)
+    p = init_gru(rng, 4, 3)
     for t in p.named("g").values():
         t.data[...] = 0.0
-    h = Tensor(np.array([[1.0, -2.0, 3.0, 0.5]]))
-    out = gru_step(p, h, Tensor(np.zeros((1, 2))), h)
-    np.testing.assert_allclose(out.data, 0.5 * h.data)  # z=0.5, candidate=0
+    embed = Tensor(np.array([[1.0, -2.0, 3.0, 0.5], [9.0, 9.0, 9.0, 9.0]]))
+    mu, logvar = init_mlp(rng, [4, 3, 2]), init_mlp(rng, [4, 3, 2])
+    out = gru_encode(p, embed, mu, logvar, _plan_pi_to_po())
+    half = Tensor(0.5 * embed.data[:1])
+    np.testing.assert_allclose(out.data[:, :2], mlp_forward(mu, half).data, rtol=1e-12)
+    np.testing.assert_allclose(out.data[:, 2:], mlp_forward(logvar, half).data, rtol=1e-12)
 
 
 def test_mlp_forward_and_shape_error():
     rng = np.random.default_rng(4)
-    p = init_mlp(rng, [3, 5, 2], ["tanh", "sigmoid"])
-    y = mlp_forward(p, Tensor(rng.standard_normal((7, 3))))
+    p = init_mlp(rng, [3, 5, 2])
+    x = rng.standard_normal((7, 3))
+    y = mlp_forward(p, Tensor(x))
+    (w0, b0), (w1, b1) = p.layers
     assert y.shape == (7, 2)
-    assert (y.data > 0).all() and (y.data < 1).all()
+    np.testing.assert_array_equal(y.data, np.tanh(x @ w0.data + b0.data) @ w1.data + b1.data)
     with pytest.raises(ValueError, match="dimension mismatch"):
         mlp_forward(p, Tensor(np.zeros((1, 4))))
 
 
 def _pair_head_by_rows(h: Tensor, p) -> Tensor:
-    """The edge head as a plain MLP over explicit [h_i, h_j] rows."""
+    """One edge head as a plain MLP over explicit [h_i, h_j] rows."""
     n = h.shape[0]
     pairs = [ad.concat([ad.take(h, [i]), ad.take(h, [j])], axis=1)
              for i in range(1, n) for j in range(i)]
-    return mlp_forward(p, ad.concat(pairs, axis=0))
+    return ad.sigmoid(mlp_forward(p, ad.concat(pairs, axis=0)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pair_head_matches_finite_differences(n):
+    """edge_heads scores both heads of every pair as one node."""
     rng = np.random.default_rng(n)
-    p = init_mlp(rng, [8, 5, 1], ["tanh", "sigmoid"])
-    for _, b, _ in p.layers:
-        b.data[...] = rng.standard_normal(b.shape)
+    conn, inv = init_mlp(rng, [8, 5, 1]), init_mlp(rng, [8, 5, 1])
+    tensors = {**conn.named("conn"), **inv.named("inv")}
+    for name, t in tensors.items():  # nonzero biases exercise the bias gradients
+        if ".b" in name:
+            t.data[...] = rng.standard_normal(t.shape)
     h = Tensor(rng.standard_normal((n, 4)), requires_grad=True)
-    weights = Tensor(rng.standard_normal((n * (n - 1) // 2, 1)))
-    out = ad.pair_head(h, p)
-    assert out.shape == (n * (n - 1) // 2, 1)
-    ref = _pair_head_by_rows(h, p)
+    tensors["h"] = h
+    weights = Tensor(rng.standard_normal((n * (n - 1) // 2, 2)))
+    out = edge_heads(h, conn, inv)
+    assert out.shape == (n * (n - 1) // 2, 2)
+    ref = ad.concat([_pair_head_by_rows(h, conn), _pair_head_by_rows(h, inv)], axis=1)
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-12)
-    with no_grad():
-        assert (ad.pair_head(h, p).data == out.data).all()
+    with no_grad():  # the row loop gives the recorded gather's bits
+        assert np.array_equal(edge_heads(h, conn, inv).data, out.data)
 
     def run():
-        return (ad.pair_head(h, p) * weights).sum()
+        return (edge_heads(h, conn, inv) * weights).sum()
 
     # the recorded node keeps its hidden rows; the backward reads them
-    tensors = {**p.named("head"), "h": h}
     grads = backward_grads(run(), tensors)
     assert_grads_match(grads, backward_grads((ref * weights).sum(), tensors))
     for name, w in tensors.items():
         fd = fd_grad(lambda: float(run().data), w.data)
         np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        edge_heads(Tensor(np.zeros((n, 3))), conn, inv)
+
+
+def test_edge_heads_unrecorded_builds_no_pair_matrix():
+    """Unrecorded, the heads score one node's pairs at a time: at n = 166 no
+    (pairs x hidden width) array exists, though the recorded gather builds one."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    conn, inv = init_mlp(rng, [48, 24, 1]), init_mlp(rng, [48, 24, 1])
+    h = Tensor(rng.standard_normal((166, 24)))
+    ad.tril_indices(166)  # cached index arrays are not the node's to count
+    pair_matrix = 166 * 165 // 2 * 24 * 8  # bytes of one head's hidden rows
+    for record in (False, True):
+        tracemalloc.start()
+        try:
+            if record:
+                edge_heads(h, conn, inv)
+            else:
+                with no_grad():
+                    edge_heads(h, conn, inv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak > pair_matrix) == record, (record, peak)
 
 
 def test_tril_indices_cached_read_only():
@@ -270,15 +341,6 @@ def test_tril_indices_cached_read_only():
     assert ad.tril_indices(5) is low  # every caller shares one copy, so none may write it
     with pytest.raises(ValueError, match="read-only"):
         low[0][0] = 1
-
-
-def test_pair_head_rejects_other_layers():
-    rng = np.random.default_rng(0)
-    h = Tensor(np.zeros((3, 4)))
-    with pytest.raises(ValueError, match="tanh then sigmoid"):
-        ad.pair_head(h, init_mlp(rng, [8, 5, 1], ["tanh", "identity"]))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        ad.pair_head(h, init_mlp(rng, [6, 5, 1], ["tanh", "sigmoid"]))
 
 
 def test_backward_walks_nodes_in_creation_order():
@@ -357,6 +419,24 @@ def test_adam_step_matches_per_parameter_update():
             assert (p[k].data == ref[k]).all(), (step, k)
             assert (flat[ofs : ofs + g.size] == ref[k].ravel()).all(), (step, k)
             ofs += g.size
+
+
+def test_adam_step_allocates_no_vector():
+    """After the first step (which allocates the moments and scratch rows) a
+    step makes no temporary of the parameter vector's size."""
+    import tracemalloc
+
+    flat, grad = np.zeros(100_000), np.full(100_000, 0.5)
+    st = AdamState(lr=0.1)
+    adam_step(st, flat, grad)
+    tracemalloc.start()
+    try:
+        adam_step(st, flat, grad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < flat.nbytes // 10
+    assert st.step == 2 and (flat < 0).all()
 
 
 def test_params_json_bit_exact():

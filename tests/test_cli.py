@@ -114,6 +114,29 @@ def test_verify_pass_and_fail(workspace, tmp_path):
     assert json.loads((bad_out / "verify.json").read_text())["failures"] >= 1
 
 
+def test_verify_budget_spent_writes_a_null_row(workspace, tmp_path, monkeypatch):
+    """A check cut by its budget decides nothing: its row says null, it counts
+    as a failure, and the report and manifest are still written."""
+    import ipcamo.cli
+
+    def spent(*args, **kwargs):
+        raise TimeoutError("equivalence check exceeded its time budget")
+
+    monkeypatch.setattr(ipcamo.cli, "equivalence_check", spent)
+    out = tmp_path / "verify_spent"
+    code = main(["verify", "--out", str(out), "--budget", "0.01", "--config",
+                 str(_write_cfg(tmp_path / "v.json", {
+                     "functional": str(workspace["functional"]),
+                     "netlists": str(workspace["camo"]),
+                 }))])
+    assert code == EXIT_VIOLATION
+    report = json.loads((out / "verify.json").read_text())
+    assert [r["equivalent"] for r in report["results"]] == [None, None]
+    assert report["failures"] == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == 2 and "verify.json" in manifest["artifacts"]
+
+
 def test_verify_rejects_a_wrong_placement(toy_checkpoint, tmp_path):
     """The stored functional view is still F, but one UT cell flipped from
     NORMAL to CONST0 changes the built function, so verify fails."""
@@ -279,6 +302,17 @@ def test_usage_errors(tmp_path):
         "out": str(tmp_path / "w"), "checkpoint": "x", "functional": "y",
         "appearance": "z"})
     assert main(["camouflage", "--config", str(cfg), "--th", "1.5"]) == EXIT_USAGE
+
+
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys):
+    cfg = str(_write_cfg(tmp_path / "a.json", {"netlists": str(tmp_path)}))
+    for argv in (["attack", "--config", cfg, "--seed", "3"],
+                 ["dataset", "--config", cfg, "--budget", "1"],
+                 ["eval", "--config", cfg, "--p", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _assert_help_lists_commands(cmd, env=None):

@@ -92,7 +92,25 @@ ENCODER_TREES = {
                       (2, 7, True), (6, 7, False), (5, 8, False), (7, 8, True),
                       (8, 9, True)]),
     "pi_to_po": AigGraph([PI, PO], [(0, 1, False)]),
+    # three gates on level 1, PIs 3-5 past max_pi 3
+    "wide": AigGraph([PI] * 6 + [AND] * 5 + [PO],
+                     [(0, 6, False), (1, 6, False), (2, 7, True), (3, 7, False),
+                      (4, 8, False), (5, 8, True), (6, 9, False), (7, 9, True),
+                      (9, 10, False), (8, 10, False), (10, 11, True)]),
 }
+
+
+def test_encoder_plan_levels_and_signs():
+    plan = vae.encoder_plan(ENCODER_TREES["deep"], max_pi=3)
+    # rows: PIs 0 1 3 4 6 | gates 2 5 | 7 | 8 | PO 9
+    assert plan.starts == (0, 5, 7, 8, 9, 10)
+    assert plan.leaf_rows.tolist() == [0, 1, 2, 2, 2]
+    assert plan.out_row == 9
+    assert [block.shape for block in plan.incidence] == [(2, 5), (1, 7), (1, 8), (1, 9)]
+    assert plan.incidence[0].tolist() == [[1, -1, 0, 0, 0], [0, 0, 1, 1, 0]]
+    assert plan.incidence[1].tolist() == [[0, 0, 0, 0, 1, -1, 0]]  # 7 = ~2 & 6
+    assert plan.incidence[3].tolist() == [[0] * 8 + [-1]]           # PO = ~8
+    assert plan.types.tolist() == [AND.one_hot().tolist()] * 4 + [PO.one_hot().tolist()]
 
 
 @pytest.mark.parametrize("tree", sorted(ENCODER_TREES))
@@ -117,6 +135,12 @@ def test_level_batched_encoder_matches_reference(tree):
     ref_mu, ref_logvar = _encode_by_ops(g, p)
     np.testing.assert_allclose(mu.data, ref_mu.data, rtol=1e-12)
     np.testing.assert_allclose(logvar.data, ref_logvar.data, rtol=1e-12)
+    # the graph's plan, built once, and an unrecorded run give the same bits
+    plan = vae.encoder_plan(g, p.max_pi)
+    with no_grad():
+        plain = vae.encode_tensors(plan, p)
+    for recorded, unrecorded in zip((mu, logvar), plain):
+        assert np.array_equal(recorded.data, unrecorded.data)
     grads = backward_grads(run(vae.encode_tensors), tensors)
     assert_grads_match(grads, backward_grads(run(_encode_by_ops), tensors))
     if tree == "deep":  # the PIs past max_pi - 1 all add into its last row
@@ -369,7 +393,7 @@ def test_reconstruct_deterministic(toy_checkpoint, toy_data):
 # Loss of each of the first 5 toy training graphs, and per parameter the norm
 # and a fixed random projection of the gradient summed over them, at
 # init_vae(TOY_HP, seed 0) with z = mu + sigma * eps. Recorded with a tape of
-# one node per elementary op, so the fused GRU step and edge heads answer to it.
+# one node per elementary op, so the fused encoder, decoder and edge-head nodes answer to it.
 GOLDEN_LOSSES = [0.11267469425930893, 0.13702971724251467, 0.14329374766863986,
                  0.13297582470216968, 0.15105226183493273]
 GOLDEN_GRADS = {
