@@ -9,7 +9,8 @@ from .attack import (DipTrace, KeyedNetlist, dip_attack, equivalence_check,
                      key_is_correct, keyize_netlist, make_ll_baseline,
                      make_oracle, tseitin_encode)
 from .camouflage import (CamouflagedNetlist, area_overhead, camouflage_pipeline,
-                         fix_lookup, interpolate, threshold_filter)
+                         camouflage_skeleton, decode_skeleton, fix_lookup,
+                         interpolate, threshold_filter)
 from .cnf import CnfFormula, SatResult, sat_solve
 from .covert import (CovertConfig, CovertGateKind, CovertInstance,
                      apparent_function, gate_function)
@@ -19,6 +20,6 @@ from .evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
 from .gatelevel import Circuit, Gate, from_aig, miter, simplify
 from .ged import graph_edit_distance
 from .vae import (Hyperparams, LatentCode, VaeParams, decode, encode, load_vae,
-                  reconstruct, sample_latent, save_vae, train)
+                  sample_latent, save_vae, train)
 
 __version__ = "0.1.0"

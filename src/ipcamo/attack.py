@@ -161,10 +161,15 @@ class KeyedNetlist:
         keys = set(self.key_inputs)
         return [n for n in self.circuit.inputs if n not in keys]
 
+    def bind(self, key: list[int]) -> dict[str, int]:
+        """Key input -> bit; a key of any length but n_key_bits raises ValueError."""
+        if len(key) != self.n_key_bits:
+            raise ValueError(
+                f"key has {len(key)} bits; the netlist has {self.n_key_bits} key inputs")
+        return dict(zip(self.key_inputs, key))
+
     def evaluate(self, key: list[int], assignment: dict[str, int]) -> dict[str, int]:
-        full = dict(assignment)
-        full.update({n: k for n, k in zip(self.key_inputs, key)})
-        return self.circuit.evaluate(full)
+        return self.circuit.evaluate({**assignment, **self.bind(key)})
 
 
 def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
@@ -289,7 +294,7 @@ class DipTrace:
 def make_oracle(kn: KeyedNetlist):
     """Black-box oracle: the netlist evaluated under its correct key."""
     sim = CompiledCircuit(kn.circuit)
-    key = dict(zip(kn.key_inputs, kn.correct_key))
+    key = kn.bind(kn.correct_key)
 
     def oracle(assignment: dict[str, int]) -> dict[str, int]:
         return sim.evaluate({**assignment, **key})
@@ -377,6 +382,5 @@ def dip_attack(
 def key_is_correct(kn: KeyedNetlist, key: list[int]) -> bool:
     """Does the recovered key realize the oracle function (not necessarily
     bit-identical to the designer's key, thanks to the 11/10 alias)?"""
-    return equivalence_check(substitute(kn.circuit, dict(zip(kn.key_inputs, key))),
-                             substitute(kn.circuit,
-                                        dict(zip(kn.key_inputs, kn.correct_key))))
+    return equivalence_check(substitute(kn.circuit, kn.bind(key)),
+                             substitute(kn.circuit, kn.bind(kn.correct_key)))

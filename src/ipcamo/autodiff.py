@@ -251,16 +251,6 @@ def exp(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), bwd)
 
 
-def log(x: Tensor) -> Tensor:
-    out_data = np.log(x.data)
-
-    def bwd(g, a=x):
-        if a.requires_grad:
-            a._accum(g / a.data)
-
-    return Tensor._make(out_data, (x,), bwd)
-
-
 def softmax(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis."""
     out_data = _softmax(x.data)

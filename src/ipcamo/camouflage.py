@@ -4,7 +4,8 @@ The generated graph G-hat is reconciled against the functional target F and
 the appearance target A on the nodes of F padded to A's type counts: PIs,
 then ANDs, then the output. A-padded-to-F has the same layout, and the k-th
 node of each type in G-hat takes the layout's k-th node of that type, so
-G-hat supplies only wiring.
+G-hat supplies only wiring. `camouflage_skeleton` repairs any skeleton and
+needs no model; `camouflage_pipeline` decodes one with `decode_skeleton`.
 """
 from __future__ import annotations
 
@@ -278,26 +279,21 @@ def checkpoint_sha256(params: VaeParams) -> str:
     return h.hexdigest()
 
 
-def camouflage_pipeline(
-    f: AigGraph,
-    a: AigGraph,
-    params: VaeParams,
-    p: float,
-    th: float,
-    seed: int = 0,
+def decode_skeleton(z: np.ndarray, n: int, params: VaeParams, th: float) -> AigGraph:
+    """The skeleton G-hat: z decoded at n nodes and thresholded (possibly non-canonical)."""
+    return from_tensors(threshold_filter(decode(z, n, params), th))
+
+
+def camouflage_skeleton(
+    f: AigGraph, a: AigGraph, g_hat: AigGraph, seed: int = 0
 ) -> CamouflagedNetlist:
-    """Generate, threshold and repair a camouflaged netlist for F wearing A."""
+    """Repair the skeleton g_hat into a netlist that computes F and looks
+    like A. Needs no model: g_hat supplies only wiring."""
     for name, g in (("functional", f), ("appearance", a)):
         if not g.is_tree():
             raise ValueError(f"{name} target must be a canonical single-PO tree")
     fp = normalize(pad_to_match(f, a))
     ap = normalize(pad_to_match(a, f))
-
-    z_f = encode(f, params).mu
-    z_a = encode(a, params).mu
-    z = interpolate(z_f, z_a, p)
-    soft = decode(z, fp.n, params)
-    g_hat = from_tensors(threshold_filter(soft, th))
 
     incoming, fix_log = fix_pairs(
         _pair_states(g_hat, fp), _pair_states(fp, fp), _pair_states(ap, fp))
@@ -311,11 +307,20 @@ def camouflage_pipeline(
                   for i, t in enumerate(view.types)]
 
     meta = {
-        "p": p, "th": th, "seed": seed,
-        "latent_dim": params.latent,
-        "checkpoint_sha256": checkpoint_sha256(params),
+        "seed": seed,
         "f_nodes": f.n, "a_nodes": a.n, "padded_nodes": fp.n,
         "g_hat_nodes": g_hat.n,
         "baseline_cells": from_aig(f).cell_count(),
     }
     return CamouflagedNetlist(view, appearance_view, placements, fix_log, meta)
+
+
+def camouflage_pipeline(f: AigGraph, a: AigGraph, params: VaeParams, p: float, th: float,
+                        seed: int = 0) -> CamouflagedNetlist:
+    """Generate, threshold and repair a camouflaged netlist for F wearing A."""
+    z = interpolate(encode(f, params).mu, encode(a, params).mu, p)
+    n = sum(map(max, f.type_counts().values(), a.type_counts().values()))  # |F padded to A|
+    nl = camouflage_skeleton(f, a, decode_skeleton(z, n, params, th), seed)
+    nl.metadata.update({"p": p, "th": th, "latent_dim": params.latent,
+                        "checkpoint_sha256": checkpoint_sha256(params)})
+    return nl

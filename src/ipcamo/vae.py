@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .aig import AigGraph, NodeType, TensorTriple, from_tensors, to_tensors
+from .aig import AigGraph, NodeType, TensorTriple, to_tensors
 from .autodiff import (AdamState, GruParams, LevelPlan, MlpParams, Tensor, adam_step,
                        init_gru, init_mlp, no_grad)
 
@@ -356,18 +356,6 @@ def write_history_csv(history: list[dict], path: str) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))
         writer.writeheader()
         writer.writerows(history)
-
-
-# -- Reconstruction -----------------------------------------------------------
-
-
-def reconstruct(g: AigGraph, p: VaeParams, th: float) -> AigGraph:
-    """encode -> decode at |g| -> threshold filter -> graph (possibly non-canonical)."""
-    from .camouflage import threshold_filter  # local import avoids a cycle
-
-    code = encode(g, p)
-    soft = decode(code.mu, g.n, p)
-    return from_tensors(threshold_filter(soft, th))
 
 
 # -- Checkpoints --------------------------------------------------------------

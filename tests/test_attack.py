@@ -459,6 +459,17 @@ def test_ll_baseline_semantics():
         make_ll_baseline(f, n_key_bits=10_000)
 
 
+def test_keys_of_the_wrong_length_are_rejected():
+    kn = make_ll_baseline(random_tree(np.random.default_rng(7), 5), 6, seed=2)
+    assign = dict.fromkeys(kn.payload_inputs, 0)
+    for key in (kn.correct_key + [1, 0, 1], kn.correct_key[:5]):
+        with pytest.raises(ValueError, match="6"):
+            key_is_correct(kn, key)
+        with pytest.raises(ValueError, match="6"):
+            kn.evaluate(key, assign)
+    assert key_is_correct(kn, kn.correct_key)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_dip_attack_recovers_function(seed):
     rng = np.random.default_rng(seed)

@@ -72,7 +72,6 @@ def test_matmul_and_broadcast_bias():
 
 def test_activations():
     check(lambda a: (ad.sigmoid(a) * ad.tanh(a) + ad.exp(a * 0.1)).sum(), (4, 4))
-    check(lambda a: ad.log(ad.exp(a) + 1.0).sum(), (6,))
 
 
 def test_softmax_rows():

@@ -5,8 +5,8 @@ import pytest
 from ipcamo.aig import (AigGraph, NodeType, TensorTriple, normalize,
                         pad_to_match, pattern_words, random_tree, to_tensors)
 from ipcamo.camouflage import (CamouflagedNetlist, _pair_states, area_overhead,
-                               camouflage_pipeline, checkpoint_sha256,
-                               fix_lookup, fix_pairs, interpolate,
+                               camouflage_pipeline, camouflage_skeleton,
+                               checkpoint_sha256, fix_lookup, fix_pairs, interpolate,
                                threshold_filter)
 from ipcamo.attack import equivalence_check, keyize_netlist
 from ipcamo.covert import realize
@@ -211,6 +211,23 @@ def test_pipeline_preserves_function(toy_checkpoint):
     assert area_overhead(nl) > 0
 
 
+def test_skeleton_core_needs_no_checkpoint():
+    """The fix pass alone, on the empty skeleton and on F and A padded to
+    each other, builds a netlist whose fabricated circuit computes F; all
+    three give the same appearance view and placements."""
+    for idx, seed in enumerate((100, 101, 102, 103)):
+        f, a = _desk_pair(seed)
+        built = []
+        for g_hat in (AigGraph([], []), normalize(pad_to_match(f, a)),
+                      normalize(pad_to_match(a, f))):
+            nl = camouflage_skeleton(f, a, g_hat, seed=idx)
+            assert equivalence_check(realize(nl.appearance_view, nl.placements), f)
+            assert CamouflagedNetlist.from_json(nl.to_json()).to_json() == nl.to_json()
+            assert nl.metadata["g_hat_nodes"] == g_hat.n
+            built.append((nl.appearance_view.gates, nl.placements))
+        assert built[0] == built[1] == built[2], seed
+
+
 def test_functional_view_is_f_on_the_layout_names(toy_checkpoint):
     params, _ = toy_checkpoint
     for f, a in (_toy_pair(10), _toy_pair(11), _desk_pair(100)):
@@ -290,6 +307,10 @@ def test_pipeline_rejects_non_trees(toy_checkpoint):
             camouflage_pipeline(bad, a, params, p=0.5, th=0.05)
         with pytest.raises(ValueError, match="tree"):
             camouflage_pipeline(f, bad, params, p=0.5, th=0.05)
+        with pytest.raises(ValueError, match="functional target"):
+            camouflage_skeleton(bad, a, AigGraph([], []))
+        with pytest.raises(ValueError, match="appearance target"):
+            camouflage_skeleton(f, bad, AigGraph([], []))
 
 
 def test_area_overhead_requires_metadata():

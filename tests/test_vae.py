@@ -8,6 +8,7 @@ from ipcamo.aig import AigGraph, NodeType, TensorTriple, random_tree, to_tensors
 from ipcamo import autodiff as ad
 from ipcamo import vae
 from ipcamo.autodiff import Tensor, exp, mlp_forward, no_grad
+from ipcamo.camouflage import decode_skeleton
 from ipcamo.vae import (Hyperparams, LatentCode, decode, encode, init_vae,
                         load_vae, loss, sample_latent, save_vae, train)
 
@@ -384,8 +385,8 @@ def test_checkpoint_roundtrip(tmp_path, small_params):
 def test_reconstruct_deterministic(toy_checkpoint, toy_data):
     params, _ = toy_checkpoint
     g = toy_data[0][0]
-    r1 = vae.reconstruct(g, params, th=0.5)
-    r2 = vae.reconstruct(g, params, th=0.5)
+    r1 = decode_skeleton(encode(g, params).mu, g.n, params, 0.5)
+    r2 = decode_skeleton(encode(g, params).mu, g.n, params, 0.5)
     assert r1.structurally_equal(r2)
     assert r1.n == g.n
 
