@@ -3,8 +3,7 @@ and SAT-attack evaluation."""
 
 from .aig import (AigGraph, AigerParseError, NodeType, TensorTriple,
                   extract_cone_tree, from_tensors, normalize, pad_to_match,
-                  parse_aiger, random_tree, simulate, to_tensors, truth_table,
-                  write_aiger)
+                  parse_aiger, random_tree, to_tensors, write_aiger)
 from .attack import (DipTrace, KeyedNetlist, dip_attack, equivalence_check,
                      key_is_correct, keyize_netlist, make_ll_baseline,
                      make_oracle, tseitin_encode)
@@ -17,7 +16,8 @@ from .covert import (CovertConfig, CovertGateKind, CovertInstance,
 from .evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
                          ged_lsd_study, latent_distance, load_gnn_dataset,
                          pearson_r, random_covert_insertion)
-from .gatelevel import Circuit, Gate, from_aig, miter, simplify
+from .gatelevel import (Circuit, Gate, from_aig, miter, simplify, simulate,
+                        truth_table)
 from .ged import graph_edit_distance
 from .vae import (Hyperparams, LatentCode, VaeParams, decode, encode, load_vae,
                   sample_latent, save_vae, train)

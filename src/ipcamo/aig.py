@@ -522,33 +522,6 @@ def pattern_words(k: int) -> tuple[list[int], int]:
     return words, full
 
 
-def simulate(g: AigGraph, assignment: dict[str, int]) -> dict[str, int]:
-    """Evaluate all POs under a per-PI-name assignment of bits."""
-    from .gatelevel import CompiledCircuit, from_aig  # gatelevel imports aig
-    return CompiledCircuit(from_aig(g)).evaluate(assignment)
-
-
-def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:
-    """Exhaustive output table; rows ordered lexicographically over the PIs.
-
-    Returns a 1-D array of length 2^|PI| for single-PO graphs, else one row
-    per PO in PO order.
-    """
-    from .gatelevel import CompiledCircuit, from_aig  # gatelevel imports aig
-    pis = pi_order if pi_order is not None else g.pi_names
-    if len(pis) > 20:
-        raise ValueError(f"too many PIs for truth table: {len(pis)}")
-    rows = 1 << len(pis)
-    words, full = pattern_words(len(pis))
-    # row idx is MSB-first: the first PI is the top bit of idx
-    out = CompiledCircuit(from_aig(g)).run(dict(zip(pis, reversed(words))), full)
-    table = np.zeros((len(out), rows), dtype=np.uint8)
-    for r, word in enumerate(out):
-        packed = np.frombuffer(word.to_bytes((rows + 7) // 8, "little"), np.uint8)
-        table[r] = np.unpackbits(packed, bitorder="little")[:rows]
-    return table[0] if len(out) == 1 else table
-
-
 # -- Random tree generation (toy datasets, demos, tests) ----------------------
 
 INV_PROB = 0.3  # chance that random_tree inverts an edge

@@ -15,9 +15,9 @@ import numpy as np
 from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, check_literals, sat_solve
-from .covert import CovertInstance, cell_nets
-from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, simplify,
-                        substitute)
+from .covert import replace_cells
+from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, prune,
+                        simplify, substitute)
 
 # -- Tseitin ------------------------------------------------------------------
 
@@ -172,72 +172,56 @@ class KeyedNetlist:
         return self.circuit.evaluate({**assignment, **self.bind(key)})
 
 
+_KEYED_OPS = ("not", "buf", "nand")
+
+
 def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     """Attacker's key-programmable model of a camouflaged netlist.
 
-    Every covert placement and every genuine inverter/buffer/NAND cell is a
-    candidate with 2 key bits: 00 keeps the true cell function, 01 ties the
-    output low, 10 (and its alias 11) ties it high. Only candidates in the
-    output cone get a cell and key bits (`key{2i}`, `key{2i+1}` for the i-th
-    of them), so every key input is an input of the circuit.
+    The model starts from the key-00 view: the appearance view with each
+    covert cell read as `kind.key00` of its real input (covert.replace_cells),
+    pruned to the output cone. Each inverter, buffer and NAND net of that
+    cone is a candidate with 2 key bits (`key{2i}`, `key{2i+1}` for the i-th
+    in sorted net order): 00 keeps its gate, 01 ties the output low, 10 (and
+    its alias 11) ties it high. The correct key is a placement's
+    `config.key_bits`, or 00 for a genuine cell.
     """
-    src = nl.appearance_view
-    by_out = {p.out: p for p in nl.placements}
-    consumed = {net for p in nl.placements for net in cell_nets(p, src)}
+    # the one reading of the secret: each covert cell is its key-00 gate
+    cone = prune(replace_cells(nl.appearance_view, nl.placements,
+                               lambda p: Gate(p.kind.key00, (p.real_in,))))
+    live = cone.gates
+    key_of = {p.out: p.config.key_bits for p in nl.placements}
+    keyed = sorted(net for net, g in live.items() if g.op in _KEYED_OPS)
 
-    candidates: list[tuple[str, CovertInstance | None]] = []
-    for net in sorted(src.gates):
-        if net in by_out:
-            candidates.append((net, by_out[net]))
-        elif src.gates[net].op in ("not", "buf", "nand") and net not in consumed:
-            candidates.append((net, None))
-
-    # output cone over the nets each keyed cell reads: a placement reads
-    # only its real input (not a UT decoy tap or an FB middle inverter)
-    cand = dict(candidates)
-    live: set[str] = set()
-    stack = list(src.outputs)
-    while stack:
-        net = stack.pop()
-        if net in live:
-            continue
-        live.add(net)
-        p = cand.get(net)
-        stack.extend((p.real_in,) if p is not None else src.gates[net].ins)
-
-    # one pass in the circuit's net order: the live non-candidate nets of the
-    # view, then per keyed candidate its key inputs, the true cell function
-    # (none for a buffer), and out = k1 ? 1 : (k0 ? 0 : normal)
-    gates = {net: g for net, g in src.gates.items() if net in live and net not in cand}
+    # one pass in the circuit's net order: the live unkeyed nets, then per
+    # keyed net its key inputs, the true cell function (none for a buffer),
+    # and out = k1 ? 1 : (k0 ? 0 : normal)
+    gates = {net: g for net, g in live.items() if g.op not in _KEYED_OPS}
     key_input = Gate("input")
     key_inputs: list[str] = []
     correct: list[int] = []
-    for i, (net, p) in enumerate((n, p) for n, p in candidates if n in live):
-        if p is not None:
-            op, ins = p.kind.key00, (p.real_in,)
-            correct += p.config.key_bits
-        else:
-            op, ins = src.gates[net]
-            correct += (0, 0)
+    for i, net in enumerate(keyed):
+        cell = live[net]
+        correct += key_of.get(net, (0, 0))
         k1, k0, nk0, pick = f"key{2 * i}", f"key{2 * i + 1}", f"{net}__nk0", f"{net}__pick"
-        if op == "buf":
-            normal, made = ins[0], (k1, k0, nk0, pick)
+        if cell.op == "buf":
+            normal, made = cell.ins[0], (k1, k0, nk0, pick)
         else:
             normal = f"{net}__norm"
             made = (k1, k0, normal, nk0, pick)
         # made names differ from each other by their suffixes and every out
         # is a live net, so a net is driven twice only if a made name is live
-        if not live.isdisjoint(made):
+        if not live.keys().isdisjoint(made):
             clash = next(m for m in made if m in live)
             raise ValueError(f"net {clash!r} already driven")
         gates[k1] = gates[k0] = key_input
-        if op != "buf":
-            gates[normal] = Gate(op, ins)
+        if cell.op != "buf":
+            gates[normal] = cell
         gates[nk0] = Gate("not", (k0,))
         gates[pick] = Gate("and", (nk0, normal))
         gates[net] = Gate("or", (k1, pick))
         key_inputs += (k1, k0)
-    return KeyedNetlist(Circuit(gates, list(src.outputs)), key_inputs, correct)
+    return KeyedNetlist(Circuit(gates, list(cone.outputs)), key_inputs, correct)
 
 
 def make_ll_baseline(f: AigGraph, n_key_bits: int, seed: int = 0) -> KeyedNetlist:

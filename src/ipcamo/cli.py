@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import aig, vae
-from .attack import dip_attack, equivalence_check, keyize_netlist, make_oracle
+from .attack import (dip_attack, equivalence_check, key_is_correct, keyize_netlist,
+                     make_oracle)
 from .camouflage import CamouflagedNetlist, camouflage_pipeline
 from .covert import realize
 from .evaluation import export_gnn_dataset, ged_lsd_study
@@ -42,9 +43,8 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-    for key in ("out", "seed", "budget", "checkpoint", "p", "th"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key not in ("command", "config") and val is not None:
             cfg[key] = val
     return cfg
 
@@ -262,12 +262,17 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_attack(cfg: dict) -> int:
+    """Run the DIP attack on each netlist's keyed model. A finished attack
+    is `solved` only if its key realizes the oracle's function
+    (attack.key_is_correct); otherwise the row reads `wrong-key` and the
+    command exits 1."""
     out = _out_dir(cfg)
     paths = sorted(glob.glob(os.path.join(_require(cfg, "netlists"), "netlist_*.json")))
     if not paths:
         raise ConfigError("no netlist files to attack")
     budget = float(cfg.get("budget", 60.0))
     report = os.path.join(out, "attack.csv")
+    wrong = 0
     with open(report, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["netlist", "p", "th", "key_bits", "result",
@@ -276,16 +281,18 @@ def cmd_attack(cfg: dict) -> int:
             nl = CamouflagedNetlist.from_json(_read(path).decode())
             kn = keyize_netlist(nl)
             trace = dip_attack(kn, make_oracle(kn), time_budget=budget)
-            solved = trace.status == "solved"
-            # how far a run gets before its deadline depends on the machine,
-            # so a budget row leaves its progress counts empty
+            if trace.status != "solved":
+                # how far a run gets before its deadline depends on the
+                # machine, so a budget row leaves its progress counts empty
+                result, counts = "budget-exceeded", ("", "")
+            else:
+                result = "solved" if key_is_correct(kn, trace.key) else "wrong-key"
+                counts = (trace.iterations, trace.conflicts)
+                wrong += result == "wrong-key"
             w.writerow([os.path.basename(path), nl.metadata.get("p"),
-                        nl.metadata.get("th"), kn.n_key_bits,
-                        "solved" if solved else "budget-exceeded",
-                        trace.iterations if solved else "",
-                        trace.conflicts if solved else ""])
+                        nl.metadata.get("th"), kn.n_key_bits, result, *counts])
     _write_manifest(out, "attack", cfg, [report])
-    return EXIT_OK
+    return EXIT_OK if wrong == 0 else EXIT_VIOLATION
 
 
 # -- eval ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ member; the rest of the package reads these and keeps no table of its own."""
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .gatelevel import Circuit, Gate
@@ -91,19 +92,24 @@ def cell_nets(p: CovertInstance, c: Circuit) -> tuple[str, ...]:
     return (p.out,)
 
 
-def realize(view: Circuit, placements: list[CovertInstance]) -> Circuit:
-    """The fabricated circuit: view with each placement's cell replaced by
-    its real gate, a constant tie or, under NORMAL, `kind.real` of its real
-    input. An FB's middle inverter goes with its cell."""
+def replace_cells(view: Circuit, placements: list[CovertInstance],
+                  gate_of: Callable[[CovertInstance], Gate]) -> Circuit:
+    """view with each placement's cell replaced by the one gate `gate_of(p)`
+    driving its output; an FB's middle inverter goes with its cell."""
     gates = dict(view.gates)
     for p in placements:
         for net in cell_nets(p, view)[1:]:
             del gates[net]
-        if p.config is CovertConfig.NORMAL:
-            gates[p.out] = Gate(p.kind.real, (p.real_in,))
-        else:
-            gates[p.out] = Gate(p.config.value)  # "const0" or "const1"
+        gates[p.out] = gate_of(p)
     return Circuit(gates, list(view.outputs))
+
+
+def realize(view: Circuit, placements: list[CovertInstance]) -> Circuit:
+    """The fabricated circuit: each placement's cell becomes a constant tie
+    or, under NORMAL, `kind.real` of its real input."""
+    return replace_cells(view, placements, lambda p: (
+        Gate(p.kind.real, (p.real_in,)) if p.config is CovertConfig.NORMAL
+        else Gate(p.config.value)))  # "const0" or "const1"
 
 
 def _bit(op: str, x: int, d: int = 1) -> int:

@@ -10,7 +10,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .aig import AigGraph, NodeType
+import numpy as np
+
+from .aig import AigGraph, NodeType, pattern_words
 
 # op -> (min fan-in, max fan-in, the rule a bad fan-in breaks)
 _ARITY = {
@@ -157,6 +159,31 @@ class CompiledCircuit:
                 raise KeyError(f"missing assignment for input {net!r}")
             bits[net] = int(bool(assignment[net]))
         return dict(zip(self.outputs, self.run(bits, 1)))
+
+
+def simulate(g: AigGraph, assignment: dict[str, int]) -> dict[str, int]:
+    """Evaluate all POs under a per-PI-name assignment of bits."""
+    return CompiledCircuit(from_aig(g)).evaluate(assignment)
+
+
+def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:
+    """Exhaustive output table; rows ordered lexicographically over the PIs.
+
+    Returns a 1-D array of length 2^|PI| for single-PO graphs, else one row
+    per PO in PO order.
+    """
+    pis = pi_order if pi_order is not None else g.pi_names
+    if len(pis) > 20:
+        raise ValueError(f"too many PIs for truth table: {len(pis)}")
+    rows = 1 << len(pis)
+    words, full = pattern_words(len(pis))
+    # row idx is MSB-first: the first PI is the top bit of idx
+    out = CompiledCircuit(from_aig(g)).run(dict(zip(pis, reversed(words))), full)
+    table = np.zeros((len(out), rows), dtype=np.uint8)
+    for r, word in enumerate(out):
+        packed = np.frombuffer(word.to_bytes((rows + 7) // 8, "little"), np.uint8)
+        table[r] = np.unpackbits(packed, bitorder="little")[:rows]
+    return table[0] if len(out) == 1 else table
 
 
 def circuit_to_obj(c: Circuit) -> dict:

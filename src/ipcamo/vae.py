@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

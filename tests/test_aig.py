@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ipcamo.aig import (AigGraph, AigerParseError, NodeType, TensorTriple,
                         extract_cone_tree, from_tensors, normalize, pad_to_match, parse_aiger,
-                        random_tree, simulate, to_tensors, truth_table,
-                        write_aiger)
+                        random_tree, to_tensors, write_aiger)
+from ipcamo.gatelevel import simulate, truth_table
 
 # a & ~b, i.e. aag: 1=a, 2=b, 3=and
 SIMPLE_AAG = """aag 3 2 0 1 1

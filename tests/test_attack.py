@@ -246,6 +246,18 @@ def test_keyize_builds_only_the_output_cone(toy_checkpoint):
         assert set(kn.key_inputs) <= set(kn.circuit.inputs)
 
 
+def test_keyed_circuit_under_its_correct_key_is_the_fabricated_circuit(toy_checkpoint):
+    """keyize_netlist and covert.realize replace the covert cells in one pass,
+    so the keyed model under correct_key computes what realize builds."""
+    from ipcamo.covert import realize
+    from ipcamo.gatelevel import substitute
+    params, _ = toy_checkpoint
+    for nl in _keyize_cases(params):
+        kn = keyize_netlist(nl)
+        assert equivalence_check(substitute(kn.circuit, kn.bind(kn.correct_key)),
+                                 realize(nl.appearance_view, nl.placements))
+
+
 def _sha256(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

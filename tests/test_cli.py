@@ -255,6 +255,31 @@ def test_attack_budget_rows_are_byte_identical(toy_checkpoint, tmp_path):
     assert row.split(",")[3:] == ["5708", "budget-exceeded", "", ""]
 
 
+def test_attack_reports_a_wrong_key(workspace, tmp_path, monkeypatch):
+    """A finished attack whose key does not realize the oracle's function
+    writes a `wrong-key` row with its counts, not `solved`, and exits 1."""
+    from ipcamo import cli
+    from ipcamo.attack import DipTrace, key_is_correct
+
+    def wrong_key_attack(kn, oracle, time_budget=None):
+        for i in range(0, kn.n_key_bits, 2):
+            key = list(kn.correct_key)
+            key[i] ^= 1
+            key[i + 1] ^= 1  # flip one candidate's whole configuration
+            if not key_is_correct(kn, key):
+                return DipTrace("solved", key, 3, solves=[(7, 0, 0)])
+        pytest.fail("no single flipped candidate changes the function")
+
+    monkeypatch.setattr(cli, "dip_attack", wrong_key_attack)
+    out = tmp_path / "attack"
+    cfg = _write_cfg(tmp_path / "a.json",
+                     {"out": str(out), "netlists": str(workspace["camo"])})
+    assert main(["attack", "--config", str(cfg)]) == EXIT_VIOLATION
+    rows = [line.split(",") for line in (out / "attack.csv").read_text().splitlines()]
+    assert len(rows) == 3
+    assert all(row[4:] == ["wrong-key", "3", "7"] for row in rows[1:])
+
+
 def test_eval_report(workspace, tmp_path):
     out = tmp_path / "eval"
     cfg = _write_cfg(tmp_path / "e.json", {
