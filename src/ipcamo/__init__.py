@@ -11,15 +11,13 @@ from .camouflage import (CamouflagedNetlist, area_overhead, camouflage_pipeline,
                          camouflage_skeleton, decode_skeleton, fix_lookup,
                          interpolate, threshold_filter)
 from .cnf import CnfFormula, SatResult, sat_solve
-from .covert import (CovertConfig, CovertGateKind, CovertInstance,
-                     apparent_function, gate_function)
+from .covert import CovertConfig, CovertGateKind, CovertInstance
 from .evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
-                         ged_lsd_study, latent_distance, load_gnn_dataset,
-                         pearson_r, random_covert_insertion)
-from .gatelevel import (Circuit, Gate, from_aig, miter, simplify, simulate,
-                        truth_table)
+                         ged_lsd_study, latent_distance, pearson_r,
+                         random_covert_insertion)
+from .gatelevel import Circuit, Gate, from_aig, miter, simplify, simulate
 from .ged import graph_edit_distance
 from .vae import (Hyperparams, LatentCode, VaeParams, decode, encode, load_vae,
-                  sample_latent, save_vae, train)
+                  save_vae, train)
 
 __version__ = "0.1.0"

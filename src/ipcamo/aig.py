@@ -146,9 +146,6 @@ class AigGraph:
     def type_counts(self) -> dict[NodeType, int]:
         return {t: len(self.indices(t)) for t in NodeType}
 
-    def structurally_equal(self, other: "AigGraph") -> bool:
-        return self.types == other.types and sorted(self.edges) == sorted(other.edges)
-
     # -- JSON debug dump ----------------------------------------------------
 
     def to_json(self) -> str:

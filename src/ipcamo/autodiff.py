@@ -263,22 +263,6 @@ def softmax(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), bwd)
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-
-    def bwd(g, ps=tuple(parts), sz=tuple(sizes), ax=axis):
-        ofs = 0
-        for p, s in zip(ps, sz):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[ax] = slice(ofs, ofs + s)
-                p._accum(g[tuple(sl)])
-            ofs += s
-
-    return Tensor._make(out_data, tuple(parts), bwd)
-
-
 def take(x: Tensor, index) -> Tensor:
     """x.data[index] as a tensor: a gather of rows or a block of slices.
 
@@ -355,18 +339,6 @@ def init_mlp(rng: np.random.Generator, dims: list[int]) -> MlpParams:
     return MlpParams([(_init_tensor(rng, (d_in, d_out)),
                        Tensor(np.zeros(d_out), requires_grad=True))
                       for d_in, d_out in zip(dims[:-1], dims[1:])])
-
-
-def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
-    """tanh after every layer but the last, as elementary tape ops."""
-    h = x
-    for k, (w, b) in enumerate(p.layers):
-        if h.shape[-1] != w.shape[0]:
-            raise ValueError(f"dimension mismatch: {h.shape} @ {w.shape}")
-        h = h @ w + b
-        if k < len(p.layers) - 1:
-            h = tanh(h)
-    return h
 
 
 def _init_tensor(rng: np.random.Generator, shape: tuple[int, int]) -> Tensor:
@@ -634,6 +606,9 @@ def tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return low
 
 
+_PAIR_BLOCK = 512  # pairs per block of an unrecorded edge_heads forward
+
+
 def edge_heads(h: Tensor, conn: MlpParams, inv: MlpParams) -> Tensor:
     """Both edge heads, sigmoid(tanh([h_i, h_j] W0 + b0) W1 + b1), for every row pair j < i of h.
 
@@ -641,12 +616,13 @@ def edge_heads(h: Tensor, conn: MlpParams, inv: MlpParams) -> Tensor:
     np.tril_indices(n, -1) order; one tape node. Each head scores one column.
     A pair's hidden row is one double-width row for both heads, left_i +
     right_j + [b0 | b0'], from one product of h with the stacked
-    [W0[:H] | W0'[:H] | W0[H:] | W0'[H:]]. A recorded forward gathers every
-    pair at once and keeps the hidden rows for its backward; an unrecorded
-    one scores row i's pairs at a time, so it builds no (pairs x width)
-    array. Both form each score with one einsum over its pair's hidden row,
-    whose sum order does not depend on the row count (a BLAS product's
-    does), so the two give the same bits.
+    [W0[:H] | W0'[:H] | W0[H:] | W0'[H:]]. Pairs are scored in blocks, in
+    that order: a recorded forward takes every pair as one block and keeps
+    it, the hidden rows its backward reads; an unrecorded one takes
+    `_PAIR_BLOCK` pairs at a time, so it builds no (pairs x width) array.
+    Each score is one einsum over its pair's hidden row, whose sum order
+    does not depend on the block size (a BLAS product's does), so both give
+    the same bits.
     """
     (w0c, b0c), (w1c, b1c) = conn.layers
     (w0i, b0i), (w1i, b1i) = inv.layers
@@ -665,14 +641,14 @@ def edge_heads(h: Tensor, conn: MlpParams, inv: MlpParams) -> Tensor:
     parents = (h, w0c, b0c, w1c, b1c, w0i, b0i, w1i, b1i)
     n_pairs = n * (n - 1) // 2
     rows, cols = tril_indices(n)
-    if _records(parents):
-        hidden = np.tanh(left[rows] + right[cols] + b0)
-        pre = np.einsum("pkm,km->pk", hidden.reshape(n_pairs, 2, mid), w1)
-    else:
-        hidden, pre = None, np.empty((n_pairs, 2))
-        for i in range(1, n):
-            a = np.tanh(left[i] + right[:i] + b0).reshape(i, 2, mid)
-            pre[i * (i - 1) // 2 : i * (i + 1) // 2] = np.einsum("pkm,km->pk", a, w1)
+    block = max(n_pairs, 1) if _records(parents) else _PAIR_BLOCK
+    hidden, pre = np.empty((0, 2 * mid)), np.empty((n_pairs, 2))
+    for lo in range(0, n_pairs, block):
+        hidden = left[rows[lo : lo + block]]
+        hidden += right[cols[lo : lo + block]]
+        hidden += b0
+        np.tanh(hidden, out=hidden)
+        pre[lo : lo + block] = np.einsum("pkm,km->pk", hidden.reshape(-1, 2, mid), w1)
     pre += np.concatenate([b1c.data, b1i.data])
     out_data = _sigmoid(pre, out=pre)
 

@@ -9,8 +9,8 @@ needs no model; `camouflage_pipeline` decodes one with `decode_skeleton`.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -46,8 +46,7 @@ def threshold_filter(soft: TensorTriple, th: float) -> TensorTriple:
     """
     n = soft.n
     type_mat = np.zeros_like(soft.type_mat)
-    for i in range(n):
-        type_mat[i, int(np.argmax(soft.type_mat[i]))] = 1.0
+    type_mat[np.arange(n), soft.type_mat.argmax(axis=1)] = 1.0
     type_mat[0] = NodeType.PI.one_hot()
     po_rows = [i for i in range(n) if type_mat[i, NodeType.PO.value] == 1.0]
     if not po_rows:
@@ -71,7 +70,6 @@ def _no_conn(s: str) -> bool:
     return s in ("00", "01")
 
 
-@functools.cache
 def fix_lookup(g_state: str, target_state: str, phase: str) -> str | None:
     """Fix action for one node pair; None means the cell is not applicable."""
     if g_state not in STATES or target_state not in STATES:
@@ -125,40 +123,53 @@ def _pair_states(g: AigGraph, layout: AigGraph) -> dict[tuple[int, int], str]:
 _ADDED = {"connect": "wire", "insert_inv": "inv"}  # phase-1 action -> wiring it adds
 
 
+def _pair_rule(sg: str, sf: str, sa: str) -> tuple:
+    """Both fix phases on one pair's (G-hat, F, A) states. Phase 1 makes the
+    generated wiring compute F; phase 2 then reshapes the post-fix wiring
+    toward A without touching function."""
+    # the generated wiring stays as it is unless a phase acts on it
+    kind = None if sg == "00" else "wire" if sg == "10" else "inv"
+    row1 = row2 = None
+    action = fix_lookup(sg, sf, "functional")
+    if action is not None:
+        row1 = {"phase": "functional", "g_state": sg, "f_state": sf, "action": action}
+        kind = _ADDED.get(action, action)
+        if action in _ADDED:  # the new connection is visible to phase 2
+            sg = sf
+    action = fix_lookup(sg, sa, "appearance")
+    if action is not None:
+        row2 = {"phase": "appearance", "g_state": sg, "a_state": sa, "action": action}
+        if kind in ("ut_a", "ut_b"):
+            row2["skipped"] = "pair already realized as a camouflaged NAND"
+        else:
+            kind = action
+    return kind, row1, row2
+
+
+# (G-hat, F, A) state triple -> (kind, phase-1 log row, phase-2 log row);
+# a kind or row is None where nothing is wired or logged
+PAIR_RULES = {states: _pair_rule(*states)
+              for states in itertools.product(("00", "10", "11"), repeat=3)}
+
+
 def fix_pairs(
     g_states: dict, f_states: dict, a_states: dict
 ) -> tuple[dict[int, list], list[dict]]:
-    """Both fix phases, pair by pair. Phase 1 makes the generated wiring
-    compute F; phase 2 then reshapes the post-fix wiring toward A without
-    touching function. Returns each slot's incoming wiring, a list of
-    (source slot, kind, is an edge of F) in source order, and the fix log:
-    every phase-1 entry, then every phase-2 entry."""
+    """Both fix phases, one `PAIR_RULES` lookup per pair. Returns each
+    slot's incoming wiring, a list of (source slot, kind, is an edge of F)
+    in source order, and the fix log: every phase-1 entry, then every
+    phase-2 entry."""
     incoming: dict[int, list] = {}
     log1, log2 = [], []
     for pair in sorted(g_states.keys() | f_states.keys() | a_states.keys()):
-        sg = g_states.get(pair, "00")
         sf = f_states.get(pair, "00")
-        # the generated wiring stays as it is unless a phase acts on it
-        kind = None if _no_conn(sg) else "wire" if sg == "10" else "inv"
-        action = fix_lookup(sg, sf, "functional")
-        if action is not None:
-            log1.append({"phase": "functional", "pair": list(pair),
-                         "g_state": sg, "f_state": sf, "action": action})
-            kind = _ADDED.get(action, action)
-            if action in _ADDED:  # the new connection is visible to phase 2
-                sg = sf
-        sa = a_states.get(pair, "00")
-        action = fix_lookup(sg, sa, "appearance")
-        if action is not None:
-            entry = {"phase": "appearance", "pair": list(pair),
-                     "g_state": sg, "a_state": sa, "action": action}
-            if kind in ("ut_a", "ut_b"):
-                entry["skipped"] = "pair already realized as a camouflaged NAND"
-            else:
-                kind = action
-            log2.append(entry)
-        if kind is not None:
-            incoming.setdefault(pair[1], []).append((pair[0], kind, pair in f_states))
+        kind, row1, row2 = PAIR_RULES[g_states.get(pair, "00"), sf, a_states.get(pair, "00")]
+        if row1:
+            log1.append({"pair": list(pair), **row1})
+        if row2:
+            log2.append({"pair": list(pair), **row2})
+        if kind:
+            incoming.setdefault(pair[1], []).append((pair[0], kind, sf != "00"))
     return incoming, log1 + log2
 
 

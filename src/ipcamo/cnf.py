@@ -78,9 +78,6 @@ class CnfFormula:
         self.n_vars += 1
         return self.n_vars
 
-    def new_vars(self, k: int) -> list[int]:
-        return [self.new_var() for _ in range(k)]
-
     def add_clause(self, lits) -> None:
         lits = list(lits)
         if not lits:

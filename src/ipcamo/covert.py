@@ -47,11 +47,6 @@ class CovertConfig(enum.Enum):
         return config
 
 
-def _check_config(kind: CovertGateKind, config: CovertConfig) -> None:
-    if config is CovertConfig.NORMAL and kind.real is None:
-        raise ValueError(f"{kind.value} cannot be configured {config.value}")
-
-
 @dataclass(slots=True)
 class CovertInstance:
     """One placed covert gate; UT kinds take an extra dummy input net."""
@@ -64,7 +59,8 @@ class CovertInstance:
     note: str = ""
 
     def __post_init__(self):
-        _check_config(self.kind, self.config)
+        if self.config is CovertConfig.NORMAL and self.kind.real is None:
+            raise ValueError(f"{self.kind.value} cannot be configured {self.config.value}")
         if self.kind.decoy and not self.dummy_in:
             raise ValueError(f"{self.kind.value} needs a dummy input net")
 
@@ -111,27 +107,3 @@ def realize(view: Circuit, placements: list[CovertInstance]) -> Circuit:
         Gate(p.kind.real, (p.real_in,)) if p.config is CovertConfig.NORMAL
         else Gate(p.config.value)))  # "const0" or "const1"
 
-
-def _bit(op: str, x: int, d: int = 1) -> int:
-    """Output bit of a `buf`, `not` or `nand` cell with inputs x (and d)."""
-    x = int(bool(x))
-    if op == "buf":
-        return x
-    if op == "not":
-        return 1 - x
-    return 1 - (x & int(bool(d)))
-
-
-def gate_function(kind: CovertGateKind, config: CovertConfig, x: int | None = None) -> int:
-    """Real (fabricated) output bit; x is the true input for UT pass-through."""
-    _check_config(kind, config)
-    if config is not CovertConfig.NORMAL:
-        return int(config is CovertConfig.CONST1)
-    if x is None:
-        raise ValueError("pass-through mode needs the input bit")
-    return _bit(kind.real, x)
-
-
-def apparent_function(kind: CovertGateKind, x: int, dummy: int = 1) -> int:
-    """What an attacker reading the layout would compute for this cell."""
-    return _bit(kind.look, x, dummy)

@@ -249,25 +249,6 @@ def export_gnn_dataset(netlists: list[CamouflagedNetlist], path: str) -> None:
         fh.write(_GNN_README)
 
 
-def load_gnn_dataset(path: str) -> dict[int, dict]:
-    """Re-import an exported dataset; inverse of export for the graph structure."""
-    graphs: dict[int, dict] = {}
-    with open(os.path.join(path, "nodes.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            g = graphs.setdefault(int(row["graph_id"]),
-                                  {"ops": {}, "edges": [], "labels": {}, "family": None})
-            g["ops"][row["node"]] = row["op"]
-    with open(os.path.join(path, "edges.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            graphs[int(row["graph_id"])]["edges"].append((row["src"], row["dst"]))
-    with open(os.path.join(path, "labels.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            g = graphs[int(row["graph_id"])]
-            g["family"] = row["family"]
-            g["labels"][row["node"]] = (int(row["is_covert"]), row["covert_kind"])
-    return graphs
-
-
 _GNN_README = """\
 # Labeled netlist graphs
 

@@ -10,9 +10,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .aig import AigGraph, NodeType, pattern_words
+from .aig import AigGraph, NodeType
 
 # op -> (min fan-in, max fan-in, the rule a bad fan-in breaks)
 _ARITY = {
@@ -164,26 +162,6 @@ class CompiledCircuit:
 def simulate(g: AigGraph, assignment: dict[str, int]) -> dict[str, int]:
     """Evaluate all POs under a per-PI-name assignment of bits."""
     return CompiledCircuit(from_aig(g)).evaluate(assignment)
-
-
-def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:
-    """Exhaustive output table; rows ordered lexicographically over the PIs.
-
-    Returns a 1-D array of length 2^|PI| for single-PO graphs, else one row
-    per PO in PO order.
-    """
-    pis = pi_order if pi_order is not None else g.pi_names
-    if len(pis) > 20:
-        raise ValueError(f"too many PIs for truth table: {len(pis)}")
-    rows = 1 << len(pis)
-    words, full = pattern_words(len(pis))
-    # row idx is MSB-first: the first PI is the top bit of idx
-    out = CompiledCircuit(from_aig(g)).run(dict(zip(pis, reversed(words))), full)
-    table = np.zeros((len(out), rows), dtype=np.uint8)
-    for r, word in enumerate(out):
-        packed = np.frombuffer(word.to_bytes((rows + 7) // 8, "little"), np.uint8)
-        table[r] = np.unpackbits(packed, bitorder="little")[:rows]
-    return table[0] if len(out) == 1 else table
 
 
 def circuit_to_obj(c: Circuit) -> dict:

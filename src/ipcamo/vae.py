@@ -147,17 +147,6 @@ def encode(g: AigGraph, p: VaeParams) -> LatentCode:
     return LatentCode(mu=mu, sigma=sigma, z=mu.copy())
 
 
-def sample_latent(code: LatentCode, mode: str, rng: np.random.Generator | None = None) -> np.ndarray:
-    if mode == "eval":
-        return code.mu.copy()
-    if mode == "train":
-        if rng is None:
-            raise ValueError("train-mode sampling needs an rng")
-        eps = rng.standard_normal(code.mu.shape)
-        return code.mu + code.sigma * eps
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 # -- Decoder ------------------------------------------------------------------
 
 

@@ -16,11 +16,11 @@ from ipcamo.attack import (dip_attack, equivalence_check, keyize_netlist,
                            make_ll_baseline, make_oracle)
 from ipcamo.camouflage import (camouflage_pipeline, fix_lookup, interpolate,
                                threshold_filter)
-from ipcamo.covert import (CovertConfig, CovertGateKind, apparent_function,
-                           gate_function, realize)
+from ipcamo.covert import CovertConfig, CovertGateKind, realize
 from ipcamo.evaluation import ged_lsd_study, pearson_r, random_covert_insertion
 from ipcamo.gatelevel import from_aig
 from ipcamo.vae import Hyperparams, decode, encode, init_vae
+from reference_tools import cell_bits
 
 GRID_P = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_TH = tuple(round(0.01 * k, 2) for k in range(1, 10))
@@ -285,20 +285,28 @@ def test_ac11_cli_determinism(toy_checkpoint, tmp_path):
 
 
 def test_ac12_covert_gate_semantics():
-    """Exhaustive truth tables for every kind/config/arity."""
+    """Exhaustive truth tables for every kind/config/arity: each cell is
+    drawn, and simulated as it looks and as `realize` fabricates it."""
     K, C = CovertGateKind, CovertConfig
+
+    def does(kind, cfg, x, d=1):
+        return cell_bits(kind, cfg, x, d)[1]
+
+    def looks(kind, x, d=1):  # the layout does not show the configuration
+        return {cell_bits(kind, cfg, x, d)[0] for cfg in (C.CONST0, C.CONST1)}
+
     for kind in K:
         for cfg, bit in ((C.CONST0, 0), (C.CONST1, 1)):
             for x in (0, 1):
-                assert gate_function(kind, cfg, x) == bit  # input-independent
+                assert does(kind, cfg, x) == bit  # input-independent
     for x in (0, 1):
-        assert gate_function(K.UT_A, C.NORMAL, x) == x          # real buffer
-        assert gate_function(K.UT_B, C.NORMAL, x) == 1 - x      # real inverter
-        assert apparent_function(K.FI, x) == 1 - x
-        assert apparent_function(K.FB, x) == x
+        assert does(K.UT_A, C.NORMAL, x) == x          # real buffer
+        assert does(K.UT_B, C.NORMAL, x) == 1 - x      # real inverter
+        assert looks(K.FI, x) == {1 - x}
+        assert looks(K.FB, x) == {x}
         for kind in (K.UT_A, K.UT_B):
             for d in (0, 1):
-                assert apparent_function(kind, x, d) == 1 - (x & d)
+                assert looks(kind, x, d) == {1 - (x & d)}
     for kind in (K.FI, K.FB):
-        with pytest.raises(ValueError):
-            gate_function(kind, C.NORMAL, 0)  # no pass-through mode exists
+        with pytest.raises(ValueError, match="cannot be configured normal"):
+            cell_bits(kind, C.NORMAL, 0)  # no pass-through mode exists

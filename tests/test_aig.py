@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ipcamo.aig import (AigGraph, AigerParseError, NodeType, TensorTriple,
                         extract_cone_tree, from_tensors, normalize, pad_to_match, parse_aiger,
                         random_tree, to_tensors, write_aiger)
-from ipcamo.gatelevel import simulate, truth_table
+from ipcamo.gatelevel import simulate
+from reference_tools import same_structure, truth_table
 
 # a & ~b, i.e. aag: 1=a, 2=b, 3=and
 SIMPLE_AAG = """aag 3 2 0 1 1
@@ -176,7 +177,7 @@ def test_cone_trees_of_shared_fanout_aag_are_trees():
 def test_aiger_roundtrip_simple():
     g = simple_graph()
     again = parse_aiger(write_aiger(g))
-    assert normalize(g).structurally_equal(normalize(again))
+    assert same_structure(normalize(g), normalize(again))
     assert again.names[:2] == ["a", "b"]
 
 
@@ -193,7 +194,7 @@ def test_random_tree_aiger_roundtrip(seed, n_ands):
     g = random_tree(np.random.default_rng(seed), n_ands)
     assert g.is_tree()
     again = parse_aiger(write_aiger(normalize(g)))
-    assert normalize(g).structurally_equal(normalize(again))
+    assert same_structure(normalize(g), normalize(again))
     # function survives the roundtrip
     assert truth_table(g).tolist() == truth_table(again,
                                                   pi_order=g.pi_names).tolist()
@@ -238,7 +239,7 @@ def test_tensor_roundtrip():
     assert t.is_binary()
     assert t.type_mat.shape == (4, 3)
     assert np.triu(t.conn_mat).sum() == 0  # strictly lower triangular
-    assert g.structurally_equal(from_tensors(t))
+    assert same_structure(g, from_tensors(t))
 
 
 def test_from_tensors_drops_orphan_inverter_bits():
@@ -246,7 +247,7 @@ def test_from_tensors_drops_orphan_inverter_bits():
     t.inv_mat[3, 0] = 1.0  # inverter without a connection
     with pytest.warns(UserWarning, match="dropped 1 inverter"):
         g = from_tensors(t)
-    assert g.structurally_equal(simple_graph())
+    assert same_structure(g, simple_graph())
 
 
 def _from_tensors_by_loops(t):
@@ -328,7 +329,7 @@ def test_pad_rejects_po_mismatch():
 def test_json_roundtrip():
     g = random_tree(np.random.default_rng(5), 4)
     again = AigGraph.from_json(g.to_json())
-    assert again.structurally_equal(g)
+    assert same_structure(again, g)
     assert again.names == g.names
 
 

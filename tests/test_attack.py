@@ -58,7 +58,7 @@ def test_tseitin_rejects_bad_literals_before_encoding():
     cnf = CnfFormula()
     t = cnf.new_var()
     cnf.add_clause([t])
-    a, b, x = cnf.new_vars(3)
+    a, b, x = [cnf.new_var() for _ in range(3)]
     for true_lit, bound in ((t, {"a": a, "b": b, "c": 1.0}),
                             (t, {"a": a, "b": -5, "c": x}),
                             (t, {"a": a, "b": b, "c": np.int64(3)}),

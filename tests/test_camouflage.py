@@ -1,16 +1,19 @@
 """Interpolation, thresholding, the fix table and the end-to-end pipeline."""
+import itertools
+
 import numpy as np
 import pytest
 
 from ipcamo.aig import (AigGraph, NodeType, TensorTriple, normalize,
                         pad_to_match, pattern_words, random_tree, to_tensors)
-from ipcamo.camouflage import (CamouflagedNetlist, _pair_states, area_overhead,
-                               camouflage_pipeline, camouflage_skeleton,
+from ipcamo.camouflage import (PAIR_RULES, CamouflagedNetlist, _pair_states,
+                               area_overhead, camouflage_pipeline, camouflage_skeleton,
                                checkpoint_sha256, fix_lookup, fix_pairs, interpolate,
                                threshold_filter)
 from ipcamo.attack import equivalence_check, keyize_netlist
-from ipcamo.covert import realize
-from ipcamo.gatelevel import CompiledCircuit, from_aig, prune
+from ipcamo.covert import CovertConfig, CovertGateKind, draw_cell, realize
+from ipcamo.gatelevel import Circuit, CompiledCircuit, from_aig, prune
+from reference_tools import same_structure
 
 
 def test_interpolation_endpoints_bitwise():
@@ -170,6 +173,68 @@ def test_appearance_mimic_respects_function():
     assert len(skipped) == 1 and skipped[0]["pair"] == [1, 2]
 
 
+PAIR_STATES = ("00", "10", "11")  # absent, a wire, an inverted wire
+
+
+def _closed_form(sg, sf, sa):
+    """The kind the fix pass wires on a pair, in closed form."""
+    ut = {"10": "ut_a", "11": "ut_b"}
+    if sf != "00":  # an edge of F carries a real signal
+        if {sg, sa} <= {"00", sf}:
+            return "wire" if sf == "10" else "inv"
+        return ut[sf]
+    if sg == sa == "00":
+        return None
+    if "00" not in (sg, sa) and sg != sa:
+        return ut[sg]
+    return {"10": "fb", "11": "fi"}[sg if sg != "00" else sa]
+
+
+def test_pair_rules_match_the_closed_form():
+    assert len(PAIR_RULES) == 27
+    for states in itertools.product(PAIR_STATES, repeat=3):
+        assert PAIR_RULES[states][0] == _closed_form(*states), states
+
+
+def test_pair_rules_cell_computes_f_literal():
+    """Each pair's cell, drawn and realized, computes F's literal on an edge
+    of F and the constant 1 elsewhere: the per-pair half of realize == F."""
+    for states in itertools.product(PAIR_STATES, repeat=3):
+        kind, sf = PAIR_RULES[states][0], states[1]
+        assert kind is not None or sf == "00", states
+        c = Circuit()
+        c.add("x", "input")
+        c.add("d", "input")
+        out, placements = "y", []
+        if kind is None:  # no wiring: the AND the pair feeds reads a 1
+            c.add(out, "const1")
+        elif kind == "wire":
+            out = "x"
+        elif kind == "inv":
+            c.add(out, "not", "x")
+        else:
+            gk = CovertGateKind[kind.upper()]
+            cfg = CovertConfig.NORMAL if sf != "00" else CovertConfig.CONST1
+            placements.append(draw_cell(c, gk, cfg, out, "x", "d" if gk.decoy else None))
+        c.outputs = [out]
+        fab = realize(c, placements)
+        for x in (0, 1):
+            for d in (0, 1):
+                want = {"10": x, "11": 1 - x, "00": 1}[sf]
+                assert fab.evaluate({"x": x, "d": d})[out] == want, (states, x, d)
+
+
+def test_pair_rules_rows_that_log_a_replaced_cell():
+    """Phase 1 logs an FB or FI cell that phase 2 replaces with a UT cell;
+    neither row is marked skipped."""
+    for states, action, kind in ((("10", "00", "11"), "fb", "ut_a"),
+                                 (("11", "00", "10"), "fi", "ut_b")):
+        got, row1, row2 = PAIR_RULES[states]
+        assert got == kind
+        assert row1["action"] == action and row2["action"] == kind
+        assert "skipped" not in row1 and "skipped" not in row2
+
+
 def _toy_pair(seed):
     rng = np.random.default_rng(seed)
     return (random_tree(rng, 4, n_pi_pool=5), random_tree(rng, 5, n_pi_pool=5))
@@ -234,7 +299,7 @@ def test_functional_view_is_f_on_the_layout_names(toy_checkpoint):
         fp = normalize(pad_to_match(f, a))
         nl = camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=1)
         view = nl.functional_view
-        assert view.structurally_equal(normalize(f))
+        assert same_structure(view, normalize(f))
         first = len(fp.pi_indices)  # F's k-th AND is the layout's slot first + k
         assert view.names == [f.names[i] for i in f.pi_indices] + [
             f"g{first + k}" for k in range(len(f.and_indices))] + f.po_names

@@ -3,10 +3,10 @@ import pytest
 
 from ipcamo.attack import keyize_netlist
 from ipcamo.camouflage import CamouflagedNetlist
-from ipcamo.covert import (CovertConfig, CovertGateKind, CovertInstance,
-                           apparent_function, cell_nets, draw_cell, gate_function,
-                           realize)
+from ipcamo.covert import (CovertConfig, CovertGateKind, CovertInstance, cell_nets,
+                           draw_cell, realize)
 from ipcamo.gatelevel import Circuit, Gate
+from reference_tools import cell_bits
 
 K = CovertGateKind
 C = CovertConfig
@@ -16,30 +16,35 @@ LEGAL = [(kind, cfg) for kind in K for cfg in sorted(C, key=lambda c: c.value)
 
 
 def test_actual_function_exhaustive():
+    """What each drawn cell does: `realize` of it, simulated."""
     # constants are input-independent for every kind
     for kind in K:
         for cfg, bit in ((C.CONST0, 0), (C.CONST1, 1)):
             for x in (0, 1):
-                assert gate_function(kind, cfg, x) == bit
+                assert cell_bits(kind, cfg, x)[1] == bit
     # pass-through modes
     for x in (0, 1):
-        assert gate_function(K.UT_A, C.NORMAL, x) == x          # buffer
-        assert gate_function(K.UT_B, C.NORMAL, x) == 1 - x      # inverter
+        assert cell_bits(K.UT_A, C.NORMAL, x)[1] == x          # buffer
+        assert cell_bits(K.UT_B, C.NORMAL, x)[1] == 1 - x      # inverter
     # FI/FB have no pass-through
     for kind in (K.FI, K.FB):
         with pytest.raises(ValueError):
-            gate_function(kind, C.NORMAL, 0)
+            cell_bits(kind, C.NORMAL, 0)
         with pytest.raises(ValueError):
             CovertInstance(kind, C.NORMAL, out="o", real_in="x")
 
 
 def test_apparent_function_exhaustive():
-    for x in (0, 1):
-        assert apparent_function(K.FI, x) == 1 - x              # reads as INV
-        assert apparent_function(K.FB, x) == x                  # reads as BUF
-        for kind in (K.UT_A, K.UT_B):
-            for d in (0, 1):
-                assert apparent_function(kind, x, d) == 1 - (x & d)
+    """What each drawn cell looks like, under every legal configuration."""
+    for kind, cfg in LEGAL:
+        for x in (0, 1):
+            if kind is K.FI:
+                assert cell_bits(kind, cfg, x)[0] == 1 - x     # reads as INV
+            elif kind is K.FB:
+                assert cell_bits(kind, cfg, x)[0] == x         # reads as BUF
+            else:
+                for d in (0, 1):
+                    assert cell_bits(kind, cfg, x, d)[0] == 1 - (x & d)
 
 
 def test_appearance_cost_model():
@@ -75,8 +80,8 @@ def test_covert_instance_rejects_illegal_pairs_and_missing_dummies():
 
 
 def test_draw_cell_layout_matches_cell_nets_and_key_model():
-    """The drawn cell reads as apparent_function, and both the keyed cell
-    under its correct key and the realized cell compute gate_function."""
+    """The drawn cell occupies the nets cell_nets lists, and the keyed cell
+    under its correct key computes what the realized cell does."""
     for kind, cfg in LEGAL:
         c = Circuit()
         c.add("x", "input")
@@ -95,9 +100,6 @@ def test_draw_cell_layout_matches_cell_nets_and_key_model():
         assert set(fab.gates) == {"x", "d", "y"}, (kind, cfg)
         for x in (0, 1):
             for d in (0, 1):
-                real = gate_function(kind, cfg, x)
+                real = fab.evaluate({"x": x, "d": d})["y"]
                 got = kn.evaluate(kn.correct_key, {"x": x, "d": d})["y"]
                 assert got == real, (kind, cfg, x, d)
-                assert c.evaluate({"x": x, "d": d})["y"] == \
-                    apparent_function(kind, x, d), (kind, cfg, x, d)
-                assert fab.evaluate({"x": x, "d": d})["y"] == real, (kind, cfg, x, d)

@@ -1,12 +1,14 @@
 """Latent/GED statistics, random-insertion baselines and dataset export."""
+import csv
+
 import numpy as np
 import pytest
 
 from ipcamo import evaluation
 from ipcamo.aig import random_tree
 from ipcamo.evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
-                               ged_lsd_study, latent_distance, load_gnn_dataset,
-                               pearson_r, random_covert_insertion)
+                               ged_lsd_study, latent_distance, pearson_r,
+                               random_covert_insertion)
 from ipcamo.gatelevel import from_aig
 
 
@@ -116,16 +118,27 @@ def test_gnn_export_roundtrip(tmp_path):
     out = tmp_path / "gnn"
     export_gnn_dataset(nls, str(out))
     assert (out / "README.md").exists()
-    graphs = load_gnn_dataset(str(out))
-    assert sorted(graphs) == [0, 1]
+    graphs = {gid: {"ops": {}, "edges": [], "labels": {}, "family": set()}
+              for gid in range(len(nls))}
+    for name in ("nodes", "edges", "labels"):
+        with open(out / f"{name}.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                g = graphs[int(row["graph_id"])]
+                if name == "nodes":
+                    g["ops"][row["node"]] = row["op"]
+                elif name == "edges":
+                    g["edges"].append((row["src"], row["dst"]))
+                else:
+                    g["family"].add(row["family"])
+                    g["labels"][row["node"]] = int(row["is_covert"])
     for gid, nl in enumerate(nls):
         g = graphs[gid]
         c = nl.appearance_view
-        assert g["family"] == nl.metadata["family"]
+        assert g["family"] == {nl.metadata["family"]}
         assert g["ops"] == {n: gate.op for n, gate in c.gates.items()}
         want_edges = sorted((s, n) for n, gate in c.gates.items() for s in gate.ins)
         assert sorted(g["edges"]) == want_edges
-        covert_nodes = {n for n, (flag, _) in g["labels"].items() if flag}
+        covert_nodes = {n for n, flag in g["labels"].items() if flag}
         expect = set()
         for p in nl.placements:
             expect.add(p.out)

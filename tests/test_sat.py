@@ -31,8 +31,7 @@ def random_lits(rng, n_vars, k) -> list[int]:
 
 
 def random_cnf(rng, n_vars, n_clauses, width=3) -> CnfFormula:
-    cnf = CnfFormula()
-    cnf.new_vars(n_vars)
+    cnf = CnfFormula(n_vars)
     for _ in range(n_clauses):
         cnf.add_clause(random_lits(rng, n_vars, 1 + int(rng.integers(width))))
     return cnf
@@ -60,8 +59,8 @@ def test_trivial_cases():
 
 
 def test_add_clause_accepts_and_rejects_exactly():
-    cnf = CnfFormula()
-    n = len(cnf.new_vars(3))
+    cnf = CnfFormula(3)
+    n = cnf.n_vars
     good = ([1], [-n, n], [True], (2, -1, True), (l for l in (3, -2)))
     for lits in good:
         cnf.add_clause(lits)
@@ -81,7 +80,7 @@ def test_add_clause_accepts_and_rejects_exactly():
 def test_top_level_unsat_reports_its_propagations():
     # the first propagation pass already conflicts, before any decision
     cnf = CnfFormula()
-    x, y = cnf.new_vars(2)
+    x, y = [cnf.new_var() for _ in range(2)]
     for cl in ([x], [-x, y], [-x, -y]):
         cnf.add_clause(cl)
     res = sat_solve(cnf)
@@ -90,7 +89,7 @@ def test_top_level_unsat_reports_its_propagations():
 
 def test_unit_propagation_chain():
     cnf = CnfFormula()
-    vs = cnf.new_vars(6)
+    vs = [cnf.new_var() for _ in range(6)]
     cnf.add_clause([vs[0]])
     for a, b in zip(vs, vs[1:]):
         cnf.add_clause([-a, b])  # a -> b
@@ -114,7 +113,7 @@ def test_matches_brute_force(seed):
 
 def test_assumptions():
     cnf = CnfFormula()
-    a, b = cnf.new_vars(2)
+    a, b = [cnf.new_var() for _ in range(2)]
     cnf.add_clause([a, b])
     res = sat_solve(cnf, assumptions=[-a])
     assert res.status == "SAT" and res.model[b]
@@ -158,7 +157,7 @@ def test_incremental_solves_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     cnf = CnfFormula()
     for _ in range(3):
-        cnf.new_vars(1 + int(rng.integers(3)))
+        cnf.n_vars += 1 + int(rng.integers(3))
         for _ in range(int(rng.integers(1, 5))):
             cnf.add_clause(random_lits(rng, cnf.n_vars, 1 + int(rng.integers(3))))
         for _ in range(3):
@@ -172,7 +171,7 @@ def test_incremental_solves_match_brute_force(seed):
 
 def test_assumptions_hold_for_one_call():
     cnf = CnfFormula()
-    a, b = cnf.new_vars(2)
+    a, b = [cnf.new_var() for _ in range(2)]
     cnf.add_clause([a, b])
     assert sat_solve(cnf, assumptions=[-a, -b]).status == "UNSAT"
     assert sat_solve(cnf).status == "SAT"
@@ -180,7 +179,7 @@ def test_assumptions_hold_for_one_call():
 
 def test_clause_added_after_a_solve_meets_level_zero():
     cnf = CnfFormula()
-    a, b, c = cnf.new_vars(3)
+    a, b, c = [cnf.new_var() for _ in range(3)]
     cnf.add_clause([a])
     cnf.add_clause([-a, b])
     assert sat_solve(cnf).status == "SAT"  # a and b now hold at level 0
@@ -210,7 +209,7 @@ def test_luby_sequence():
 
 def test_clause_validation():
     cnf = CnfFormula()
-    a, b = cnf.new_vars(2)
+    a, b = [cnf.new_var() for _ in range(2)]
     cnf.add_clause([a, -b])
     with pytest.raises(ValueError, match="empty"):
         cnf.add_clause([])
@@ -227,15 +226,14 @@ def test_clause_validation():
 
 def test_ties_branch_on_lowest_index_first():
     # no clauses: every decision is a tie at activity 0 and saved phase False
-    cnf = CnfFormula()
-    cnf.new_vars(12)
+    cnf = CnfFormula(12)
     res = sat_solve(cnf)
     assert res.status == "SAT" and res.decisions == 12
     assert not any(res.model.values())
     # (x1 | x2), (x3 | x4), ...: deciding x1 = False forces x2 = True, and so
     # on; a highest-index-first order would give the mirror-image model
     cnf = CnfFormula()
-    vs = cnf.new_vars(12)
+    vs = [cnf.new_var() for _ in range(12)]
     for a, b in zip(vs[::2], vs[1::2]):
         cnf.add_clause([a, b])
     res = sat_solve(cnf)
@@ -245,8 +243,7 @@ def test_ties_branch_on_lowest_index_first():
 
 def random_3sat(seed: int, n_vars: int = 60, ratio: float = 4.26) -> CnfFormula:
     rng = np.random.default_rng(seed)
-    cnf = CnfFormula()
-    cnf.new_vars(n_vars)
+    cnf = CnfFormula(n_vars)
     for _ in range(round(ratio * n_vars)):
         vs = rng.choice(n_vars, size=3, replace=False) + 1
         cnf.add_clause([int(v) if rng.integers(2) else -int(v) for v in vs])
@@ -290,7 +287,7 @@ def test_bad_assumption_leaves_the_formula_usable():
     # a float assumption used to raise TypeError inside the search, at
     # decision level 1, and the next call then broke its own assumption
     cnf = CnfFormula()
-    a, b = cnf.new_vars(2)
+    a, b = [cnf.new_var() for _ in range(2)]
     cnf.add_clause([a, b])
     for bad in ([-a, 1.0], [-a, "1"], [np.int64(1)], [a, None], [-a, 0], [-a, 3]):
         with pytest.raises(ValueError, match=r"^bad assumption literal .* \(have 2 vars\)$"):
@@ -327,8 +324,8 @@ def padded_cnf(seed: int, n_core: int = 14, ratio: float = 4.3) -> CnfFormula:
     rng = np.random.default_rng(seed)
     cnf = CnfFormula()
     first = cnf.new_var()
-    cnf.new_vars(PAD)
-    core = [first] + cnf.new_vars(n_core)
+    cnf.n_vars += PAD
+    core = [first] + [cnf.new_var() for _ in range(n_core)]
     for cl in core_clauses(rng, core, round(ratio * n_core)):
         cnf.add_clause(cl)
     return cnf
@@ -376,8 +373,8 @@ def solve_padded_incrementally(seed: int) -> None:
     core = [cnf.new_var()]
     level0: set[int] = set()
     for _ in range(3):
-        cnf.new_vars(PAD)
-        core += cnf.new_vars(5)
+        cnf.n_vars += PAD
+        core += [cnf.new_var() for _ in range(5)]
         for cl in core_clauses(rng, core, 20):
             cnf.add_clause(cl)
         for k in (0, 1, 3):
