@@ -179,11 +179,12 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     """Attacker's key-programmable model of a camouflaged netlist.
 
     The model starts from the key-00 view: the appearance view with each
-    covert cell read as `kind.key00` of its real input (covert.replace_cells),
-    pruned to the output cone. Each inverter, buffer and NAND net of that
-    cone is a candidate with 2 key bits (`key{2i}`, `key{2i+1}` for the i-th
-    in sorted net order): 00 keeps its gate, 01 ties the output low, 10 (and
-    its alias 11) ties it high. The correct key is a placement's
+    covert cell, one gate of the view, read as `kind.key00` of its real
+    input (covert.replace_cells), pruned to the output cone. Each inverter,
+    buffer and NAND net of that cone is a candidate with 2 key bits
+    (`key{2i}`, `key{2i+1}` for the i-th in sorted net order): 00 keeps its
+    gate, 01 ties the output low, 10 (and its alias 11) ties it high. So
+    each covert cell is one candidate. The correct key is a placement's
     `config.key_bits`, or 00 for a genuine cell.
     """
     # the one reading of the secret: each covert cell is its key-00 gate

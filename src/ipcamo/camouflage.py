@@ -21,7 +21,7 @@ from .covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell
 from .gatelevel import Circuit, circuit_from_obj, circuit_to_obj, from_aig
 from .vae import VaeParams, decode, encode
 
-CAMO_JSON_FORMAT = "ipcamo-camo-v2"
+CAMO_JSON_FORMAT = "ipcamo-camo-v3"
 
 # -- Latent-space operations --------------------------------------------------
 
@@ -123,31 +123,25 @@ def _pair_states(g: AigGraph, layout: AigGraph) -> dict[tuple[int, int], str]:
 _ADDED = {"connect": "wire", "insert_inv": "inv"}  # phase-1 action -> wiring it adds
 
 
-def _pair_rule(sg: str, sf: str, sa: str) -> tuple:
-    """Both fix phases on one pair's (G-hat, F, A) states. Phase 1 makes the
-    generated wiring compute F; phase 2 then reshapes the post-fix wiring
-    toward A without touching function."""
+def _pair_rule(sg: str, sf: str, sa: str) -> str | None:
+    """The kind both fix phases wire on one pair with (G-hat, F, A) states.
+    Phase 1 makes the generated wiring compute F; phase 2 then reshapes the
+    post-fix wiring toward A without touching function, so it leaves a
+    camouflaged NAND alone."""
     # the generated wiring stays as it is unless a phase acts on it
     kind = None if sg == "00" else "wire" if sg == "10" else "inv"
-    row1 = row2 = None
     action = fix_lookup(sg, sf, "functional")
     if action is not None:
-        row1 = {"phase": "functional", "g_state": sg, "f_state": sf, "action": action}
         kind = _ADDED.get(action, action)
         if action in _ADDED:  # the new connection is visible to phase 2
             sg = sf
     action = fix_lookup(sg, sa, "appearance")
-    if action is not None:
-        row2 = {"phase": "appearance", "g_state": sg, "a_state": sa, "action": action}
-        if kind in ("ut_a", "ut_b"):
-            row2["skipped"] = "pair already realized as a camouflaged NAND"
-        else:
-            kind = action
-    return kind, row1, row2
+    if action is not None and kind not in ("ut_a", "ut_b"):
+        kind = action
+    return kind
 
 
-# (G-hat, F, A) state triple -> (kind, phase-1 log row, phase-2 log row);
-# a kind or row is None where nothing is wired or logged
+# (G-hat, F, A) state triple -> the kind wired on the pair, None if nothing
 PAIR_RULES = {states: _pair_rule(*states)
               for states in itertools.product(("00", "10", "11"), repeat=3)}
 
@@ -157,20 +151,16 @@ def fix_pairs(
 ) -> tuple[dict[int, list], list[dict]]:
     """Both fix phases, one `PAIR_RULES` lookup per pair. Returns each
     slot's incoming wiring, a list of (source slot, kind, is an edge of F)
-    in source order, and the fix log: every phase-1 entry, then every
-    phase-2 entry."""
+    in source order, and the fix log: one row per pair in pair order, its
+    states and the kind wired on it."""
     incoming: dict[int, list] = {}
-    log1, log2 = [], []
+    log = []
     for pair in sorted(g_states.keys() | f_states.keys() | a_states.keys()):
-        sf = f_states.get(pair, "00")
-        kind, row1, row2 = PAIR_RULES[g_states.get(pair, "00"), sf, a_states.get(pair, "00")]
-        if row1:
-            log1.append({"pair": list(pair), **row1})
-        if row2:
-            log2.append({"pair": list(pair), **row2})
-        if kind:
-            incoming.setdefault(pair[1], []).append((pair[0], kind, sf != "00"))
-    return incoming, log1 + log2
+        states = g_states.get(pair, "00"), f_states.get(pair, "00"), a_states.get(pair, "00")
+        kind = PAIR_RULES[states]
+        log.append({"pair": list(pair), "states": list(states), "action": kind})
+        incoming.setdefault(pair[1], []).append((pair[0], kind, states[1] != "00"))
+    return incoming, log
 
 
 # -- Netlist assembly ---------------------------------------------------------
@@ -232,7 +222,7 @@ class CamouflagedNetlist:
             "appearance_view": circuit_to_obj(self.appearance_view),
             "placements": [
                 {"kind": p.kind.value, "config": p.config.value, "out": p.out,
-                 "real_in": p.real_in, "dummy_in": p.dummy_in, "note": p.note}
+                 "real_in": p.real_in, "dummy_in": p.dummy_in}
                 for p in self.placements
             ],
             "fix_log": self.fix_log,
@@ -242,7 +232,7 @@ class CamouflagedNetlist:
     @staticmethod
     def from_json(text: str) -> "CamouflagedNetlist":
         """Load a netlist; a placement whose cell, drawn with
-        covert.draw_cell, differs from the view's gate at any of its nets
+        covert.draw_cell, differs from the view's gate at its output net
         raises ValueError."""
         obj = json.loads(text)
         if obj.get("format") != CAMO_JSON_FORMAT:
@@ -251,16 +241,15 @@ class CamouflagedNetlist:
         placements = [
             CovertInstance(CovertGateKind(p["kind"]), CovertConfig(p["config"]),
                            out=p["out"], real_in=p["real_in"],
-                           dummy_in=p["dummy_in"], note=p.get("note", ""))
+                           dummy_in=p["dummy_in"])
             for p in obj["placements"]
         ]
         for p in placements:
             cell = Circuit()
             draw_cell(cell, p.kind, p.config, p.out, p.real_in, p.dummy_in)
-            for net, gate in cell.gates.items():
-                if view.gates.get(net) != gate:
-                    raise ValueError(f"{p.kind.value} placement {p.out!r} is not "
-                                     f"the cell drawn at net {net!r}")
+            if view.gates.get(p.out) != cell.gates[p.out]:
+                raise ValueError(f"{p.kind.value} placement {p.out!r} is not "
+                                 f"the cell drawn at net {p.out!r}")
         return CamouflagedNetlist(
             functional_view=AigGraph.from_json(json.dumps(obj["functional_view"])),
             appearance_view=view,

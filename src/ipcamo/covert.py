@@ -1,7 +1,9 @@
 """Covert gate primitives: actual vs. apparent behavior, cell layout, key encoding.
 
-Every fact about a covert kind or configuration is an attribute of its enum
-member; the rest of the package reads these and keeps no table of its own."""
+Every covert cell is one gate of its netlist: `kind.look` at its output net
+(an FB is one `buf`). Every fact about a covert kind or configuration is an
+attribute of its enum member; the rest of the package reads these and keeps
+no table of its own."""
 from __future__ import annotations
 
 import enum
@@ -19,7 +21,7 @@ class CovertGateKind(enum.Enum):
     camouflaged NAND, whose second fan-in is a dummy tap."""
 
     FI = "FI", "not", None        # fake inverter: ties the net to a constant
-    FB = "FB", "buf", None        # fake buffer, drawn as an INV pair: ties it too
+    FB = "FB", "buf", None        # fake buffer: ties it too
     UT_A = "UT-A", "nand", "buf"  # untraceable NAND: really a buffer (or constant)
     UT_B = "UT-B", "nand", "not"  # untraceable NAND: really an inverter (or constant)
 
@@ -56,7 +58,6 @@ class CovertInstance:
     out: str
     real_in: str | None = None
     dummy_in: str | None = None
-    note: str = ""
 
     def __post_init__(self):
         if self.config is CovertConfig.NORMAL and self.kind.real is None:
@@ -67,35 +68,19 @@ class CovertInstance:
 
 def draw_cell(c: Circuit, kind: CovertGateKind, config: CovertConfig, out: str,
               real_in: str, dummy_in: str | None = None) -> CovertInstance:
-    """Add one covert cell driving net out to c and return its placement.
-
-    FI is one inverter; FB is two, its middle net `out + "a"` added first;
-    UT-A and UT-B are a NAND of the real input and the dummy tap."""
+    """Add one covert cell, the one gate `kind.look` driving net out, to c
+    and return its placement: FI a `not` and FB a `buf` of the real input,
+    UT-A and UT-B a `nand` of the real input and the dummy tap."""
     cell = CovertInstance(kind, config, out=out, real_in=real_in, dummy_in=dummy_in)
-    if kind.decoy:
-        c.add(out, kind.look, real_in, dummy_in)
-    elif kind.look == "buf":  # drawn as back-to-back inverters
-        c.add(out, "not", c.add(out + "a", "not", real_in))
-    else:
-        c.add(out, kind.look, real_in)
+    c.add(out, kind.look, *((real_in, dummy_in) if kind.decoy else (real_in,)))
     return cell
-
-
-def cell_nets(p: CovertInstance, c: Circuit) -> tuple[str, ...]:
-    """Nets of c a placement occupies: its output, and an FB's middle inverter."""
-    if p.kind is CovertGateKind.FB:
-        return p.out, c.gates[p.out].ins[0]
-    return (p.out,)
 
 
 def replace_cells(view: Circuit, placements: list[CovertInstance],
                   gate_of: Callable[[CovertInstance], Gate]) -> Circuit:
-    """view with each placement's cell replaced by the one gate `gate_of(p)`
-    driving its output; an FB's middle inverter goes with its cell."""
+    """view with each placement's cell replaced by the one gate `gate_of(p)`."""
     gates = dict(view.gates)
     for p in placements:
-        for net in cell_nets(p, view)[1:]:
-            del gates[net]
         gates[p.out] = gate_of(p)
     return Circuit(gates, list(view.outputs))
 

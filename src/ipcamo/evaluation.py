@@ -10,7 +10,7 @@ import numpy as np
 
 from .aig import AigGraph
 from .camouflage import CamouflagedNetlist
-from .covert import CovertConfig, CovertGateKind, CovertInstance, cell_nets, draw_cell
+from .covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell
 from .gatelevel import Circuit, Gate, from_aig
 from .ged import graph_edit_distance
 from .vae import VaeParams, encode
@@ -234,8 +234,7 @@ def export_gnn_dataset(netlists: list[CamouflagedNetlist], path: str) -> None:
         wl.writerow(["graph_id", "node", "family", "is_covert", "covert_kind"])
         for gid, nl in enumerate(netlists):
             c = nl.appearance_view
-            covert = {net: p.kind.value for p in nl.placements
-                      for net in cell_nets(p, c)}
+            covert = {p.out: p.kind.value for p in nl.placements}
             fam = nl.metadata["family"]
             for net in sorted(c.gates):
                 g = c.gates[net]

@@ -147,8 +147,6 @@ def test_ac06_key_count_law():
         kn = keyize_netlist(nl)
         src = nl.appearance_view
         consumed = {p.out for p in nl.placements}
-        consumed |= {src.gates[p.out].ins[0] for p in nl.placements
-                     if p.kind is CovertGateKind.FB}
         genuine = sum(1 for n, g in src.gates.items()
                       if g.op in ("not", "buf", "nand") and n not in consumed)
         assert kn.n_key_bits == 2 * (len(nl.placements) + genuine)

@@ -205,11 +205,7 @@ def test_equivalence_check_support_17_takes_sat_path(monkeypatch):
 def _n_candidates(nl):
     """Covert placements plus genuine inverter/buffer/NAND cells."""
     src = nl.appearance_view
-    consumed = set()
-    for p in nl.placements:
-        consumed.add(p.out)
-        if p.kind.value == "FB":
-            consumed.add(src.gates[p.out].ins[0])
+    consumed = {p.out for p in nl.placements}
     genuine = sum(1 for n, g in src.gates.items()
                   if g.op in ("not", "buf", "nand") and n not in consumed)
     return len(nl.placements) + genuine

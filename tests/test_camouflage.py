@@ -141,6 +141,11 @@ def test_pair_states_records_polarity():
         inv for _, _, inv in g.edges)
 
 
+def _kinds(incoming):
+    """(source slot, slot) -> the kind wired on that pair."""
+    return {(u, v): kind for v, ins in incoming.items() for u, kind, _ in ins}
+
+
 def test_functional_preserve_actions():
     g_states = {(0, 2): "10", (1, 2): "11", (2, 4): "10"}
     f_states = {(0, 2): "11", (1, 3): "10", (3, 4): "10"}
@@ -148,16 +153,16 @@ def test_functional_preserve_actions():
     assert incoming == {2: [(0, "ut_b", True), (1, "fi", False)],
                         3: [(1, "wire", True)],
                         4: [(2, "fb", False), (3, "wire", True)]}
-    assert {e["phase"] for e in log} == {"functional"}
-    actions = {tuple(e["pair"]): e["action"] for e in log}
-    assert actions == {(0, 2): "ut_b", (1, 2): "fi", (1, 3): "connect",
-                       (2, 4): "fb", (3, 4): "connect"}
+    # one row per pair, in pair order, naming the kind wired on it
+    assert [tuple(e["pair"]) for e in log] == sorted(_kinds(incoming))
+    assert {tuple(e["pair"]): e["action"] for e in log} == _kinds(incoming)
+    assert log[0] == {"pair": [0, 2], "states": ["10", "11", "00"], "action": "ut_b"}
     # phase 2 sees the new connection (1, 3) as wired: an inverted target
     # makes it a camouflaged NAND, not a fake inverter on an empty pair
     incoming, log = fix_pairs(g_states, f_states, {(1, 3): "11"})
     assert incoming[3] == [(1, "ut_a", True)]
-    assert log[-1] == {"phase": "appearance", "pair": [1, 3],
-                       "g_state": "10", "a_state": "11", "action": "ut_a"}
+    assert log[2] == {"pair": [1, 3], "states": ["00", "10", "11"], "action": "ut_a"}
+    assert {tuple(e["pair"]): e["action"] for e in log} == _kinds(incoming)
 
 
 def test_appearance_mimic_respects_function():
@@ -168,9 +173,8 @@ def test_appearance_mimic_respects_function():
     # (1, 2) is already a camouflaged NAND and stays one
     assert incoming == {2: [(0, "ut_a", True), (1, "ut_a", True)],
                         3: [(1, "fb", False)]}
-    assert [e["phase"] for e in log] == ["functional"] + ["appearance"] * 3
-    skipped = [e for e in log if e.get("skipped")]
-    assert len(skipped) == 1 and skipped[0]["pair"] == [1, 2]
+    assert {tuple(e["pair"]): e["action"] for e in log} == _kinds(incoming)
+    assert log[1] == {"pair": [1, 2], "states": ["11", "10", "10"], "action": "ut_a"}
 
 
 PAIR_STATES = ("00", "10", "11")  # absent, a wire, an inverted wire
@@ -193,14 +197,14 @@ def _closed_form(sg, sf, sa):
 def test_pair_rules_match_the_closed_form():
     assert len(PAIR_RULES) == 27
     for states in itertools.product(PAIR_STATES, repeat=3):
-        assert PAIR_RULES[states][0] == _closed_form(*states), states
+        assert PAIR_RULES[states] == _closed_form(*states), states
 
 
 def test_pair_rules_cell_computes_f_literal():
     """Each pair's cell, drawn and realized, computes F's literal on an edge
     of F and the constant 1 elsewhere: the per-pair half of realize == F."""
     for states in itertools.product(PAIR_STATES, repeat=3):
-        kind, sf = PAIR_RULES[states][0], states[1]
+        kind, sf = PAIR_RULES[states], states[1]
         assert kind is not None or sf == "00", states
         c = Circuit()
         c.add("x", "input")
@@ -224,17 +228,6 @@ def test_pair_rules_cell_computes_f_literal():
                 assert fab.evaluate({"x": x, "d": d})[out] == want, (states, x, d)
 
 
-def test_pair_rules_rows_that_log_a_replaced_cell():
-    """Phase 1 logs an FB or FI cell that phase 2 replaces with a UT cell;
-    neither row is marked skipped."""
-    for states, action, kind in ((("10", "00", "11"), "fb", "ut_a"),
-                                 (("11", "00", "10"), "fi", "ut_b")):
-        got, row1, row2 = PAIR_RULES[states]
-        assert got == kind
-        assert row1["action"] == action and row2["action"] == kind
-        assert "skipped" not in row1 and "skipped" not in row2
-
-
 def _toy_pair(seed):
     rng = np.random.default_rng(seed)
     return (random_tree(rng, 4, n_pi_pool=5), random_tree(rng, 5, n_pi_pool=5))
@@ -243,6 +236,20 @@ def _toy_pair(seed):
 def _desk_pair(seed):
     rng = np.random.default_rng(seed)
     return (random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10))
+
+
+def test_fix_log_counts_the_cells_built(toy_checkpoint):
+    """On every desk pair, each covert action is logged once per placement
+    of its kind, so the log names only cells the netlist contains."""
+    params, _ = toy_checkpoint
+    for idx, seed in enumerate((100, 101, 102, 103)):
+        f, a = _desk_pair(seed)
+        for th in (0.05, 0.5):
+            nl = camouflage_pipeline(f, a, params, p=0.5, th=th, seed=idx)
+            for kind in CovertGateKind:
+                logged = sum(e["action"] == kind.name.lower() for e in nl.fix_log)
+                placed = sum(p.kind is kind for p in nl.placements)
+                assert logged == placed, (seed, th, kind)
 
 
 @pytest.mark.parametrize("p,th", [(0.0, 0.01), (0.5, 0.05), (1.0, 0.5)])

@@ -3,8 +3,7 @@ import pytest
 
 from ipcamo.attack import keyize_netlist
 from ipcamo.camouflage import CamouflagedNetlist
-from ipcamo.covert import (CovertConfig, CovertGateKind, CovertInstance, cell_nets,
-                           draw_cell, realize)
+from ipcamo.covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell, realize
 from ipcamo.gatelevel import Circuit, Gate
 from reference_tools import cell_bits
 
@@ -79,9 +78,9 @@ def test_covert_instance_rejects_illegal_pairs_and_missing_dummies():
                     CovertInstance(kind, cfg, out="o", real_in="x", dummy_in=dummy)
 
 
-def test_draw_cell_layout_matches_cell_nets_and_key_model():
-    """The drawn cell occupies the nets cell_nets lists, and the keyed cell
-    under its correct key computes what the realized cell does."""
+def test_draw_cell_is_one_gate_and_matches_the_key_model():
+    """The drawn cell is one gate, `kind.look` at its output, and the keyed
+    cell under its correct key computes what the realized cell does."""
     for kind, cfg in LEGAL:
         c = Circuit()
         c.add("x", "input")
@@ -90,10 +89,8 @@ def test_draw_cell_layout_matches_cell_nets_and_key_model():
         p = draw_cell(c, kind, cfg, "y", "x", dummy)
         assert (p.kind, p.config, p.out, p.real_in, p.dummy_in) == \
             (kind, cfg, "y", "x", dummy)
-        nets = cell_nets(p, c)
-        assert sorted(nets) == sorted(set(c.gates) - {"x", "d"}), (kind, cfg)
-        if kind is K.FB:
-            assert c.gates[nets[1]] == Gate("not", ("x",))
+        assert set(c.gates) == {"x", "d", "y"}, (kind, cfg)
+        assert c.gates["y"] == Gate(kind.look, ("x", "d") if kind.decoy else ("x",))
         c.outputs = ["y"]
         kn = keyize_netlist(CamouflagedNetlist(None, c, [p], []))
         fab = realize(c, [p])

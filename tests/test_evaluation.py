@@ -6,6 +6,7 @@ import pytest
 
 from ipcamo import evaluation
 from ipcamo.aig import random_tree
+from ipcamo.covert import CovertGateKind
 from ipcamo.evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
                                ged_lsd_study, latent_distance, pearson_r,
                                random_covert_insertion)
@@ -94,6 +95,17 @@ def test_random_insertion_counts_and_modes():
         random_covert_insertion(f, "sprinkle", 0.1)
 
 
+def test_match_area_adds_one_cell_per_placement():
+    """Each covert cell is one cell of the view, so the area target is met
+    exactly: an FB adds one `buf`, not an inverter pair."""
+    f = random_tree(np.random.default_rng(32), 8)
+    for seed in range(3):  # each draws at least one FB
+        nl = random_covert_insertion(f, "match_area", 2.0, np.random.default_rng(seed))
+        assert any(p.kind is CovertGateKind.FB for p in nl.placements)
+        assert nl.appearance_view.cell_count() == \
+            nl.metadata["baseline_cells"] + len(nl.placements)
+
+
 def test_random_insertion_resolves_to_original():
     """Resolving every covert cell to its true behavior recovers f exactly."""
     from ipcamo.attack import key_is_correct, keyize_netlist
@@ -139,12 +151,7 @@ def test_gnn_export_roundtrip(tmp_path):
         want_edges = sorted((s, n) for n, gate in c.gates.items() for s in gate.ins)
         assert sorted(g["edges"]) == want_edges
         covert_nodes = {n for n, flag in g["labels"].items() if flag}
-        expect = set()
-        for p in nl.placements:
-            expect.add(p.out)
-            if p.kind.value == "FB":
-                expect.add(c.gates[p.out].ins[0])
-        assert covert_nodes == expect
+        assert covert_nodes == {p.out for p in nl.placements}
 
 
 def test_gnn_export_requires_family(tmp_path):
