@@ -101,15 +101,13 @@ def _pair_states(g: AigGraph, layout: AigGraph) -> dict[tuple[int, int], str]:
     """Edge states of g placed on the layout's nodes: the k-th node of each
     type in g takes the layout's k-th node of that type. A node past the
     layout's count for its type is dropped with its edges, and so is an
-    edge into a PI."""
+    edge that maps backward on the layout or into a PI."""
     slots = {t: iter(layout.indices(t)) for t in NodeType}
     pos = [next(slots[t], None) for t in g.types]
     states: dict[tuple[int, int], str] = {}
     for s, d, inv in g.edges:
-        if pos[s] is None or pos[d] is None:
-            continue
-        u, v = sorted((pos[s], pos[d]))
-        if layout.types[v] is not NodeType.PI:
+        u, v = pos[s], pos[d]
+        if u is not None and v is not None and u < v and layout.types[v] is not NodeType.PI:
             states[(u, v)] = "11" if inv else "10"
     return states
 

@@ -265,31 +265,31 @@ def test_keyize_golden_desk_netlist(toy_checkpoint):
     f, a = random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10)
     kn = keyize_netlist(camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0))
     gates = (f"{n} {g.op} {' '.join(g.ins)}" for n, g in kn.circuit.gates.items())
-    assert len(kn.circuit.gates) == 17_099
+    assert len(kn.circuit.gates) == 17_070
     assert kn.circuit.outputs == ["po0"]
-    assert kn.n_key_bits == 5_708
+    assert kn.n_key_bits == 5_698
     assert _sha256(gates) == (
-        "2747f2b5f0c67e7a2314383873b6adaa92770d52bc4664e2ebcc59759d90e43b")
+        "0870df4050b7cb1ef6aa0a0d6ede1ff5ae2994df253e6d9a3ba7b9da17225f3e")
     assert _sha256(kn.key_inputs) == (
-        "3d9c567b19b59ebc9ea6f59bfee466909369f4e328bba8d8c1620e3333d814c1")
+        "86ed6f885bb49382fff4021d483901ec213fc070da90db223fa52ca12814b2f5")
     assert _sha256(map(str, kn.correct_key)) == (
-        "e27f160b648423593ca46525339f7e72c28b00a2b31824a0e476398780fe34b6")
+        "5622553cbb4dc7b8f750159a71530b708483e972eb5604fd85b87daedae26793")
 
 
 def _small_camo_netlist(params):
-    """A Th 0.05 pipeline netlist with 21 key candidates."""
+    """A Th 0.05 pipeline netlist with 16 key candidates."""
     rng = np.random.default_rng(7)
     f, a = random_tree(rng, 4, n_pi_pool=6), random_tree(rng, 4, n_pi_pool=6)
     kn = keyize_netlist(camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0))
-    assert kn.n_key_bits == 42
+    assert kn.n_key_bits == 32
     return kn
 
 
 def test_dip_attack_on_small_camo_netlist_is_pinned(toy_checkpoint):
     kn = _small_camo_netlist(toy_checkpoint[0])
     trace = dip_attack(kn, make_oracle(kn))
-    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 10, 395)
-    assert "".join(map(str, trace.key)) == "110001100101111100101111101110101011110010"
+    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 6, 106)
+    assert "".join(map(str, trace.key)) == "00001001001000100000110000101110"
 
 
 def _floating_candidate_netlist():

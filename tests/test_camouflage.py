@@ -126,6 +126,25 @@ def test_position_space_mapping():
         (0, 2): "10", (1, 2): "11", (2, 3): "11", (3, 4): "10"}
 
 
+def test_pair_states_drops_backward_edges():
+    """An edge of g that maps backward on the layout is dropped, not turned
+    around: an AND into a PI, the PO into an AND or into a PI."""
+    PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
+    layout = AigGraph(types=[PI, PI, AND, AND, PO],
+                      edges=[(0, 2, False), (1, 2, True), (1, 3, False),
+                             (2, 3, False), (3, 4, False)])
+    # g's nodes take slots PI 0 -> 0, AND 1 -> 2, PO 2 -> 4, PI 3 -> 1, AND 4 -> 3
+    g = AigGraph(types=[PI, AND, PO, PI, AND],
+                 edges=[(0, 1, False),   # slots (0, 2)
+                        (1, 3, False),   # AND into a PI, slots 2 -> 1: dropped
+                        (1, 2, True),    # slots (2, 4), inverted
+                        (2, 3, True),    # the PO into a PI, slots 4 -> 1: dropped
+                        (2, 4, False),   # the PO into an AND, slots 4 -> 3: dropped
+                        (3, 4, False),   # slots (1, 3)
+                        (0, 3, False)])  # into a PI slot: dropped
+    assert _pair_states(g, layout) == {(0, 2): "10", (2, 4): "11", (1, 3): "10"}
+
+
 def test_pair_states_records_polarity():
     PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
     layout = AigGraph(types=[PI, PI, AND, AND, PO],

@@ -252,7 +252,7 @@ def test_attack_budget_rows_are_byte_identical(toy_checkpoint, tmp_path):
         runs.append([(out / n).read_bytes() for n in ("attack.csv", "manifest.json")])
     assert runs[0] == runs[1]
     row = runs[0][0].decode().splitlines()[1]
-    assert row.split(",")[3:] == ["5708", "budget-exceeded", "", ""]
+    assert row.split(",")[3:] == ["5698", "budget-exceeded", "", ""]
 
 
 def test_attack_reports_a_wrong_key(workspace, tmp_path, monkeypatch):
