@@ -247,7 +247,7 @@ class CamouflagedNetlist:
             draw_cell(cell, p.kind, p.config, p.out, p.real_in, p.dummy_in)
             if view.gates.get(p.out) != cell.gates[p.out]:
                 raise ValueError(f"{p.kind.value} placement {p.out!r} is not "
-                                 f"the cell drawn at net {p.out!r}")
+                                 "the cell drawn at its output")
         return CamouflagedNetlist(
             functional_view=AigGraph.from_json(json.dumps(obj["functional_view"])),
             appearance_view=view,

@@ -182,7 +182,7 @@ def test_verify_rejects_a_cell_that_does_not_read_its_real_input(toy_checkpoint,
                                                                  tmp_path):
     """A UT-A cell redrawn as a NAND of its decoy tap twice still realizes
     F, since realize trusts the placement; loading the file checks every
-    placement against the cell drawn at its nets, so verify fails."""
+    placement against the cell drawn at its output, so verify fails."""
     from ipcamo.aig import random_tree
     from ipcamo.attack import equivalence_check
     from ipcamo.camouflage import CamouflagedNetlist, camouflage_pipeline
