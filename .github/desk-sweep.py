@@ -13,7 +13,7 @@ this sha.
 
 The cells are the desk pairs (seeds 100-103, two 82-AND trees over 10 PIs,
 as in tests/test_camouflage.py) x p 0/0.5/1 x Th 0.01/0.05/0.3/0.5/0.9,
-each camouflaged with seed = its pair's index, on the toy checkpoint of
+each camouflaged with seed = its pair's index (one `camouflage_grid` per pair), on the toy checkpoint of
 tests/conftest.py. ipcamo is imported from PYTHONPATH, so one script hashes
 any checkout's src/:
 
@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from ipcamo import camouflage_pipeline, keyize_netlist, random_tree
+from ipcamo import camouflage_grid, keyize_netlist, random_tree
 from ipcamo.covert import realize
 from ipcamo.vae import train
 
@@ -40,19 +40,18 @@ def main() -> None:
         rng = np.random.default_rng(seed)
         f = random_tree(rng, 82, n_pi_pool=10)
         a = random_tree(rng, 82, n_pi_pool=10)
-        for p in (0.0, 0.5, 1.0):
-            for th in (0.01, 0.05, 0.3, 0.5, 0.9):
-                nl = camouflage_pipeline(f, a, params, p, th, seed=idx)
-                del nl.metadata["checkpoint_sha256"]
-                h.update(nl.to_json().encode())
-                kn = keyize_netlist(nl)
-                for net, g in kn.circuit.gates.items():
-                    keyed.update(f"{net} {g.op} {' '.join(g.ins)}\n".encode())
-                keyed.update(f"{kn.key_inputs} {kn.correct_key}\n".encode())
-                real = realize(nl.appearance_view, nl.placements)
-                for net, g in real.gates.items():
-                    fab.update(f"{net} {g.op} {' '.join(g.ins)}\n".encode())
-                fab.update(f"{real.outputs}\n".encode())
+        for nl in camouflage_grid(f, a, params, (0.0, 0.5, 1.0),
+                                  (0.01, 0.05, 0.3, 0.5, 0.9), seed=idx):
+            del nl.metadata["checkpoint_sha256"]
+            h.update(nl.to_json().encode())
+            kn = keyize_netlist(nl)
+            for net, g in kn.circuit.gates.items():
+                keyed.update(f"{net} {g.op} {' '.join(g.ins)}\n".encode())
+            keyed.update(f"{kn.key_inputs} {kn.correct_key}\n".encode())
+            real = realize(nl.appearance_view, nl.placements)
+            for net, g in real.gates.items():
+                fab.update(f"{net} {g.op} {' '.join(g.ins)}\n".encode())
+            fab.update(f"{real.outputs}\n".encode())
     print("desk sweep sha256 (60 cells):", h.hexdigest())
     print("keyed circuit sha256 (60 cells):", keyed.hexdigest())
     print("realize circuit sha256 (60 cells):", fab.hexdigest())

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Camouflage one functional cone to resemble a decoy, across a small grid.
 
-For each (p, th) cell: interpolate the two latent codes, decode and
-threshold a generated skeleton, run the two fix phases, and verify that
-the fabricated circuit, each covert cell replaced by its real gate, still
-computes the original circuit. Prints the placement mix and area overhead so
+The two cones are encoded once; for each p the interpolated latent is
+decoded once, and for each th that decode is thresholded into a generated
+skeleton, which the fix pass repairs. Each netlist's fabricated circuit,
+each covert cell replaced by its real gate, is checked to still compute the
+original circuit. Prints the placement mix and area overhead so
 the knobs are visible.
 """
 import numpy as np
 
 from ipcamo.aig import random_tree
 from ipcamo.attack import equivalence_check
-from ipcamo.camouflage import area_overhead, camouflage_pipeline
+from ipcamo.camouflage import area_overhead, camouflage_grid, camouflage_pipeline
 from ipcamo.covert import realize
 from ipcamo.vae import Hyperparams, train
 
@@ -32,16 +33,14 @@ def main():
 
     print(f"{'p':>4} {'th':>5} {'placements':>10} {'FI/FB/UT':>10} "
           f"{'overhead':>8} {'equiv':>5}")
-    for p in (0.1, 0.5, 0.9):
-        for th in (0.02, 0.05):
-            nl = camouflage_pipeline(f, a, params, p, th, seed=0)
-            kinds = [pl.kind.value for pl in nl.placements]
-            mix = (f"{kinds.count('FI')}/{kinds.count('FB')}/"
-                   f"{kinds.count('UT-A') + kinds.count('UT-B')}")
-            ok = equivalence_check(realize(nl.appearance_view, nl.placements), f)
-            print(f"{p:>4} {th:>5} {len(nl.placements):>10} {mix:>10} "
-                  f"{area_overhead(nl):>8.2f} {'yes' if ok else 'NO':>5}")
-            assert ok, "functional preservation violated"
+    for nl in camouflage_grid(f, a, params, (0.1, 0.5, 0.9), (0.02, 0.05), seed=0):
+        kinds = [pl.kind.value for pl in nl.placements]
+        mix = (f"{kinds.count('FI')}/{kinds.count('FB')}/"
+               f"{kinds.count('UT-A') + kinds.count('UT-B')}")
+        ok = equivalence_check(realize(nl.appearance_view, nl.placements), f)
+        print(f"{nl.metadata['p']:>4} {nl.metadata['th']:>5} {len(nl.placements):>10} "
+              f"{mix:>10} {area_overhead(nl):>8.2f} {'yes' if ok else 'NO':>5}")
+        assert ok, "functional preservation violated"
 
     # a netlist survives a JSON round trip byte-for-byte
     nl = camouflage_pipeline(f, a, params, 0.5, 0.05, seed=0)

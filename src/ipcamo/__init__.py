@@ -7,8 +7,8 @@ from .aig import (AigGraph, AigerParseError, NodeType, TensorTriple,
 from .attack import (DipTrace, KeyedNetlist, dip_attack, equivalence_check,
                      key_is_correct, keyize_netlist, make_ll_baseline,
                      make_oracle, tseitin_encode)
-from .camouflage import (CamouflagedNetlist, area_overhead, camouflage_pipeline,
-                         camouflage_skeleton, decode_skeleton, fix_lookup,
+from .camouflage import (CamouflagedNetlist, area_overhead, camouflage_grid,
+                         camouflage_pipeline, camouflage_skeleton, fix_lookup,
                          interpolate, threshold_filter)
 from .cnf import CnfFormula, SatResult, sat_solve
 from .covert import CovertConfig, CovertGateKind, CovertInstance

@@ -5,13 +5,17 @@ the appearance target A on the nodes of F padded to A's type counts: PIs,
 then ANDs, then the output. A-padded-to-F has the same layout, and the k-th
 node of each type in G-hat takes the layout's k-th node of that type, so
 G-hat supplies only wiring. `camouflage_skeleton` repairs any skeleton and
-needs no model; `camouflage_pipeline` decodes one with `decode_skeleton`.
+needs no model. `camouflage_grid` runs the paper's sweep over interpolation
+weights p and thresholds Th: it encodes F and A once, decodes one soft
+skeleton per p and thresholds it once per Th; `camouflage_pipeline` is its
+one-cell call.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,11 +281,6 @@ def checkpoint_sha256(params: VaeParams) -> str:
     return h.hexdigest()
 
 
-def decode_skeleton(z: np.ndarray, n: int, params: VaeParams, th: float) -> AigGraph:
-    """The skeleton G-hat: z decoded at n nodes and thresholded (possibly non-canonical)."""
-    return from_tensors(threshold_filter(decode(z, n, params), th))
-
-
 def camouflage_skeleton(
     f: AigGraph, a: AigGraph, g_hat: AigGraph, seed: int = 0
 ) -> CamouflagedNetlist:
@@ -313,12 +312,26 @@ def camouflage_skeleton(
     return CamouflagedNetlist(view, appearance_view, placements, fix_log, meta)
 
 
+def camouflage_grid(f: AigGraph, a: AigGraph, params: VaeParams, ps: Iterable[float],
+                    ths: Sequence[float], seed: int = 0) -> Iterator[CamouflagedNetlist]:
+    """Yield the netlist of F wearing A for each (p, Th) cell, p-major. F and
+    A are encoded once, each p's interpolated latent is decoded once at the
+    layout's node count, and each Th thresholds that decode into a skeleton
+    G-hat (possibly non-canonical), which `camouflage_skeleton` repairs."""
+    z_f, z_a = encode(f, params).mu, encode(a, params).mu
+    n = sum(map(max, f.type_counts().values(), a.type_counts().values()))  # |F padded to A|
+    sha = checkpoint_sha256(params)
+    for p in ps:
+        soft = decode(interpolate(z_f, z_a, p), n, params)
+        for th in ths:
+            nl = camouflage_skeleton(f, a, from_tensors(threshold_filter(soft, th)), seed)
+            nl.metadata.update({"p": p, "th": th, "latent_dim": params.latent,
+                                "checkpoint_sha256": sha})
+            yield nl
+
+
 def camouflage_pipeline(f: AigGraph, a: AigGraph, params: VaeParams, p: float, th: float,
                         seed: int = 0) -> CamouflagedNetlist:
-    """Generate, threshold and repair a camouflaged netlist for F wearing A."""
-    z = interpolate(encode(f, params).mu, encode(a, params).mu, p)
-    n = sum(map(max, f.type_counts().values(), a.type_counts().values()))  # |F padded to A|
-    nl = camouflage_skeleton(f, a, decode_skeleton(z, n, params, th), seed)
-    nl.metadata.update({"p": p, "th": th, "latent_dim": params.latent,
-                        "checkpoint_sha256": checkpoint_sha256(params)})
-    return nl
+    """Generate, threshold and repair a camouflaged netlist for F wearing A:
+    the one cell (p, th) of `camouflage_grid`."""
+    return next(camouflage_grid(f, a, params, [p], [th], seed))

@@ -20,7 +20,7 @@ import numpy as np
 from . import aig, vae
 from .attack import (dip_attack, equivalence_check, key_is_correct, keyize_netlist,
                      make_oracle)
-from .camouflage import CamouflagedNetlist, camouflage_pipeline
+from .camouflage import CamouflagedNetlist, camouflage_grid
 from .covert import realize
 from .evaluation import export_gnn_dataset, ged_lsd_study
 
@@ -192,19 +192,32 @@ def cmd_train(cfg: dict) -> int:
 # -- camouflage ---------------------------------------------------------------
 
 
+def _netlist_name(p: float, th: float) -> str:
+    return f"netlist_p{p:g}_th{th:g}.json"
+
+
 def _grid(cfg: dict) -> tuple[list[float], list[float]]:
     ps = cfg.get("p", [0.5])
     ths = cfg.get("th", [0.05])
     ps = [float(x) for x in (ps if isinstance(ps, list) else [ps])]
     ths = [float(x) for x in (ths if isinstance(ths, list) else [ths])]
+    if not ps or not ths:
+        raise ConfigError("the p and th lists must not be empty")
     if any(not 0 <= p <= 1 for p in ps):
         raise ConfigError("p values must lie in [0, 1]")
     if any(not 0 < t < 1 for t in ths):
         raise ConfigError("th values must lie in (0, 1)")
+    names = [_netlist_name(p, th) for p in ps for th in ths]
+    if len(set(names)) < len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise ConfigError(f"two grid cells would both write {dup}")
     return ps, ths
 
 
 def cmd_camouflage(cfg: dict) -> int:
+    """Write one netlist per (p, th) cell, after checking that its
+    fabricated circuit (covert.realize) computes F; a cell that does not
+    raises, so the command exits 1. `verify` re-checks the files."""
     out = _out_dir(cfg)
     ps, ths = _grid(cfg)
     params = vae.load_vae(_require(cfg, "checkpoint"))
@@ -212,13 +225,14 @@ def cmd_camouflage(cfg: dict) -> int:
     a = _load_graph(_require(cfg, "appearance"))
     seed = int(cfg.get("seed", 0))
     artifacts = []
-    for p in ps:
-        for th in ths:
-            nl = camouflage_pipeline(f, a, params, p, th, seed=seed)
-            path = os.path.join(out, f"netlist_p{p:g}_th{th:g}.json")
-            with open(path, "w") as fh:
-                fh.write(nl.to_json())
-            artifacts.append(path)
+    for nl in camouflage_grid(f, a, params, ps, ths, seed=seed):
+        name = _netlist_name(nl.metadata["p"], nl.metadata["th"])
+        if not equivalence_check(realize(nl.appearance_view, nl.placements), f):
+            raise ValueError(f"{name}: the fabricated circuit does not compute F")
+        path = os.path.join(out, name)
+        with open(path, "w") as fh:
+            fh.write(nl.to_json())
+        artifacts.append(path)
     _write_manifest(out, "camouflage", cfg, artifacts,
                     extra={"grid_cells": len(artifacts)})
     return EXIT_OK

@@ -43,7 +43,6 @@ class Hyperparams:
 class LatentCode:
     mu: np.ndarray
     sigma: np.ndarray
-    z: np.ndarray
 
 
 @dataclass
@@ -139,12 +138,12 @@ def encode_tensors(g: AigGraph | LevelPlan, p: VaeParams) -> tuple[Tensor, Tenso
 
 
 def encode(g: AigGraph, p: VaeParams) -> LatentCode:
-    """Deterministic evaluation-mode encoding; z is the mean."""
+    """Deterministic evaluation-mode encoding; the latent point is `mu`."""
     with no_grad():
         mu, logvar = encode_tensors(g, p)
     mu = mu.data.ravel().copy()
     sigma = np.exp(0.5 * logvar.data.ravel())
-    return LatentCode(mu=mu, sigma=sigma, z=mu.copy())
+    return LatentCode(mu=mu, sigma=sigma)
 
 
 # -- Decoder ------------------------------------------------------------------

@@ -73,11 +73,11 @@ def test_ac02_loss_zero_point():
     hp = Hyperparams(latent_dim=4, hidden_dim=4, mlp_hidden=4, max_pi=8, seed=0)
     g = random_tree(np.random.default_rng(0), 3)
     x = to_tensors(g)
-    code = vae.LatentCode(mu=np.zeros(4), sigma=np.ones(4), z=np.zeros(4))
+    code = vae.LatentCode(mu=np.zeros(4), sigma=np.ones(4))
     total, comps = vae.loss(x, x, code, hp)
     assert total < 1e-12
     assert all(abs(v) < 1e-12 for v in comps.values())
-    unit = vae.LatentCode(mu=np.ones(1), sigma=np.ones(1), z=np.ones(1))
+    unit = vae.LatentCode(mu=np.ones(1), sigma=np.ones(1))
     assert vae.loss(x, x, unit, hp)[1]["kl"] == 0.5
 
 

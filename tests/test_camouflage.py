@@ -384,6 +384,27 @@ def test_pipeline_deterministic_json(toy_checkpoint):
         CamouflagedNetlist.from_json('{"format": "other"}')
 
 
+def test_grid_matches_single_cells(toy_checkpoint, monkeypatch):
+    """The grid yields, p-major, the netlist of each one-cell pipeline call,
+    from 2 encodes, one decode per p and one checkpoint hash."""
+    import ipcamo.camouflage as camo
+    params, _ = toy_checkpoint
+    f, a = _desk_pair(100)
+    ps, ths = (0.0, 0.5, 1.0), (0.05, 0.5)
+    calls = dict.fromkeys(("encode", "decode", "checkpoint_sha256"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(camo, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(camo, name, counted)
+    grid = [nl.to_json() for nl in camo.camouflage_grid(f, a, params, ps, ths, seed=2)]
+    assert calls == {"encode": 2, "decode": 3, "checkpoint_sha256": 1}
+    monkeypatch.undo()
+    cells = [camouflage_pipeline(f, a, params, p, th, seed=2).to_json()
+             for p in ps for th in ths]
+    assert grid == cells
+
+
 def test_pipeline_rejects_non_trees(toy_checkpoint):
     params, _ = toy_checkpoint
     f, a = _toy_pair(12)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs in a scratch workspace; determinism and exit codes."""
 import importlib
+import itertools
 import json
 import os
 import shutil
@@ -91,6 +92,52 @@ def test_camouflage_grid_and_determinism(workspace, tmp_path):
                  "--p", "0.3,0.7", "--th", "0.05"]) == EXIT_OK
     for name in names:
         assert (rerun / name).read_bytes() == (camo / name).read_bytes()
+
+
+def test_camouflage_grid_that_names_no_file_or_one_file_twice(workspace, tmp_path, capsys):
+    """An empty p or th list, or two cells whose files share a name, is a
+    usage error, and no netlist is written."""
+    for p in ("", "0.5,0.5", "0.1,0.10000001"):
+        out = tmp_path / f"camo{len(p)}"
+        code = main(["camouflage", "--config", str(workspace["camo_cfg"]),
+                     "--out", str(out), "--p", p, "--th", "0.05"])
+        assert code == EXIT_USAGE, p
+        assert not list(out.glob("netlist_*.json"))
+    assert "netlist_p0.1_th0.05.json" in capsys.readouterr().err
+    code = main(["camouflage", "--config", str(workspace["camo_cfg"]),
+                 "--out", str(tmp_path / "no_th"), "--th", ""])
+    assert code == EXIT_USAGE
+
+
+def test_camouflage_checks_each_netlist_before_writing_it(workspace, tmp_path,
+                                                          monkeypatch, capsys):
+    """A generated netlist whose fabricated circuit is not F (one NORMAL cell
+    flipped to a constant) is not written: the command names its cell and
+    exits 1."""
+    from ipcamo import cli
+    from ipcamo.attack import equivalence_check
+    from ipcamo.covert import CovertConfig, realize
+    f = cli._load_graph(str(workspace["functional"]))
+    grid = cli.camouflage_grid
+
+    def flipped_grid(*args, **kwargs):
+        for nl in grid(*args, **kwargs):
+            normal = [p for p in nl.placements if p.config is CovertConfig.NORMAL]
+            for p, tie in itertools.product(normal, (CovertConfig.CONST0, CovertConfig.CONST1)):
+                p.config = tie
+                if not equivalence_check(realize(nl.appearance_view, nl.placements), f):
+                    break
+                p.config = CovertConfig.NORMAL
+            else:
+                pytest.fail("no flip of a NORMAL cell changes the function")
+            yield nl
+
+    monkeypatch.setattr(cli, "camouflage_grid", flipped_grid)
+    out = tmp_path / "camo"
+    assert main(["camouflage", "--config", str(workspace["camo_cfg"]), "--out", str(out),
+                 "--seed", "2", "--p", "0.3,0.7", "--th", "0.05"]) == EXIT_VIOLATION
+    assert "netlist_p0.3_th0.05.json" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
 
 
 def test_verify_pass_and_fail(workspace, tmp_path):

@@ -4,11 +4,12 @@ import pytest
 
 from conftest import TOY_HP
 from test_autodiff import assert_grads_match, backward_grads, fd_grad, gru_by_ops
-from ipcamo.aig import AigGraph, NodeType, TensorTriple, random_tree, to_tensors
+from ipcamo.aig import (AigGraph, NodeType, TensorTriple, from_tensors, random_tree,
+                        to_tensors)
 from ipcamo import autodiff as ad
 from ipcamo import vae
 from ipcamo.autodiff import Tensor, exp, no_grad
-from ipcamo.camouflage import decode_skeleton
+from ipcamo.camouflage import threshold_filter
 from ipcamo.vae import (Hyperparams, LatentCode, decode, encode, init_vae,
                         load_vae, loss, save_vae, train)
 from reference_tools import mlp_forward, same_structure
@@ -25,7 +26,7 @@ def small_params():
 def test_loss_zero_point():
     g = random_tree(np.random.default_rng(0), 3)
     x = to_tensors(g)
-    code = LatentCode(mu=np.zeros(4), sigma=np.ones(4), z=np.zeros(4))
+    code = LatentCode(mu=np.zeros(4), sigma=np.ones(4))
     total, comps = loss(x, x, code, SMALL_HP)
     assert total < 1e-12
     assert all(abs(v) < 1e-12 for v in comps.values())
@@ -34,7 +35,7 @@ def test_loss_zero_point():
 def test_kl_unit_case():
     # d=1, mu=1, sigma=1 -> KL = 0.5 exactly
     x = to_tensors(random_tree(np.random.default_rng(0), 3))
-    code = LatentCode(mu=np.ones(1), sigma=np.ones(1), z=np.ones(1))
+    code = LatentCode(mu=np.ones(1), sigma=np.ones(1))
     assert loss(x, x, code, SMALL_HP)[1]["kl"] == 0.5
 
 
@@ -43,7 +44,7 @@ def test_loss_weights_and_normalization():
     x = to_tensors(g)
     x_hat = TensorTriple(np.zeros_like(x.type_mat), np.zeros_like(x.conn_mat),
                          np.zeros_like(x.inv_mat))
-    code = LatentCode(mu=np.zeros(2), sigma=np.ones(2), z=np.zeros(2))
+    code = LatentCode(mu=np.zeros(2), sigma=np.ones(2))
     total, comps = loss(x, x_hat, code, SMALL_HP)
     n = x.n
     assert comps["type"] == pytest.approx(x.type_mat.sum() / (3 * n))
@@ -234,7 +235,6 @@ def test_encode_eval_deterministic(small_params):
     c2 = encode(g, small_params)
     assert (c1.mu == c2.mu).all() and (c1.sigma == c2.sigma).all()
     assert (c1.sigma > 0).all()
-    assert (c1.z == c1.mu).all()
 
 
 def test_decode_shape_contract(small_params):
@@ -372,8 +372,11 @@ def test_checkpoint_roundtrip(tmp_path, small_params):
 def test_reconstruct_deterministic(toy_checkpoint, toy_data):
     params, _ = toy_checkpoint
     g = toy_data[0][0]
-    r1 = decode_skeleton(encode(g, params).mu, g.n, params, 0.5)
-    r2 = decode_skeleton(encode(g, params).mu, g.n, params, 0.5)
+
+    def skeleton():
+        return from_tensors(threshold_filter(decode(encode(g, params).mu, g.n, params), 0.5))
+
+    r1, r2 = skeleton(), skeleton()
     assert same_structure(r1, r2)
     assert r1.n == g.n
 
