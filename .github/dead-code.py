@@ -1,13 +1,13 @@
 """Report code in src/ipcamo that nothing outside the tests names.
 
 Lists every top-level function or class and every non-dunder method defined
-in src/ipcamo/*.py (found with `ast`) whose name appears, as a whole word,
-nowhere in src/ (except the root __init__.py, which only re-exports),
-bench/, demos/ or .github/, apart from the lines of its own definition.
-Prints `none` when there is nothing to list. A word match counts comments,
-strings and unrelated names that happen to be spelled the same, so the scan
-can miss dead code, but what it lists is named nowhere else. It always
-exits 0:
+in src/ipcamo/*.py (found with `ast`) that no code in src/ (except the root
+__init__.py, which only re-exports), bench/, demos/ or .github/ refers to,
+apart from references inside its own definition or inside other listed code.
+In a .py file a reference is a name, an attribute or an imported name in the
+parsed code, so comments, docstrings and strings keep nothing alive; in a
+.sh or .yml file it is the name as a whole word. Prints `none` when there is
+nothing to list. It always exits 0:
 
     python3 .github/dead-code.py
 """
@@ -34,27 +34,52 @@ def definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
 
 
+def references(tree: ast.Module):
+    """(name, line) of each name, attribute and imported name in the code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for part in alias.name.split("."):
+                    yield part, node.lineno
+
+
 def main() -> None:
     package = ROOT / "src" / "ipcamo"
     scanned = [p for d in ("src", "bench", "demos", ".github")
                for p in sorted((ROOT / d).rglob("*"))
                if p.is_file() and p.suffix in (".py", ".sh", ".yml")
                and p != package / "__init__.py"]
-    words = collections.Counter()
-    lines = {}
+    counts = collections.Counter()
+    lines = collections.defaultdict(list)  # (.py file, name) -> lines referring to it
     for path in scanned:
-        lines[path] = path.read_text().splitlines()
-        words.update(WORD.findall("\n".join(lines[path])))
-    unused = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for qualname, first, last in definitions(ast.parse(path.read_text())):
+        if path.suffix == ".py":
+            for name, line in references(ast.parse(path.read_text())):
+                counts[name] += 1
+                lines[path, name].append(line)
+        else:
+            counts.update(WORD.findall(path.read_text()))
+    defs = [(path, qualname, first, last)
+            for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+            for qualname, first, last in definitions(ast.parse(path.read_text()))]
+    dead = []
+    while True:  # references from inside listed code keep nothing alive
+        found = []
+        for path, qualname, first, last in defs:
+            spans = [(first, last)] + [(a, b) for p, _, a, b in dead if p == path]
             name = qualname.rpartition(".")[2]
-            own = sum(WORD.findall(line).count(name) for line in lines[path][first - 1:last])
-            if words[name] == own:
-                unused.append(f"{path.relative_to(ROOT)}:{first} {qualname}")
-    print("\n".join(unused) or "none")
+            inside = sum(any(a <= line <= b for a, b in spans)
+                         for line in lines[path, name])
+            if counts[name] == inside:
+                found.append((path, qualname, first, last))
+        if found == dead:
+            break
+        dead = found
+    print("\n".join(f"{path.relative_to(ROOT)}:{first} {qualname}"
+                    for path, qualname, first, _ in dead) or "none")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 """Latent interpolation, threshold filtering and the fix pass.
 
-The generated graph G-hat is reconciled against the functional target F and
-the appearance target A on the nodes of F padded to A's type counts: PIs,
-then ANDs, then the output. A-padded-to-F has the same layout, and the k-th
-node of each type in G-hat takes the layout's k-th node of that type, so
-G-hat supplies only wiring. `camouflage_skeleton` repairs any skeleton and
-needs no model. `camouflage_grid` runs the paper's sweep over interpolation
+The generated graph G-hat is read off a soft decode as an AIG: each AND
+keeps at most two sources and the output one, and Th only drops a kept
+source, so G-hat has at most two edges per node and a netlist is O(n) cells
+at every Th. G-hat is reconciled against the functional target F and the
+appearance target A on the nodes of F padded to A's type counts: PIs, then
+ANDs, then the output. A-padded-to-F has the same layout, and the k-th node
+of each type in G-hat takes the layout's k-th node of that type, so G-hat
+supplies only wiring. `camouflage_skeleton` repairs any skeleton and needs
+no model. `camouflage_grid` runs the paper's sweep over interpolation
 weights p and thresholds Th: it encodes F and A once, decodes one soft
 skeleton per p and thresholds it once per Th; `camouflage_pipeline` is its
 one-cell call.
@@ -42,11 +45,15 @@ def interpolate(z_f: np.ndarray, z_a: np.ndarray, p: float) -> np.ndarray:
 
 
 def threshold_filter(soft: TensorTriple, th: float) -> TensorTriple:
-    """Binarize a decoded triple: entries <= th drop to 0, others snap to 1.
+    """Binarize a decoded triple as an AIG under a fan-in budget: each AND
+    row keeps its two highest-scoring sources j < i and the PO row its best
+    one (two argmax passes, so ties go to the lower index), then Th drops
+    any kept source that scores <= th. A kept edge is inverted when its
+    inversion probability exceeds 0.5. So the result has at most two edges
+    per node at every Th, and PI rows keep none.
 
-    Types are resolved by argmax; the result is sanitized so node 0 is a PI,
-    exactly one PO survives (the last one, or the last node if none), and
-    inverter bits without a matching connection are cleared.
+    Types are resolved by argmax; the result is sanitized so node 0 is a PI
+    and exactly one PO survives (the last one, or the last node if none).
     """
     n = soft.n
     type_mat = np.zeros_like(soft.type_mat)
@@ -58,10 +65,17 @@ def threshold_filter(soft: TensorTriple, th: float) -> TensorTriple:
     else:
         for i in po_rows[:-1]:
             type_mat[i] = NodeType.AND.one_hot()
-    conn = (soft.conn_mat > th).astype(float)
-    inv = (soft.inv_mat > th).astype(float)
-    conn = np.tril(conn, -1)
-    inv = np.tril(inv, -1) * conn  # orphan inverter bits carry no edge
+    rows = np.arange(n)
+    is_and = type_mat[:, NodeType.AND.value] == 1.0
+    score = np.where(np.tri(n, k=-1, dtype=bool), soft.conn_mat, -np.inf)
+    conn = np.zeros_like(soft.conn_mat)
+    inv = np.zeros_like(soft.inv_mat)
+    for takers in (is_and | (type_mat[:, NodeType.PO.value] == 1.0), is_and):
+        best = score.argmax(axis=1)
+        r = rows[takers & (score[rows, best] > th)]
+        conn[r, best[r]] = 1.0
+        inv[r, best[r]] = soft.inv_mat[r, best[r]] > 0.5
+        score[rows, best] = -np.inf
     return TensorTriple(type_mat, conn, inv)
 
 

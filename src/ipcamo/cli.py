@@ -20,7 +20,7 @@ import numpy as np
 from . import aig, vae
 from .attack import (dip_attack, equivalence_check, key_is_correct, keyize_netlist,
                      make_oracle)
-from .camouflage import CamouflagedNetlist, camouflage_grid
+from .camouflage import CamouflagedNetlist, area_overhead, camouflage_grid
 from .covert import realize
 from .evaluation import export_gnn_dataset, ged_lsd_study
 
@@ -217,7 +217,8 @@ def _grid(cfg: dict) -> tuple[list[float], list[float]]:
 def cmd_camouflage(cfg: dict) -> int:
     """Write one netlist per (p, th) cell, after checking that its
     fabricated circuit (covert.realize) computes F; a cell that does not
-    raises, so the command exits 1. `verify` re-checks the files."""
+    raises, so the command exits 1. `verify` re-checks the files. The
+    manifest gives each file's area overhead."""
     out = _out_dir(cfg)
     ps, ths = _grid(cfg)
     params = vae.load_vae(_require(cfg, "checkpoint"))
@@ -225,6 +226,7 @@ def cmd_camouflage(cfg: dict) -> int:
     a = _load_graph(_require(cfg, "appearance"))
     seed = int(cfg.get("seed", 0))
     artifacts = []
+    area = {}
     for nl in camouflage_grid(f, a, params, ps, ths, seed=seed):
         name = _netlist_name(nl.metadata["p"], nl.metadata["th"])
         if not equivalence_check(realize(nl.appearance_view, nl.placements), f):
@@ -233,8 +235,9 @@ def cmd_camouflage(cfg: dict) -> int:
         with open(path, "w") as fh:
             fh.write(nl.to_json())
         artifacts.append(path)
+        area[name] = area_overhead(nl)
     _write_manifest(out, "camouflage", cfg, artifacts,
-                    extra={"grid_cells": len(artifacts)})
+                    extra={"grid_cells": len(artifacts), "area_overhead": area})
     return EXIT_OK
 
 

@@ -265,31 +265,31 @@ def test_keyize_golden_desk_netlist(toy_checkpoint):
     f, a = random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10)
     kn = keyize_netlist(camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0))
     gates = (f"{n} {g.op} {' '.join(g.ins)}" for n, g in kn.circuit.gates.items())
-    assert len(kn.circuit.gates) == 17_070
+    assert len(kn.circuit.gates) == 1_359
     assert kn.circuit.outputs == ["po0"]
-    assert kn.n_key_bits == 5_698
+    assert kn.n_key_bits == 482
     assert _sha256(gates) == (
-        "0870df4050b7cb1ef6aa0a0d6ede1ff5ae2994df253e6d9a3ba7b9da17225f3e")
+        "8e07d65d881b828905f845ccc45daa6fe45b964ad099242dfb1c244653e50b03")
     assert _sha256(kn.key_inputs) == (
-        "86ed6f885bb49382fff4021d483901ec213fc070da90db223fa52ca12814b2f5")
+        "9e1f4fbd3dc8ceed94ec028cdef91a5fdffa6efaeb63ce70a2a8088e3978db0d")
     assert _sha256(map(str, kn.correct_key)) == (
-        "5622553cbb4dc7b8f750159a71530b708483e972eb5604fd85b87daedae26793")
+        "cc2087853141c019ba719245b07e9ef3b3f8c2abaf5c576d81b18c14eb18df69")
 
 
 def _small_camo_netlist(params):
-    """A Th 0.05 pipeline netlist with 16 key candidates."""
+    """A Th 0.05 pipeline netlist with 12 key candidates."""
     rng = np.random.default_rng(7)
     f, a = random_tree(rng, 4, n_pi_pool=6), random_tree(rng, 4, n_pi_pool=6)
     kn = keyize_netlist(camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0))
-    assert kn.n_key_bits == 32
+    assert kn.n_key_bits == 24
     return kn
 
 
 def test_dip_attack_on_small_camo_netlist_is_pinned(toy_checkpoint):
     kn = _small_camo_netlist(toy_checkpoint[0])
     trace = dip_attack(kn, make_oracle(kn))
-    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 6, 106)
-    assert "".join(map(str, trace.key)) == "00001001001000100000110000101110"
+    assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 4, 41)
+    assert "".join(map(str, trace.key)) == "000100100010111011001010"
 
 
 def _floating_candidate_netlist():

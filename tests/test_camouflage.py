@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ipcamo.aig import (AigGraph, NodeType, TensorTriple, normalize,
+from ipcamo.aig import (AigGraph, NodeType, TensorTriple, from_tensors, normalize,
                         pad_to_match, pattern_words, random_tree, to_tensors)
 from ipcamo.camouflage import (PAIR_RULES, CamouflagedNetlist, _pair_states,
                                area_overhead, camouflage_pipeline, camouflage_skeleton,
@@ -13,6 +13,7 @@ from ipcamo.camouflage import (PAIR_RULES, CamouflagedNetlist, _pair_states,
 from ipcamo.attack import equivalence_check, keyize_netlist
 from ipcamo.covert import CovertConfig, CovertGateKind, draw_cell, realize
 from ipcamo.gatelevel import Circuit, CompiledCircuit, from_aig, prune
+from ipcamo.vae import decode, encode
 from reference_tools import same_structure
 
 
@@ -51,6 +52,26 @@ def test_threshold_filter_semantics():
     assert got.conn_mat[1, 0] == 1 and got.conn_mat[2, 0] == 0
     assert got.inv_mat[3, 1] == 1 and got.inv_mat[2, 1] == 0
     assert np.triu(got.conn_mat).sum() == 0 and np.triu(got.inv_mat).sum() == 0
+
+    # the fan-in budget: an AND row keeps its two best sources above Th, the
+    # PO row its best one, ties go to the lower index, and only an inversion
+    # probability above 0.5 inverts a kept edge
+    n = 6
+    type_mat = np.tile([0.1, 0.1, 0.8], (n, 1))  # ANDs ...
+    type_mat[5] = [0.1, 0.8, 0.1]                # ... and the PO last
+    conn = np.zeros((n, n))
+    inv = np.zeros((n, n))
+    conn[3, :3] = [0.4, 0.6, 0.5]                # three above th: 0.6, 0.5 kept
+    conn[4, :4] = [0.7, 0.7, 0.7, 0.2]           # a tie: the two lowest kept
+    conn[5, :5] = [0.2, 0.4, 0.9, 0.8, 0.1]      # the PO keeps 0.9 only
+    inv[5, 2] = 0.4                              # between th and 0.5: not inverted
+    inv[3, 1] = 0.6                              # above 0.5: inverted
+    got = threshold_filter(TensorTriple(type_mat, conn, inv), th=0.3)
+    assert np.flatnonzero(got.conn_mat[3]).tolist() == [1, 2]
+    assert np.flatnonzero(got.conn_mat[4]).tolist() == [0, 1]
+    assert np.flatnonzero(got.conn_mat[5]).tolist() == [2]
+    assert got.inv_mat[5, 2] == 0 and got.inv_mat[3, 1] == 1
+    assert got.inv_mat.sum() == 1
 
 
 def test_threshold_filter_invents_po_when_missing():
@@ -255,6 +276,26 @@ def _toy_pair(seed):
 def _desk_pair(seed):
     rng = np.random.default_rng(seed)
     return (random_tree(rng, 82, n_pi_pool=10), random_tree(rng, 82, n_pi_pool=10))
+
+
+def test_skeleton_fan_in_on_the_desk_grid(toy_checkpoint):
+    """Decoded as an AIG, every desk skeleton at ac04's Th list and at Th 0.3
+    and 0.5 gives each AND at most two fan-ins, the PO one and a PI none,
+    for p 0, 0.5 and 1."""
+    params, _ = toy_checkpoint
+    ths = [round(0.01 * k, 2) for k in range(1, 10)] + [0.3, 0.5]
+    for seed in (100, 101, 102, 103):
+        f, a = _desk_pair(seed)
+        z_f, z_a = encode(f, params).mu, encode(a, params).mu
+        n = pad_to_match(f, a).n  # the layout's node count
+        for p in (0.0, 0.5, 1.0):
+            soft = decode(interpolate(z_f, z_a, p), n, params)
+            for th in ths:
+                g = from_tensors(threshold_filter(soft, th))
+                fan_in = np.bincount([d for _, d, _ in g.edges], minlength=g.n)
+                assert fan_in[g.indices(NodeType.AND)].max() <= 2, (seed, p, th)
+                assert fan_in[g.indices(NodeType.PO)].tolist() == [1], (seed, p, th)
+                assert fan_in[g.indices(NodeType.PI)].sum() == 0, (seed, p, th)
 
 
 def test_fix_log_counts_the_cells_built(toy_checkpoint):

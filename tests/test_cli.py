@@ -79,11 +79,16 @@ def test_train_artifacts(workspace):
 
 
 def test_camouflage_grid_and_determinism(workspace, tmp_path):
+    from ipcamo.camouflage import CamouflagedNetlist, area_overhead
     camo = workspace["camo"]
     names = sorted(p.name for p in camo.glob("netlist_*.json"))
     assert names == ["netlist_p0.3_th0.05.json", "netlist_p0.7_th0.05.json"]
     manifest = json.loads((camo / "manifest.json").read_text())
     assert manifest["grid_cells"] == 2
+    assert sorted(manifest["area_overhead"]) == names
+    for name in names:
+        nl = CamouflagedNetlist.from_json((camo / name).read_text())
+        assert manifest["area_overhead"][name] == area_overhead(nl)
 
     # identical config + seed into a fresh directory: byte-identical artifacts
     rerun = tmp_path / "rerun"
@@ -280,8 +285,8 @@ def test_attack_report(workspace, tmp_path):
 
 def test_attack_budget_rows_are_byte_identical(toy_checkpoint, tmp_path):
     """A run cut by its budget writes no counts that depend on the machine's
-    speed. On ac08's desk netlist the second DIP solve alone takes seconds,
-    so at a 0.5 s budget both runs stop on the clock."""
+    speed. ac08's desk netlist holds out past ac08's 60 s budget, so at a
+    0.5 s budget both runs stop on the clock."""
     from ipcamo.aig import random_tree
     from ipcamo.camouflage import camouflage_pipeline
     params, _ = toy_checkpoint
@@ -299,7 +304,7 @@ def test_attack_budget_rows_are_byte_identical(toy_checkpoint, tmp_path):
         runs.append([(out / n).read_bytes() for n in ("attack.csv", "manifest.json")])
     assert runs[0] == runs[1]
     row = runs[0][0].decode().splitlines()[1]
-    assert row.split(",")[3:] == ["5698", "budget-exceeded", "", ""]
+    assert row.split(",")[3:] == ["482", "budget-exceeded", "", ""]
 
 
 def test_attack_reports_a_wrong_key(workspace, tmp_path, monkeypatch):
