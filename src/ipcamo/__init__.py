@@ -15,7 +15,7 @@ from .covert import CovertConfig, CovertGateKind, CovertInstance
 from .evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
                          ged_lsd_study, latent_distance, pearson_r,
                          random_covert_insertion)
-from .gatelevel import Circuit, Gate, from_aig, miter, simplify, simulate
+from .gatelevel import Circuit, Gate, from_aig, miter, simplify
 from .ged import graph_edit_distance
 from .vae import (Hyperparams, LatentCode, VaeParams, decode, encode, load_vae,
                   save_vae, train)

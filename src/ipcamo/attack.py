@@ -109,16 +109,21 @@ def _as_circuit(x) -> Circuit:
 def equivalence_check(a, b, time_budget: float | None = None) -> bool:
     """Exact combinational equivalence; truth tables when small, miter-SAT else.
 
-    Both circuits are simplified and pruned first, so inputs with no path to
-    an output never enter the comparison and structurally identical designs
-    collapse without search. Up to 16 support inputs, each side's truth
-    table comes from one bit-parallel pass over all 2^k patterns.
+    Both circuits are cut to their output cones first, so inputs with no
+    path to an output never enter the comparison. Up to 16 support inputs,
+    each side's truth table comes from one bit-parallel pass over all 2^k
+    patterns. Above that both sides are simplified, which can drop inputs
+    that cancel and collapses structurally identical designs, and the
+    truth tables are tried again before the miter goes to SAT.
     """
-    c1 = simplify(_as_circuit(a))
-    c2 = simplify(_as_circuit(b))
+    c1 = prune(_as_circuit(a))
+    c2 = prune(_as_circuit(b))
     if len(c1.outputs) != len(c2.outputs):
         return False
     support = sorted(set(c1.inputs) | set(c2.inputs))
+    if len(support) > 16:
+        c1, c2 = simplify(c1), simplify(c2)
+        support = sorted(set(c1.inputs) | set(c2.inputs))
     if len(support) <= 16:
         words, full = pattern_words(len(support))
         bound = dict(zip(support, words))

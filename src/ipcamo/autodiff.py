@@ -3,9 +3,10 @@
 Float64 throughout; single-threaded tape; gradients are validated against
 central finite differences in the test suite.
 
-Besides elementary ops the tape has fused nodes, each one tensor with a
-hand-written backward that lists every tensor it reads as a parent, so a
-VAE training step is a handful of nodes:
+Besides the elementary ops that training uses (`+`, `*`, `exp` and `take`)
+the tape has fused nodes, each one tensor with a hand-written backward that
+lists every tensor it reads as a parent, so a VAE training step is a
+handful of nodes:
 
 - `gru_encode`: a GRU up the levels of a DAG, one update of all of a
   level's rows at a time, then the mu and logvar heads; it reads a
@@ -82,12 +83,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_order")
 
@@ -128,19 +123,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def bwd(g, a=self):
-            if a.requires_grad:
-                a._accum(-g)
-
-        return Tensor._make(-self.data, (self,), bwd)
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out_data = self.data * other.data
@@ -154,34 +136,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other), bwd)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        out_data = self.data @ other.data
-
-        def bwd(g, a=self, b=other):
-            if a.requires_grad:
-                a._accum(g @ b.data.T)
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-
-        return Tensor._make(out_data, (self, other), bwd)
-
-    def __pow__(self, k: float):
-        out_data = self.data ** k
-
-        def bwd(g, a=self):
-            if a.requires_grad:
-                a._accum(g * k * a.data ** (k - 1))
-
-        return Tensor._make(out_data, (self,), bwd)
-
-    def sum(self):
-        def bwd(g, a=self):
-            if a.requires_grad:
-                a._accum(np.full(a.shape, g))
-
-        return Tensor._make(self.data.sum(), (self,), bwd)
 
     def _accum(self, g):
         if self.grad is None:
@@ -221,44 +175,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = _sigmoid(x.data)
-
-    def bwd(g, a=x, o=out_data):
-        if a.requires_grad:
-            a._accum(g * o * (1.0 - o))
-
-    return Tensor._make(out_data, (x,), bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def bwd(g, a=x, o=out_data):
-        if a.requires_grad:
-            a._accum(g * (1.0 - o * o))
-
-    return Tensor._make(out_data, (x,), bwd)
-
-
 def exp(x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
 
     def bwd(g, a=x, o=out_data):
         if a.requires_grad:
             a._accum(g * o)
-
-    return Tensor._make(out_data, (x,), bwd)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis."""
-    out_data = _softmax(x.data)
-
-    def bwd(g, a=x, o=out_data):
-        if a.requires_grad:
-            dot = (g * o).sum(axis=-1, keepdims=True)
-            a._accum(o * (g - dot))
 
     return Tensor._make(out_data, (x,), bwd)
 

@@ -159,11 +159,6 @@ class CompiledCircuit:
         return dict(zip(self.outputs, self.run(bits, 1)))
 
 
-def simulate(g: AigGraph, assignment: dict[str, int]) -> dict[str, int]:
-    """Evaluate all POs under a per-PI-name assignment of bits."""
-    return CompiledCircuit(from_aig(g)).evaluate(assignment)
-
-
 def circuit_to_obj(c: Circuit) -> dict:
     return {
         "gates": {n: {"op": g.op, "ins": list(g.ins)} for n, g in sorted(c.gates.items())},

@@ -205,17 +205,6 @@ def decode(z: np.ndarray, node_count: int, p: VaeParams) -> TensorTriple:
 # -- Loss ---------------------------------------------------------------------
 
 
-def loss(x: TensorTriple, x_hat: TensorTriple, code: LatentCode,
-         h: Hyperparams) -> tuple[float, dict[str, float]]:
-    """Evaluation-mode loss_tensors() of a plain triple and latent code."""
-    decoded = DecodedSoft(x_hat.n, Tensor(x_hat.type_mat), Tensor(_lower(x_hat.conn_mat)),
-                          Tensor(_lower(x_hat.inv_mat)))
-    with no_grad():
-        total, comps = loss_tensors(x, decoded, Tensor(code.mu.reshape(1, -1)),
-                                    Tensor(2.0 * np.log(code.sigma).reshape(1, -1)), h)
-    return float(total.data), comps
-
-
 def loss_tensors(x: TensorTriple, decoded: DecodedSoft, mu: Tensor,
                  logvar: Tensor, h: Hyperparams) -> tuple[Tensor, dict[str, float]]:
     """Weighted MSE over the three tensors plus the closed-form KL term.

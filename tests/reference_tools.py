@@ -1,14 +1,92 @@
 """Reference tools the tests check the package against.
 
-Elementary tape ops that the fused autodiff nodes must agree with, an
-exhaustive truth table that the simulator must agree with, a structural
-comparison of AIGs, and the two readings of one drawn covert cell."""
+Elementary tape ops that the fused autodiff nodes must agree with (the
+package's training applies only `+`, `*`, `exp` and `take` to tensors, so
+negation, subtraction, matrix products, powers, sums and the sigmoid, tanh
+and softmax nodes live here, built on `Tensor._make`), the VAE loss of a
+plain triple and latent code, an exhaustive truth table that the simulator
+must agree with, a structural comparison of AIGs, and the two readings of
+one drawn covert cell."""
 import numpy as np
 
-from ipcamo.aig import AigGraph, pattern_words
-from ipcamo.autodiff import MlpParams, Tensor, tanh
+from ipcamo.aig import AigGraph, TensorTriple, pattern_words
+from ipcamo.autodiff import MlpParams, Tensor, _sigmoid, as_tensor, no_grad
 from ipcamo.covert import CovertConfig, CovertGateKind, draw_cell, realize
 from ipcamo.gatelevel import Circuit, CompiledCircuit, from_aig
+from ipcamo.vae import DecodedSoft, Hyperparams, LatentCode, _lower, loss_tensors
+
+
+def neg(x: Tensor) -> Tensor:
+    def bwd(g, a=x):
+        if a.requires_grad:
+            a._accum(-g)
+
+    return Tensor._make(-x.data, (x,), bwd)
+
+
+def sub(a, b) -> Tensor:
+    """a - b for tensors or numbers, as a + (-b)."""
+    return as_tensor(a) + neg(as_tensor(b))
+
+
+def matmul(x: Tensor, w: Tensor) -> Tensor:
+    def bwd(g, a=x, b=w):
+        if a.requires_grad:
+            a._accum(g @ b.data.T)
+        if b.requires_grad:
+            b._accum(a.data.T @ g)
+
+    return Tensor._make(x.data @ w.data, (x, w), bwd)
+
+
+def power(x: Tensor, k: float) -> Tensor:
+    def bwd(g, a=x):
+        if a.requires_grad:
+            a._accum(g * k * a.data ** (k - 1))
+
+    return Tensor._make(x.data ** k, (x,), bwd)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """The sum of every entry, as a scalar tensor."""
+    def bwd(g, a=x):
+        if a.requires_grad:
+            a._accum(np.full(a.shape, g))
+
+    return Tensor._make(x.data.sum(), (x,), bwd)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_data = _sigmoid(x.data)
+
+    def bwd(g, a=x, o=out_data):
+        if a.requires_grad:
+            a._accum(g * o * (1.0 - o))
+
+    return Tensor._make(out_data, (x,), bwd)
+
+
+def tanh(x: Tensor) -> Tensor:
+    out_data = np.tanh(x.data)
+
+    def bwd(g, a=x, o=out_data):
+        if a.requires_grad:
+            a._accum(g * (1.0 - o * o))
+
+    return Tensor._make(out_data, (x,), bwd)
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Row-wise softmax over the last axis."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g, a=x, o=out_data):
+        if a.requires_grad:
+            dot = (g * o).sum(axis=-1, keepdims=True)
+            a._accum(o * (g - dot))
+
+    return Tensor._make(out_data, (x,), bwd)
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -33,10 +111,22 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     for k, (w, b) in enumerate(p.layers):
         if h.shape[-1] != w.shape[0]:
             raise ValueError(f"dimension mismatch: {h.shape} @ {w.shape}")
-        h = h @ w + b
+        h = matmul(h, w) + b
         if k < len(p.layers) - 1:
             h = tanh(h)
     return h
+
+
+def loss(x: TensorTriple, x_hat: TensorTriple, code: LatentCode,
+         h: Hyperparams) -> tuple[float, dict[str, float]]:
+    """Unrecorded `vae.loss_tensors` of a plain triple and latent code:
+    (total, the four terms)."""
+    decoded = DecodedSoft(x_hat.n, Tensor(x_hat.type_mat), Tensor(_lower(x_hat.conn_mat)),
+                          Tensor(_lower(x_hat.inv_mat)))
+    with no_grad():
+        total, comps = loss_tensors(x, decoded, Tensor(code.mu.reshape(1, -1)),
+                                    Tensor(2.0 * np.log(code.sigma).reshape(1, -1)), h)
+    return float(total.data), comps
 
 
 def truth_table(g: AigGraph, pi_order: list[str] | None = None) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ipcamo.aig import (AigGraph, AigerParseError, NodeType, TensorTriple,
                         extract_cone_tree, from_tensors, normalize, pad_to_match, parse_aiger,
                         random_tree, to_tensors, write_aiger)
-from ipcamo.gatelevel import simulate
+from ipcamo.gatelevel import from_aig
 from reference_tools import same_structure, truth_table
 
 # a & ~b, i.e. aag: 1=a, 2=b, 3=and
@@ -40,9 +40,9 @@ def test_parse_simple():
 def test_simulate_and_truth_table():
     g = simple_graph()
     # y = a AND (NOT b)
-    assert simulate(g, {"a": 1, "b": 0}) == {"y": 1}
-    assert simulate(g, {"a": 1, "b": 1}) == {"y": 0}
-    assert simulate(g, {"a": 0, "b": 0}) == {"y": 0}
+    assert from_aig(g).evaluate({"a": 1, "b": 0}) == {"y": 1}
+    assert from_aig(g).evaluate({"a": 1, "b": 1}) == {"y": 0}
+    assert from_aig(g).evaluate({"a": 0, "b": 0}) == {"y": 0}
     # rows in lexicographic (a, b) order: 00 01 10 11
     assert truth_table(g).tolist() == [0, 0, 1, 0]
 
@@ -55,7 +55,7 @@ def test_truth_table_rows_match_simulate(seed, n_ands):
     table = truth_table(g)
     for idx in range(2 ** len(pis)):
         assign = {n: (idx >> (len(pis) - 1 - k)) & 1 for k, n in enumerate(pis)}
-        assert table[idx] == simulate(g, assign)[g.po_names[0]]
+        assert table[idx] == from_aig(g).evaluate(assign)[g.po_names[0]]
 
 
 def test_dummy_and_evaluates_to_one():
@@ -64,7 +64,7 @@ def test_dummy_and_evaluates_to_one():
     g = AigGraph([NodeType.PI, NodeType.AND, NodeType.PO], [(1, 2, False)],
                  ["a", None, "y"])
     with pytest.raises(ValueError, match="not canonical"):
-        simulate(g, {"a": 0})
+        from_aig(g).evaluate({"a": 0})
     with pytest.raises(ValueError, match="not canonical"):
         truth_table(g)
 
@@ -74,8 +74,8 @@ def test_pi_named_like_an_and_net():
     g = AigGraph([NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
                  [(0, 2, False), (1, 2, True), (2, 3, False)], ["a", "n2", None, "y"])
     assert g.is_canonical
-    assert simulate(g, {"a": 1, "n2": 0}) == {"y": 1}
-    assert simulate(g, {"a": 1, "n2": 1}) == {"y": 0}
+    assert from_aig(g).evaluate({"a": 1, "n2": 0}) == {"y": 1}
+    assert from_aig(g).evaluate({"a": 1, "n2": 1}) == {"y": 0}
     assert truth_table(g).tolist() == [0, 0, 1, 0]
 
 
@@ -86,12 +86,12 @@ def test_po_name_clash_is_an_issue():
     g.names[1:] = ["y", "y"]
     assert g.issues() == ["PO node 2 reuses the name 'y'"]
     with pytest.raises(ValueError, match="not canonical"):
-        simulate(g, {"a": 1})
+        from_aig(g).evaluate({"a": 1})
 
 
 def test_simulate_missing_pi():
     with pytest.raises(KeyError):
-        simulate(simple_graph(), {"a": 1})
+        from_aig(simple_graph()).evaluate({"a": 1})
 
 
 def test_parse_errors_carry_line_numbers():
@@ -171,7 +171,7 @@ def test_cone_trees_of_shared_fanout_aag_are_trees():
         cone = extract_cone_tree(g, name)
         assert cone is not None and cone.is_tree(), name
         for assign in assignments:
-            assert simulate(cone, assign)[name] == simulate(g, assign)[name]
+            assert from_aig(cone).evaluate(assign)[name] == from_aig(g).evaluate(assign)[name]
 
 
 def test_aiger_roundtrip_simple():
@@ -222,8 +222,8 @@ def test_cone_extraction_duplicates_shared_logic():
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
-                full = simulate(g, {"a": a, "b": b, "c": c})
-                assert simulate(t1, {"a": a, "b": b, "c": c})["y1"] == full["y1"]
+                full = from_aig(g).evaluate({"a": a, "b": b, "c": c})
+                assert from_aig(t1).evaluate({"a": a, "b": b, "c": c})["y1"] == full["y1"]
 
 
 def test_cone_extraction_max_nodes_rejection():

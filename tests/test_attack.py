@@ -190,6 +190,23 @@ def test_equivalence_check_word_edges_at_support_16(flip, monkeypatch):
     assert equivalence_check(_parity(16, flip), _parity(16, flip))
 
 
+def _and_tautology(c):
+    """c's output ANDed with x OR NOT x over a new input x."""
+    x = c.add("x", "input")
+    c.add("z", "and", c.outputs[0], c.add("t", "or", x, c.add("nx", "not", x)))
+    c.outputs = ["z"]
+    return c
+
+
+def test_equivalence_check_cancelled_input_skips_sat(monkeypatch):
+    # the cones read 17 inputs; simplify drops x, and 16 are left for the tables
+    monkeypatch.setattr(attack, "sat_solve", _no_sat)
+    wide = _and_tautology(_parity(16))
+    assert len(prune(wide).inputs) == 17
+    assert equivalence_check(wide, _parity(16))
+    assert not equivalence_check(_and_tautology(_parity(16, "ones")), _parity(16))
+
+
 def test_equivalence_check_support_17_takes_sat_path(monkeypatch):
     calls = []
 

@@ -8,7 +8,8 @@ from ipcamo import autodiff as ad
 from ipcamo.autodiff import (AdamState, LevelPlan, Tensor, adam_step, edge_heads,
                              gru_decode, gru_encode, init_gru, init_mlp, no_grad,
                              params_from_json, params_to_json)
-from reference_tools import concat, mlp_forward
+from reference_tools import (concat, matmul, mlp_forward, power, sigmoid, softmax, sub,
+                             sum_all, tanh)
 
 
 def fd_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -45,10 +46,10 @@ def backward_grads(loss: Tensor, tensors: dict) -> dict:
 
 def gru_by_ops(p, m: Tensor, t: Tensor, h: Tensor) -> Tensor:
     """The GRU update as elementary tape ops (the reference for the fused nodes)."""
-    z = ad.sigmoid(m @ p.w_z + t @ p.u_z + p.b_z)
-    r = ad.sigmoid(m @ p.w_r + t @ p.u_r + p.b_r)
-    h_tilde = ad.tanh((r * h) @ p.w_h + t @ p.u_h + p.b_h)
-    return (1.0 - z) * h + z * h_tilde
+    z = sigmoid(matmul(m, p.w_z) + matmul(t, p.u_z) + p.b_z)
+    r = sigmoid(matmul(m, p.w_r) + matmul(t, p.u_r) + p.b_r)
+    h_tilde = tanh(matmul(r * h, p.w_h) + matmul(t, p.u_h) + p.b_h)
+    return sub(1.0, z) * h + z * h_tilde
 
 
 def check(build, *shapes, seed=0):
@@ -64,30 +65,30 @@ def check(build, *shapes, seed=0):
 
 
 def test_elementwise_ops():
-    check(lambda a, b: ((a * b + a - b) ** 3.0).sum(), (3, 4), (3, 4))
+    check(lambda a, b: sum_all(power(sub(a * b + a, b), 3.0)), (3, 4), (3, 4))
 
 
 def test_matmul_and_broadcast_bias():
-    check(lambda a, w, b: ((a @ w + b) ** 2.0).sum(), (2, 3), (3, 5), (5,))
+    check(lambda a, w, b: sum_all(power(matmul(a, w) + b, 2.0)), (2, 3), (3, 5), (5,))
 
 
 def test_activations():
-    check(lambda a: (ad.sigmoid(a) * ad.tanh(a) + ad.exp(a * 0.1)).sum(), (4, 4))
+    check(lambda a: sum_all(sigmoid(a) * tanh(a) + ad.exp(a * 0.1)), (4, 4))
 
 
 def test_softmax_rows():
     x = Tensor(np.random.default_rng(1).standard_normal((3, 5)))
-    s = ad.softmax(x)
+    s = softmax(x)
     np.testing.assert_allclose(s.data.sum(axis=-1), 1.0)
-    check(lambda a: (ad.softmax(a) * ad.softmax(a)).sum(), (3, 5))
+    check(lambda a: sum_all(softmax(a) * softmax(a)), (3, 5))
 
 
 def test_concat_repeat_take():
-    check(lambda a, b: (concat([a, b], axis=0) ** 2.0).sum(), (2, 3), (4, 3))
-    check(lambda a: (ad.take(a, [2]) ** 2.0).sum(), (4, 3))
-    check(lambda a: (ad.take(a, (slice(None), slice(1, None))) ** 3.0).sum(), (4, 3))
+    check(lambda a, b: sum_all(power(concat([a, b], axis=0), 2.0)), (2, 3), (4, 3))
+    check(lambda a: sum_all(power(ad.take(a, [2]), 2.0)), (4, 3))
+    check(lambda a: sum_all(power(ad.take(a, (slice(None), slice(1, None))), 3.0)), (4, 3))
     # a gather that reads row 1 three times accumulates all three gradients
-    check(lambda a: (ad.take(a, np.array([1, 0, 1, 1])) ** 3.0).sum(), (3, 2))
+    check(lambda a: sum_all(power(ad.take(a, np.array([1, 0, 1, 1])), 3.0)), (3, 2))
 
 
 def gru_step(p, m: Tensor, t: Tensor, h: Tensor) -> Tensor:
@@ -117,7 +118,7 @@ def test_gru_step_gradients():
     t = Tensor(rng.standard_normal((1, 3)))
 
     def run():
-        return (gru_step(p, m, t, m) ** 2.0).sum()
+        return sum_all(power(gru_step(p, m, t, m), 2.0))
 
     out = run()
     out.backward()
@@ -143,7 +144,7 @@ def test_fused_gru_step_matches_finite_differences(rows, same_m, t_grad):
     weights = rng.standard_normal((rows, 5))
 
     def run():
-        return (gru_step(p, m, t, h) * Tensor(weights)).sum()
+        return sum_all(gru_step(p, m, t, h) * Tensor(weights))
 
     np.testing.assert_allclose(gru_step(p, m, t, h).data, gru_by_ops(p, m, t, h).data,
                                rtol=1e-12)
@@ -159,11 +160,11 @@ def test_fused_gru_step_matches_finite_differences(rows, same_m, t_grad):
 def _gru_decode_by_ops(p, head, z: Tensor, init_w: Tensor, init_b: Tensor,
                        t0: np.ndarray, n: int) -> Tensor:
     """gru_decode as a loop of elementary tape ops."""
-    h, t = ad.tanh(z @ init_w + init_b), Tensor(t0.reshape(1, -1))
+    h, t = tanh(matmul(z, init_w) + init_b), Tensor(t0.reshape(1, -1))
     rows = [concat([h, t], axis=1)]
     for _ in range(1, n):
         h = gru_by_ops(p, h, t, h)
-        t = ad.softmax(mlp_forward(head, h))
+        t = softmax(mlp_forward(head, h))
         rows.append(concat([h, t], axis=1))
     return concat(rows, axis=0)
 
@@ -215,10 +216,10 @@ def test_gru_decode_matches_reference_and_finite_differences(n):
         assert np.array_equal(gru_decode(p, head, z, init_w, init_b, t0, n).data, rows)
 
     def run():
-        return (gru_decode(p, head, z, init_w, init_b, t0, n) * weights).sum()
+        return sum_all(gru_decode(p, head, z, init_w, init_b, t0, n) * weights)
 
     grads = backward_grads(run(), tensors)
-    assert_grads_match(grads, backward_grads((ref * weights).sum(), tensors))
+    assert_grads_match(grads, backward_grads(sum_all(ref * weights), tensors))
     for name, w in tensors.items():
         fd = fd_grad(lambda: float(run().data), w.data)
         np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
@@ -276,7 +277,7 @@ def _pair_head_by_rows(h: Tensor, p) -> Tensor:
     n = h.shape[0]
     pairs = [concat([ad.take(h, [i]), ad.take(h, [j])], axis=1)
              for i in range(1, n) for j in range(i)]
-    return ad.sigmoid(mlp_forward(p, concat(pairs, axis=0)))
+    return sigmoid(mlp_forward(p, concat(pairs, axis=0)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 40])
@@ -300,11 +301,11 @@ def test_pair_head_matches_finite_differences(n):
         assert np.array_equal(edge_heads(h, conn, inv).data, out.data)
 
     def run():
-        return (edge_heads(h, conn, inv) * weights).sum()
+        return sum_all(edge_heads(h, conn, inv) * weights)
 
     # the recorded node keeps its hidden rows; the backward reads them
     grads = backward_grads(run(), tensors)
-    assert_grads_match(grads, backward_grads((ref * weights).sum(), tensors))
+    assert_grads_match(grads, backward_grads(sum_all(ref * weights), tensors))
     for name, w in tensors.items():
         fd = fd_grad(lambda: float(run().data), w.data)
         np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
@@ -351,14 +352,14 @@ def test_backward_walks_nodes_in_creation_order():
     v = ad.exp(u)
     # the sum node lists u after v, so a stack pops u (and would run its
     # backward) before v has passed on its share of u's gradient
-    loss = (v + u).sum()
+    loss = sum_all(v + u)
     loss.backward()
     xy = x.data * y.data
     np.testing.assert_allclose(x.grad, y.data * (np.exp(xy) + 1.0), rtol=1e-15)
     np.testing.assert_allclose(y.grad, x.data * (np.exp(xy) + 1.0), rtol=1e-15)
     # a second loss over the same u: leaves accumulate, u starts from zero again
     g_x, g_y = x.grad.copy(), y.grad.copy()
-    (u * u).sum().backward()
+    sum_all(u * u).backward()
     np.testing.assert_allclose(x.grad, g_x + 2.0 * xy * y.data, rtol=1e-15)
     np.testing.assert_allclose(y.grad, g_y + 2.0 * xy * x.data, rtol=1e-15)
 
@@ -366,7 +367,7 @@ def test_backward_walks_nodes_in_creation_order():
 def test_no_grad_skips_tape():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     with no_grad():
-        out = (a * a).sum()
+        out = sum_all(a * a)
     assert not out.requires_grad
     with pytest.raises(ValueError):
         Tensor(np.ones((2, 2))).backward()  # non-scalar

@@ -11,8 +11,8 @@ from ipcamo import vae
 from ipcamo.autodiff import Tensor, exp, no_grad
 from ipcamo.camouflage import threshold_filter
 from ipcamo.vae import (Hyperparams, LatentCode, decode, encode, init_vae,
-                        load_vae, loss, save_vae, train)
-from reference_tools import mlp_forward, same_structure
+                        load_vae, save_vae, train)
+from reference_tools import loss, mlp_forward, neg, same_structure, sub, sum_all
 
 SMALL_HP = Hyperparams(latent_dim=8, hidden_dim=8, mlp_hidden=8, max_pi=8,
                        seed=0, epochs=2, lr=1e-3)
@@ -77,7 +77,7 @@ def _encode_by_ops(g: AigGraph, p: vae.VaeParams) -> tuple[Tensor, Tensor]:
             h[i] = ad.take(p.pi_embed, [min(n_pi, p.max_pi - 1)])
             n_pi += 1
             continue
-        terms = [-h[src] if inv else h[src] for src, inv in preds[i]]
+        terms = [neg(h[src]) if inv else h[src] for src, inv in preds[i]]
         m = terms[0]
         for term in terms[1:]:
             m = m + term
@@ -132,7 +132,7 @@ def test_level_batched_encoder_matches_reference(tree):
 
     def run(encoder):
         mu, logvar = encoder(g, p)
-        return (mu * w_mu).sum() + (logvar * w_lv).sum()
+        return sum_all(mu * w_mu) + sum_all(logvar * w_lv)
 
     mu, logvar = vae.encode_tensors(g, p)
     ref_mu, ref_logvar = _encode_by_ops(g, p)
@@ -157,14 +157,14 @@ def _loss_by_ops(x: TensorTriple, decoded: vae.DecodedSoft, mu: Tensor, logvar: 
                  h: Hyperparams) -> tuple[Tensor, dict]:
     """loss_tensors composed of elementary tape ops."""
     def squared_error(pred, target):
-        d = pred - Tensor(target)
-        return (d * d).sum()
+        d = sub(pred, Tensor(target))
+        return sum_all(d * d)
 
     n = x.n
     l_type = squared_error(decoded.types, x.type_mat) * (1.0 / (n * 3))
     l_conn = squared_error(decoded.conn, vae._lower(x.conn_mat)) * (1.0 / (n * n))
     l_inv = squared_error(decoded.inv, vae._lower(x.inv_mat)) * (1.0 / (n * n))
-    l_kl = (exp(logvar) + mu * mu - logvar - 1.0).sum() * 0.5
+    l_kl = sum_all(sub(sub(exp(logvar) + mu * mu, logvar), 1.0)) * 0.5
     total = h.alpha * l_type + h.beta * l_conn + h.gamma * l_inv + h.delta * l_kl
     return total, {"type": float(l_type.data), "conn": float(l_conn.data),
                    "inv": float(l_inv.data), "kl": float(l_kl.data)}
