@@ -17,7 +17,7 @@ from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, check_literals, sat_solve
 from .covert import replace_cells
 from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, prune,
-                        simplify, substitute)
+                        simplify)
 
 # -- Tseitin ------------------------------------------------------------------
 
@@ -166,15 +166,18 @@ class KeyedNetlist:
         keys = set(self.key_inputs)
         return [n for n in self.circuit.inputs if n not in keys]
 
-    def bind(self, key: list[int]) -> dict[str, int]:
-        """Key input -> bit; a key of any length but n_key_bits raises ValueError."""
+    def under(self, key: list[int]) -> Circuit:
+        """The circuit with each key input tied to its bit by a const0 or const1
+        gate; a key of any length but n_key_bits raises ValueError."""
         if len(key) != self.n_key_bits:
             raise ValueError(
                 f"key has {len(key)} bits; the netlist has {self.n_key_bits} key inputs")
-        return dict(zip(self.key_inputs, key))
+        ties = {net: Gate("const1" if bit else "const0")
+                for net, bit in zip(self.key_inputs, key)}
+        return Circuit({**self.circuit.gates, **ties}, list(self.circuit.outputs))
 
     def evaluate(self, key: list[int], assignment: dict[str, int]) -> dict[str, int]:
-        return self.circuit.evaluate({**assignment, **self.bind(key)})
+        return self.under(key).evaluate(assignment)
 
 
 _KEYED_OPS = ("not", "buf", "nand")
@@ -283,12 +286,7 @@ class DipTrace:
 
 def make_oracle(kn: KeyedNetlist):
     """Black-box oracle: the netlist evaluated under its correct key."""
-    sim = CompiledCircuit(kn.circuit)
-    key = kn.bind(kn.correct_key)
-
-    def oracle(assignment: dict[str, int]) -> dict[str, int]:
-        return sim.evaluate({**assignment, **key})
-    return oracle
+    return CompiledCircuit(kn.under(kn.correct_key)).evaluate
 
 
 def dip_attack(
@@ -372,5 +370,4 @@ def dip_attack(
 def key_is_correct(kn: KeyedNetlist, key: list[int]) -> bool:
     """Does the recovered key realize the oracle function (not necessarily
     bit-identical to the designer's key, thanks to the 11/10 alias)?"""
-    return equivalence_check(substitute(kn.circuit, kn.bind(key)),
-                             substitute(kn.circuit, kn.bind(kn.correct_key)))
+    return equivalence_check(kn.under(key), kn.under(kn.correct_key))

@@ -89,6 +89,13 @@ def _load_graph(path: str) -> aig.AigGraph:
     return aig.AigGraph.from_json(data.decode())
 
 
+def _netlist_paths(netlists: str) -> list[str]:
+    paths = sorted(glob.glob(os.path.join(netlists, "netlist_*.json")))
+    if not paths:
+        raise ConfigError(f"no netlist_*.json files in {netlists!r}")
+    return paths
+
+
 def _out_dir(cfg: dict) -> str:
     out = _require(cfg, "out")
     os.makedirs(out, exist_ok=True)
@@ -251,9 +258,7 @@ def cmd_verify(cfg: dict) -> int:
     `"equivalent": null` and counts as a failure."""
     out = _out_dir(cfg)
     f = _load_graph(_require(cfg, "functional"))
-    paths = sorted(glob.glob(os.path.join(_require(cfg, "netlists"), "netlist_*.json")))
-    if not paths:
-        raise ConfigError("no netlist files to verify")
+    paths = _netlist_paths(_require(cfg, "netlists"))
     budget = float(cfg.get("budget", 60.0))
     rows, failures = [], 0
     for path in paths:
@@ -284,9 +289,7 @@ def cmd_attack(cfg: dict) -> int:
     (attack.key_is_correct); otherwise the row reads `wrong-key` and the
     command exits 1."""
     out = _out_dir(cfg)
-    paths = sorted(glob.glob(os.path.join(_require(cfg, "netlists"), "netlist_*.json")))
-    if not paths:
-        raise ConfigError("no netlist files to attack")
+    paths = _netlist_paths(_require(cfg, "netlists"))
     budget = float(cfg.get("budget", 60.0))
     report = os.path.join(out, "attack.csv")
     wrong = 0
@@ -316,6 +319,7 @@ def cmd_attack(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
+    paths = _netlist_paths(cfg["netlists"]) if "netlists" in cfg else []
     out = _out_dir(cfg)
     params = vae.load_vae(_require(cfg, "checkpoint"))
     graphs = _load_split(_require(cfg, "dataset"), "test")
@@ -330,10 +334,8 @@ def cmd_eval(cfg: dict) -> int:
     with open(summary, "w") as fh:
         fh.write(report.summary_json())
     artifacts = [pairs, bins, summary]
-    if "netlists" in cfg:
-        nls = [CamouflagedNetlist.from_json(_read(p).decode())
-               for p in sorted(glob.glob(os.path.join(cfg["netlists"],
-                                                      "netlist_*.json")))]
+    if paths:
+        nls = [CamouflagedNetlist.from_json(_read(p).decode()) for p in paths]
         for nl in nls:
             nl.metadata.setdefault("family", cfg.get("family", "default"))
         gnn_dir = os.path.join(out, "gnn")

@@ -352,16 +352,6 @@ def simplify(c: Circuit) -> Circuit:
     return prune(out)
 
 
-def substitute(c: Circuit, binding: dict[str, int]) -> Circuit:
-    """Tie some inputs to constants and simplify the result."""
-    gates = dict(c.gates)
-    for net, bit in binding.items():
-        if net not in gates or gates[net].op != "input":
-            raise ValueError(f"{net!r} is not an input net")
-        gates[net] = Gate("const1" if bit else "const0")
-    return simplify(Circuit(gates=gates, outputs=list(c.outputs)))
-
-
 def miter(c1: Circuit, c2: Circuit) -> Circuit:
     """Single-output circuit that is 1 iff the two circuits disagree.
 

@@ -12,7 +12,8 @@ from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
                            make_oracle, tseitin_encode)
 from ipcamo.camouflage import CamouflagedNetlist, camouflage_pipeline
 from ipcamo.cnf import CnfFormula, SatResult, sat_solve
-from ipcamo.covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell
+from ipcamo.covert import (CovertConfig, CovertGateKind, CovertInstance, draw_cell,
+                           realize)
 from ipcamo.evaluation import random_covert_insertion
 from ipcamo.gatelevel import Circuit, from_aig, prune
 
@@ -262,12 +263,10 @@ def test_keyize_builds_only_the_output_cone(toy_checkpoint):
 def test_keyed_circuit_under_its_correct_key_is_the_fabricated_circuit(toy_checkpoint):
     """keyize_netlist and covert.realize replace the covert cells in one pass,
     so the keyed model under correct_key computes what realize builds."""
-    from ipcamo.covert import realize
-    from ipcamo.gatelevel import substitute
     params, _ = toy_checkpoint
     for nl in _keyize_cases(params):
         kn = keyize_netlist(nl)
-        assert equivalence_check(substitute(kn.circuit, kn.bind(kn.correct_key)),
+        assert equivalence_check(kn.under(kn.correct_key),
                                  realize(nl.appearance_view, nl.placements))
 
 
@@ -294,19 +293,43 @@ def test_keyize_golden_desk_netlist(toy_checkpoint):
 
 
 def _small_camo_netlist(params):
-    """A Th 0.05 pipeline netlist with 12 key candidates."""
+    """A Th 0.05 pipeline netlist with 12 key candidates, and its keyed model."""
     rng = np.random.default_rng(7)
     f, a = random_tree(rng, 4, n_pi_pool=6), random_tree(rng, 4, n_pi_pool=6)
-    kn = keyize_netlist(camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0))
+    nl = camouflage_pipeline(f, a, params, p=0.5, th=0.05, seed=0)
+    kn = keyize_netlist(nl)
     assert kn.n_key_bits == 24
-    return kn
+    return nl, kn
 
 
 def test_dip_attack_on_small_camo_netlist_is_pinned(toy_checkpoint):
-    kn = _small_camo_netlist(toy_checkpoint[0])
+    _, kn = _small_camo_netlist(toy_checkpoint[0])
     trace = dip_attack(kn, make_oracle(kn))
     assert (trace.status, trace.iterations, trace.conflicts) == ("solved", 4, 41)
     assert "".join(map(str, trace.key)) == "000100100010111011001010"
+
+
+def _oracle_case(kind, params):
+    """A keyed netlist and the circuit its correct key should give."""
+    if kind == "ll":
+        f = random_tree(np.random.default_rng(3), 5)
+        return make_ll_baseline(f, 4, seed=1), from_aig(f)
+    nl, kn = _small_camo_netlist(params)
+    return kn, realize(nl.appearance_view, nl.placements)
+
+
+@pytest.mark.parametrize("kind", ["ll", "camo"])
+def test_oracle_is_the_netlist_under_its_correct_key(kind, toy_checkpoint):
+    """On every payload pattern the oracle answers what evaluate gives under
+    correct_key, and what the unlocked or fabricated circuit computes; under
+    leaves only the payload inputs."""
+    kn, fab = _oracle_case(kind, toy_checkpoint[0])
+    oracle = make_oracle(kn)
+    nets = sorted(set(kn.payload_inputs) | set(fab.inputs))
+    for bits in itertools.product((0, 1), repeat=len(nets)):
+        x = dict(zip(nets, bits))
+        assert oracle(x) == kn.evaluate(kn.correct_key, x) == fab.evaluate(x), x
+    assert kn.under(kn.correct_key).inputs == kn.payload_inputs
 
 
 def _floating_candidate_netlist():
@@ -492,6 +515,8 @@ def test_keys_of_the_wrong_length_are_rejected():
             key_is_correct(kn, key)
         with pytest.raises(ValueError, match="6"):
             kn.evaluate(key, assign)
+        with pytest.raises(ValueError, match=f"^key has {len(key)} bits"):
+            kn.under(key)
     assert key_is_correct(kn, kn.correct_key)
 
 

@@ -357,6 +357,23 @@ def test_eval_report(workspace, tmp_path):
     assert main(["eval", "--config", str(zero)]) == EXIT_VIOLATION
 
 
+def test_eval_rejects_a_netlist_directory_with_no_netlist(workspace, tmp_path, capsys):
+    """An empty or mistyped netlists directory is a usage error that names
+    it, raised before the GED study writes anything."""
+    (tmp_path / "empty").mkdir()
+    for netlists in (tmp_path / "empty", tmp_path / "no_such_dir"):
+        out = tmp_path / f"eval_{netlists.name}"
+        cfg = _write_cfg(tmp_path / "e.json", {
+            "out": str(out),
+            "dataset": str(workspace["dataset"]),
+            "checkpoint": str(workspace["train"] / "checkpoint.json"),
+            "netlists": str(netlists),
+        })
+        assert main(["eval", "--config", str(cfg)]) == EXIT_USAGE
+        assert str(netlists) in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_manifest_checksums_match(workspace):
     import hashlib
     camo = workspace["camo"]

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ipcamo.aig import AigGraph, NodeType, pattern_words, random_tree
 from ipcamo.gatelevel import (OPS, Circuit, CompiledCircuit, Gate, circuit_from_obj,
-                              circuit_to_obj, from_aig, miter, prune, simplify,
-                              substitute)
+                              circuit_to_obj, from_aig, miter, prune, simplify)
 
 
 def xor_circuit():
@@ -118,15 +117,6 @@ def test_miter_detects_difference():
     c2.outputs = ["y"]
     m = simplify(miter(c1, c2))
     assert m.gates[m.outputs[0]].op == "const1"  # differ everywhere
-
-
-def test_substitute():
-    c = xor_circuit()
-    s = substitute(c, {"a": 1})
-    for b in (0, 1):
-        assert s.evaluate({"b": b})["y"] == 1 - b
-    with pytest.raises(ValueError, match="not an input"):
-        substitute(c, {"y": 1})
 
 
 def test_prune_drops_dead_logic():
