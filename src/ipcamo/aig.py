@@ -263,7 +263,13 @@ def parse_aiger(data: bytes | str) -> AigGraph:
         tag = parts[0]
         if tag[0] in "io" and tag[1:].isdigit() and len(parts) == 2:
             idx = int(tag[1:])
-            (in_names if tag[0] == "i" else out_names)[idx] = parts[1]
+            table, count = (in_names, i_cnt) if tag[0] == "i" else (out_names, o_cnt)
+            if idx >= count:
+                raise AigerParseError(f"symbol {ln!r} is out of range: {count} "
+                                      f"{'inputs' if tag[0] == 'i' else 'outputs'}", line=pos + 1)
+            if idx in table:
+                raise AigerParseError(f"symbol {tag} named twice", line=pos + 1)
+            table[idx] = parts[1]
         elif tag[0] == "l":
             raise AigerParseError("latch symbol present", line=pos + 1)
         else:

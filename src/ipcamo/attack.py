@@ -176,9 +176,6 @@ class KeyedNetlist:
                 for net, bit in zip(self.key_inputs, key)}
         return Circuit({**self.circuit.gates, **ties}, list(self.circuit.outputs))
 
-    def evaluate(self, key: list[int], assignment: dict[str, int]) -> dict[str, int]:
-        return self.under(key).evaluate(assignment)
-
 
 _KEYED_OPS = ("not", "buf", "nand")
 
@@ -270,18 +267,10 @@ class DipTrace:
     def add_solve(self, res: SatResult) -> None:
         self.solves.append((res.conflicts, res.decisions, res.propagations))
 
-    # the same statistics summed over every call
+    # conflicts summed over every call, as `ipcamo attack` reports them
     @property
     def conflicts(self) -> int:
         return sum(s[0] for s in self.solves)
-
-    @property
-    def decisions(self) -> int:
-        return sum(s[1] for s in self.solves)
-
-    @property
-    def propagations(self) -> int:
-        return sum(s[2] for s in self.solves)
 
 
 def make_oracle(kn: KeyedNetlist):

@@ -43,7 +43,8 @@ trail. Each later call continues from that state:
 - every call ends back at level 0, keeping the level-0 literals that were
   enqueued out of order, and a conflict among level-0 literals makes the
   formula UNSAT for good.
-`copy` gives the same clauses with a fresh search state.
+`CnfFormula(f.n_vars, [list(cl) for cl in f.clauses])` gives the same
+clauses with a fresh search state.
 
 Values and watch lists are indexed by literal: a list of 2n + 1 entries
 holds +v at index v and -v at index -v (Python's negative indexing), so a
@@ -84,9 +85,6 @@ class CnfFormula:
             raise ValueError("empty clause")
         check_literals(lits, self.n_vars)
         self.clauses.append(lits)
-
-    def copy(self) -> "CnfFormula":
-        return CnfFormula(self.n_vars, [list(cl) for cl in self.clauses])
 
 
 @dataclass

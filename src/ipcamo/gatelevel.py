@@ -1,5 +1,6 @@
-"""Small gate-level netlist IR: named nets, bit-parallel simulation, const-prop,
-strashing.
+"""Small gate-level netlist IR: named nets, bit-parallel simulation, and
+`simplify`, one structural-hashing rule over (net, inverted) literals that
+also propagates constants.
 
 A `Gate` is a validated named tuple (op, ins): immutable, hashable and equal
 to any gate with the same op and fan-in.
@@ -20,7 +21,6 @@ _ARITY = {
     **{op: (1, math.inf, "needs at least one input") for op in ("and", "or", "nand")},
 }
 OPS = set(_ARITY)
-_COMMUTATIVE = {"and", "or", "nand", "xor", "xnor"}
 
 
 class Gate(namedtuple("Gate", "op ins")):
@@ -231,124 +231,85 @@ def prune(c: Circuit) -> Circuit:
 
 
 def simplify(c: Circuit) -> Circuit:
-    """Constant propagation, buffer elision and structural hashing.
+    """Structural hashing over literals, with constant propagation.
 
-    Structurally identical cones collapse to one net, so a miter of two
-    copies of the same circuit reduces to a constant without any search.
+    Every net becomes a literal: a net of the result and whether it is
+    inverted, or a constant (net None). `buf` is an alias and `not` a flip.
+    `and`, `nand` and `or` (the complement of the AND of complements) share
+    one AND rule: true and repeated inputs drop, a false input or x and ¬x
+    gives false, a single live input is itself, and otherwise the AND is
+    hashed on its sorted literals. `xor` and `xnor` are hashed on their two
+    plain nets with both inversions moved into the literal, and fold on a
+    constant input or on x ⊕ x. So structurally identical cones collapse to
+    one net, and a miter of two copies of the same circuit reduces to a
+    constant without any search (Kuehlmann et al., IEEE TCAD 2002).
+
+    The result holds `and` and `xor` gates, a `not` wherever an AND reads an
+    inverted literal, and each output under its own name, through a `buf`,
+    `not` or constant gate where its literal is not a net of that name.
     """
-    rep: dict[str, str] = {}       # net -> representative net in the new circuit
     out = Circuit()
-    hashed: dict[tuple, str] = {}
-    const_of: dict[str, int] = {}  # representative -> constant value, if known
-    compl: dict[str, str] = {}     # representative -> its known complement
-    _OPPOSITE = {"xor": "xnor", "xnor": "xor", "and": "nand", "nand": "and"}
+    lit: dict[str, tuple[str | None, bool]] = {}
+    hashed: dict[tuple, str] = {}  # (op, *input literals) -> net of the result
 
-    def mark_compl(a: str, b: str) -> None:
-        compl[a] = b
-        compl[b] = a
+    def fresh(base: str) -> str:
+        name, k = base, 0
+        while name in c.gates or name in out.gates:
+            k += 1
+            name = f"{base}_{k}"
+        return name
 
-    def emit(net: str, op: str, ins: tuple[str, ...]) -> str:
-        key = (op, tuple(sorted(ins)) if op in _COMMUTATIVE else ins)
-        if key in hashed:
-            return hashed[key]
-        out.gates[net] = Gate(op, ins)
-        hashed[key] = net
-        if op == "const0":
-            const_of[net] = 0
-        elif op == "const1":
-            const_of[net] = 1
-        elif op == "not":
-            mark_compl(net, ins[0])
-        elif op in _OPPOSITE:
-            twin = hashed.get((_OPPOSITE[op], tuple(sorted(ins))))
-            if twin is not None:
-                mark_compl(net, twin)
-        return net
+    def gate(op: str, lits: list, net: str, inv: bool) -> str:
+        """The hashed `op` gate over `lits`, named `net` if read plain."""
+        key = (op, *lits)
+        if key not in hashed:
+            ins = tuple(gate("not", [(n, False)], n, True) if i else n for n, i in lits)
+            hashed[key] = name = fresh(net) if inv else net
+            out.gates[name] = Gate(op, ins)
+        return hashed[key]
+
+    def conj(lits: list, net: str, inv: bool) -> tuple[str | None, bool]:
+        live = set(lits) - {(None, True)}
+        if (None, False) in live or any((n, not i) in live for n, i in live):
+            return None, inv
+        if len(live) <= 1:
+            n, i = live.pop() if live else (None, True)
+            return n, i ^ inv
+        return gate("and", sorted(live), net, inv), inv
+
+    def xor(a_lit, b_lit, net: str, inv: bool) -> tuple[str | None, bool]:
+        (a, ia), (b, ib) = a_lit, b_lit
+        inv ^= ia ^ ib
+        if a == b:
+            return None, inv
+        if a is None or b is None:
+            return (b if a is None else a), inv
+        return gate("xor", sorted([(a, False), (b, False)]), net, inv), inv
 
     for net in c.topo_order():
-        g = c.gates[net]
-        if g.op == "input":
-            out.gates.setdefault(net, g)
-            rep[net] = net
-            continue
-        ins = tuple(rep[s] for s in g.ins)
-        consts = [const_of.get(s) for s in ins]
-        op = g.op
-
-        if op == "buf":
-            rep[net] = ins[0]
-            continue
-        if op == "not":
-            v = consts[0]
-            if v is not None:
-                rep[net] = emit(net, "const1" if v == 0 else "const0", ())
-            elif ins[0] in compl:  # double negation
-                rep[net] = compl[ins[0]]
-            else:
-                rep[net] = emit(net, "not", ins)
-            continue
-        if op in ("const0", "const1"):
-            rep[net] = emit(net, op, ())
-            continue
-        if op in ("and", "nand"):
-            if 0 in consts:
-                rep[net] = emit(net, "const1" if op == "nand" else "const0", ())
-                continue
-            live = tuple(dict.fromkeys(s for s, v in zip(ins, consts) if v != 1))
-            if any(compl.get(a) in live for a in live):  # x AND NOT x
-                rep[net] = emit(net, "const1" if op == "nand" else "const0", ())
-            elif not live:  # all inputs tied to 1
-                rep[net] = emit(net, "const0" if op == "nand" else "const1", ())
-            elif len(live) == 1 and op == "and":
-                rep[net] = live[0]
-            elif len(live) == 1:
-                rep[net] = emit(net, "not", live)
-            else:
-                rep[net] = emit(net, op, live)
-            continue
-        if op == "or":
-            if 1 in consts:
-                rep[net] = emit(net, "const1", ())
-                continue
-            live = tuple(dict.fromkeys(s for s, v in zip(ins, consts) if v != 0))
-            if any(compl.get(a) in live for a in live):  # x OR NOT x
-                rep[net] = emit(net, "const1", ())
-            elif not live:
-                rep[net] = emit(net, "const0", ())
-            elif len(live) == 1:
-                rep[net] = live[0]
-            else:
-                rep[net] = emit(net, "or", live)
-            continue
-        # xor / xnor
-        a, b = ins
-        va, vb = consts
-        odd = op == "xor"
-        if va is not None and vb is not None:
-            bit = (va ^ vb) if odd else 1 - (va ^ vb)
-            rep[net] = emit(net, "const1" if bit else "const0", ())
-        elif a == b:
-            rep[net] = emit(net, "const0" if odd else "const1", ())
-        elif compl.get(a) == b:
-            rep[net] = emit(net, "const1" if odd else "const0", ())
-        elif va is not None or vb is not None:
-            x, v = (b, va) if va is not None else (a, vb)
-            plain = (v == 0) if odd else (v == 1)
-            rep[net] = x if plain else emit(net, "not", (x,))
+        op, ins = c.gates[net]
+        lits = [lit[s] for s in ins]
+        if op == "input":
+            out.gates[net] = Gate("input")
+            lit[net] = net, False
+        elif op in ("const0", "const1"):
+            lit[net] = None, op == "const1"
+        elif op in ("buf", "not"):
+            n, i = lits[0]
+            lit[net] = n, i ^ (op == "not")
+        elif op in ("xor", "xnor"):
+            lit[net] = xor(*lits, net, op == "xnor")
         else:
-            rep[net] = emit(net, op, ins)
+            if op == "or":
+                lits = [(n, not i) for n, i in lits]
+            lit[net] = conj(lits, net, op != "and")
 
-    outs = []
     for o in c.outputs:
-        r = rep[o]
-        if r not in out.gates:  # representative is a raw input net
-            out.gates.setdefault(r, Gate("input"))
-        if r != o and o not in out.gates:  # keep the output's public name
-            g = out.gates[r]
-            out.gates[o] = g if g.op in ("const0", "const1") else Gate("buf", (r,))
-            r = o
-        outs.append(r)
-    out.outputs = outs
+        n, inv = lit[o]
+        if (n, inv) != (o, False) and o not in out.gates:
+            out.gates[o] = (Gate("const1" if inv else "const0") if n is None
+                            else Gate("not" if inv else "buf", (n,)))
+    out.outputs = list(c.outputs)
     return prune(out)
 
 

@@ -186,7 +186,7 @@ def test_ac07_dip_attack_soundness():
         patterns = list(itertools.product((0, 1), repeat=len(xs)))
 
         def table(key):
-            return tuple(tuple(kn.evaluate(key, dict(zip(xs, bits))).values())
+            return tuple(tuple(kn.under(key).evaluate(dict(zip(xs, bits))).values())
                          for bits in patterns)
 
         oracle_table = table(kn.correct_key)

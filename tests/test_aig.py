@@ -118,6 +118,17 @@ def test_parse_rejects_literals_defined_twice(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text,line,match", [
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni7 zz\n", 7, "out of range: 2 inputs"),
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\no3 q\n", 6, "out of range: 1 outputs"),
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni0 b\n", 7, "i0 named twice"),
+], ids=["input-past-count", "output-past-count", "input-named-twice"])
+def test_parse_rejects_bad_symbols(text, line, match):
+    with pytest.raises(AigerParseError, match=match) as err:
+        parse_aiger(text)
+    assert err.value.line == line
+
+
 # PI1 is read by nothing, and the AND reads PI0 twice: y = a & ~a = 0
 REPEATED_FAN_IN = AigGraph(
     types=[NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],

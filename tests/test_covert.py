@@ -98,5 +98,5 @@ def test_draw_cell_is_one_gate_and_matches_the_key_model():
         for x in (0, 1):
             for d in (0, 1):
                 real = fab.evaluate({"x": x, "d": d})["y"]
-                got = kn.evaluate(kn.correct_key, {"x": x, "d": d})["y"]
+                got = kn.under(kn.correct_key).evaluate({"x": x, "d": d})["y"]
                 assert got == real, (kind, cfg, x, d)

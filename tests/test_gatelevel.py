@@ -108,6 +108,20 @@ def test_strash_collapses_identical_cones():
     assert m.gates[m.outputs[0]].op == "const0"  # no search needed
 
 
+def test_strash_folds_inverters_of_one_net():
+    # g0 and the inverter inside g3 both complement i0, so both copies of
+    # each output must reach one literal for the miter to fold
+    c = Circuit()
+    c.add("i0", "input")
+    c.add("g0", "not", "i0")
+    c.add("g1", "xnor", "g0", "i0")
+    c.add("g2", "const0")
+    c.add("g3", "xnor", "g2", "g0")
+    c.outputs = ["g1", "g3"]
+    m = simplify(miter(c, c))
+    assert m.gates[m.outputs[0]].op == "const0"
+
+
 def test_miter_detects_difference():
     c1 = xor_circuit()
     c2 = Circuit()
@@ -241,3 +255,25 @@ def test_evaluate_errors_and_input_normalisation():
     c.gates["y"] = Gate("xor", ("a", "nowhere"))
     with pytest.raises(ValueError, match="undriven"):
         c.evaluate({"a": 1, "b": 0})
+
+
+@st.composite
+def circuits_with_shared_outputs(draw):
+    """`circuits_with_every_op` plus an output listed twice and an input as an output."""
+    c = draw(circuits_with_every_op())
+    c.outputs += [draw(st.sampled_from(c.outputs)), draw(st.sampled_from(c.inputs))]
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits_with_shared_outputs())
+def test_simplify_keeps_function_and_outputs(c):
+    s = simplify(c)
+    assert s.outputs == c.outputs
+    assert set(s.inputs) <= set(c.inputs)
+    support = prune(c).inputs
+    words, full = pattern_words(len(support))
+    bound = dict(zip(support, words))
+    assert CompiledCircuit(s).run(bound, full) == CompiledCircuit(prune(c)).run(bound, full)
+    m = simplify(miter(c, c))
+    assert m.gates[m.outputs[0]].op == "const0"

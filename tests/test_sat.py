@@ -134,8 +134,8 @@ def test_assumptions_do_not_mutate_formula():
 def test_deterministic_reruns():
     rng = np.random.default_rng(123)
     cnf = random_cnf(rng, n_vars=9, n_clauses=35)
-    r1 = sat_solve(cnf.copy())
-    r2 = sat_solve(cnf.copy())
+    r1 = sat_solve(CnfFormula(cnf.n_vars, [list(cl) for cl in cnf.clauses]))
+    r2 = sat_solve(CnfFormula(cnf.n_vars, [list(cl) for cl in cnf.clauses]))
     assert (r1.status, r1.model, r1.conflicts, r1.decisions) == \
            (r2.status, r2.model, r2.conflicts, r2.decisions)
 
@@ -218,7 +218,7 @@ def test_clause_validation():
     for bad in ([0], [-3], [1.5], ["1"], [a, np.int64(1)], [a, False]):
         with pytest.raises(ValueError, match="bad literal"):
             cnf.add_clause(bad)
-    c2 = cnf.copy()
+    c2 = CnfFormula(cnf.n_vars, [list(cl) for cl in cnf.clauses])
     c2.add_clause([b])
     assert len(cnf.clauses) == 1  # copies are independent
     c2.add_clause([True, -a])  # an int subclass is a literal: True is 1
