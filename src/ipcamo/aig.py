@@ -223,6 +223,10 @@ def parse_aiger(data: bytes | str) -> AigGraph:
             vals = [int(x) for x in lines[pos].split()]
         except ValueError:
             raise AigerParseError(f"malformed {expect} {lines[pos]!r}", line=ln)
+        for lit in vals:
+            if lit // 2 > m:
+                raise AigerParseError(f"literal {lit} names variable {lit // 2}, "
+                                      f"past the header's M = {m}", line=ln)
         pos += 1
         return vals, ln
 

@@ -16,14 +16,18 @@ again. Every backjump of at most CHRONO_LEVELS levels runs as it did in a
 purely non-chronological solver, so a search that makes only such jumps is
 the same search, count for count.
 
-Branching takes the unassigned variable of highest activity from a binary
-heap of (-activity, variable) entries kept by `heapq`, as MiniSat's order
-heap does (Een & Sorensson 2003). A bump pushes a fresh entry and leaves the
-old one stale; a decision pops and skips stale entries. Assigned variables
-stay in the heap until a decision pops them; backtracking re-inserts what
-it unassigns. The order is total: equal activities break toward the lowest
-variable index, so the heap picks exactly what a scan over all variables
-would, and runs repeat bit-for-bit.
+Branching takes the unassigned variable of highest activity, equal
+activities breaking toward the lowest variable index; the order is total, so
+runs repeat bit-for-bit. The choice comes from two tiers. Variables with
+activity > 0 sit in a binary heap of (-activity, variable) entries kept by
+`heapq`, as MiniSat's order heap does (Een & Sorensson 2003): a bump pushes a
+fresh entry and leaves the old one stale, a decision pops and skips stale and
+assigned entries, and backtracking re-inserts what it unassigns. Variables
+never bumped (most of a Tseitin formula) stay out of the heap: when the heap
+holds no unassigned variable, a decision scans up from a cursor, below which
+no unassigned activity-0 variable lies, and backtracking lowers the cursor.
+A rescale that underflows activities to 0 sorts every variable into its tier
+again. So the two tiers pick exactly what a scan over all variables would.
 
 The solver is incremental, with MiniSat's interface. A formula carries its
 own search state, created by its first `sat_solve` call: the learnt
@@ -119,11 +123,15 @@ class _Search:
         self.activity = [0.0]
         self.seen = [False]      # analyze() leaves it all False again
         self.var_inc = 1.0
-        # (-activity[v], v) entries: heap[0] is the next decision, and equal
-        # activities break toward the lowest index. in_heap[v]: v has an
-        # entry with its current activity; other entries of v are stale.
+        # (-activity[v], v) entries of variables with activity > 0: heap[0]
+        # is the next decision, and equal activities break toward the lowest
+        # index. in_heap[v]: v has an entry with its current activity; other
+        # entries of v are stale. Every unassigned variable of activity > 0
+        # is in the heap, and no unassigned one of activity 0 is below
+        # cursor, which never passes n + 1.
         self.heap: list[tuple[float, int]] = []
         self.in_heap = [False]
+        self.cursor = 1
         self.trail: list[int] = []
         self.lim: list[int] = []
         self.qhead = 0
@@ -142,9 +150,7 @@ class _Search:
         self.saved += [False] * k
         self.activity += [0.0] * k
         self.seen += [False] * k
-        self.in_heap += [True] * k
-        for v in range(old + 1, n + 1):
-            heapq.heappush(self.heap, (-0.0, v))
+        self.in_heap += [False] * k     # cursor <= old + 1: nothing to lower
         self.n = n
 
     def attach(self, new: list[list[int]]) -> bool:
@@ -196,15 +202,17 @@ class _Search:
             # an implied literal takes its reason's highest level, which is
             # the current one when false_lit is at it
             top = level[abs(false_lit)] == depth
+            # compacted in place: ws[:j] keeps the watches that stay
             ws = watches[false_lit]
-            keep: list[int] = []
+            j = 0
             for i, ci in enumerate(ws):
                 cl = clauses[ci]
                 if cl[0] == false_lit:
                     cl[0], cl[1] = cl[1], false_lit
                 first = cl[0]
                 if value[first] > 0:
-                    keep.append(ci)
+                    ws[j] = ci
+                    j += 1
                     continue
                 for k in range(2, len(cl)):
                     q = cl[k]
@@ -213,10 +221,11 @@ class _Search:
                         watches[q].append(ci)
                         break
                 else:
-                    keep.append(ci)
+                    ws[j] = ci
+                    j += 1
                     if value[first] < 0:
-                        keep.extend(ws[i + 1:])
                         confl = ci
+                        del ws[j:i + 1]
                         break
                     # enqueue(first, ci), inlined on the hot path
                     value[first] = 1
@@ -226,9 +235,9 @@ class _Search:
                         [level[abs(q)] for q in cl[1:]])
                     reason[v] = ci
                     trail.append(first)
-            watches[false_lit] = keep
             if confl is not None:
                 break
+            del ws[j:]
         self.qhead = qhead
         self.propagations += qhead - start
         return confl
@@ -241,15 +250,21 @@ class _Search:
                 activity[u] *= 1e-100
             self.var_inc *= 1e-100
             self.rebuild_heap()   # every entry is now stale
-        elif self.in_heap[v]:
+        elif self.in_heap[v] or not self.value[v]:   # first bump if unassigned
+            self.in_heap[v] = True
             heapq.heappush(self.heap, (-activity[v], v))
             if len(self.heap) > 2 * self.n:   # mostly stale entries
                 self.rebuild_heap()
 
     def rebuild_heap(self) -> None:
-        activity, in_heap = self.activity, self.in_heap
+        """Sort every variable into its tier again; activities may have
+        underflowed to 0."""
+        activity, in_heap, value = self.activity, self.in_heap, self.value
+        for v in range(1, self.n + 1):
+            in_heap[v] = activity[v] > 0 and (in_heap[v] or not value[v])
         self.heap[:] = [(-activity[v], v) for v in range(1, self.n + 1) if in_heap[v]]
         heapq.heapify(self.heap)
+        self.cursor = 1
 
     def analyze(self, confl: int) -> tuple[list[int], int]:
         """The first-UIP clause at the current level, which is the conflict's
@@ -304,6 +319,7 @@ class _Search:
         heap, in_heap, activity, level = self.heap, self.in_heap, self.activity, self.level
         if len(self.lim) > lvl:
             stop = self.lim[lvl]
+            cursor = self.cursor
             kept = []
             for lit in trail[stop:]:
                 v = abs(lit)
@@ -313,9 +329,14 @@ class _Search:
                 saved[v] = lit > 0
                 value[lit] = value[-lit] = 0
                 reason[v] = None
-                if not in_heap[v]:
+                if in_heap[v]:
+                    continue
+                if activity[v]:
                     in_heap[v] = True
                     heapq.heappush(heap, (-activity[v], v))
+                elif v < cursor:
+                    cursor = v
+            self.cursor = cursor
             trail[stop:] = kept
             del self.lim[lvl:]
             self.qhead = stop
@@ -329,7 +350,12 @@ class _Search:
             in_heap[v] = False
             if self.value[v] == 0:
                 return v if self.saved[v] else -v
-        return None
+        # no unassigned variable has activity > 0: the lowest unassigned one
+        value, v = self.value, self.cursor
+        while v <= self.n and value[v]:
+            v += 1
+        self.cursor = v
+        return None if v > self.n else v if self.saved[v] else -v
 
     def result(self, status: str, model: dict[int, bool] | None = None) -> SatResult:
         self.cancel_until(0)

@@ -100,7 +100,7 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(AigerParseError, match="latch"):
         parse_aiger("aag 3 1 1 1 0\n2\n4 6\n4\n")
     with pytest.raises(AigerParseError, match="dangling"):
-        parse_aiger("aag 3 1 0 1 1\n2\n6\n6 2 8\n")
+        parse_aiger("aag 4 1 0 1 1\n2\n6\n6 2 8\n")
     with pytest.raises(AigerParseError, match="cyclic"):
         parse_aiger("aag 3 1 0 1 2\n2\n4\n4 6 2\n6 4 2\n")
     with pytest.raises(AigerParseError, match="constant"):
@@ -114,6 +114,18 @@ def test_parse_errors_carry_line_numbers():
 ], ids=["and-twice", "and-redefines-input", "input-twice"])
 def test_parse_rejects_literals_defined_twice(text, line):
     with pytest.raises(AigerParseError, match="defined twice") as err:
+        parse_aiger(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("text,line", [
+    ("aag 1 1 0 1 1\n2\n4\n4 2 2\n", 3),        # an output past M
+    ("aag 2 1 0 1 1\n2\n4\n6 2 2\n", 4),        # an AND's output past M
+    ("aag 2 1 0 1 1\n2\n4\n4 2 7\n", 4),        # an AND's input past M
+    ("aag 1 2 0 1 0\n2\n4\n2\n", 3),            # an input past M
+], ids=["output", "and-lhs", "and-input", "input"])
+def test_parse_rejects_variables_past_m(text, line):
+    with pytest.raises(AigerParseError, match="past the header's M") as err:
         parse_aiger(text)
     assert err.value.line == line
 

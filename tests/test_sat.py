@@ -458,3 +458,86 @@ def test_always_chronological_matches_brute_force(seed, monkeypatch):
     for k in (3, 0, 6):
         assumps = random_lits(rng, 18, k)
         check_against_core(cnf, sat_solve(cnf, assumps), assumps)
+
+
+# -- decision order ------------------------------------------------------------
+# The solver keeps variables of activity > 0 in a heap and takes the others
+# from an index cursor. Whatever the bookkeeping, each decision must be the
+# argmax over the unassigned variables by (activity, -index), as a scan over
+# all of them finds it.
+
+def scanned_decision(s) -> int | None:
+    free = [v for v in range(1, s.n + 1) if s.value[v] == 0]
+    return max(free, key=lambda v: (s.activity[v], -v), default=None)
+
+
+@pytest.fixture
+def checked_decisions(monkeypatch):
+    """Check every decision against the scan; returns [decisions checked]."""
+    decide = cnf_module._Search.decide
+    checked = [0]
+
+    def decide_checked(s):
+        want = scanned_decision(s)
+        lit = decide(s)
+        assert (lit and abs(lit)) == want
+        checked[0] += 1
+        return lit
+
+    monkeypatch.setattr(cnf_module._Search, "decide", decide_checked)
+    return checked
+
+
+def test_decisions_follow_activity_on_php(checked_decisions):
+    assert sat_solve(pigeonhole(5, 4)).status == "UNSAT"
+    assert checked_decisions[0] > 30
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decisions_follow_activity_incrementally(seed, checked_decisions):
+    """Batches of new variables and clauses, solved under assumptions; between
+    calls a few variables never bumped are bumped while unassigned."""
+    rng = np.random.default_rng(2000 + seed)
+    cnf = CnfFormula()
+    for _ in range(4):
+        vs = [cnf.new_var() for _ in range(50)]
+        for _ in range(150):
+            cnf.add_clause(random_lits(rng, cnf.n_vars, 3))
+        for k in (0, 3):
+            sat_solve(cnf, random_lits(rng, cnf.n_vars, k))
+            s = cnf._search
+            for v in vs[::4]:
+                if not s.activity[v] and not s.value[v]:
+                    s.bump(v)
+    assert checked_decisions[0] > 300
+
+
+def test_decisions_follow_activity_in_dip_attack(checked_decisions):
+    kn = make_ll_baseline(random_tree(np.random.default_rng(7), 5), 6, seed=2)
+    assert dip_attack(kn, make_oracle(kn)).status == "solved"
+    assert checked_decisions[0] > 0
+
+
+def test_decisions_follow_activity_across_a_rescale(checked_decisions):
+    """A satisfiable 3-SAT instance solved with bumps of about 1e-300. Then
+    bumps of 1e99: the first activity past 1e100 scales every activity by
+    1e-100, and the earlier ones underflow to 0. That happens once between
+    calls and once more in the search of PHP(5,4), added on new variables."""
+    cnf = random_3sat(3)
+    s = cnf._search = cnf_module._Search()
+    s.var_inc = 1e-300
+    assert sat_solve(cnf).status == "SAT"
+    bumped = [v for v in range(1, s.n + 1) if s.activity[v]]
+    free = max(v for v in range(1, s.n + 1) if not s.value[v])
+    s.var_inc = 1e99
+    while s.var_inc == 1e99:
+        s.bump(free)
+    assert bumped and not any(s.activity[v] for v in bumped if v != free)
+    php, off = pigeonhole(5, 4), cnf.n_vars
+    cnf.n_vars += php.n_vars
+    for cl in php.clauses:
+        cnf.add_clause([l + off if l > 0 else l - off for l in cl])
+    s.var_inc = 1e99
+    assert sat_solve(cnf).status == "UNSAT"
+    assert s.var_inc < 1e99                              # it rescaled
+    assert checked_decisions[0] > 50
