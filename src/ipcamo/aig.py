@@ -280,13 +280,24 @@ def parse_aiger(data: bytes | str) -> AigGraph:
             raise AigerParseError(f"malformed symbol entry {ln!r}", line=pos + 1)
         pos += 1
 
+    # an unnamed input (output) k takes `pi{k}` (`po{k}`), or else the first
+    # `pi{k}_{j}` no symbol entry names: the rule of gatelevel.Circuit.fresh
+    symbols = {*in_names.values(), *out_names.values()}
+
+    def default(base: str) -> str:
+        name, j = base, 0
+        while name in symbols:
+            j += 1
+            name = f"{base}_{j}"
+        return name
+
     var_node: dict[int, int] = {}
     types: list[NodeType] = []
     names: list[str | None] = []
     for k, lit in enumerate(in_lits):
         var_node[lit // 2] = len(types)
         types.append(NodeType.PI)
-        names.append(in_names.get(k, f"pi{k}"))
+        names.append(in_names[k] if k in in_names else default(f"pi{k}"))
 
     # AND gates in topological order (aag files are not required to be sorted)
     defined = {v[0] // 2: (v, ln) for v, ln in and_defs}
@@ -335,7 +346,7 @@ def parse_aiger(data: bytes | str) -> AigGraph:
         src = var_node[lit // 2]
         dst = len(types)
         types.append(NodeType.PO)
-        names.append(out_names.get(k, f"po{k}"))
+        names.append(out_names[k] if k in out_names else default(f"po{k}"))
         edges.append((src, dst, bool(lit & 1)))
 
     return AigGraph(types=types, edges=edges, names=names)

@@ -15,7 +15,7 @@ import numpy as np
 from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, check_literals, sat_solve
-from .covert import replace_cells
+from .covert import CovertGateKind, replace_cells
 from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, prune,
                         simplify)
 
@@ -177,7 +177,7 @@ class KeyedNetlist:
         return Circuit({**self.circuit.gates, **ties}, list(self.circuit.outputs))
 
 
-_KEYED_OPS = ("not", "buf", "nand")
+_KEYED_OPS = frozenset(kind.look for kind in CovertGateKind)
 
 
 def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
@@ -190,7 +190,9 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     (`key{2i}`, `key{2i+1}` for the i-th in sorted net order): 00 keeps its
     gate, 01 ties the output low, 10 (and its alias 11) ties it high. So
     each covert cell is one candidate. The correct key is a placement's
-    `config.key_bits`, or 00 for a genuine cell.
+    `config.key_bits`, or 00 for a genuine cell. The nets made for candidate
+    x (its key inputs, `x__norm`, `x__nk0` and `x__pick`) are named by
+    `Circuit.fresh` with the cone's nets taken.
     """
     # the one reading of the secret: each covert cell is its key-00 gate
     cone = prune(replace_cells(nl.appearance_view, nl.placements,
@@ -202,32 +204,27 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     # one pass in the circuit's net order: the live unkeyed nets, then per
     # keyed net its key inputs, the true cell function (none for a buffer),
     # and out = k1 ? 1 : (k0 ? 0 : normal)
-    gates = {net: g for net, g in live.items() if g.op not in _KEYED_OPS}
+    keyed_c = Circuit({n: g for n, g in live.items() if g.op not in _KEYED_OPS}, cone.outputs)
     key_input = Gate("input")
     key_inputs: list[str] = []
     correct: list[int] = []
+
+    def made(base: str, gate: Gate) -> str:
+        net = keyed_c.fresh(base, live)
+        keyed_c.gates[net] = gate
+        return net
+
     for i, net in enumerate(keyed):
         cell = live[net]
         correct += key_of.get(net, (0, 0))
-        k1, k0, nk0, pick = f"key{2 * i}", f"key{2 * i + 1}", f"{net}__nk0", f"{net}__pick"
-        if cell.op == "buf":
-            normal, made = cell.ins[0], (k1, k0, nk0, pick)
-        else:
-            normal = f"{net}__norm"
-            made = (k1, k0, normal, nk0, pick)
-        # made names differ from each other by their suffixes and every out
-        # is a live net, so a net is driven twice only if a made name is live
-        if not live.keys().isdisjoint(made):
-            clash = next(m for m in made if m in live)
-            raise ValueError(f"net {clash!r} already driven")
-        gates[k1] = gates[k0] = key_input
-        if cell.op != "buf":
-            gates[normal] = cell
-        gates[nk0] = Gate("not", (k0,))
-        gates[pick] = Gate("and", (nk0, normal))
-        gates[net] = Gate("or", (k1, pick))
+        k1 = made(f"key{2 * i}", key_input)
+        k0 = made(f"key{2 * i + 1}", key_input)
+        normal = cell.ins[0] if cell.op == "buf" else made(f"{net}__norm", cell)
+        nk0 = made(f"{net}__nk0", Gate("not", (k0,)))
+        pick = made(f"{net}__pick", Gate("and", (nk0, normal)))
+        keyed_c.gates[net] = Gate("or", (k1, pick))
         key_inputs += (k1, k0)
-    return KeyedNetlist(Circuit(gates, list(cone.outputs)), key_inputs, correct)
+    return KeyedNetlist(keyed_c, key_inputs, correct)
 
 
 def make_ll_baseline(f: AigGraph, n_key_bits: int, seed: int = 0) -> KeyedNetlist:
@@ -242,9 +239,9 @@ def make_ll_baseline(f: AigGraph, n_key_bits: int, seed: int = 0) -> KeyedNetlis
     locked = Circuit(gates=dict(c.gates), outputs=list(c.outputs))
     key_inputs, correct = [], []
     for i, net in enumerate(chosen):
-        raw = f"{net}__raw"
+        raw = locked.fresh(f"{net}__raw")
         locked.gates[raw] = locked.gates[net]
-        k = locked.add(f"key{i}", "input")
+        k = locked.add(locked.fresh(f"key{i}"), "input")
         key_inputs.append(k)
         flavor = int(rng.integers(2))  # 0: XOR (key 0), 1: XNOR (key 1)
         locked.gates[net] = Gate("xnor" if flavor else "xor", (raw, k))

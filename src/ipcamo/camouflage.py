@@ -25,7 +25,7 @@ import numpy as np
 
 from .aig import AigGraph, NodeType, TensorTriple, from_tensors, normalize, pad_to_match
 from .covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell
-from .gatelevel import Circuit, circuit_from_obj, circuit_to_obj, from_aig
+from .gatelevel import Circuit, Gate, circuit_from_obj, circuit_to_obj, from_aig
 from .vae import VaeParams, decode, encode
 
 CAMO_JSON_FORMAT = "ipcamo-camo-v3"
@@ -184,25 +184,25 @@ def fix_pairs(
 
 def _build_appearance(
     fp: AigGraph, incoming: dict, rng: np.random.Generator
-) -> tuple[Circuit, list[CovertInstance]]:
-    """Appearance view and its covert placements: NORMAL on an edge of F,
-    CONST1 elsewhere. Each slot is a node of F or of A, both trees, so every
-    AND slot has wiring into it, every PI slot is read, and every slot has a
-    path to the PO."""
+) -> tuple[Circuit, list[CovertInstance], list[str]]:
+    """Appearance view, its covert placements (NORMAL on an edge of F,
+    CONST1 elsewhere) and each slot's net. Each slot is a node of F or of A,
+    both trees, so every AND slot has wiring into it, every PI slot is read,
+    and every slot has a path to the PO. AND slot i is net `g{i}` and edge k
+    into slot net x is wired through net `x_e{k}`, both named by
+    `Circuit.fresh` with the PI and PO names taken."""
     n_pi = len(fp.pi_indices)
-    names = [f"g{i}" if t is NodeType.AND else fp.names[i]
-             for i, t in enumerate(fp.types)]
-    pi_nets = names[:n_pi]
-    c = Circuit()
-    for name in pi_nets:  # duplicated leaf names are one shared signal
-        if name not in c.gates:
-            c.add(name, "input")
+    reserved = {name for name, t in zip(fp.names, fp.types) if t is not NodeType.AND}
+    pi_nets = fp.names[:n_pi]
+    c = Circuit({name: Gate("input") for name in pi_nets})  # equal names share a net
+    names = list(pi_nets)
     placements: list[CovertInstance] = []
 
     def realize_edge(u: int, kind: str, real: bool, stem: str) -> str:
         src = names[u]
         if kind == "wire":
             return src
+        stem = c.fresh(stem, reserved)
         if kind == "inv":
             return c.add(stem, "not", src)
         gk = CovertGateKind[kind.upper()]  # "ut_a" places a UT_A cell
@@ -213,11 +213,13 @@ def _build_appearance(
         return stem
 
     for v in range(n_pi, fp.n):
-        ins = [realize_edge(u, kind, real, f"{names[v]}_e{k}")
+        net = c.fresh(f"g{v}", reserved) if fp.types[v] is NodeType.AND else fp.names[v]
+        names.append(net)
+        ins = [realize_edge(u, kind, real, f"{net}_e{k}")
                for k, (u, kind, real) in enumerate(incoming.get(v, ()))]
-        c.add(names[v], "and", *ins)
+        c.add(net, "and", *ins)
     c.outputs.append(names[-1])
-    return c, placements
+    return c, placements, names
 
 
 # -- Result container ---------------------------------------------------------
@@ -308,13 +310,12 @@ def camouflage_skeleton(
 
     incoming, fix_log = fix_pairs(
         _pair_states(g_hat, fp), _pair_states(fp, fp), _pair_states(ap, fp))
-    appearance_view, placements = _build_appearance(
+    appearance_view, placements, slot_nets = _build_appearance(
         fp, incoming, np.random.default_rng(seed))
-    # the functional view is F on the layout's net names: F's k-th AND is
-    # the slot and net g{n_pi(fp) + k}
+    # the functional view is F on the slot nets: F's k-th AND is slot n_pi(fp) + k
     view = normalize(f)
     shift = len(fp.pi_indices) - len(f.pi_indices)
-    view.names = [f"g{i + shift}" if t is NodeType.AND else view.names[i]
+    view.names = [slot_nets[i + shift] if t is NodeType.AND else view.names[i]
                   for i, t in enumerate(view.types)]
 
     meta = {

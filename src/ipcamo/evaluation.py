@@ -189,7 +189,7 @@ def random_covert_insertion(
         g = out.gates[target]
         kind = tuple(CovertGateKind)[int(rng.integers(4))]
         src = pis[int(rng.integers(len(pis)))]
-        stem = f"{target}__cov{step}"
+        stem = out.fresh(f"{target}__cov{step}")
         ins = list(g.ins)
         if kind is CovertGateKind.UT_A:  # a camouflaged buffer spliced into a fan-in wire
             j = int(rng.integers(len(ins)))

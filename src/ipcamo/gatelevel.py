@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .aig import AigGraph, NodeType
@@ -55,6 +56,15 @@ class Circuit:
         self.gates[net] = Gate(op, ins)
         return net
 
+    def fresh(self, base: str, taken: Container[str] = ()) -> str:
+        """The one rule for naming a generated net: `base`, or else the first
+        `base_k` (k = 1, 2, ...) that no gate drives and `taken` does not hold."""
+        name, k = base, 0
+        while name in self.gates or name in taken:
+            k += 1
+            name = f"{base}_{k}"
+        return name
+
     @property
     def inputs(self) -> list[str]:
         return [n for n, g in self.gates.items() if g.op == "input"]
@@ -91,13 +101,6 @@ class Circuit:
     def evaluate(self, assignment: dict[str, int]) -> dict[str, int]:
         """Output values under a complete primary-input assignment."""
         return CompiledCircuit(self).evaluate(assignment)
-
-    def renamed(self, mapping: dict[str, str]) -> "Circuit":
-        """Copy with nets renamed; unmapped nets keep their name."""
-        f = lambda n: mapping.get(n, n)
-        gates = {f(n): Gate(g.op, tuple(f(s) for s in g.ins))
-                 for n, g in self.gates.items()}
-        return Circuit(gates=gates, outputs=[f(o) for o in self.outputs])
 
 
 class CompiledCircuit:
@@ -172,29 +175,22 @@ def circuit_from_obj(obj: dict) -> Circuit:
 
 
 def from_aig(g: AigGraph) -> Circuit:
-    """Lower a canonical AIG to gates; PIs with equal names share one input net."""
+    """Lower a canonical AIG to gates; PIs with equal names share one input net.
+
+    PI and PO nets keep their AIG names; AND i is `n{i}` and an inverted edge k
+    into x reads `x__n{k}`, named by `Circuit.fresh` with the PI and PO names taken."""
     bad = g.issues()
     if bad:
         raise ValueError("graph is not canonical: " + "; ".join(bad))
     c = Circuit()
     preds = g.pred_table()
     net_of: dict[int, str] = {}
-    # PI and PO nets carry their AIG names; an AND or inverter net whose
-    # default name is one of those, or already used, takes the first free
-    # `<name>_<k>`, so graphs without such a clash keep the default names.
     reserved = {g.names[i] for i, t in enumerate(g.types) if t is not NodeType.AND}
-
-    def free(net: str) -> str:
-        k, name = 0, net
-        while name in reserved or name in c.gates:
-            k += 1
-            name = f"{net}_{k}"
-        return name
 
     def lit(src: int, inv: bool, dst_net: str, k: int) -> str:
         if not inv:
             return net_of[src]
-        return c.add(free(f"{dst_net}__n{k}"), "not", net_of[src])
+        return c.add(c.fresh(f"{dst_net}__n{k}", reserved), "not", net_of[src])
 
     for i, t in enumerate(g.types):
         if t is NodeType.PI:
@@ -203,7 +199,7 @@ def from_aig(g: AigGraph) -> Circuit:
                 c.add(name, "input")
             net_of[i] = name
         elif t is NodeType.AND:
-            net = free(f"n{i}")
+            net = c.fresh(f"n{i}", reserved)
             ins = [lit(s, inv, net, k) for k, (s, inv) in enumerate(preds[i])]
             c.add(net, "and", *ins)
             net_of[i] = net
@@ -252,19 +248,12 @@ def simplify(c: Circuit) -> Circuit:
     lit: dict[str, tuple[str | None, bool]] = {}
     hashed: dict[tuple, str] = {}  # (op, *input literals) -> net of the result
 
-    def fresh(base: str) -> str:
-        name, k = base, 0
-        while name in c.gates or name in out.gates:
-            k += 1
-            name = f"{base}_{k}"
-        return name
-
     def gate(op: str, lits: list, net: str, inv: bool) -> str:
         """The hashed `op` gate over `lits`, named `net` if read plain."""
         key = (op, *lits)
         if key not in hashed:
             ins = tuple(gate("not", [(n, False)], n, True) if i else n for n, i in lits)
-            hashed[key] = name = fresh(net) if inv else net
+            hashed[key] = name = out.fresh(net, c.gates) if inv else net
             out.gates[name] = Gate(op, ins)
         return hashed[key]
 
@@ -316,29 +305,26 @@ def simplify(c: Circuit) -> Circuit:
 def miter(c1: Circuit, c2: Circuit) -> Circuit:
     """Single-output circuit that is 1 iff the two circuits disagree.
 
-    Inputs with equal names are shared; the output lists must align.
+    Inputs with equal names are shared; the output lists must align. Other
+    nets x become `m_a_x` (c1) and `m_b_x` (c2), feeding `m_diff{k}` and
+    `m_out`, all named by `Circuit.fresh` with the input names taken.
     """
     if len(c1.outputs) != len(c2.outputs):
         raise ValueError("output count mismatch")
     m = Circuit()
+    inputs = set(c1.inputs) | set(c2.inputs)
     out_nets = []
     for src, tag in ((c1, "a"), (c2, "b")):
-        ren = {n: n if g.op == "input" else f"m_{tag}_{n}"
-               for n, g in src.gates.items()}
-        part = src.renamed(ren)
-        for n, g in part.gates.items():
-            if n in m.gates:
-                if g.op == "input" and m.gates[n].op == "input":
-                    continue
-                raise ValueError(f"net collision on {n!r}")
-            m.gates[n] = g
+        # name every net before rewiring: a gate may read a later net
+        ren = {}
+        for n, g in src.gates.items():
+            ren[n] = n if g.op == "input" else m.fresh(f"m_{tag}_{n}", inputs)
+            m.gates[ren[n]] = g
+        for n, g in src.gates.items():
+            m.gates[ren[n]] = Gate(g.op, tuple(ren[s] for s in g.ins))
         out_nets.append([ren[o] for o in src.outputs])
-    diffs = []
-    for k, (o1, o2) in enumerate(zip(*out_nets)):
-        diffs.append(m.add(f"m_diff{k}", "xor", o1, o2))
-    if len(diffs) == 1:
-        m.add("m_out", "buf", diffs[0])
-    else:
-        m.add("m_out", "or", *diffs)
-    m.outputs = ["m_out"]
+    diffs = [m.add(m.fresh(f"m_diff{k}"), "xor", o1, o2)
+             for k, (o1, o2) in enumerate(zip(*out_nets))]
+    out = m.add(m.fresh("m_out"), "or" if len(diffs) > 1 else "buf", *diffs)
+    m.outputs = [out]
     return m

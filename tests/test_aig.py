@@ -89,6 +89,16 @@ def test_po_name_clash_is_an_issue():
         from_aig(g).evaluate({"a": 1})
 
 
+def test_parse_default_names_avoid_symbol_names():
+    """An unnamed input (output) takes pi{k} (po{k}), or else the first
+    pi{k}_{j} that no symbol entry names, so two inputs stay two."""
+    g = parse_aiger("aag 3 2 0 1 1\n2\n4\n6\n6 2 5\ni0 pi1\n")
+    assert g.pi_names == ["pi1", "pi1_1"] and g.po_names == ["po0"]
+    assert truth_table(g).tolist() == [0, 0, 1, 0]  # x1 and not x2
+    g = parse_aiger("aag 1 1 0 1 0\n2\n2\ni0 po0\n")
+    assert g.po_names == ["po0_1"] and g.is_canonical
+
+
 def test_simulate_missing_pi():
     with pytest.raises(KeyError):
         from_aig(simple_graph()).evaluate({"a": 1})

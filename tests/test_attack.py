@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ipcamo.aig import random_tree
+from ipcamo.aig import AigGraph, NodeType, random_tree
 from ipcamo import attack
 from ipcamo.attack import (KeyedNetlist, dip_attack, equivalence_check,
                            key_is_correct, keyize_netlist, make_ll_baseline,
@@ -359,20 +359,39 @@ def _floating_candidate_netlist():
     ("buf", "a__norm", False),   # a buffer cell makes no __norm net
 ])
 def test_keyize_keeps_every_net_single_driven(op, net, clash):
+    """A net named like one keyize makes for candidate a keeps its gate, and
+    the made net takes the next free name."""
     c = Circuit()
     c.add("x", "input")
     c.add("a", op, "x")
     c.add(net, "and", "a", "x")
     c.outputs = [net]
-    nl = CamouflagedNetlist(None, c, [], [])
-    if clash:
-        with pytest.raises(ValueError, match=f"^net '{net}' already driven$"):
-            keyize_netlist(nl)
-        return
-    kn = keyize_netlist(nl)
-    assert kn.key_inputs == ["key0", "key1"]
-    for x in (0, 1):
-        assert kn.under(kn.correct_key).evaluate({"x": x}) == c.evaluate({"x": x})
+    kn = keyize_netlist(CamouflagedNetlist(None, c, [], []))
+    gates = kn.circuit.gates
+    # x, a and net, then two key inputs, __nk0, __pick and (but for a
+    # buffer) __norm: every made net is new
+    assert len(gates) == 3 + 4 + (op != "buf")
+    assert gates[net] == c.gates[net]
+    assert (f"{net}_1" in gates) == clash
+    assert kn.key_inputs == (["key0_1", "key1"] if net == "key0" else ["key0", "key1"])
+    assert kn.correct_key == [0, 0]
+    assert equivalence_check(kn.under(kn.correct_key), c)
+
+
+def test_ll_baseline_of_a_circuit_with_inputs_named_like_its_nets():
+    """Inputs named like the lock's moved gates and key inputs stay inputs;
+    every net is locked and the lock computes f under its correct key."""
+    g = AigGraph([NodeType.PI, NodeType.PI, NodeType.PI, NodeType.AND, NodeType.AND,
+                  NodeType.PO],
+                 [(0, 3, False), (1, 3, True), (3, 4, False), (2, 4, False), (4, 5, False)],
+                 ["n3__raw", "key0", "n4__raw", None, None, "y"])
+    f = from_aig(g)
+    kn = make_ll_baseline(g, 4)  # n3__n1, n3, n4 and y
+    assert kn.payload_inputs == ["n3__raw", "key0", "n4__raw"]
+    assert kn.key_inputs == ["key0_1", "key1", "key2", "key3"]
+    assert {"n3__raw_1", "n4__raw_1"} <= set(kn.circuit.gates)
+    assert all(kn.circuit.gates[n] == f.gates[n] for n in f.inputs)
+    assert equivalence_check(kn.under(kn.correct_key), g)
 
 
 def test_floating_candidates_get_no_keys():

@@ -373,6 +373,32 @@ def test_functional_view_is_f_on_the_layout_names(toy_checkpoint):
         assert set(view.names) <= set(nl.appearance_view.gates)
 
 
+def test_skeleton_of_f_with_names_like_the_nets_it_builds():
+    """F's inputs and output named like the slot, wiring and key nets the
+    build makes: the netlist computes F when realized and under its correct
+    key, reloads, and its functional view names F's ANDs with the AND nets
+    of its appearance view."""
+    f, a = _toy_pair(10)
+    first = len(normalize(pad_to_match(f, a)).pi_indices)  # F's first AND slot
+    rename = dict(zip(f.pi_names, [f"g{first}", "key0", f"g{first + 1}_e0",
+                                   f"g{first}_1"]))
+    f.names = [rename.get(n, n) for n in f.names]
+    f.names[f.po_indices[0]] = f"g{first + 2}"
+    assert len(set(rename.values()) & set(f.pi_names)) == 4
+    for g_hat in (AigGraph([], []), normalize(pad_to_match(f, a))):
+        nl = camouflage_skeleton(f, a, g_hat, seed=1)
+        assert equivalence_check(realize(nl.appearance_view, nl.placements), f)
+        kn = keyize_netlist(nl)
+        assert equivalence_check(kn.under(kn.correct_key), f)
+        assert CamouflagedNetlist.from_json(nl.to_json()).to_json() == nl.to_json()
+        view = nl.functional_view
+        assert equivalence_check(view, f)
+        ands = [view.names[i] for i in view.and_indices]
+        assert ands[0] == f"g{first}_2"
+        assert all(nl.appearance_view.gates[n].op == "and" for n in ands)
+        assert set(view.names) <= set(nl.appearance_view.gates)
+
+
 def test_keyed_netlist_computes_f_under_the_correct_key(toy_checkpoint):
     """The built netlist, not the functional view: keyed under its correct
     key, and realized with each covert cell's real gate, each desk cell

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ipcamo
+from ipcamo.aig import AigGraph
 from ipcamo.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 TRAIN_CFG = {
@@ -330,6 +331,70 @@ def test_attack_reports_a_wrong_key(workspace, tmp_path, monkeypatch):
     rows = [line.split(",") for line in (out / "attack.csv").read_text().splitlines()]
     assert len(rows) == 3
     assert all(row[4:] == ["wrong-key", "3", "7"] for row in rows[1:])
+
+
+# two 3-AND cones over inputs named like nets the chain generates: `g4`, the
+# first AND slot of either cone wearing the other, `key0`, the first key
+# input, and an unnamed input beside one named `pi1`, its default name
+CLASH_AAG = """aag 10 4 0 2 6
+2
+4
+6
+8
+14
+20
+10 2 5
+12 6 8
+14 10 12
+16 3 7
+18 4 9
+20 17 18
+i0 pi1
+i2 key0
+i3 g4
+o0 y0
+o1 y1
+"""
+
+
+def test_aiger_chain_with_names_like_generated_nets(workspace, tmp_path):
+    """dataset -> camouflage -> verify -> attack on an AIGER file whose
+    symbol names collide with generated net names: every command exits 0,
+    every netlist computes F and every attack recovers a correct key."""
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "clash.aag").write_text(CLASH_AAG)
+    ds = tmp_path / "ds"
+    cfg = _write_cfg(tmp_path / "ds.json", {"out": str(ds), "benchmark_dir": str(bench)})
+    assert main(["dataset", "--config", str(cfg)]) == EXIT_OK
+    f_path, a_path = ds / "graphs" / "g00000.json", ds / "graphs" / "g00001.json"
+    f = AigGraph.from_json(f_path.read_text())
+    assert f.pi_names == ["pi1", "pi1_1", "key0", "g4"] and f.po_names == ["y0"]
+
+    camo = tmp_path / "camo"
+    cfg = _write_cfg(tmp_path / "camo.json", {
+        "out": str(camo), "checkpoint": str(workspace["train"] / "checkpoint.json"),
+        "functional": str(f_path), "appearance": str(a_path)})
+    assert main(["camouflage", "--config", str(cfg), "--p", "0,0.5",
+                 "--th", "0.05,0.5"]) == EXIT_OK
+    from ipcamo.camouflage import CamouflagedNetlist
+    for path in sorted(camo.glob("netlist_*.json")):
+        view = CamouflagedNetlist.from_json(path.read_text()).appearance_view
+        assert view.gates["g4"].op == "input" and view.gates["g4_1"].op == "and"
+
+    cfg = _write_cfg(tmp_path / "v.json", {"out": str(tmp_path / "verify"),
+                                           "functional": str(f_path),
+                                           "netlists": str(camo)})
+    assert main(["verify", "--config", str(cfg)]) == EXIT_OK
+    report = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert report["failures"] == 0 and len(report["results"]) == 4
+
+    cfg = _write_cfg(tmp_path / "a.json", {"out": str(tmp_path / "attack"),
+                                           "netlists": str(camo)})
+    assert main(["attack", "--config", str(cfg), "--budget", "60"]) == EXIT_OK
+    rows = (tmp_path / "attack" / "attack.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[4] == "solved" for row in rows)
 
 
 def test_eval_report(workspace, tmp_path):

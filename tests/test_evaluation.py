@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ipcamo import evaluation
-from ipcamo.aig import random_tree
-from ipcamo.covert import CovertGateKind
+from ipcamo.aig import AigGraph, NodeType, random_tree
+from ipcamo.covert import CovertGateKind, realize
 from ipcamo.evaluation import (BinStat, CorrelationReport, export_gnn_dataset,
                                ged_lsd_study, latent_distance, pearson_r,
                                random_covert_insertion)
@@ -112,6 +112,22 @@ def test_random_insertion_resolves_to_original():
     rng = np.random.default_rng(31)
     f = random_tree(rng, 5)
     nl = random_covert_insertion(f, "fraction", 0.3, rng)
+    kn = keyize_netlist(nl)
+    assert equivalence_check(kn.under(kn.correct_key), f)
+
+
+def test_random_insertion_beside_inputs_named_like_its_cells():
+    """Inputs named like the first two cells' nets stay inputs; the cells take
+    the next free names and the netlist still computes f."""
+    from ipcamo.attack import equivalence_check, keyize_netlist
+    f = AigGraph([NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
+                 [(0, 2, False), (1, 2, True), (2, 3, False)],
+                 ["n2__cov0", "n2__cov1", None, "y"])
+    nl = random_covert_insertion(f, "match_area", 3.0, np.random.default_rng(0))
+    view = nl.appearance_view
+    assert view.inputs == ["n2__cov0", "n2__cov1"]
+    assert [p.out for p in nl.placements][:2] == ["n2__cov0_1", "n2__cov1_1"]
+    assert equivalence_check(realize(view, nl.placements), f)
     kn = keyize_netlist(nl)
     assert equivalence_check(kn.under(kn.correct_key), f)
 

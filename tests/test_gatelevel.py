@@ -133,18 +133,45 @@ def test_miter_detects_difference():
     assert m.gates[m.outputs[0]].op == "const1"  # differ everywhere
 
 
+def test_fresh_takes_the_first_free_suffix():
+    c = xor_circuit()
+    assert c.fresh("z") == "z"
+    assert c.fresh("a") == "a_1"
+    c.add("a_1", "not", "a")
+    assert c.fresh("a", taken={"a_2"}) == "a_3"
+    assert c.fresh("z", taken=("z",)) == "z_1"
+
+
+def test_miter_of_circuits_with_inputs_named_like_its_nets():
+    """Inputs named like the miter's own nets stay shared inputs, and the
+    miter is 1 exactly where the two circuits differ."""
+    names = ["m_a_y", "m_b_y", "m_diff0", "m_out"]
+    c1, c2 = Circuit(), Circuit()
+    for c in (c1, c2):
+        for n in names:
+            c.add(n, "input")
+    c1.add("y", "and", "y_1", "m_diff0")  # reads a net listed after it
+    c1.add("y_1", "or", "m_a_y", "m_b_y")
+    c1.outputs = ["y"]
+    c2.add("y", "xor", "m_out", "m_b_y")
+    c2.outputs = ["y"]
+    m = miter(c1, c2)
+    assert m.inputs == names and m.outputs == ["m_out_1"]
+    assert {"m_a_y_1", "m_a_y_1_1", "m_b_y_1", "m_diff0_1"} <= set(m.gates)
+    for bits in range(16):
+        x = {n: bits >> k & 1 for k, n in enumerate(names)}
+        want = c1.evaluate(x)["y"] ^ c2.evaluate(x)["y"]
+        assert m.evaluate(x) == {"m_out_1": want}, x
+    same = simplify(miter(c1, c1))
+    assert same.gates[same.outputs[0]].op == "const0"
+
+
 def test_prune_drops_dead_logic():
     c = xor_circuit()
     c.add("dead", "and", "a", "b")
     p = prune(c)
     assert "dead" not in p.gates
     assert set(p.outputs) == {"y"}
-
-
-def test_renamed():
-    c = xor_circuit()
-    r = c.renamed({"y": "out", "a": "a2"})
-    assert r.evaluate({"a2": 1, "b": 1})["out"] == 0
 
 
 def test_json_obj_roundtrip():
