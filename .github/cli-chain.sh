@@ -34,3 +34,16 @@ python -m ipcamo dataset --config ds.json --out ds --seed 3
 python -m ipcamo camouflage --config camo.json --out camo --p 0,0.5 --th 0.05,0.5 --seed 5
 python -m ipcamo verify --config verify.json --out verify
 python -m ipcamo attack --config attack.json --out attack --budget 60
+# A deep cone under aiger-deep/: y = x0 AND x1 as a chain of 1,500 ANDs, one
+# tree level each, kept whole by max_nodes 4000 (the tree has 3,002 nodes).
+mkdir -p ../aiger-deep/bench
+cd ../aiger-deep
+python - <<'PY' > bench/chain.aag
+n = 1500
+print(f"aag {n + 2} 2 0 1 {n}", 2, 4, 2 * n + 4, "6 2 4", sep="\n")
+for v in range(4, n + 3):
+    print(2 * v, 2 * v - 2, 2 + 2 * (v % 2))
+print("i0 x0", "i1 x1", "o0 y", sep="\n")
+PY
+echo '{"benchmark_dir": "bench", "max_nodes": 4000}' > ds.json
+python -m ipcamo dataset --config ds.json --out ds --seed 3

@@ -4,11 +4,12 @@ from __future__ import annotations
 import enum
 import json
 import warnings
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 import numpy as np
 
-AIG_JSON_FORMAT = "ipcamo-aig-v1"
+AIG_JSON_FORMAT = "ipcamo-aig-v2"
 AAG_COMMENT = "ipcamo-aag-v1"
 
 
@@ -21,6 +22,16 @@ class NodeType(enum.Enum):
         v = np.zeros(3)
         v[self.value] = 1.0
         return v
+
+
+def fresh_name(base: str, taken: Container[str], also: Container[str] = ()) -> str:
+    """The package's one naming rule: `base`, or else the first `base_k`
+    (k = 1, 2, ...) that neither `taken` nor `also` holds."""
+    name, k = base, 0
+    while name in taken or name in also:
+        k += 1
+        name = f"{base}_{k}"
+    return name
 
 
 class AigerParseError(ValueError):
@@ -38,29 +49,30 @@ class AigGraph:
     """A DAG of PI/PO/AND nodes with inversion flags on edges.
 
     Nodes are indexed 0..n-1 in topological order; every edge goes from a
-    lower index to a higher index.
+    lower index to a higher index. An unnamed PI (PO) k is named
+    `fresh_name(f"pi{k}", ...)` (`po{k}`), avoiding every name it was given.
     """
 
     types: list[NodeType]
     edges: list[tuple[int, int, bool]]  # (src, dst, inverted)
     names: list[str | None] = field(default_factory=list)
-    dummy: list[bool] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.names:
             self.names = [None] * len(self.types)
-        if not self.dummy:
-            self.dummy = [False] * len(self.types)
+        given = None  # the names the graph was given, built at the first unnamed PI or PO
         pi_k = po_k = 0
         for i, t in enumerate(self.types):
+            if t is NodeType.AND:
+                continue
             if self.names[i] is None:
-                if t is NodeType.PI:
-                    self.names[i] = f"pi{pi_k}"
-                elif t is NodeType.PO:
-                    self.names[i] = f"po{po_k}"
+                if given is None:
+                    given = set(self.names)
+                self.names[i] = fresh_name(
+                    f"pi{pi_k}" if t is NodeType.PI else f"po{po_k}", given)
             if t is NodeType.PI:
                 pi_k += 1
-            elif t is NodeType.PO:
+            else:
                 po_k += 1
 
     @property
@@ -154,7 +166,6 @@ class AigGraph:
                 "format": AIG_JSON_FORMAT,
                 "types": [t.name for t in self.types],
                 "names": self.names,
-                "dummy": self.dummy,
                 "edges": [[s, d, int(inv)] for s, d, inv in self.edges],
             },
             sort_keys=True,
@@ -169,7 +180,6 @@ class AigGraph:
             types=[NodeType[t] for t in obj["types"]],
             edges=[(s, d, bool(inv)) for s, d, inv in obj["edges"]],
             names=list(obj["names"]),
-            dummy=list(obj["dummy"]),
         )
 
 
@@ -196,7 +206,10 @@ class TensorTriple:
 
 
 def parse_aiger(data: bytes | str) -> AigGraph:
-    """Parse a combinational ASCII AIGER file into an AigGraph."""
+    """Parse a combinational ASCII AIGER file into an AigGraph.
+
+    An input or output the symbol table leaves unnamed is passed as None,
+    so AigGraph gives it its default name."""
     if isinstance(data, bytes):
         data = data.decode("ascii")
     lines = data.splitlines()
@@ -280,24 +293,13 @@ def parse_aiger(data: bytes | str) -> AigGraph:
             raise AigerParseError(f"malformed symbol entry {ln!r}", line=pos + 1)
         pos += 1
 
-    # an unnamed input (output) k takes `pi{k}` (`po{k}`), or else the first
-    # `pi{k}_{j}` no symbol entry names: the rule of gatelevel.Circuit.fresh
-    symbols = {*in_names.values(), *out_names.values()}
-
-    def default(base: str) -> str:
-        name, j = base, 0
-        while name in symbols:
-            j += 1
-            name = f"{base}_{j}"
-        return name
-
     var_node: dict[int, int] = {}
     types: list[NodeType] = []
     names: list[str | None] = []
     for k, lit in enumerate(in_lits):
         var_node[lit // 2] = len(types)
         types.append(NodeType.PI)
-        names.append(in_names[k] if k in in_names else default(f"pi{k}"))
+        names.append(in_names.get(k))
 
     # AND gates in topological order (aag files are not required to be sorted)
     defined = {v[0] // 2: (v, ln) for v, ln in and_defs}
@@ -346,7 +348,7 @@ def parse_aiger(data: bytes | str) -> AigGraph:
         src = var_node[lit // 2]
         dst = len(types)
         types.append(NodeType.PO)
-        names.append(out_names[k] if k in out_names else default(f"po{k}"))
+        names.append(out_names.get(k))
         edges.append((src, dst, bool(lit & 1)))
 
     return AigGraph(types=types, edges=edges, names=names)
@@ -397,7 +399,6 @@ def normalize(g: AigGraph) -> AigGraph:
         types=[g.types[i] for i in order],
         edges=sorted((perm[s], perm[d], inv) for s, d, inv in g.edges),
         names=[g.names[i] for i in order],
-        dummy=[g.dummy[i] for i in order],
     )
 
 
@@ -418,33 +419,30 @@ def extract_cone_tree(g: AigGraph, output_name: str, max_nodes: int = 200) -> Ai
     types: list[NodeType] = []
     names: list[str | None] = []
     edges: list[tuple[int, int, bool]] = []
-
-    def build(node: int) -> int | None:
-        # post-order duplication; each call materializes a fresh node
+    # post-order duplication on an explicit stack; each visit materializes a
+    # fresh node, and `done` holds the tree nodes still waiting for a parent
+    (root, root_inv), = preds[po]
+    todo, done = [(root, False)], []
+    while todo:
+        node, expanded = todo.pop()
         if len(types) >= max_nodes:
             return None
         if g.types[node] is NodeType.PI:
             types.append(NodeType.PI)
             names.append(g.names[node])
-            return len(types) - 1
-        kids = []
-        for src, inv in preds[node]:
-            k = build(src)
-            if k is None:
-                return None
-            kids.append((k, inv))
-        if len(types) >= max_nodes:
-            return None
-        types.append(NodeType.AND)
-        names.append(None)
-        me = len(types) - 1
-        for k, inv in kids:
-            edges.append((k, me, inv))
-        return me
-
-    (root, root_inv), = preds[po]
-    top = build(root)
-    if top is None or len(types) + 1 > max_nodes:
+        elif expanded:
+            me, cut = len(types), len(done) - len(preds[node])
+            types.append(NodeType.AND)
+            names.append(None)
+            edges.extend((k, me, inv) for k, (_, inv) in zip(done[cut:], preds[node]))
+            del done[cut:]
+        else:
+            todo.append((node, True))
+            todo.extend((src, False) for src, _ in reversed(preds[node]))
+            continue
+        done.append(len(types) - 1)
+    top, = done
+    if len(types) + 1 > max_nodes:
         return None
     types.append(NodeType.PO)
     names.append(output_name)
@@ -504,22 +502,21 @@ def from_tensors(t: TensorTriple) -> AigGraph:
 
 
 def pad_to_match(g: AigGraph, reference: AigGraph) -> AigGraph:
-    """Extend g with dummy PI/AND nodes so per-type counts reach the pairwise max."""
+    """Extend g with unconnected PI and AND nodes, from index g.n on, so
+    per-type counts reach the pairwise max. Pad k is named
+    `fresh_name(f"dummy_pi{k}", ...)` (`dummy_and{k}`) beside g's names."""
     mine = g.type_counts()
     ref = reference.type_counts()
     if mine[NodeType.PO] != ref[NodeType.PO]:
         raise ValueError("PO counts differ; dummy POs are not supported")
     types = list(g.types)
     names = list(g.names)
-    dummy = list(g.dummy)
-    k = sum(dummy)
+    taken = set(names)  # pad bases differ from each other and from every `base_k`
     for t in (NodeType.PI, NodeType.AND):
         for _ in range(max(0, ref[t] - mine[t])):
+            names.append(fresh_name(f"dummy_{t.name.lower()}{len(types) - g.n}", taken))
             types.append(t)
-            names.append(f"dummy_{t.name.lower()}{k}")
-            dummy.append(True)
-            k += 1
-    return AigGraph(types=types, edges=list(g.edges), names=names, dummy=dummy)
+    return AigGraph(types=types, edges=list(g.edges), names=names)
 
 
 # -- Simulation ---------------------------------------------------------------

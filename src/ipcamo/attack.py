@@ -106,35 +106,36 @@ def _as_circuit(x) -> Circuit:
     return from_aig(x) if isinstance(x, AigGraph) else x
 
 
+def _tables(support, *circuits: Circuit) -> list[list[int]]:
+    """Each circuit's output words over all 2^k patterns of the k sorted
+    support inputs."""
+    words, full = pattern_words(len(support))
+    bound = dict(zip(sorted(support), words))
+    return [CompiledCircuit(c).run(bound, full) for c in circuits]
+
+
 def equivalence_check(a, b, time_budget: float | None = None) -> bool:
     """Exact combinational equivalence; truth tables when small, miter-SAT else.
 
     Both circuits are cut to their output cones first, so inputs with no
     path to an output never enter the comparison. Up to 16 support inputs,
     each side's truth table comes from one bit-parallel pass over all 2^k
-    patterns. Above that both sides are simplified, which can drop inputs
-    that cancel and collapses structurally identical designs, and the
-    truth tables are tried again before the miter goes to SAT.
+    patterns. Above that the miter of the two is simplified once, which can
+    drop inputs that cancel and folds structurally identical designs to a
+    constant with no inputs left. If at most 16 inputs remain, the miter's
+    truth table must be 0; otherwise SAT must find the miter unsatisfiable.
     """
     c1 = prune(_as_circuit(a))
     c2 = prune(_as_circuit(b))
     if len(c1.outputs) != len(c2.outputs):
         return False
-    support = sorted(set(c1.inputs) | set(c2.inputs))
-    if len(support) > 16:
-        c1, c2 = simplify(c1), simplify(c2)
-        support = sorted(set(c1.inputs) | set(c2.inputs))
+    support = set(c1.inputs) | set(c2.inputs)
     if len(support) <= 16:
-        words, full = pattern_words(len(support))
-        bound = dict(zip(support, words))
-        return (CompiledCircuit(c1).run(bound, full)
-                == CompiledCircuit(c2).run(bound, full))
+        t1, t2 = _tables(support, c1, c2)
+        return t1 == t2
     m = simplify(miter(c1, c2))
-    g = m.gates[m.outputs[0]]
-    if g.op == "const0":
-        return True
-    if g.op == "const1":
-        return False
+    if len(m.inputs) <= 16:
+        return _tables(m.inputs, m) == [[0]]
     cnf = CnfFormula()
     t = cnf.new_var()
     cnf.add_clause([t])

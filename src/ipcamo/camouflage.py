@@ -306,10 +306,10 @@ def camouflage_skeleton(
         if not g.is_tree():
             raise ValueError(f"{name} target must be a canonical single-PO tree")
     fp = normalize(pad_to_match(f, a))
-    ap = normalize(pad_to_match(a, f))
-
+    # the type-rank placement keeps each type's order, so F and A need no
+    # padding to sit on the layout
     incoming, fix_log = fix_pairs(
-        _pair_states(g_hat, fp), _pair_states(fp, fp), _pair_states(ap, fp))
+        _pair_states(g_hat, fp), _pair_states(f, fp), _pair_states(a, fp))
     appearance_view, placements, slot_nets = _build_appearance(
         fp, incoming, np.random.default_rng(seed))
     # the functional view is F on the slot nets: F's k-th AND is slot n_pi(fp) + k

@@ -12,7 +12,7 @@ from collections import namedtuple
 from collections.abc import Container
 from dataclasses import dataclass, field
 
-from .aig import AigGraph, NodeType
+from .aig import AigGraph, NodeType, fresh_name
 
 # op -> (min fan-in, max fan-in, the rule a bad fan-in breaks)
 _ARITY = {
@@ -57,13 +57,9 @@ class Circuit:
         return net
 
     def fresh(self, base: str, taken: Container[str] = ()) -> str:
-        """The one rule for naming a generated net: `base`, or else the first
+        """A generated net's name by `aig.fresh_name`: `base`, or else the first
         `base_k` (k = 1, 2, ...) that no gate drives and `taken` does not hold."""
-        name, k = base, 0
-        while name in self.gates or name in taken:
-            k += 1
-            name = f"{base}_{k}"
-        return name
+        return fresh_name(base, self.gates, taken)
 
     @property
     def inputs(self) -> list[str]:

@@ -1,4 +1,5 @@
 """AIG data model, AIGER I/O, cones, tensors, simulation."""
+import json
 import re
 import warnings
 
@@ -97,6 +98,18 @@ def test_parse_default_names_avoid_symbol_names():
     assert truth_table(g).tolist() == [0, 0, 1, 0]  # x1 and not x2
     g = parse_aiger("aag 1 1 0 1 0\n2\n2\ni0 po0\n")
     assert g.po_names == ["po0_1"] and g.is_canonical
+
+
+def test_default_names_avoid_given_names():
+    """An unnamed PI (PO) k takes fresh_name(f"pi{k}") (`po{k}`) beside every
+    name the graph was given, so two inputs stay two."""
+    g = AigGraph([NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
+                 [(0, 2, False), (1, 2, True), (2, 3, False)], [None, "pi0", None, "y"])
+    assert g.names == ["pi0_1", "pi0", None, "y"] and g.is_canonical
+    assert truth_table(g).tolist() == [0, 0, 1, 0]  # x0 and not x1
+    assert from_aig(g).evaluate({"pi0_1": 1, "pi0": 0}) == {"y": 1}
+    g = AigGraph([NodeType.PI, NodeType.PO], [(0, 1, False)], ["po0", None])
+    assert g.names == ["po0", "po0_1"] and g.is_canonical
 
 
 def test_simulate_missing_pi():
@@ -259,6 +272,34 @@ def test_cone_extraction_duplicates_shared_logic():
                 assert from_aig(t1).evaluate({"a": a, "b": b, "c": c})["y1"] == full["y1"]
 
 
+def test_cone_extraction_node_order():
+    # post-order, fan-ins in edge order: c, then a and b under their AND
+    t1 = extract_cone_tree(shared_node_dag(), "y1")
+    assert t1.types == [NodeType.PI] * 3 + [NodeType.AND] * 2 + [NodeType.PO]
+    assert t1.names == ["c", "a", "b", None, None, "y1"]
+    assert t1.edges == [(1, 3, False), (2, 3, False), (0, 4, False), (3, 4, False),
+                        (4, 5, True)]
+
+
+def _chain_aag(n_ands: int) -> str:
+    """y = x0 AND x1 as a chain of n_ands ANDs, each reading the one before."""
+    ands = ["6 2 4"] + [f"{2 * v} {2 * v - 2} {2 + 2 * (v % 2)}" for v in range(4, n_ands + 3)]
+    return "\n".join([f"aag {n_ands + 2} 2 0 1 {n_ands}", "2", "4", str(2 * n_ands + 4),
+                      *ands, "i0 x0", "i1 x1", "o0 y"]) + "\n"
+
+
+def test_cone_extraction_of_a_deep_chain():
+    # 1,500 levels: deeper than Python's default recursion limit
+    g = parse_aiger(_chain_aag(1500))
+    tree = extract_cone_tree(g, "y", max_nodes=10_000)
+    assert tree is not None and tree.is_tree() and tree.n == 3002
+    assert tree.type_counts()[NodeType.AND] == 1500
+    assert extract_cone_tree(g, "y", max_nodes=3002).edges == tree.edges
+    assert extract_cone_tree(g, "y", max_nodes=3001) is None
+    for x0, x1 in np.ndindex(2, 2):
+        assert from_aig(tree).evaluate({"x0": x0, "x1": x1}) == {"y": x0 & x1}
+
+
 def test_cone_extraction_max_nodes_rejection():
     g = shared_node_dag()
     assert extract_cone_tree(g, "y1", max_nodes=4) is None
@@ -346,11 +387,22 @@ def test_pad_to_match():
         assert padded.type_counts()[t] == max(small.type_counts()[t],
                                               big.type_counts()[t])
     assert padded.type_counts()[NodeType.PO] == 1
-    assert sum(padded.dummy) == padded.n - small.n
-    # padding is function-preserving: dummies are isolated
+    # the pads are the nodes from small.n on, PIs first, numbered from 0
+    pads = range(small.n, padded.n)
+    assert padded.types[:small.n] == small.types and padded.names[:small.n] == small.names
+    assert [padded.names[i] for i in pads] == [
+        f"dummy_{padded.types[i].name.lower()}{k}" for k, i in enumerate(pads)]
+    # padding is function-preserving: pads are isolated
     assert padded.edges == small.edges
-    dummies = {i for i, d in enumerate(padded.dummy) if d}
-    assert not any(s in dummies or d in dummies for s, d, _ in padded.edges)
+    assert not any(s in pads or d in pads for s, d, _ in padded.edges)
+
+
+def test_pad_names_avoid_given_names():
+    f = AigGraph([NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
+                 [(0, 2, False), (1, 2, True), (2, 3, False)], ["dummy_pi0", "b", None, "y"])
+    padded = pad_to_match(f, random_tree(np.random.default_rng(1), 6))
+    assert padded.names[f.n] == "dummy_pi0_1"
+    assert len(padded.pi_names) == len(padded.pi_indices)
 
 
 def test_pad_rejects_po_mismatch():
@@ -364,6 +416,13 @@ def test_json_roundtrip():
     again = AigGraph.from_json(g.to_json())
     assert same_structure(again, g)
     assert again.names == g.names
+
+
+def test_from_json_rejects_a_v1_dump():
+    obj = json.loads(simple_graph().to_json())
+    obj.update(format="ipcamo-aig-v1", dummy=[False] * 4)
+    with pytest.raises(ValueError, match="^unsupported graph dump format: 'ipcamo-aig-v1'$"):
+        AigGraph.from_json(json.dumps(obj))
 
 
 def test_normalize_layout():

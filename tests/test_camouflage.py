@@ -399,6 +399,17 @@ def test_skeleton_of_f_with_names_like_the_nets_it_builds():
         assert set(view.names) <= set(nl.appearance_view.gates)
 
 
+def test_skeleton_keeps_a_pi_named_like_a_pad_apart():
+    # F's input `dummy_pi0` and the first pad PI are two inputs of the look
+    f = AigGraph([NodeType.PI, NodeType.PI, NodeType.AND, NodeType.PO],
+                 [(0, 2, False), (1, 2, True), (2, 3, False)], ["dummy_pi0", "b", None, "y"])
+    a = random_tree(np.random.default_rng(1), 6)
+    nl = camouflage_skeleton(f, a, AigGraph([], []))
+    assert len(nl.appearance_view.inputs) == len(a.pi_indices) == 7
+    assert "dummy_pi0_1" in nl.appearance_view.inputs
+    assert equivalence_check(realize(nl.appearance_view, nl.placements), f)
+
+
 def test_keyed_netlist_computes_f_under_the_correct_key(toy_checkpoint):
     """The built netlist, not the functional view: keyed under its correct
     key, and realized with each covert cell's real gate, each desk cell
