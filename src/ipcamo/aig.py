@@ -14,6 +14,10 @@ AAG_COMMENT = "ipcamo-aag-v1"
 
 
 class NodeType(enum.Enum):
+    """A node's type. Reading a member off the class costs about 0.14 us on
+    CPython 3.11, several times a local name's, so the per-cell loops over
+    nodes bind the members they compare with to locals first."""
+
     PI = 0
     PO = 1
     AND = 2
@@ -62,15 +66,15 @@ class AigGraph:
             self.names = [None] * len(self.types)
         given = None  # the names the graph was given, built at the first unnamed PI or PO
         pi_k = po_k = 0
+        PI, AND = NodeType.PI, NodeType.AND
         for i, t in enumerate(self.types):
-            if t is NodeType.AND:
+            if t is AND:
                 continue
             if self.names[i] is None:
                 if given is None:
                     given = set(self.names)
-                self.names[i] = fresh_name(
-                    f"pi{pi_k}" if t is NodeType.PI else f"po{po_k}", given)
-            if t is NodeType.PI:
+                self.names[i] = fresh_name(f"pi{pi_k}" if t is PI else f"po{po_k}", given)
+            if t is PI:
                 pi_k += 1
             else:
                 po_k += 1
@@ -118,20 +122,22 @@ class AigGraph:
     def issues(self) -> list[str]:
         """Structural violations of the canonical-AIG invariants (empty = canonical)."""
         out = []
-        indeg = [0] * self.n
+        n = len(self.types)
+        indeg = [0] * n
         for s, d, inv in self.edges:
-            if not (0 <= s < self.n and 0 <= d < self.n):
+            if not (0 <= s < n and 0 <= d < n):
                 out.append(f"edge ({s},{d}) out of range")
                 continue
             if s >= d:
                 out.append(f"edge ({s},{d}) not forward")
             indeg[d] += 1
+        PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
         for i, t in enumerate(self.types):
-            if t is NodeType.PI and indeg[i] != 0:
+            if t is PI and indeg[i] != 0:
                 out.append(f"PI node {i} has in-degree {indeg[i]}")
-            elif t is NodeType.AND and indeg[i] != 2:
+            elif t is AND and indeg[i] != 2:
                 out.append(f"AND node {i} has in-degree {indeg[i]}")
-            elif t is NodeType.PO and indeg[i] != 1:
+            elif t is PO and indeg[i] != 1:
                 out.append(f"PO node {i} has in-degree {indeg[i]}")
         seen = set(self.pi_names)
         for i in self.po_indices:
@@ -156,7 +162,8 @@ class AigGraph:
         )
 
     def type_counts(self) -> dict[NodeType, int]:
-        return {t: len(self.indices(t)) for t in NodeType}
+        types = self.types
+        return {t: types.count(t) for t in NodeType}
 
     # -- JSON debug dump ----------------------------------------------------
 
@@ -209,7 +216,9 @@ def parse_aiger(data: bytes | str) -> AigGraph:
     """Parse a combinational ASCII AIGER file into an AigGraph.
 
     An input or output the symbol table leaves unnamed is passed as None,
-    so AigGraph gives it its default name."""
+    so AigGraph gives it its default name. An output symbol that repeats
+    another symbol's name is an error, as is an input symbol that repeats
+    an output's."""
     if isinstance(data, bytes):
         data = data.decode("ascii")
     lines = data.splitlines()
@@ -269,9 +278,11 @@ def parse_aiger(data: bytes | str) -> AigGraph:
         seen_lits.add(vals[0])
         and_defs.append((vals, ln))
 
-    # symbol table
+    # symbol table; an output's name must be its own, while inputs may share
+    # one (cone trees repeat leaf names)
     in_names: dict[int, str] = {}
     out_names: dict[int, str] = {}
+    first_tag: dict[str, str] = {}  # each name -> the first symbol that gave it
     while pos < len(lines) and lines[pos].strip():
         ln = lines[pos]
         if ln == "c":
@@ -286,6 +297,10 @@ def parse_aiger(data: bytes | str) -> AigGraph:
                                       f"{'inputs' if tag[0] == 'i' else 'outputs'}", line=pos + 1)
             if idx in table:
                 raise AigerParseError(f"symbol {tag} named twice", line=pos + 1)
+            prev = first_tag.setdefault(parts[1], tag)
+            if "o" in (tag[0], prev[0]) and prev != tag:
+                raise AigerParseError(f"symbol {tag} repeats the name {parts[1]!r} of {prev}; "
+                                      "an output's name must be its own", line=pos + 1)
             table[idx] = parts[1]
         elif tag[0] == "l":
             raise AigerParseError("latch symbol present", line=pos + 1)

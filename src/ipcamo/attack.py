@@ -16,7 +16,7 @@ from .aig import AigGraph, pattern_words
 from .camouflage import CamouflagedNetlist
 from .cnf import CnfFormula, SatResult, check_literals, sat_solve
 from .covert import CovertGateKind, replace_cells
-from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, miter, prune,
+from .gatelevel import (Circuit, CompiledCircuit, Gate, from_aig, make_gate, miter, prune,
                         simplify)
 
 # -- Tseitin ------------------------------------------------------------------
@@ -106,34 +106,42 @@ def _as_circuit(x) -> Circuit:
     return from_aig(x) if isinstance(x, AigGraph) else x
 
 
-def _tables(support, *circuits: Circuit) -> list[list[int]]:
+def _cones(x) -> Circuit | CompiledCircuit:
+    """x cut to its output cones: an AIG compiled straight, a Circuit pruned."""
+    return CompiledCircuit.from_aig(x) if isinstance(x, AigGraph) else prune(x)
+
+
+def _tables(support, *circuits: Circuit | CompiledCircuit) -> list[list[int]]:
     """Each circuit's output words over all 2^k patterns of the k sorted
     support inputs."""
     words, full = pattern_words(len(support))
     bound = dict(zip(sorted(support), words))
-    return [CompiledCircuit(c).run(bound, full) for c in circuits]
+    return [(c if isinstance(c, CompiledCircuit) else CompiledCircuit(c)).run(bound, full)
+            for c in circuits]
 
 
 def equivalence_check(a, b, time_budget: float | None = None) -> bool:
     """Exact combinational equivalence; truth tables when small, miter-SAT else.
 
-    Both circuits are cut to their output cones first, so inputs with no
-    path to an output never enter the comparison. Up to 16 support inputs,
-    each side's truth table comes from one bit-parallel pass over all 2^k
-    patterns. Above that the miter of the two is simplified once, which can
-    drop inputs that cancel and folds structurally identical designs to a
-    constant with no inputs left. If at most 16 inputs remain, the miter's
-    truth table must be 0; otherwise SAT must find the miter unsatisfiable.
+    Both operands are cut to their output cones first, so inputs with no
+    path to an output never enter the comparison; an AIG is compiled
+    straight to its cones, without lowering it to gates. Up to 16 support
+    inputs, each side's truth table comes from one bit-parallel pass over
+    all 2^k patterns. Above that the miter of the two circuits is
+    simplified once, which can drop inputs that cancel and folds
+    structurally identical designs to a constant with no inputs left. If at
+    most 16 inputs remain, the miter's truth table must be 0; otherwise SAT
+    must find the miter unsatisfiable.
     """
-    c1 = prune(_as_circuit(a))
-    c2 = prune(_as_circuit(b))
+    c1, c2 = _cones(a), _cones(b)
     if len(c1.outputs) != len(c2.outputs):
         return False
     support = set(c1.inputs) | set(c2.inputs)
     if len(support) <= 16:
         t1, t2 = _tables(support, c1, c2)
         return t1 == t2
-    m = simplify(miter(c1, c2))
+    m = simplify(miter(*(prune(from_aig(x)) if isinstance(x, AigGraph) else c
+                         for x, c in ((a, c1), (b, c2)))))
     if len(m.inputs) <= 16:
         return _tables(m.inputs, m) == [[0]]
     cnf = CnfFormula()
@@ -197,7 +205,7 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     """
     # the one reading of the secret: each covert cell is its key-00 gate
     cone = prune(replace_cells(nl.appearance_view, nl.placements,
-                               lambda p: Gate(p.kind.key00, (p.real_in,))))
+                               lambda p: make_gate(p.kind.key00, (p.real_in,))))
     live = cone.gates
     key_of = {p.out: p.config.key_bits for p in nl.placements}
     keyed = sorted(net for net, g in live.items() if g.op in _KEYED_OPS)
@@ -206,7 +214,7 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
     # keyed net its key inputs, the true cell function (none for a buffer),
     # and out = k1 ? 1 : (k0 ? 0 : normal)
     keyed_c = Circuit({n: g for n, g in live.items() if g.op not in _KEYED_OPS}, cone.outputs)
-    key_input = Gate("input")
+    key_input = make_gate("input")
     key_inputs: list[str] = []
     correct: list[int] = []
 
@@ -221,9 +229,9 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
         k1 = made(f"key{2 * i}", key_input)
         k0 = made(f"key{2 * i + 1}", key_input)
         normal = cell.ins[0] if cell.op == "buf" else made(f"{net}__norm", cell)
-        nk0 = made(f"{net}__nk0", Gate("not", (k0,)))
-        pick = made(f"{net}__pick", Gate("and", (nk0, normal)))
-        keyed_c.gates[net] = Gate("or", (k1, pick))
+        nk0 = made(f"{net}__nk0", make_gate("not", (k0,)))
+        pick = made(f"{net}__pick", make_gate("and", (nk0, normal)))
+        keyed_c.gates[net] = make_gate("or", (k1, pick))
         key_inputs += (k1, k0)
     return KeyedNetlist(keyed_c, key_inputs, correct)
 

@@ -15,7 +15,8 @@ handful of nodes:
 - `gru_decode`: h_0 = tanh(z W + b), then a whole GRU run fed its own
   softmax type head, backpropagated through time.
 - `edge_heads`: both edge MLPs over every row pair, one double-width hidden
-  row per pair.
+  row per pair. Its scores come from `PairScorer`, which inference calls
+  directly to score one head on chosen pairs only.
 
 Every GRU update computes its z and r gates as one stacked block, forward
 and backward, and forms each weight gradient with one product over all the
@@ -462,20 +463,34 @@ def gru_decode(p: GruParams, head: MlpParams, z: Tensor, init_w: Tensor, init_b:
     zr = np.empty((n - 1, 2 * width))
     rh, h_tilde = np.empty((n - 1, width)), np.empty((n - 1, width))
     hidden = np.empty((n - 1, mid))
+    w_h, b0_row, w1_mat, b1_row = p.w_h.data, b0.data, w1.data, b1.data
     h, t = out_data[0, :width], out_data[0, width:]
     hp = h @ by_state
-    for i in range(1, n):
+    # each step's row of every buffer it writes, as views made once
+    steps = zip(out_data[1:, :width], out_data[1:, width:], zr, zr[:, :width],
+                zr[:, width:], rh, h_tilde, hidden)
+    for h_new, t_new, zr_i, z_i, r_i, rh_i, cand, a in steps:
         tp = t @ u_all
         tp += b_all
-        np.add(hp[mid:], tp[: 2 * width], out=zr[i - 1])
-        h_new, t = out_data[i, :width], out_data[i, width:]
-        _gru_cell(p.w_h.data, zr[i - 1], tp[2 * width :], h, rh[i - 1], h_tilde[i - 1], h_new)
-        h = h_new
+        np.add(hp[mid:], tp[: 2 * width], out=zr_i)
+        # _gru_cell, inline: zr_i becomes the gates [z | r]
+        np.negative(zr_i, out=zr_i)
+        np.exp(zr_i, out=zr_i)
+        zr_i += 1.0
+        np.divide(1.0, zr_i, out=zr_i)
+        np.multiply(r_i, h, out=rh_i)
+        np.matmul(rh_i, w_h, out=cand)
+        cand += tp[2 * width :]
+        np.tanh(cand, out=cand)
+        np.subtract(cand, h, out=h_new)
+        h_new *= z_i
+        h_new += h
+        h, t = h_new, t_new
         hp = h @ by_state
-        a = np.add(hp[:mid], b0.data, out=hidden[i - 1])
+        np.add(hp[:mid], b0_row, out=a)
         np.tanh(a, out=a)
-        logit = a @ w1.data
-        logit += b1.data
+        logit = a @ w1_mat
+        logit += b1_row
         logit -= np.maximum.reduce(logit)
         np.exp(logit, out=logit)
         np.divide(logit, np.add.reduce(logit), out=t)
@@ -528,50 +543,89 @@ def tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return low
 
 
-_PAIR_BLOCK = 512  # pairs per block of an unrecorded edge_heads forward
+_PAIR_BLOCK = 512  # pairs per block of an unrecorded scoring
+CONN_HEAD, INV_HEAD, BOTH_HEADS = slice(0, 1), slice(1, 2), slice(0, 2)  # score columns
+
+
+class PairScorer:
+    """The edge heads of the rows of h: sigmoid(tanh([h_i, h_j] W0 + b0) W1 + b1)
+    for a pair (i, j), the conn head in column 0 and the inv head in column 1.
+
+    h is projected once, by the stacked [W0[:H] | W0'[:H] | W0[H:] | W0'[H:]],
+    and a pair's hidden row is left_i + right_j + [b0 | b0'], one block per
+    head. Calling the scorer scores the given pairs on a slice of the heads,
+    `_PAIR_BLOCK` pairs at a time, so it builds no (pairs x width) array.
+    Each score is one einsum over its pair's hidden block, whose sum order
+    depends neither on the block size (a BLAS product's does) nor on the
+    other pairs or heads scored with it, so a pair's score has the same bits
+    however it is asked for.
+    """
+
+    def __init__(self, h: np.ndarray, conn: MlpParams, inv: MlpParams):
+        (w0c, b0c), (w1c, b1c) = conn.layers
+        (w0i, b0i), (w1i, b1i) = inv.layers
+        width = h.shape[1]
+        mid = w0c.shape[1]
+        if (w0c.shape != (2 * width, mid) or w0i.shape != w0c.shape
+                or {w1c.shape, w1i.shape} != {(mid, 1)}):
+            raise ValueError(f"dimension mismatch: pairs of {h.shape} @ {w0c.shape}, "
+                             f"{w0i.shape}; W1 {w1c.shape}, {w1i.shape}")
+        self.mid = mid
+        self.proj_w = np.hstack([w0c.data[:width], w0i.data[:width],
+                                 w0c.data[width:], w0i.data[width:]])
+        proj = h @ self.proj_w
+        self.left, self.right = proj[:, : 2 * mid], proj[:, 2 * mid :]
+        self.b0 = np.concatenate([b0c.data, b0i.data])
+        self.w1 = np.concatenate([w1c.data, w1i.data]).reshape(2, mid)
+        self.b1 = np.concatenate([b1c.data, b1i.data])
+
+    def hidden(self, rows: np.ndarray, cols: np.ndarray, heads: slice = BOTH_HEADS) -> np.ndarray:
+        """The pairs' tanh hidden rows, the heads' blocks side by side."""
+        span = slice(heads.start * self.mid, heads.stop * self.mid)
+        out = self.left[rows, span]
+        out += self.right[cols, span]
+        out += self.b0[span]
+        return np.tanh(out, out=out)
+
+    def logits(self, hidden: np.ndarray, heads: slice = BOTH_HEADS) -> np.ndarray:
+        """Each head's W1 over its block of the hidden rows, without b1."""
+        k = heads.stop - heads.start
+        return np.einsum("pkm,km->pk", hidden.reshape(-1, k, self.mid), self.w1[heads])
+
+    def __call__(self, rows: np.ndarray, cols: np.ndarray,
+                 heads: slice = BOTH_HEADS) -> np.ndarray:
+        """(pairs, heads) scores of the pairs (rows[k], cols[k])."""
+        pre = np.empty((len(rows), heads.stop - heads.start))
+        for lo in range(0, len(rows), _PAIR_BLOCK):
+            block = slice(lo, lo + _PAIR_BLOCK)
+            pre[block] = self.logits(self.hidden(rows[block], cols[block], heads), heads)
+        pre += self.b1[heads]
+        return _sigmoid(pre, out=pre)
 
 
 def edge_heads(h: Tensor, conn: MlpParams, inv: MlpParams) -> Tensor:
-    """Both edge heads, sigmoid(tanh([h_i, h_j] W0 + b0) W1 + b1), for every row pair j < i of h.
+    """Both edge heads of `PairScorer` for every row pair j < i of h.
 
     Returns the (n(n-1)/2, 2) tensor of conn and inv scores, rows in
-    np.tril_indices(n, -1) order; one tape node. Each head scores one column.
-    A pair's hidden row is one double-width row for both heads, left_i +
-    right_j + [b0 | b0'], from one product of h with the stacked
-    [W0[:H] | W0'[:H] | W0[H:] | W0'[H:]]. Pairs are scored in blocks, in
-    that order: a recorded forward takes every pair as one block and keeps
-    it, the hidden rows its backward reads; an unrecorded one takes
-    `_PAIR_BLOCK` pairs at a time, so it builds no (pairs x width) array.
-    Each score is one einsum over its pair's hidden row, whose sum order
-    does not depend on the block size (a BLAS product's does), so both give
-    the same bits.
+    np.tril_indices(n, -1) order; one tape node. Unrecorded, it is one
+    `PairScorer` call over those pairs. Recorded, it scores every pair as
+    one block and keeps it, the hidden rows its backward reads; the scores
+    have the same bits either way.
     """
+    hd = h.data
+    n = hd.shape[0]
+    scorer = PairScorer(hd, conn, inv)
     (w0c, b0c), (w1c, b1c) = conn.layers
     (w0i, b0i), (w1i, b1i) = inv.layers
-    hd = h.data
-    n, width = hd.shape
-    mid = w0c.shape[1]
-    if (w0c.shape != (2 * width, mid) or w0i.shape != w0c.shape
-            or {w1c.shape, w1i.shape} != {(mid, 1)}):
-        raise ValueError(f"dimension mismatch: pairs of {hd.shape} @ {w0c.shape}, {w0i.shape}; "
-                         f"W1 {w1c.shape}, {w1i.shape}")
-    proj_w = np.hstack([w0c.data[:width], w0i.data[:width], w0c.data[width:], w0i.data[width:]])
-    proj = hd @ proj_w
-    left, right = proj[:, : 2 * mid], proj[:, 2 * mid :]
-    b0 = np.concatenate([b0c.data, b0i.data])
-    w1 = np.concatenate([w1c.data, w1i.data]).reshape(2, mid)
     parents = (h, w0c, b0c, w1c, b1c, w0i, b0i, w1i, b1i)
-    n_pairs = n * (n - 1) // 2
     rows, cols = tril_indices(n)
-    block = max(n_pairs, 1) if _records(parents) else _PAIR_BLOCK
-    hidden, pre = np.empty((0, 2 * mid)), np.empty((n_pairs, 2))
-    for lo in range(0, n_pairs, block):
-        hidden = left[rows[lo : lo + block]]
-        hidden += right[cols[lo : lo + block]]
-        hidden += b0
-        np.tanh(hidden, out=hidden)
-        pre[lo : lo + block] = np.einsum("pkm,km->pk", hidden.reshape(-1, 2, mid), w1)
-    pre += np.concatenate([b1c.data, b1i.data])
+    if not _records(parents):
+        return Tensor(scorer(rows, cols))
+    mid, w1, proj_w = scorer.mid, scorer.w1, scorer.proj_w
+    n_pairs = len(rows)
+    hidden = scorer.hidden(rows, cols)
+    pre = scorer.logits(hidden)
+    pre += scorer.b1
     out_data = _sigmoid(pre, out=pre)
 
     def bwd(g):

@@ -25,8 +25,8 @@ import numpy as np
 
 from .aig import AigGraph, NodeType, TensorTriple, from_tensors, normalize, pad_to_match
 from .covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell
-from .gatelevel import Circuit, Gate, circuit_from_obj, circuit_to_obj, from_aig
-from .vae import VaeParams, decode, encode
+from .gatelevel import Circuit, Gate, circuit_from_obj, circuit_to_obj
+from .vae import VaeParams, decode_picked, encode
 
 CAMO_JSON_FORMAT = "ipcamo-camo-v3"
 
@@ -44,38 +44,53 @@ def interpolate(z_f: np.ndarray, z_a: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * z_f + p * z_a
 
 
-def threshold_filter(soft: TensorTriple, th: float) -> TensorTriple:
-    """Binarize a decoded triple as an AIG under a fan-in budget: each AND
-    row keeps its two highest-scoring sources j < i and the PO row its best
-    one (two argmax passes, so ties go to the lower index), then Th drops
-    any kept source that scores <= th. A kept edge is inverted when its
-    inversion probability exceeds 0.5. So the result has at most two edges
-    per node at every Th, and PI rows keep none.
+def fanin_budget(type_probs: np.ndarray, conn: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The resolved types and the pairs the fan-in budget keeps, before Th.
 
-    Types are resolved by argmax; the result is sanitized so node 0 is a PI
-    and exactly one PO survives (the last one, or the last node if none).
+    Types are resolved by argmax; then node 0 is made a PI and exactly one
+    PO survives (the last one, or the last node if none). Each AND row
+    picks its two highest-scoring sources j < i and the PO row its best one,
+    by two argmax passes over the strict lower triangle of conn, so ties go
+    to the lower index; PI rows pick none. Returns (type one-hots, rows,
+    cols), the picks being (rows[k], cols[k]).
     """
-    n = soft.n
-    type_mat = np.zeros_like(soft.type_mat)
-    type_mat[np.arange(n), soft.type_mat.argmax(axis=1)] = 1.0
+    n = len(type_probs)
+    type_mat = np.zeros_like(type_probs)
+    type_mat[np.arange(n), type_probs.argmax(axis=1)] = 1.0
     type_mat[0] = NodeType.PI.one_hot()
-    po_rows = [i for i in range(n) if type_mat[i, NodeType.PO.value] == 1.0]
-    if not po_rows:
+    po_rows = np.flatnonzero(type_mat[:, NodeType.PO.value] == 1.0)
+    if not po_rows.size:
         type_mat[n - 1] = NodeType.PO.one_hot()
     else:
-        for i in po_rows[:-1]:
-            type_mat[i] = NodeType.AND.one_hot()
+        type_mat[po_rows[:-1]] = NodeType.AND.one_hot()
     rows = np.arange(n)
     is_and = type_mat[:, NodeType.AND.value] == 1.0
-    score = np.where(np.tri(n, k=-1, dtype=bool), soft.conn_mat, -np.inf)
-    conn = np.zeros_like(soft.conn_mat)
-    inv = np.zeros_like(soft.inv_mat)
+    score = np.where(np.tri(n, k=-1, dtype=bool), conn, -np.inf)
+    picks = []
     for takers in (is_and | (type_mat[:, NodeType.PO.value] == 1.0), is_and):
         best = score.argmax(axis=1)
-        r = rows[takers & (score[rows, best] > th)]
-        conn[r, best[r]] = 1.0
-        inv[r, best[r]] = soft.inv_mat[r, best[r]] > 0.5
+        r = rows[takers & (score[rows, best] > -np.inf)]  # a row with no source left picks none
+        picks.append((r, best[r]))
         score[rows, best] = -np.inf
+    (r1, c1), (r2, c2) = picks
+    return type_mat, np.concatenate([r1, r2]), np.concatenate([c1, c2])
+
+
+def threshold_filter(soft: TensorTriple, th: float) -> TensorTriple:
+    """Binarize a decoded triple as an AIG under a fan-in budget: the
+    `fanin_budget` picks, of which Th drops any that scores <= th. A kept
+    edge is inverted when its inversion probability exceeds 0.5, so only
+    the picks' inversion entries are read. The result has at most two edges
+    per node at every Th, and PI rows keep none.
+    """
+    type_mat, r, c = fanin_budget(soft.type_mat, soft.conn_mat)
+    keep = soft.conn_mat[r, c] > th
+    r, c = r[keep], c[keep]
+    conn = np.zeros_like(soft.conn_mat)
+    inv = np.zeros_like(soft.inv_mat)
+    conn[r, c] = 1.0
+    inv[r, c] = soft.inv_mat[r, c] > 0.5
     return TensorTriple(type_mat, conn, inv)
 
 
@@ -115,17 +130,24 @@ def fix_lookup(g_state: str, target_state: str, phase: str) -> str | None:
 # -- Slot layout --------------------------------------------------------------
 
 
-def _pair_states(g: AigGraph, layout: AigGraph) -> dict[tuple[int, int], str]:
+def _pair_states(g: AigGraph, layout: AigGraph,
+                 slots: dict[NodeType, list[int]] | None = None) -> dict[tuple[int, int], str]:
     """Edge states of g placed on the layout's nodes: the k-th node of each
-    type in g takes the layout's k-th node of that type. A node past the
+    type in g takes the layout's k-th node of that type (`slots` lists the
+    layout's nodes of each type, when the caller has them). A node past the
     layout's count for its type is dropped with its edges, and so is an
     edge that maps backward on the layout or into a PI."""
-    slots = {t: iter(layout.indices(t)) for t in NodeType}
-    pos = [next(slots[t], None) for t in g.types]
+    if slots is None:
+        slots = {t: layout.indices(t) for t in NodeType}
+    pos: list[int | None] = [None] * g.n
+    for t, on_t in slots.items():
+        for i, u in zip(g.indices(t), on_t):
+            pos[i] = u
     states: dict[tuple[int, int], str] = {}
+    PI, on_layout = NodeType.PI, layout.types
     for s, d, inv in g.edges:
         u, v = pos[s], pos[d]
-        if u is not None and v is not None and u < v and layout.types[v] is not NodeType.PI:
+        if u is not None and v is not None and u < v and on_layout[v] is not PI:
             states[(u, v)] = "11" if inv else "10"
     return states
 
@@ -297,6 +319,14 @@ def checkpoint_sha256(params: VaeParams) -> str:
     return h.hexdigest()
 
 
+def baseline_cells(g: AigGraph) -> int:
+    """The cells of `gatelevel.from_aig(g)`, counted on the AIG: one per AND
+    and per PO, and one inverter per inverted edge into an AND."""
+    types, AND = g.types, NodeType.AND
+    return (len(types) - types.count(NodeType.PI)
+            + sum(1 for _, d, inv in g.edges if inv and types[d] is AND))
+
+
 def camouflage_skeleton(
     f: AigGraph, a: AigGraph, g_hat: AigGraph, seed: int = 0
 ) -> CamouflagedNetlist:
@@ -306,10 +336,10 @@ def camouflage_skeleton(
         if not g.is_tree():
             raise ValueError(f"{name} target must be a canonical single-PO tree")
     fp = normalize(pad_to_match(f, a))
+    slots = {t: fp.indices(t) for t in NodeType}
     # the type-rank placement keeps each type's order, so F and A need no
     # padding to sit on the layout
-    incoming, fix_log = fix_pairs(
-        _pair_states(g_hat, fp), _pair_states(f, fp), _pair_states(a, fp))
+    incoming, fix_log = fix_pairs(*(_pair_states(g, fp, slots) for g in (g_hat, f, a)))
     appearance_view, placements, slot_nets = _build_appearance(
         fp, incoming, np.random.default_rng(seed))
     # the functional view is F on the slot nets: F's k-th AND is slot n_pi(fp) + k
@@ -322,7 +352,7 @@ def camouflage_skeleton(
         "seed": seed,
         "f_nodes": f.n, "a_nodes": a.n, "padded_nodes": fp.n,
         "g_hat_nodes": g_hat.n,
-        "baseline_cells": from_aig(f).cell_count(),
+        "baseline_cells": baseline_cells(f),
     }
     return CamouflagedNetlist(view, appearance_view, placements, fix_log, meta)
 
@@ -331,13 +361,17 @@ def camouflage_grid(f: AigGraph, a: AigGraph, params: VaeParams, ps: Iterable[fl
                     ths: Sequence[float], seed: int = 0) -> Iterator[CamouflagedNetlist]:
     """Yield the netlist of F wearing A for each (p, Th) cell, p-major. F and
     A are encoded once, each p's interpolated latent is decoded once at the
-    layout's node count, and each Th thresholds that decode into a skeleton
+    layout's node count (`vae.decode_picked`, inversions at the fan-in
+    budget's picks only), and each Th thresholds that decode into a skeleton
     G-hat (possibly non-canonical), which `camouflage_skeleton` repairs."""
     z_f, z_a = encode(f, params).mu, encode(a, params).mu
     n = sum(map(max, f.type_counts().values(), a.type_counts().values()))  # |F padded to A|
     sha = checkpoint_sha256(params)
     for p in ps:
-        soft = decode(interpolate(z_f, z_a, p), n, params)
+        # inversions are scored only on the fan-in budget's picks, the one
+        # superset of the pairs any Th keeps
+        soft = decode_picked(interpolate(z_f, z_a, p), n, params,
+                             lambda types, conn: fanin_budget(types, conn)[1:])
         for th in ths:
             nl = camouflage_skeleton(f, a, from_tensors(threshold_filter(soft, th)), seed)
             nl.metadata.update({"p": p, "th": th, "latent_dim": params.latent,

@@ -10,7 +10,7 @@ import enum
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .gatelevel import Circuit, Gate
+from .gatelevel import Circuit, Gate, make_gate
 
 
 class CovertGateKind(enum.Enum):
@@ -89,6 +89,6 @@ def realize(view: Circuit, placements: list[CovertInstance]) -> Circuit:
     """The fabricated circuit: each placement's cell becomes a constant tie
     or, under NORMAL, `kind.real` of its real input."""
     return replace_cells(view, placements, lambda p: (
-        Gate(p.kind.real, (p.real_in,)) if p.config is CovertConfig.NORMAL
-        else Gate(p.config.value)))  # "const0" or "const1"
+        make_gate(p.kind.real, (p.real_in,)) if p.config is CovertConfig.NORMAL
+        else make_gate(p.config.value)))  # "const0" or "const1"
 

@@ -30,17 +30,23 @@ class Gate(namedtuple("Gate", "op ins")):
     __slots__ = ()
 
     def __new__(cls, op: str, ins: tuple[str, ...] = ()):
-        try:
-            lo, hi, rule = _ARITY[op]
-        except KeyError:
-            raise ValueError(f"unknown gate op {op!r}") from None
-        if not lo <= len(ins) <= hi:
-            raise ValueError(f"{op} gate {rule}")
-        return tuple.__new__(cls, (op, ins))
+        return make_gate(op, ins)
 
     @classmethod
     def _make(cls, iterable) -> "Gate":  # namedtuple's _make and _replace skip __new__
         return cls(*iterable)
+
+
+def make_gate(op: str, ins: tuple[str, ...] = ()) -> Gate:
+    """`Gate(op, ins)`, checked the same way, without the class call: the
+    constructor of the gates every camouflage cell builds."""
+    try:
+        lo, hi, rule = _ARITY[op]
+    except KeyError:
+        raise ValueError(f"unknown gate op {op!r}") from None
+    if not lo <= len(ins) <= hi:
+        raise ValueError(f"{op} gate {rule}")
+    return tuple.__new__(Gate, (op, ins))
 
 
 @dataclass
@@ -53,7 +59,7 @@ class Circuit:
     def add(self, net: str, op: str, *ins: str) -> str:
         if net in self.gates:
             raise ValueError(f"net {net!r} already driven")
-        self.gates[net] = Gate(op, ins)
+        self.gates[net] = make_gate(op, ins)
         return net
 
     def fresh(self, base: str, taken: Container[str] = ()) -> str:
@@ -110,14 +116,78 @@ class CompiledCircuit:
     """
 
     def __init__(self, c: Circuit):
-        self.nets = c.topo_order()
-        pos = {net: i for i, net in enumerate(self.nets)}
-        gates = [c.gates[net] for net in self.nets]
-        self.ops = [g.op for g in gates]
-        self.fanin = [tuple(pos[s] for s in g.ins) for g in gates]
-        self.inputs = [n for n, op in zip(self.nets, self.ops) if op == "input"]
-        self.outputs = list(c.outputs)
-        self._out_pos = [pos[o] for o in c.outputs]
+        nets = c.topo_order()
+        pos = {net: i for i, net in enumerate(nets)}
+        gates = [c.gates[net] for net in nets]
+        self._set(nets, [g.op for g in gates], [tuple(pos[s] for s in g.ins) for g in gates],
+                  list(c.outputs), [pos[o] for o in c.outputs])
+
+    def _set(self, nets: list, ops: list[str], fanin: list[tuple[int, ...]],
+             outputs: list[str], out_pos: list[int]) -> None:
+        self.nets, self.ops, self.fanin = nets, ops, fanin
+        self.inputs = [n for n, op in zip(nets, ops) if op == "input"]
+        self.outputs, self._out_pos = outputs, out_pos
+
+    @classmethod
+    def from_aig(cls, g: AigGraph) -> "CompiledCircuit":
+        """`CompiledCircuit(prune(from_aig(g)))`, compiled straight from the
+        AIG, with the same inputs in the same order and the same `run`
+        outputs. Only the POs' fan-in cones are compiled: PIs with equal names
+        share one input, placed where the name first occurs; each inverted
+        edge into an AND is a `not`; each PO is a `buf` or `not` named as the
+        PO. The AND and inverter nets are unnamed (None)."""
+        bad = g.issues()
+        if bad:
+            raise ValueError("graph is not canonical: " + "; ".join(bad))
+        types, names, preds = g.types, g.names, g.pred_table()
+        PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
+        live = [t is PO for t in types]
+        for d in range(len(types) - 1, -1, -1):  # every edge points to a higher index
+            if live[d]:
+                for s, _ in preds[d]:
+                    live[s] = True
+        read = {names[i] for i, t in enumerate(types) if live[i] and t is PI}
+        nets: list[str | None] = []
+        ops: list[str] = []
+        fanin: list[tuple[int, ...]] = []
+        pos = [0] * len(types)  # each live node's position
+        input_at: dict[str, int] = {}
+        outputs, out_pos = [], []
+        for i, t in enumerate(types):
+            if t is PI:
+                name = names[i]
+                if name in read and name not in input_at:
+                    input_at[name] = len(nets)
+                    nets.append(name)
+                    ops.append("input")
+                    fanin.append(())
+                if live[i]:
+                    pos[i] = input_at[name]
+                continue
+            if not live[i]:
+                continue
+            ins = []
+            for s, inv in preds[i]:
+                if inv and t is AND:
+                    nets.append(None)
+                    ops.append("not")
+                    fanin.append((pos[s],))
+                    ins.append(len(nets) - 1)
+                else:
+                    ins.append(pos[s])
+            pos[i] = len(nets)
+            if t is AND:
+                nets.append(None)
+                ops.append("and")
+            else:
+                nets.append(names[i])
+                ops.append("not" if preds[i][0][1] else "buf")
+                outputs.append(names[i])
+                out_pos.append(pos[i])
+            fanin.append(tuple(ins))
+        cc = cls.__new__(cls)
+        cc._set(nets, ops, fanin, outputs, out_pos)
+        return cc
 
     def run(self, words: dict[str, int], full: int) -> list[int]:
         """Output words in output order; `words` binds every input net and

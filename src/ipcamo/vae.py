@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,12 +117,13 @@ def encoder_plan(g: AigGraph, max_pi: int) -> LevelPlan:
     order = sorted(range(g.n), key=level.__getitem__)  # by level, then by index
     row = {v: k for k, v in enumerate(order)}  # each node's row in the stacked states
     starts = (0, *itertools.accumulate(np.bincount(level).tolist()))  # first row per level
-    incidence = np.zeros((g.n, g.n))
+    # level l's block holds rows [starts[l], starts[l + 1]) over the rows below them
+    incidence = [np.zeros((hi - lo, lo)) for lo, hi in zip(starts[1:], starts[2:])]
     for s, d, inv in g.edges:
-        incidence[row[d], row[s]] += -1.0 if inv else 1.0
+        incidence[level[d] - 1][row[d] - starts[level[d]], row[s]] += -1.0 if inv else 1.0
     return LevelPlan(
         leaf_rows=np.minimum(np.arange(starts[1]), max_pi - 1), starts=starts,
-        incidence=tuple(incidence[lo:hi, :lo].copy() for lo, hi in zip(starts[1:], starts[2:])),
+        incidence=tuple(incidence),
         types=_TYPE_ROWS[[g.types[v].value for v in order[starts[1]:]]],
         out_row=row[g.po_indices[0]])
 
@@ -174,6 +176,22 @@ class DecodedSoft:
         return TensorTriple(self.types.data.copy(), conn, inv)
 
 
+def _decoder_run(z: Tensor, node_count: int, p: VaeParams) -> tuple[Tensor, Tensor]:
+    """The GRU run of `decode_tensors`: its (n, H) states and (n, 3) types."""
+    if node_count < 2:
+        raise ValueError("decoder needs at least 2 nodes")
+    if z.data.ndim != 2 or z.data.shape[0] != 1:
+        raise ValueError(f"latent must be a (1, d) row, got shape {z.data.shape}")
+    run = ad.gru_decode(p.dec, p.mlp_add, z, p.dec_init_w, p.dec_init_b,
+                        NodeType.PI.one_hot(), node_count)
+    return (ad.take(run, (slice(None), slice(None, p.hidden))),
+            ad.take(run, (slice(None), slice(p.hidden, None))))
+
+
+def _latent_row(z: np.ndarray) -> Tensor:
+    return Tensor(np.asarray(z, dtype=np.float64).reshape(1, -1))
+
+
 def decode_tensors(z: Tensor, node_count: int, p: VaeParams) -> DecodedSoft:
     """Decode z to the soft tensors of a node_count-node graph.
 
@@ -181,14 +199,7 @@ def decode_tensors(z: Tensor, node_count: int, p: VaeParams) -> DecodedSoft:
     nodes as one tape node (node 0 is forced PI), and `edge_heads` scores
     connections and inversions over all state pairs as another.
     """
-    if node_count < 2:
-        raise ValueError("decoder needs at least 2 nodes")
-    if z.data.ndim != 2 or z.data.shape[0] != 1:
-        raise ValueError(f"latent must be a (1, d) row, got shape {z.data.shape}")
-    run = ad.gru_decode(p.dec, p.mlp_add, z, p.dec_init_w, p.dec_init_b,
-                        NodeType.PI.one_hot(), node_count)
-    states = ad.take(run, (slice(None), slice(None, p.hidden)))
-    types = ad.take(run, (slice(None), slice(p.hidden, None)))
+    states, types = _decoder_run(z, node_count, p)
     edges = ad.edge_heads(states, p.mlp_conn, p.mlp_inv)
     return DecodedSoft(node_count, types, ad.take(edges, (slice(None), slice(0, 1))),
                        ad.take(edges, (slice(None), slice(1, 2))))
@@ -197,9 +208,30 @@ def decode_tensors(z: Tensor, node_count: int, p: VaeParams) -> DecodedSoft:
 def decode(z: np.ndarray, node_count: int, p: VaeParams) -> TensorTriple:
     """Evaluation-mode decode to a soft TensorTriple (upper triangle zero)."""
     with no_grad():
-        out = decode_tensors(Tensor(np.asarray(z, dtype=np.float64).reshape(1, -1)),
-                             node_count, p)
+        out = decode_tensors(_latent_row(z), node_count, p)
     return out.to_triple()
+
+
+def decode_picked(z: np.ndarray, node_count: int, p: VaeParams,
+                  pick: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+                  ) -> TensorTriple:
+    """Evaluation-mode decode that scores inversions only where they are read.
+
+    The GRU runs once and the conn head scores every pair j < i, as in
+    `decode`; then `pick(types, conn)` names the (rows, cols) pairs whose
+    inversions are wanted and only those are scored. Every entry the result
+    fills has the bits of `decode`'s; the inversion matrix is 0 off the picks.
+    """
+    with no_grad():
+        states, types = _decoder_run(_latent_row(z), node_count, p)
+    score = ad.PairScorer(states.data, p.mlp_conn, p.mlp_inv)
+    low = ad.tril_indices(node_count)
+    conn = np.zeros((node_count, node_count))
+    conn[low] = score(*low, ad.CONN_HEAD)[:, 0]
+    rows, cols = pick(types.data, conn)
+    inv = np.zeros((node_count, node_count))
+    inv[rows, cols] = score(rows, cols, ad.INV_HEAD)[:, 0]
+    return TensorTriple(types.data.copy(), conn, inv)
 
 
 # -- Loss ---------------------------------------------------------------------

@@ -157,7 +157,12 @@ def test_parse_rejects_variables_past_m(text, line):
     ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni7 zz\n", 7, "out of range: 2 inputs"),
     ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\no3 q\n", 6, "out of range: 1 outputs"),
     ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni0 b\n", 7, "i0 named twice"),
-], ids=["input-past-count", "output-past-count", "input-named-twice"])
+    # two outputs named y: the second cone would be lost behind the first
+    ("aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\no0 y\no1 y\n", 8, "o1 repeats the name 'y' of o0"),
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni1 b\no0 b\n", 7, "o0 repeats the name 'b' of i1"),
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\no0 b\ni1 b\n", 7, "i1 repeats the name 'b' of o0"),
+], ids=["input-past-count", "output-past-count", "input-named-twice", "output-repeats-output",
+        "output-repeats-input", "input-repeats-output"])
 def test_parse_rejects_bad_symbols(text, line, match):
     with pytest.raises(AigerParseError, match=match) as err:
         parse_aiger(text)

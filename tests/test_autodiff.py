@@ -337,6 +337,29 @@ def test_edge_heads_unrecorded_builds_no_pair_matrix():
         assert (peak > pair_matrix) == record, (record, peak)
 
 
+@pytest.mark.parametrize("n", [2, 40, 166])
+def test_pair_scorer_bits_do_not_depend_on_the_pairs_asked(n):
+    """A pair's score has edge_heads' bits whichever pairs and heads it is
+    scored with: every pair, a shuffled subset, or one head at a time."""
+    rng = np.random.default_rng(n)
+    conn, inv = init_mlp(rng, [48, 24, 1]), init_mlp(rng, [48, 24, 1])
+    for mlp in (conn, inv):  # nonzero biases, so a head's bias slice matters
+        for _, b in mlp.layers:
+            b.data[...] = rng.standard_normal(b.shape)
+    h = rng.standard_normal((n, 24))
+    with no_grad():
+        full = edge_heads(Tensor(h), conn, inv).data
+    score = ad.PairScorer(h, conn, inv)
+    rows, cols = ad.tril_indices(n)
+    assert np.array_equal(score(rows, cols), full)
+    some = rng.permutation(len(rows))[: max(1, len(rows) // 7)]
+    for heads, col in ((ad.CONN_HEAD, 0), (ad.INV_HEAD, 1)):
+        got = score(rows[some], cols[some], heads)
+        assert got.shape == (len(some), 1)
+        assert np.array_equal(got[:, 0], full[some, col])
+    assert score(rows[:0], cols[:0], ad.INV_HEAD).shape == (0, 1)
+
+
 def test_tril_indices_cached_read_only():
     low = ad.tril_indices(5)
     assert all(np.array_equal(a, b) for a, b in zip(low, np.tril_indices(5, -1)))

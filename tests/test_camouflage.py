@@ -1,4 +1,5 @@
 """Interpolation, thresholding, the fix table and the end-to-end pipeline."""
+import copy
 import itertools
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from ipcamo.aig import (AigGraph, NodeType, TensorTriple, from_tensors, normalize,
                         pad_to_match, pattern_words, random_tree, to_tensors)
 from ipcamo.camouflage import (PAIR_RULES, CamouflagedNetlist, _pair_states,
-                               area_overhead, camouflage_pipeline, camouflage_skeleton,
-                               checkpoint_sha256, fix_lookup, fix_pairs, interpolate,
-                               threshold_filter)
+                               area_overhead, camouflage_grid, camouflage_pipeline,
+                               camouflage_skeleton, checkpoint_sha256, fix_lookup, fix_pairs,
+                               interpolate, threshold_filter)
 from ipcamo.attack import equivalence_check, keyize_netlist
 from ipcamo.covert import CovertConfig, CovertGateKind, draw_cell, realize
 from ipcamo.gatelevel import Circuit, CompiledCircuit, from_aig, prune
@@ -464,23 +465,69 @@ def test_pipeline_deterministic_json(toy_checkpoint):
 
 def test_grid_matches_single_cells(toy_checkpoint, monkeypatch):
     """The grid yields, p-major, the netlist of each one-cell pipeline call,
-    from 2 encodes, one decode per p and one checkpoint hash."""
+    from 2 encodes, one (inference) decode per p and one checkpoint hash."""
     import ipcamo.camouflage as camo
     params, _ = toy_checkpoint
     f, a = _desk_pair(100)
     ps, ths = (0.0, 0.5, 1.0), (0.05, 0.5)
-    calls = dict.fromkeys(("encode", "decode", "checkpoint_sha256"), 0)
+    calls = dict.fromkeys(("encode", "decode_picked", "checkpoint_sha256"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(camo, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(camo, name, counted)
     grid = [nl.to_json() for nl in camo.camouflage_grid(f, a, params, ps, ths, seed=2)]
-    assert calls == {"encode": 2, "decode": 3, "checkpoint_sha256": 1}
+    assert calls == {"encode": 2, "decode_picked": 3, "checkpoint_sha256": 1}
     monkeypatch.undo()
     cells = [camouflage_pipeline(f, a, params, p, th, seed=2).to_json()
              for p in ps for th in ths]
     assert grid == cells
+
+
+AC04_P = (0.1, 0.3, 0.5, 0.7, 0.9)
+AC04_TH = tuple(round(0.01 * k, 2) for k in range(1, 10))
+
+
+def _full_decode_cells(f, a, params, ps, ths, seed):
+    """Each (p, Th) netlist by the full decode, every inversion scored:
+    camouflage_skeleton(f, a, from_tensors(threshold_filter(decode(...), th)), seed)."""
+    z_f, z_a = encode(f, params).mu, encode(a, params).mu
+    n = pad_to_match(f, a).n
+    for p in ps:
+        soft = decode(interpolate(z_f, z_a, p), n, params)
+        for th in ths:
+            yield camouflage_skeleton(f, a, from_tensors(threshold_filter(soft, th)), seed)
+
+
+def test_grid_equals_the_full_decode_path(toy_checkpoint):
+    """Scoring inversions only at the fan-in budget's picks changes no
+    netlist: on the desk pairs over ac04's (p, Th) grid and on seeded small
+    pairs, each grid cell's netlist equals the full decode's byte for byte.
+    The toy checkpoint keeps no inverted edge (its inversion scores at the
+    picks stay below 0.34), so the grid also runs on a copy whose inversion
+    head's output bias is raised by 2, which inverts about half the picks."""
+    params, _ = toy_checkpoint
+    inverting = copy.deepcopy(params)
+    inverting.mlp_inv.layers[-1][1].data += 2.0
+    pairs = ([_desk_pair(s) for s in (100, 101, 102, 103)]
+             + [_toy_pair(s) for s in range(20, 28)])
+    cells = inverted = inverted_po = 0
+    for model in (params, inverting):
+        for idx, (f, a) in enumerate(pairs):
+            got = camouflage_grid(f, a, model, AC04_P, AC04_TH, seed=idx)
+            want = _full_decode_cells(f, a, model, AC04_P, AC04_TH, seed=idx)
+            for nl, ref in zip(got, want, strict=True):
+                for key in ("p", "th", "latent_dim", "checkpoint_sha256"):
+                    del nl.metadata[key]
+                assert nl.to_json() == ref.to_json(), (idx, cells)
+                po_slot = ref.metadata["padded_nodes"] - 1
+                for e in ref.fix_log:  # the skeleton's inverted edges
+                    if e["states"][0] == "11":
+                        inverted += 1
+                        inverted_po += e["pair"][1] == po_slot
+                cells += 1
+    assert cells == 2 * len(pairs) * len(AC04_P) * len(AC04_TH)
+    assert inverted > 0 and inverted_po > 0, (inverted, inverted_po)
 
 
 def test_pipeline_rejects_non_trees(toy_checkpoint):

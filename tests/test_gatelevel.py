@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipcamo.aig import AigGraph, NodeType, pattern_words, random_tree
+from ipcamo.camouflage import baseline_cells
 from ipcamo.gatelevel import (OPS, Circuit, CompiledCircuit, Gate, circuit_from_obj,
                               circuit_to_obj, from_aig, miter, prune, simplify)
 
@@ -304,3 +305,50 @@ def test_simplify_keeps_function_and_outputs(c):
     assert CompiledCircuit(s).run(bound, full) == CompiledCircuit(prune(c)).run(bound, full)
     m = simplify(miter(c, c))
     assert m.gates[m.outputs[0]].op == "const0"
+
+
+@st.composite
+def aigs_with_shared_names(draw):
+    """A canonical AIG, PIs and ANDs interleaved: PI names drawn from a small
+    pool (so equal names recur), ANDs that no PO reads, and 1-3 POs."""
+    types, names, edges = [], [], []
+    for _ in range(draw(st.integers(1, 14))):
+        if not types or draw(st.booleans()):
+            types.append(NodeType.PI)
+            names.append(f"x{draw(st.integers(0, 3))}")
+        else:
+            me = len(types)
+            for _ in range(2):
+                edges.append((draw(st.integers(0, me - 1)), me, draw(st.booleans())))
+            types.append(NodeType.AND)
+            names.append(None)
+    body = len(types)
+    for k in range(draw(st.integers(1, 3))):
+        edges.append((draw(st.integers(0, body - 1)), len(types), draw(st.booleans())))
+        types.append(NodeType.PO)
+        names.append(f"y{k}")
+    return AigGraph(types, edges, names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(aigs_with_shared_names())
+def test_compiled_from_aig_matches_the_lowered_cones(g):
+    """Compiled straight from an AIG: the inputs, outputs and `run` words of
+    CompiledCircuit(prune(from_aig(g)))."""
+    direct, lowered = CompiledCircuit.from_aig(g), CompiledCircuit(prune(from_aig(g)))
+    assert (direct.inputs, direct.outputs) == (lowered.inputs, lowered.outputs)
+    words, full = pattern_words(len(direct.inputs))
+    bound = dict(zip(direct.inputs, words))
+    assert direct.run(bound, full) == lowered.run(bound, full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(aigs_with_shared_names())
+def test_baseline_cells_counts_the_lowered_cells(g):
+    assert baseline_cells(g) == from_aig(g).cell_count()
+
+
+def test_compiled_from_aig_rejects_non_canonical():
+    g = AigGraph([NodeType.PI, NodeType.AND, NodeType.PO], [(0, 1, False), (1, 2, False)])
+    with pytest.raises(ValueError, match="AND node 1 has in-degree 1"):
+        CompiledCircuit.from_aig(g)

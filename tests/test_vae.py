@@ -250,6 +250,33 @@ def test_decode_shape_contract(small_params):
         decode(z, 1, small_params)
 
 
+def test_decode_picked_scores_inversions_at_the_picks_only(small_params):
+    """decode_picked hands its picker decode's types and connections and
+    fills each picked pair's inversion with decode's bits; every other
+    inversion entry is 0."""
+    rng = np.random.default_rng(3)
+    z, n = rng.standard_normal(SMALL_HP.latent_dim), 30
+    full = decode(z, n, small_params)
+    rows, cols = ad.tril_indices(n)
+    some = rng.permutation(len(rows))[:25]
+    seen = []
+
+    def pick(types, conn):
+        seen.append((types.copy(), conn.copy()))
+        return rows[some], cols[some]
+
+    got = vae.decode_picked(z, n, small_params, pick)
+    (types, conn), = seen
+    for m in (types, got.type_mat):
+        assert np.array_equal(m, full.type_mat)
+    for m in (conn, got.conn_mat):
+        assert np.array_equal(m, full.conn_mat)
+    picked = np.zeros((n, n), dtype=bool)
+    picked[rows[some], cols[some]] = True
+    assert np.array_equal(got.inv_mat[picked], full.inv_mat[picked])
+    assert not got.inv_mat[~picked].any()
+
+
 def test_train_deterministic_and_improves():
     rng = np.random.default_rng(5)
     data = [random_tree(rng, 1 + int(rng.integers(3)), n_pi_pool=4)
