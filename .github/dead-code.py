@@ -1,10 +1,10 @@
 """Fail on code in src/ipcamo that nothing outside the tests names.
 
-Lists every top-level function or class and every non-dunder method defined
-in src/ipcamo/*.py (found with `ast`) that no code in src/ (except the root
-__init__.py, which only re-exports), bench/, demos/ or .github/ refers to,
-apart from references inside its own definition or inside other listed code.
-In a .py file a reference is a name, an attribute or an imported name in the
+Lists every top-level function, class or assigned name and every non-dunder
+method defined in src/ipcamo/*.py (found with `ast`) that no code in src/
+(except the root __init__.py, which only re-exports), bench/, demos/ or
+.github/ refers to, apart from references inside its own definition or
+inside other listed code that KEEP does not name. In a .py file a reference is a name, an attribute or an imported name in the
 parsed code, so comments, docstrings and strings keep nothing alive; in a
 .sh or .yml file it is the name as a whole word. Names in KEEP are listed
 with their reason and pass; any other listed name makes the exit status 1.
@@ -33,12 +33,17 @@ KEEP = {
 
 
 def definitions(tree: ast.Module):
-    """(name, first line, last line) of each top-level def and class and
-    each non-dunder method."""
+    """(name, first line, last line) of each top-level def and class, each
+    non-dunder name a top-level assignment binds, and each non-dunder method."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds):
             yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if not name.id.startswith("__"):
+                    yield name.id, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, kinds) and not (
@@ -78,10 +83,11 @@ def main() -> int:
             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
             for qualname, first, last in definitions(ast.parse(path.read_text()))]
     dead = []
-    while True:  # references from inside listed code keep nothing alive
+    while True:  # references from inside listed code not in KEEP keep nothing alive
         found = []
         for path, qualname, first, last in defs:
-            spans = [(first, last)] + [(a, b) for p, _, a, b in dead if p == path]
+            spans = [(first, last)] + [(a, b) for p, q, a, b in dead
+                                       if p == path and f"{p.stem}.{q}" not in KEEP]
             name = qualname.rpartition(".")[2]
             inside = sum(any(a <= line <= b for a, b in spans)
                          for line in lines[path, name])

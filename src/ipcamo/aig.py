@@ -150,6 +150,12 @@ class AigGraph:
     def is_canonical(self) -> bool:
         return not self.issues()
 
+    def check_canonical(self) -> None:
+        """Raise ValueError listing `issues()` unless the graph is canonical."""
+        bad = self.issues()
+        if bad:
+            raise ValueError("graph is not canonical: " + "; ".join(bad))
+
     def is_tree(self) -> bool:
         """Canonical, one PO, and every other node feeds exactly one edge."""
         pos = self.po_indices
@@ -371,9 +377,7 @@ def parse_aiger(data: bytes | str) -> AigGraph:
 
 def write_aiger(g: AigGraph) -> bytes:
     """Serialize a canonical AigGraph as ASCII AIGER; inverse of parse_aiger."""
-    bad = g.issues()
-    if bad:
-        raise ValueError("graph is not canonical: " + "; ".join(bad))
+    g.check_canonical()
     pis = g.pi_indices
     ands = g.and_indices  # index order is topological by invariant
     pos = g.po_indices
@@ -469,9 +473,7 @@ def extract_cone_tree(g: AigGraph, output_name: str, max_nodes: int = 200) -> Ai
 
 
 def to_tensors(g: AigGraph) -> TensorTriple:
-    bad = g.issues()
-    if bad:
-        raise ValueError("graph is not canonical: " + "; ".join(bad))
+    g.check_canonical()
     n = g.n
     type_mat = np.zeros((n, 3))
     for i, t in enumerate(g.types):

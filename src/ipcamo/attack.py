@@ -102,10 +102,6 @@ def tseitin_encode(
 # -- Equivalence --------------------------------------------------------------
 
 
-def _as_circuit(x) -> Circuit:
-    return from_aig(x) if isinstance(x, AigGraph) else x
-
-
 def _cones(x) -> Circuit | CompiledCircuit:
     """x cut to its output cones: an AIG compiled straight, a Circuit pruned."""
     return CompiledCircuit.from_aig(x) if isinstance(x, AigGraph) else prune(x)
@@ -238,7 +234,7 @@ def keyize_netlist(nl: CamouflagedNetlist) -> KeyedNetlist:
 
 def make_ll_baseline(f: AigGraph, n_key_bits: int, seed: int = 0) -> KeyedNetlist:
     """Area-matched logic-locking reference: XOR/XNOR key gates on random nets."""
-    c = _as_circuit(f)
+    c = from_aig(f)
     sites = sorted(n for n, g in c.gates.items() if g.op not in ("input",))
     if n_key_bits > len(sites):
         raise ValueError(f"only {len(sites)} lockable nets for {n_key_bits} key bits")

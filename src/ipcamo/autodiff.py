@@ -286,23 +286,26 @@ def _gru_stacks(p: GruParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([p.b_z.data, p.b_r.data, p.b_h.data]))
 
 
-def _gru_cell(w_h: np.ndarray, zr: np.ndarray, th: np.ndarray, hd: np.ndarray,
-              rh: np.ndarray, h_tilde: np.ndarray, h_new: np.ndarray) -> None:
+def _gru_cell(w_h: np.ndarray, zr: np.ndarray, z: np.ndarray, r: np.ndarray, th: np.ndarray,
+              hd: np.ndarray, rh: np.ndarray, h_tilde: np.ndarray, h_new: np.ndarray) -> None:
     """One GRU update of the rows hd, written into buffers the backward reads.
 
-    On entry zr holds m @ [w_z | w_r] + t @ [u_z | u_r] + [b_z | b_r] and th
-    holds t @ u_h + b_h. On return zr holds the gates [z | r], rh = r * hd,
-    h_tilde the candidate tanh(rh @ w_h + th) and h_new = (1 - z) * hd +
-    z * h_tilde, computed as hd + z * (h_tilde - hd).
+    On entry zr holds m @ [w_z | w_r] + t @ [u_z | u_r] + [b_z | b_r], z and
+    r are views of its two halves, and th holds t @ u_h + b_h. On return zr
+    holds the gates [z | r] (the sigmoid 1 / (1 + exp(-x)) in place),
+    rh = r * hd, h_tilde the candidate tanh(rh @ w_h + th) and h_new =
+    (1 - z) * hd + z * h_tilde, computed as hd + z * (h_tilde - hd).
     """
-    _sigmoid(zr, out=zr)
-    width = hd.shape[-1]
-    np.multiply(zr[..., width:], hd, out=rh)
+    np.negative(zr, out=zr)
+    np.exp(zr, out=zr)
+    zr += 1.0
+    np.divide(1.0, zr, out=zr)
+    np.multiply(r, hd, out=rh)
     np.matmul(rh, w_h, out=h_tilde)
     h_tilde += th
     np.tanh(h_tilde, out=h_tilde)
     np.subtract(h_tilde, hd, out=h_new)
-    h_new *= zr[..., :width]
+    h_new *= z
     h_new += hd
 
 
@@ -401,7 +404,8 @@ def gru_encode(p: GruParams, embed: Tensor, mu: MlpParams, logvar: MlpParams,
         s = slice(lo - n_leaf, hi - n_leaf)
         m = np.matmul(block, states[:lo], out=msg[s])
         zr[s] += m @ w_zr
-        _gru_cell(p.w_h.data, zr[s], th[s], m, rh[s], h_tilde[s], states[lo:hi])
+        _gru_cell(p.w_h.data, zr[s], zr[s, :width], zr[s, width:], th[s], m, rh[s],
+                  h_tilde[s], states[lo:hi])
     h_out = states[plan.out_row]
     w0 = np.concatenate([w0m.data, w0v.data], axis=1)
     hidden = np.tanh(h_out @ w0 + np.concatenate([b0m.data, b0v.data]))
@@ -473,18 +477,7 @@ def gru_decode(p: GruParams, head: MlpParams, z: Tensor, init_w: Tensor, init_b:
         tp = t @ u_all
         tp += b_all
         np.add(hp[mid:], tp[: 2 * width], out=zr_i)
-        # _gru_cell, inline: zr_i becomes the gates [z | r]
-        np.negative(zr_i, out=zr_i)
-        np.exp(zr_i, out=zr_i)
-        zr_i += 1.0
-        np.divide(1.0, zr_i, out=zr_i)
-        np.multiply(r_i, h, out=rh_i)
-        np.matmul(rh_i, w_h, out=cand)
-        cand += tp[2 * width :]
-        np.tanh(cand, out=cand)
-        np.subtract(cand, h, out=h_new)
-        h_new *= z_i
-        h_new += h
+        _gru_cell(w_h, zr_i, z_i, r_i, tp[2 * width :], h, rh_i, cand, h_new)
         h, t = h_new, t_new
         hp = h @ by_state
         np.add(hp[:mid], b0_row, out=a)
@@ -543,7 +536,7 @@ def tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return low
 
 
-_PAIR_BLOCK = 512  # pairs per block of an unrecorded scoring
+_PAIR_BLOCK = 512  # pairs per block of a PairScorer call
 CONN_HEAD, INV_HEAD, BOTH_HEADS = slice(0, 1), slice(1, 2), slice(0, 2)  # score columns
 
 
@@ -607,10 +600,10 @@ def edge_heads(h: Tensor, conn: MlpParams, inv: MlpParams) -> Tensor:
     """Both edge heads of `PairScorer` for every row pair j < i of h.
 
     Returns the (n(n-1)/2, 2) tensor of conn and inv scores, rows in
-    np.tril_indices(n, -1) order; one tape node. Unrecorded, it is one
-    `PairScorer` call over those pairs. Recorded, it scores every pair as
-    one block and keeps it, the hidden rows its backward reads; the scores
-    have the same bits either way.
+    np.tril_indices(n, -1) order; one tape node. It scores every pair as one
+    block and keeps it, the hidden rows its backward reads, so it builds a
+    (pairs x 2 width) array; each score has the bits of a `PairScorer` call.
+    The inference decode, `vae.decode`, calls the scorer instead.
     """
     hd = h.data
     n = hd.shape[0]
@@ -619,8 +612,6 @@ def edge_heads(h: Tensor, conn: MlpParams, inv: MlpParams) -> Tensor:
     (w0i, b0i), (w1i, b1i) = inv.layers
     parents = (h, w0c, b0c, w1c, b1c, w0i, b0i, w1i, b1i)
     rows, cols = tril_indices(n)
-    if not _records(parents):
-        return Tensor(scorer(rows, cols))
     mid, w1, proj_w = scorer.mid, scorer.w1, scorer.proj_w
     n_pairs = len(rows)
     hidden = scorer.hidden(rows, cols)

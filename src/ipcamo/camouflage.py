@@ -26,7 +26,7 @@ import numpy as np
 from .aig import AigGraph, NodeType, TensorTriple, from_tensors, normalize, pad_to_match
 from .covert import CovertConfig, CovertGateKind, CovertInstance, draw_cell
 from .gatelevel import Circuit, Gate, circuit_from_obj, circuit_to_obj
-from .vae import VaeParams, decode_picked, encode
+from .vae import VaeParams, decode, encode
 
 CAMO_JSON_FORMAT = "ipcamo-camo-v3"
 
@@ -130,24 +130,21 @@ def fix_lookup(g_state: str, target_state: str, phase: str) -> str | None:
 # -- Slot layout --------------------------------------------------------------
 
 
-def _pair_states(g: AigGraph, layout: AigGraph,
-                 slots: dict[NodeType, list[int]] | None = None) -> dict[tuple[int, int], str]:
-    """Edge states of g placed on the layout's nodes: the k-th node of each
-    type in g takes the layout's k-th node of that type (`slots` lists the
-    layout's nodes of each type, when the caller has them). A node past the
-    layout's count for its type is dropped with its edges, and so is an
-    edge that maps backward on the layout or into a PI."""
-    if slots is None:
-        slots = {t: layout.indices(t) for t in NodeType}
+def _pair_states(g: AigGraph, slots: dict[NodeType, list[int]]) -> dict[tuple[int, int], str]:
+    """Edge states of g placed on a layout's nodes, `slots` listing the
+    layout's nodes of each type: the k-th node of each type in g takes the
+    layout's k-th node of that type. A node past the layout's count for its
+    type is dropped with its edges, and so is an edge that maps backward on
+    the layout or into a PI."""
     pos: list[int | None] = [None] * g.n
     for t, on_t in slots.items():
         for i, u in zip(g.indices(t), on_t):
             pos[i] = u
     states: dict[tuple[int, int], str] = {}
-    PI, on_layout = NodeType.PI, layout.types
+    PI, types = NodeType.PI, g.types
     for s, d, inv in g.edges:
         u, v = pos[s], pos[d]
-        if u is not None and v is not None and u < v and on_layout[v] is not PI:
+        if u is not None and v is not None and u < v and types[d] is not PI:
             states[(u, v)] = "11" if inv else "10"
     return states
 
@@ -339,7 +336,7 @@ def camouflage_skeleton(
     slots = {t: fp.indices(t) for t in NodeType}
     # the type-rank placement keeps each type's order, so F and A need no
     # padding to sit on the layout
-    incoming, fix_log = fix_pairs(*(_pair_states(g, fp, slots) for g in (g_hat, f, a)))
+    incoming, fix_log = fix_pairs(*(_pair_states(g, slots) for g in (g_hat, f, a)))
     appearance_view, placements, slot_nets = _build_appearance(
         fp, incoming, np.random.default_rng(seed))
     # the functional view is F on the slot nets: F's k-th AND is slot n_pi(fp) + k
@@ -361,7 +358,7 @@ def camouflage_grid(f: AigGraph, a: AigGraph, params: VaeParams, ps: Iterable[fl
                     ths: Sequence[float], seed: int = 0) -> Iterator[CamouflagedNetlist]:
     """Yield the netlist of F wearing A for each (p, Th) cell, p-major. F and
     A are encoded once, each p's interpolated latent is decoded once at the
-    layout's node count (`vae.decode_picked`, inversions at the fan-in
+    layout's node count (`vae.decode`, its inversions scored at the fan-in
     budget's picks only), and each Th thresholds that decode into a skeleton
     G-hat (possibly non-canonical), which `camouflage_skeleton` repairs."""
     z_f, z_a = encode(f, params).mu, encode(a, params).mu
@@ -370,8 +367,8 @@ def camouflage_grid(f: AigGraph, a: AigGraph, params: VaeParams, ps: Iterable[fl
     for p in ps:
         # inversions are scored only on the fan-in budget's picks, the one
         # superset of the pairs any Th keeps
-        soft = decode_picked(interpolate(z_f, z_a, p), n, params,
-                             lambda types, conn: fanin_budget(types, conn)[1:])
+        soft = decode(interpolate(z_f, z_a, p), n, params,
+                      lambda types, conn: fanin_budget(types, conn)[1:])
         for th in ths:
             nl = camouflage_skeleton(f, a, from_tensors(threshold_filter(soft, th)), seed)
             nl.metadata.update({"p": p, "th": th, "latent_dim": params.latent,

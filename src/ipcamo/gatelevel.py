@@ -21,7 +21,6 @@ _ARITY = {
     **{op: (2, 2, "takes two inputs") for op in ("xor", "xnor")},
     **{op: (1, math.inf, "needs at least one input") for op in ("and", "or", "nand")},
 }
-OPS = set(_ARITY)
 
 
 class Gate(namedtuple("Gate", "op ins")):
@@ -136,9 +135,7 @@ class CompiledCircuit:
         share one input, placed where the name first occurs; each inverted
         edge into an AND is a `not`; each PO is a `buf` or `not` named as the
         PO. The AND and inverter nets are unnamed (None)."""
-        bad = g.issues()
-        if bad:
-            raise ValueError("graph is not canonical: " + "; ".join(bad))
+        g.check_canonical()
         types, names, preds = g.types, g.names, g.pred_table()
         PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
         live = [t is PO for t in types]
@@ -245,9 +242,7 @@ def from_aig(g: AigGraph) -> Circuit:
 
     PI and PO nets keep their AIG names; AND i is `n{i}` and an inverted edge k
     into x reads `x__n{k}`, named by `Circuit.fresh` with the PI and PO names taken."""
-    bad = g.issues()
-    if bad:
-        raise ValueError("graph is not canonical: " + "; ".join(bad))
+    g.check_canonical()
     c = Circuit()
     preds = g.pred_table()
     net_of: dict[int, str] = {}

@@ -166,30 +166,15 @@ class DecodedSoft:
     conn: Tensor                     # (n(n-1)/2, 1) scores of pairs j < i, tril order
     inv: Tensor
 
-    def to_triple(self) -> TensorTriple:
-        n = self.n
-        low = ad.tril_indices(n)
-        conn = np.zeros((n, n))
-        inv = np.zeros((n, n))
-        conn[low] = self.conn.data.ravel()
-        inv[low] = self.inv.data.ravel()
-        return TensorTriple(self.types.data.copy(), conn, inv)
-
 
 def _decoder_run(z: Tensor, node_count: int, p: VaeParams) -> tuple[Tensor, Tensor]:
-    """The GRU run of `decode_tensors`: its (n, H) states and (n, 3) types."""
-    if node_count < 2:
-        raise ValueError("decoder needs at least 2 nodes")
+    """The GRU run of a decode: its (n, H) states and (n, 3) types."""
     if z.data.ndim != 2 or z.data.shape[0] != 1:
         raise ValueError(f"latent must be a (1, d) row, got shape {z.data.shape}")
     run = ad.gru_decode(p.dec, p.mlp_add, z, p.dec_init_w, p.dec_init_b,
                         NodeType.PI.one_hot(), node_count)
     return (ad.take(run, (slice(None), slice(None, p.hidden))),
             ad.take(run, (slice(None), slice(p.hidden, None))))
-
-
-def _latent_row(z: np.ndarray) -> Tensor:
-    return Tensor(np.asarray(z, dtype=np.float64).reshape(1, -1))
 
 
 def decode_tensors(z: Tensor, node_count: int, p: VaeParams) -> DecodedSoft:
@@ -205,30 +190,24 @@ def decode_tensors(z: Tensor, node_count: int, p: VaeParams) -> DecodedSoft:
                        ad.take(edges, (slice(None), slice(1, 2))))
 
 
-def decode(z: np.ndarray, node_count: int, p: VaeParams) -> TensorTriple:
-    """Evaluation-mode decode to a soft TensorTriple (upper triangle zero)."""
-    with no_grad():
-        out = decode_tensors(_latent_row(z), node_count, p)
-    return out.to_triple()
+def decode(z: np.ndarray, node_count: int, p: VaeParams,
+           pick: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+           ) -> TensorTriple:
+    """Evaluation-mode decode to a soft TensorTriple (upper triangle zero).
 
-
-def decode_picked(z: np.ndarray, node_count: int, p: VaeParams,
-                  pick: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-                  ) -> TensorTriple:
-    """Evaluation-mode decode that scores inversions only where they are read.
-
-    The GRU runs once and the conn head scores every pair j < i, as in
-    `decode`; then `pick(types, conn)` names the (rows, cols) pairs whose
-    inversions are wanted and only those are scored. Every entry the result
-    fills has the bits of `decode`'s; the inversion matrix is 0 off the picks.
+    The GRU runs once and the conn head scores every pair j < i. The inv
+    head scores the (rows, cols) pairs that `pick(types, conn)` names, or
+    every pair j < i when pick is None; every other inversion is 0. Each
+    score has the bits of `decode_tensors`', and `autodiff.PairScorer`
+    scores the pairs a block at a time, so no (pairs x width) array is built.
     """
     with no_grad():
-        states, types = _decoder_run(_latent_row(z), node_count, p)
+        states, types = _decoder_run(Tensor(np.reshape(z, (1, -1))), node_count, p)
     score = ad.PairScorer(states.data, p.mlp_conn, p.mlp_inv)
     low = ad.tril_indices(node_count)
     conn = np.zeros((node_count, node_count))
     conn[low] = score(*low, ad.CONN_HEAD)[:, 0]
-    rows, cols = pick(types.data, conn)
+    rows, cols = low if pick is None else pick(types.data, conn)
     inv = np.zeros((node_count, node_count))
     inv[rows, cols] = score(rows, cols, ad.INV_HEAD)[:, 0]
     return TensorTriple(types.data.copy(), conn, inv)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ipcamo.aig import (AigGraph, AigerParseError, NodeType, TensorTriple,
                         extract_cone_tree, from_tensors, normalize, pad_to_match, parse_aiger,
                         random_tree, to_tensors, write_aiger)
-from ipcamo.gatelevel import from_aig
+from ipcamo.gatelevel import CompiledCircuit, from_aig
 from reference_tools import same_structure, truth_table
 
 # a & ~b, i.e. aag: 1=a, 2=b, 3=and
@@ -237,6 +237,18 @@ def test_write_rejects_non_canonical():
                  edges=[(0, 1, False), (1, 2, False)])  # AND in-degree 1
     with pytest.raises(ValueError, match="not canonical"):
         write_aiger(g)
+
+
+def test_every_aig_reader_refuses_a_non_canonical_graph_alike():
+    """The lowering, the compiler, the tensor encoding and the AIGER writer
+    raise check_canonical's one message, which lists the graph's issues."""
+    g = AigGraph(types=[NodeType.PI, NodeType.AND, NodeType.AND, NodeType.PO],
+                 edges=[(0, 1, False), (0, 2, False), (1, 2, True), (2, 3, False)])
+    want = "graph is not canonical: AND node 1 has in-degree 1"
+    for read in (AigGraph.check_canonical, from_aig, CompiledCircuit.from_aig, to_tensors,
+                 write_aiger):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            read(g)
 
 
 @settings(max_examples=40, deadline=None)

@@ -100,7 +100,7 @@ def gru_step(p, m: Tensor, t: Tensor, h: Tensor) -> Tensor:
     type_prods = td @ u_all + b_all
     zr, th = type_prods[:, : 2 * width] + md @ w_zr, type_prods[:, 2 * width :]
     rh, h_tilde, out = np.empty_like(hd), np.empty_like(hd), np.empty_like(hd)
-    ad._gru_cell(p.w_h.data, zr, th, hd, rh, h_tilde, out)
+    ad._gru_cell(p.w_h.data, zr, zr[:, :width], zr[:, width:], th, hd, rh, h_tilde, out)
 
     def bwd(g):
         d = np.empty((hd.shape[0], 3 * width))
@@ -282,8 +282,7 @@ def _pair_head_by_rows(h: Tensor, p) -> Tensor:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 40])
 def test_pair_head_matches_finite_differences(n):
-    """edge_heads scores both heads of every pair as one node; at n = 40 an
-    unrecorded forward scores the 780 pairs in two blocks."""
+    """edge_heads scores both heads of every pair as one node."""
     rng = np.random.default_rng(n)
     conn, inv = init_mlp(rng, [8, 5, 1]), init_mlp(rng, [8, 5, 1])
     tensors = {**conn.named("conn"), **inv.named("inv")}
@@ -297,7 +296,7 @@ def test_pair_head_matches_finite_differences(n):
     assert out.shape == (n * (n - 1) // 2, 2)
     ref = concat([_pair_head_by_rows(h, conn), _pair_head_by_rows(h, inv)], axis=1)
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-12)
-    with no_grad():  # unrecorded blocks give the recorded block's bits
+    with no_grad():  # unrecorded, the node gives the recorded bits
         assert np.array_equal(edge_heads(h, conn, inv).data, out.data)
 
     def run():
@@ -311,30 +310,6 @@ def test_pair_head_matches_finite_differences(n):
         np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8, err_msg=name)
     with pytest.raises(ValueError, match="dimension mismatch"):
         edge_heads(Tensor(np.zeros((n, 3))), conn, inv)
-
-
-def test_edge_heads_unrecorded_builds_no_pair_matrix():
-    """Unrecorded, the heads score one node's pairs at a time: at n = 166 no
-    (pairs x hidden width) array exists, though the recorded gather builds one."""
-    import tracemalloc
-
-    rng = np.random.default_rng(0)
-    conn, inv = init_mlp(rng, [48, 24, 1]), init_mlp(rng, [48, 24, 1])
-    h = Tensor(rng.standard_normal((166, 24)))
-    ad.tril_indices(166)  # cached index arrays are not the node's to count
-    pair_matrix = 166 * 165 // 2 * 24 * 8  # bytes of one head's hidden rows
-    for record in (False, True):
-        tracemalloc.start()
-        try:
-            if record:
-                edge_heads(h, conn, inv)
-            else:
-                with no_grad():
-                    edge_heads(h, conn, inv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (peak > pair_matrix) == record, (record, peak)
 
 
 @pytest.mark.parametrize("n", [2, 40, 166])

@@ -128,6 +128,11 @@ def test_fix_lookup_rejects_garbage():
         fix_lookup("10", "11", "later")
 
 
+def _slots(layout):
+    """The layout's nodes of each type, as `camouflage_skeleton` hands them to `_pair_states`."""
+    return {t: layout.indices(t) for t in NodeType}
+
+
 def test_position_space_mapping():
     PI, AND, PO = NodeType.PI, NodeType.AND, NodeType.PO
     layout = AigGraph(types=[PI, PI, AND, AND, PO],
@@ -144,7 +149,7 @@ def test_position_space_mapping():
                         (4, 5, False),   # into the surplus AND: dropped
                         (5, 6, False),   # from the surplus AND: dropped
                         (4, 6, False)])  # AND 1 -> PO: slots (3, 4)
-    assert _pair_states(g, layout) == {
+    assert _pair_states(g, _slots(layout)) == {
         (0, 2): "10", (1, 2): "11", (2, 3): "11", (3, 4): "10"}
 
 
@@ -164,7 +169,7 @@ def test_pair_states_drops_backward_edges():
                         (2, 4, False),   # the PO into an AND, slots 4 -> 3: dropped
                         (3, 4, False),   # slots (1, 3)
                         (0, 3, False)])  # into a PI slot: dropped
-    assert _pair_states(g, layout) == {(0, 2): "10", (2, 4): "11", (1, 3): "10"}
+    assert _pair_states(g, _slots(layout)) == {(0, 2): "10", (2, 4): "11", (1, 3): "10"}
 
 
 def test_pair_states_records_polarity():
@@ -172,10 +177,10 @@ def test_pair_states_records_polarity():
     layout = AigGraph(types=[PI, PI, AND, AND, PO],
                       edges=[(0, 2, False), (1, 2, True), (1, 3, False),
                              (2, 3, False), (3, 4, False)])
-    assert _pair_states(layout, layout) == {
+    assert _pair_states(layout, _slots(layout)) == {
         (0, 2): "10", (1, 2): "11", (1, 3): "10", (2, 3): "10", (3, 4): "10"}
     g = random_tree(np.random.default_rng(2), 3, n_pi_pool=4)
-    states = _pair_states(g, g)
+    states = _pair_states(g, _slots(g))
     assert len(states) == len(g.edges)
     assert set(states.values()) <= {"10", "11"}
     assert sorted(v == "11" for v in states.values()) == sorted(
@@ -470,14 +475,14 @@ def test_grid_matches_single_cells(toy_checkpoint, monkeypatch):
     params, _ = toy_checkpoint
     f, a = _desk_pair(100)
     ps, ths = (0.0, 0.5, 1.0), (0.05, 0.5)
-    calls = dict.fromkeys(("encode", "decode_picked", "checkpoint_sha256"), 0)
+    calls = dict.fromkeys(("encode", "decode", "checkpoint_sha256"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(camo, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(camo, name, counted)
     grid = [nl.to_json() for nl in camo.camouflage_grid(f, a, params, ps, ths, seed=2)]
-    assert calls == {"encode": 2, "decode_picked": 3, "checkpoint_sha256": 1}
+    assert calls == {"encode": 2, "decode": 3, "checkpoint_sha256": 1}
     monkeypatch.undo()
     cells = [camouflage_pipeline(f, a, params, p, th, seed=2).to_json()
              for p in ps for th in ths]

@@ -1,9 +1,12 @@
 """VAE encode/decode/loss/training contracts."""
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import TOY_HP
 from test_autodiff import assert_grads_match, backward_grads, fd_grad, gru_by_ops
+from test_camouflage import _desk_pair
 from ipcamo.aig import (AigGraph, NodeType, TensorTriple, from_tensors, random_tree,
                         to_tensors)
 from ipcamo import autodiff as ad
@@ -61,7 +64,7 @@ def test_loss_tensor_and_plain_agree(small_params):
     decoded = vae.decode_tensors(mu_t, g.n, small_params)
     total_t, comps_t = vae.loss_tensors(x, decoded, mu_t, logvar_t, SMALL_HP)
     code = encode(g, small_params)
-    total, comps = loss(x, decoded.to_triple(), code, SMALL_HP)
+    total, comps = loss(x, decode(code.mu, g.n, small_params), code, SMALL_HP)
     assert float(total_t.data) == pytest.approx(total, abs=1e-12)
     for k in comps:
         assert comps_t[k] == pytest.approx(comps[k], abs=1e-12)
@@ -250,10 +253,58 @@ def test_decode_shape_contract(small_params):
         decode(z, 1, small_params)
 
 
-def test_decode_picked_scores_inversions_at_the_picks_only(small_params):
-    """decode_picked hands its picker decode's types and connections and
-    fills each picked pair's inversion with decode's bits; every other
-    inversion entry is 0."""
+@pytest.mark.parametrize("n", [2, 40, 166])
+def test_decode_equals_decode_tensors_bit_for_bit(toy_checkpoint, n):
+    """The inference decode, each head scored a block of pairs at a time,
+    gives the bits of the one-block `decode_tensors` under no_grad: the types
+    and the lower triangles of conn and inv. n = 166 is the desk layout's
+    node count; the latents are the desk pair's ends and their midpoint.
+    The copy with the inv head's output bias raised by 2 scores many
+    inversions above 0.5, as the toy checkpoint does not."""
+    params, _ = toy_checkpoint
+    inverting = copy.deepcopy(params)
+    inverting.mlp_inv.layers[-1][1].data += 2.0
+    f, a = _desk_pair(100)
+    z_f, z_a = encode(f, params).mu, encode(a, params).mu
+    low = ad.tril_indices(n)
+    for model in (params, inverting):
+        for z in (z_f, z_a, 0.5 * (z_f + z_a)):
+            got = decode(z, n, model)
+            with no_grad():
+                want = vae.decode_tensors(Tensor(z.reshape(1, -1)), n, model)
+            assert np.array_equal(got.type_mat, want.types.data)
+            assert np.array_equal(got.conn_mat[low], want.conn.data[:, 0])
+            assert np.array_equal(got.inv_mat[low], want.inv.data[:, 0])
+    assert n == 2 or (got.inv_mat[low] > 0.5).any()
+
+
+def test_decode_builds_no_pair_matrix(toy_checkpoint):
+    """The inference decode scores pairs a block at a time: at n = 166 with
+    the toy width no (pairs x width) array exists, though the recorded
+    `decode_tensors` builds one."""
+    import tracemalloc
+
+    params, _ = toy_checkpoint
+    z = np.zeros(params.latent)
+    ad.tril_indices(166)  # cached index arrays are not the decode's to count
+    pair_matrix = 166 * 165 // 2 * params.mlp_conn.layers[0][0].shape[1] * 8
+    for record in (False, True):
+        tracemalloc.start()
+        try:
+            if record:
+                vae.decode_tensors(Tensor(z.reshape(1, -1)), 166, params)
+            else:
+                decode(z, 166, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak > pair_matrix) == record, (record, peak)
+
+
+def test_decode_with_pick_scores_inversions_at_the_picks_only(small_params):
+    """decode hands its picker the full decode's types and connections and
+    fills each picked pair's inversion with the full decode's bits; every
+    other inversion entry is 0."""
     rng = np.random.default_rng(3)
     z, n = rng.standard_normal(SMALL_HP.latent_dim), 30
     full = decode(z, n, small_params)
@@ -265,7 +316,7 @@ def test_decode_picked_scores_inversions_at_the_picks_only(small_params):
         seen.append((types.copy(), conn.copy()))
         return rows[some], cols[some]
 
-    got = vae.decode_picked(z, n, small_params, pick)
+    got = decode(z, n, small_params, pick)
     (types, conn), = seen
     for m in (types, got.type_mat):
         assert np.array_equal(m, full.type_mat)
